@@ -2,9 +2,7 @@
 
 All structured output is JSON (sorted keys, fixed layout, so runs with the
 same config and seed are byte-identical); CSV is emitted only as
-plot-ready tables.  The thread-count environment variable
-POINCARELAB_THREADS is honored for family sweeps; computations are
-deterministic regardless of its value.
+plot-ready tables.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -282,7 +279,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    os.environ.setdefault("POINCARELAB_THREADS", str(os.cpu_count() or 1))
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

@@ -6,8 +6,8 @@ a(Q)^p w(Q); SD_p^s additionally demands a gain (1/L)^(p/s) on L-small
 families.  Suprema are over dyadic families: exhaustive mode computes the
 exact maximum over all antichains (with a volume budget for L-small
 families) by max-plus dynamic programming over the cube tree, which agrees
-with brute-force enumeration; random and greedy modes provide sampled and
-descent-based lower bounds.
+with brute-force enumeration; random mode gives a sampled lower bound, and
+greedy mode runs the same exact DP as exhaustive.
 """
 
 from __future__ import annotations

@@ -214,22 +214,33 @@ def sample(root, depth, func):
     return gf.copy_with(func(*pts))
 
 
+def _split_levels(values, level):
+    """Shape (2**level, b) per axis: axes 2i index the cubes, 2i+1 cells."""
+    b = values.shape[0] >> level
+    if b == 0:
+        raise GridError("level exceeds depth")
+    return values.reshape((1 << level, b) * values.ndim)
+
+
 def block_reduce(values, level, op):
     """Reduce the cell array onto the level-``level`` dyadic blocks.
 
     ``op`` is a numpy reduction (np.mean, np.amin, ...) applied per block;
     the result has shape ``(2**level,) * n``.
     """
+    return op(_split_levels(values, level),
+              axis=tuple(range(1, 2 * values.ndim, 2)))
+
+
+def level_blocks(values, level):
+    """The level-``level`` dyadic cubes as one contiguous stack of shape
+    ``(2**(level*n), b, ..., b)``; entry k holds the cells (as selected by
+    ``GridFunction.block``) of the k-th cube in row-major coordinate order.
+    """
     n = values.ndim
-    N = values.shape[0]
-    b = N >> level
-    if b == 0:
-        raise GridError("level exceeds depth")
-    shape = []
-    for _ in range(n):
-        shape.extend((1 << level, b))
-    axes = tuple(range(1, 2 * n, 2))
-    return op(values.reshape(shape), axis=axes)
+    split = _split_levels(values, level)
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return split.transpose(order).reshape((-1,) + split.shape[1::2])
 
 
 def all_cubes(n, depth, min_level=0):

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .grid import CubeIndex, GridError, GridFunction, block_reduce
+from .grid import CubeIndex, GridFunction, block_reduce
 from .weights import _corner_singular_unit_integral, resolve
 
 
@@ -25,8 +24,6 @@ class OperatorError(ValueError):
 
 @dataclass
 class OperatorConfig:
-    maximal_kind: str = "centered-discrete"   # dyadic-local | centered-discrete | powered
-    powered_epsilon: float = 1.0
     rdf_terms: int = 20
     opnorm_mode: str = "empirical"            # supplied | empirical | ap-bound
     opnorm_value: float | None = None
@@ -37,8 +34,6 @@ class OperatorConfig:
     def __post_init__(self):
         if self.rdf_terms < 1:
             raise OperatorError("rdf_terms must be >= 1")
-        if not (0 < self.powered_epsilon <= 1):
-            raise OperatorError("powered epsilon must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -76,41 +71,49 @@ def dyadic_maximal(f: GridFunction, q: CubeIndex | None = None):
     return f.copy_with(out)
 
 
-def _box_sums(padded, lo, hi):
+def _box_sums(padded, lo, hi, lead):
     n = lo.shape[0]
+    batch = (slice(None),) * lead
     s = None
     for signs in itertools.product((0, 1), repeat=n):
         corner = tuple(hi[i] if signs[i] else lo[i] for i in range(n))
-        term = padded[corner]
+        term = padded[batch + corner]
         if (n - sum(signs)) % 2 == 1:
             term = -term
         s = term if s is None else s + term
     return s
 
 
-def centered_maximal_values(values):
-    """Discrete centered maximal with cube windows clipped to the block.
-
-    Per cell center, the max over window radii r = 0..N-1 (in cells) of the
-    average of |values| over the clipped window; computed with an integral
-    image so each radius is O(cells).
+def _centered_maximal(masses, n, cell_volume=1.0):
+    """Per cell center, the max over clipped cube windows of radius
+    r = 0..N-1 cells of mass(window)/volume(window), via an integral image
+    (O(cells) per radius).  The last ``n`` axes of ``masses`` are space;
+    leading axes, if any, index a batch of blocks maximized independently.
     """
-    a = np.abs(np.asarray(values, dtype=float))
-    n = a.ndim
-    N = a.shape[0]
-    P = a
-    for ax in range(n):
+    lead = masses.ndim - n
+    N = masses.shape[-1]
+    P = masses
+    for ax in range(lead, masses.ndim):
         P = np.cumsum(P, axis=ax)
-    P = np.pad(P, [(1, 0)] * n)
-    idx = np.indices(a.shape)
-    best = a.copy()
+    P = np.pad(P, [(0, 0)] * lead + [(1, 0)] * n)
+    idx = np.indices(masses.shape[lead:])
+    best = masses / cell_volume
     for r in range(1, N):
         lo = np.clip(idx - r, 0, None)
         hi = np.clip(idx + r + 1, None, N)
-        sums = _box_sums(P, lo, hi)
+        sums = _box_sums(P, lo, hi, lead)
         cnt = np.prod(hi - lo, axis=0)
+        if cell_volume != 1.0:
+            cnt = cnt * cell_volume
         np.maximum(best, sums / cnt, out=best)
     return best
+
+
+def centered_maximal_values(values):
+    """Discrete centered maximal of |values| with cube windows clipped to
+    the block (cell volume 1, so window averages)."""
+    a = np.abs(np.asarray(values, dtype=float))
+    return _centered_maximal(a, a.ndim)
 
 
 def centered_maximal(f: GridFunction):
@@ -121,21 +124,7 @@ def centered_maximal_measure(cell_masses, cell_volume):
     """Centered maximal of a measure: sup over clipped cube windows of
     mass(window)/volume(window)."""
     m = np.asarray(cell_masses, dtype=float)
-    n = m.ndim
-    N = m.shape[0]
-    P = m
-    for ax in range(n):
-        P = np.cumsum(P, axis=ax)
-    P = np.pad(P, [(1, 0)] * n)
-    idx = np.indices(m.shape)
-    best = m / cell_volume
-    for r in range(1, N):
-        lo = np.clip(idx - r, 0, None)
-        hi = np.clip(idx + r + 1, None, N)
-        sums = _box_sums(P, lo, hi)
-        cnt = np.prod(hi - lo, axis=0)
-        np.maximum(best, sums / (cnt * cell_volume), out=best)
-    return best
+    return _centered_maximal(m, m.ndim, cell_volume)
 
 
 def powered_maximal(f: GridFunction, epsilon):
@@ -144,15 +133,6 @@ def powered_maximal(f: GridFunction, epsilon):
         raise OperatorError("epsilon must lie in (0, 1]")
     return f.copy_with(centered_maximal_values(np.abs(f.values) ** epsilon)
                        ** (1.0 / epsilon))
-
-
-def maximal(f: GridFunction, cfg: OperatorConfig | None = None):
-    cfg = cfg or OperatorConfig()
-    if cfg.maximal_kind == "dyadic-local":
-        return dyadic_maximal(f)
-    if cfg.maximal_kind == "powered":
-        return powered_maximal(f, cfg.powered_epsilon)
-    return centered_maximal(f)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +170,15 @@ def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
     block = g.values[sl]
     s = block.shape[0]
     K = fractional_kernel(n, alpha, s, g.cell_width)
-    vals = fftconvolve(block, K, mode="valid") * g.cell_volume
+    # the full linear convolution has 3s - 2 entries per axis, the s valid
+    # ones (K covering the whole block) starting at s - 1; s is a power of
+    # two, so 3s is a fast FFT length
+    size = (3 * s,) * n
+    axes = tuple(range(n))
+    spec = np.fft.rfftn(block, s=size, axes=axes) \
+        * np.fft.rfftn(K, s=size, axes=axes)
+    full = np.fft.irfftn(spec, s=size, axes=axes)
+    vals = full[(slice(s - 1, 2 * s - 1),) * n] * g.cell_volume
     out = np.zeros_like(g.values)
     out[sl] = np.maximum(vals, 0.0)
     return g.copy_with(out)

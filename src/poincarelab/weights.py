@@ -5,18 +5,21 @@ Weights are positive densities on the grid: either sampled cell values
 cell masses (PowerWeight).  All class constants (A_p, A_1, Fujii-Wilson
 A_inf, reverse-Holder exponent, A_{p,1}, RH_inf) are suprema over the
 finite dyadic family up to the working depth, optionally augmented with
-half-shifted grids; reports record the family used.
+half-shifted grids; reports record the family used.  The half-shifted
+cubes enter A_p, A_1 and RH_inf only: Fujii-Wilson A_inf, A_{p,1} and the
+reverse-Holder check use the aligned dyadic cubes even when
+``shifted=True``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CubeIndex, GridError, GridFunction, RootBox, block_reduce,
-                   all_cubes)
+from .grid import (CubeIndex, GridFunction, RootBox, block_reduce,
+                   level_blocks)
 
 
 class WeightError(ValueError):
@@ -204,11 +207,6 @@ class FamilyDescriptor:
     shifted: bool = False
 
 
-def _aligned_level_blocks(arrs, level):
-    """Per-level dyadic block means/extrema for several arrays at once."""
-    return [block_reduce(a[0], level, a[1]) for a in arrs]
-
-
 def _shifted_level_blocks(arrs, level):
     """Block reductions on the half-shifted grid at the given level.
 
@@ -237,7 +235,7 @@ def family_reductions(arrs, depth, shifted=False):
     levels always; with ``shifted`` also the half-shifted cubes per level.
     """
     for level in range(depth + 1):
-        yield ("dyadic", level), _aligned_level_blocks(arrs, level)
+        yield ("dyadic", level), [block_reduce(a, level, op) for a, op in arrs]
         if shifted and level >= 1:
             sh = _shifted_level_blocks(arrs, level)
             if sh is not None:
@@ -309,20 +307,20 @@ def ainf_fujii_wilson(w, root, depth):
     """Fujii-Wilson A_inf constant over the dyadic family.
 
     For each dyadic cube Q: (1/w(Q)) * integral over Q of the discrete
-    centered maximal of w restricted to Q (windows clipped to Q).
+    centered maximal of w restricted to Q (windows clipped to Q).  All
+    cubes of one level go through the maximal kernel as one batch.
     """
-    from .operators import centered_maximal_values
+    from .operators import _centered_maximal
 
     wv = resolve(w, root, depth)
     n = wv.ndim
+    space = tuple(range(1, n + 1))
     best = -np.inf
     for level in range(depth + 1):
-        b = wv.shape[0] >> level
-        for coords in itertools.product(range(1 << level), repeat=n):
-            sl = tuple(slice(c * b, (c + 1) * b) for c in coords)
-            blockw = wv[sl]
-            m = centered_maximal_values(blockw)
-            best = max(best, float(m.mean() / blockw.mean()))
+        blocks = level_blocks(wv, level)
+        m = _centered_maximal(blocks, n)
+        best = max(best, float(np.max(m.mean(axis=space)
+                                      / blocks.mean(axis=space))))
     return best
 
 
@@ -331,44 +329,48 @@ def rh_exponent(ainf, n):
     return 1.0 + 1.0 / (2.0 ** (n + 1) * ainf - 1.0)
 
 
-def rh_exponent_and_check(w, root, depth):
-    """(r_w, worst ratio of avg(w^r_w) to avg(w)^r_w, pass flag <= 2)."""
-    wv = resolve(w, root, depth)
-    n = wv.ndim
-    ainf = ainf_fujii_wilson(wv, root, depth)
-    rw = rh_exponent(ainf, n)
+def _rh_check(wv, depth, ainf):
+    rw = rh_exponent(ainf, wv.ndim)
     worst = -np.inf
     for _, (A, B) in family_reductions([(wv ** rw, np.mean), (wv, np.mean)], depth):
         worst = max(worst, float(np.max(A / B ** rw)))
     return rw, worst, worst <= 2.0
 
 
+def rh_exponent_and_check(w, root, depth):
+    """(r_w, worst ratio of avg(w^r_w) to avg(w)^r_w, pass flag <= 2)."""
+    wv = resolve(w, root, depth)
+    return _rh_check(wv, depth, ainf_fujii_wilson(wv, root, depth))
+
+
+# Python's float pow per element: numpy's vectorized power may round the
+# last bit differently from the scalar definition of the constants
+_float_pow = np.frompyfunc(pow, 2, 1)
+
+
 def ap1_constant(w, p, root, depth):
     """A_{p,1} constant: sup of (avg w) * weak-L^{p'} norm of 1/w, p-th power.
 
     The weak norm is taken in L^{p',inf}(Q, w dx/|Q|); exact evaluation via
-    the step distribution function of 1/w on each cube.
+    the step distribution function of 1/w on each cube: the max of
+    (1/w) * (w-mass of {1/w >= it})^(1/p') over cells in descending 1/w,
+    ties needing no collapsing as the last of a tie run dominates.
     """
-    from .operators import weak_norm_values
-
     if p <= 1:
         raise WeightError("p must be > 1")
     wv = resolve(w, root, depth)
     n = wv.ndim
-    N = wv.shape[0]
-    cellvol = (root.side / N) ** n
+    cellvol = (root.side / wv.shape[0]) ** n
     pprime = p / (p - 1.0)
     best = -np.inf
     for level in range(depth + 1):
-        b = N >> level
-        vol = (b ** n) * cellvol
-        for coords in itertools.product(range(1 << level), repeat=n):
-            sl = tuple(slice(c * b, (c + 1) * b) for c in coords)
-            block = wv[sl]
-            vals = (1.0 / block).ravel()
-            masses = (block * cellvol / vol).ravel()
-            wk = weak_norm_values(vals, masses, pprime)
-            best = max(best, float(block.mean() * wk ** p))
+        rows = level_blocks(wv, level).reshape(1 << (level * n), -1)
+        vol = rows.shape[1] * cellvol
+        w_up = np.sort(rows, axis=1)          # 1/w descending
+        cum = np.cumsum(w_up * cellvol / vol, axis=1)
+        wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=1)
+        wk_p = _float_pow(wk, p).astype(float)
+        best = max(best, float(np.max(rows.mean(axis=1) * wk_p)))
     return best
 
 
@@ -412,8 +414,8 @@ def constants_report(w, p, root, depth, shifted=False):
     wv = resolve(w, root, depth)
     ap, arg = ap_constant(wv, p, root, depth, shifted, return_argmax=True)
     a1 = ap_constant(wv, 1.0, root, depth, shifted)
-    rw, worst, ok = rh_exponent_and_check(wv, root, depth)
     ainf = ainf_fujii_wilson(wv, root, depth)
+    rw, worst, ok = _rh_check(wv, depth, ainf)
     ap1 = ap1_constant(wv, p, root, depth) if p > 1 else float("nan")
     rhi = rhinf_constant(wv, root, depth, shifted)
     return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst, ok, ap1, rhi,

@@ -164,6 +164,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, poincarelab.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "poincarelab.cli", "constants",

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, all_cubes, block_reduce,
-                              discrete_gradient, dyadic_descendants, sample)
+                              discrete_gradient, dyadic_descendants,
+                              level_blocks, sample)
 
 
 def test_root_box_unit_and_symmetric():
@@ -73,6 +74,29 @@ def test_block_reduce_consistent_with_cube_averages():
     for q in all_cubes(2, 3, min_level=1):
         if q.level == 1:
             assert means[q.coords] == pytest.approx(f.average(q), abs=1e-12)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(((1, 5), (2, 3), (3, 2))))
+@settings(max_examples=25, deadline=None)
+def test_level_blocks_are_cube_blocks_in_row_major_order(seed, size):
+    n, depth = size
+    rng = np.random.default_rng(seed)
+    f = GridFunction(RootBox.unit(n), depth,
+                     rng.normal(size=(1 << depth,) * n))
+    for level in range(depth + 1):
+        stack = level_blocks(f.values, level)
+        b = 1 << (depth - level)
+        assert stack.shape == (1 << (level * n),) + (b,) * n
+        assert stack.flags.c_contiguous
+        cubes = list(all_cubes(n, level, min_level=level))
+        assert len(cubes) == stack.shape[0]
+        for k, q in enumerate(cubes):
+            assert np.array_equal(stack[k], f.values[f.block(q)])
+
+
+def test_level_blocks_rejects_level_beyond_depth():
+    with pytest.raises(GridError):
+        level_blocks(np.zeros((4, 4)), 3)
 
 
 @given(st.integers(0, 2 ** 31 - 1))

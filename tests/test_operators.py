@@ -1,5 +1,7 @@
 """Maximal operators, fractional integrals, norms, majorant series."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
 from poincarelab.operators import (OperatorConfig, OperatorError,
-                                   centered_maximal, centered_maximal_values,
+                                   _centered_maximal, centered_maximal,
+                                   centered_maximal_measure,
+                                   centered_maximal_values,
                                    dyadic_maximal, dyadic_maximal_values,
                                    fractional_integral, fractional_kernel,
                                    lorentz_p1_norm_values, lp_norm,
@@ -80,6 +84,31 @@ def test_centered_maximal_2d_matches_bruteforce():
     assert np.allclose(centered_maximal_values(vals), brute, atol=1e-12)
 
 
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(((1, 8), (2, 4), (3, 2))),
+       st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_batched_centered_maximal_matches_per_block(seed, size, count):
+    n, side = size
+    rng = np.random.default_rng(seed)
+    blocks = rng.exponential(size=(count,) + (side,) * n)
+    batched = _centered_maximal(blocks, n)
+    for k in range(count):
+        assert np.array_equal(batched[k], centered_maximal_values(blocks[k]))
+    # two batch axes behave like one
+    pairs = np.stack([blocks, blocks[::-1]])
+    assert np.array_equal(_centered_maximal(pairs, n),
+                          np.stack([batched, batched[::-1]]))
+
+
+def test_centered_maximal_measure_is_scaled_average_maximal():
+    rng = np.random.default_rng(4)
+    masses = rng.uniform(0, 1, (8, 8))
+    assert np.allclose(centered_maximal_measure(masses, 0.25),
+                       centered_maximal_values(masses) / 0.25, rtol=1e-14)
+    assert np.array_equal(centered_maximal_measure(masses, 1.0),
+                          centered_maximal_values(masses))
+
+
 def test_maximal_dominates_and_sublinear():
     rng = np.random.default_rng(3)
     a = rng.uniform(0, 2, 32)
@@ -131,6 +160,22 @@ def test_fractional_integral_matches_direct_kernel_sum():
             sub = k[7 - i:15 - i, 7 - j:15 - j]
             brute[i, j] = (sub * g.values).sum() * g.cell_volume
     assert np.allclose(out, brute, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n,depth", [(1, 5), (3, 2)])
+def test_fractional_integral_matches_direct_sum_1d_3d(n, depth):
+    # FFT lengths 96 and 12 per axis: not powers of two
+    rng = np.random.default_rng(8)
+    N = 1 << depth
+    g = GridFunction(RootBox.unit(n), depth, rng.uniform(0, 1, (N,) * n))
+    alpha = 0.5 * n
+    out = fractional_integral(g, alpha).values
+    k = fractional_kernel(n, alpha, N, g.cell_width)
+    brute = np.zeros((N,) * n)
+    for x in itertools.product(range(N), repeat=n):
+        sub = k[tuple(slice(N - 1 - i, 2 * N - 1 - i) for i in x)]
+        brute[x] = (sub * g.values).sum() * g.cell_volume
+    assert np.allclose(out, brute, rtol=1e-12, atol=0)
 
 
 def test_fractional_integral_constant_1d_continuum_value():

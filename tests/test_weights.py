@@ -1,9 +1,14 @@
 """Weight representations and weight-class constants."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes
+from poincarelab.operators import centered_maximal_values, weak_norm_values
 from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
                                  WeightError, _corner_singular_unit_integral,
                                  ainf_fujii_wilson, ap1_constant, ap_constant,
@@ -13,6 +18,97 @@ from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
 
 UNIT1 = RootBox.unit(1)
 STEP = np.array([1.0, 3.0])
+
+
+# -- per-cube reference implementations of the level-batched constants ----
+
+def _cube_slices(wv, depth):
+    for level in range(depth + 1):
+        b = wv.shape[0] >> level
+        for coords in itertools.product(range(1 << level), repeat=wv.ndim):
+            yield tuple(slice(c * b, (c + 1) * b) for c in coords)
+
+
+def ainf_reference(wv, depth):
+    """Fujii-Wilson A_inf, one centered maximal per dyadic cube."""
+    return max(float(centered_maximal_values(wv[sl]).mean() / wv[sl].mean())
+               for sl in _cube_slices(wv, depth))
+
+
+def ap1_reference(wv, p, root, depth):
+    """A_{p,1}, one weak-norm evaluation per dyadic cube."""
+    cellvol = (root.side / wv.shape[0]) ** wv.ndim
+    pprime = p / (p - 1.0)
+    best = -np.inf
+    for sl in _cube_slices(wv, depth):
+        block = wv[sl]
+        vol = block.size * cellvol
+        wk = weak_norm_values((1.0 / block).ravel(),
+                              (block * cellvol / vol).ravel(), pprime)
+        best = max(best, float(block.mean() * wk ** p))
+    return best
+
+
+# (n, depth) pairs small enough for the per-cube references
+SIZES = ((1, 1), (1, 4), (1, 7), (2, 1), (2, 3), (2, 5), (3, 1), (3, 3))
+
+
+def _oracle_weights(seed, n, depth):
+    rng = np.random.default_rng(seed)
+    lognormal = np.exp(rng.normal(0.0, rng.uniform(0.2, 2.0),
+                                  (1 << depth,) * n))
+    root = RootBox.symmetric(n)
+    delta = float(rng.choice([0.125, 0.25, 0.5, 1.0]))
+    # power weights have many exactly tied cells (the grid is symmetric)
+    power = PowerWeight(delta, n, root).cell_values(root, depth)
+    return [(lognormal, RootBox.unit(n)), (power, root)]
+
+
+def _assert_batched_matches_reference(seed, n, depth):
+    for wv, root in _oracle_weights(seed, n, depth):
+        assert ainf_fujii_wilson(wv, root, depth) == \
+            pytest.approx(ainf_reference(wv, depth), rel=1e-12)
+        for p in (1.5, 2.0, 3.0):
+            assert ap1_constant(wv, p, root, depth) == \
+                pytest.approx(ap1_reference(wv, p, root, depth), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,depth", SIZES)
+def test_batched_constants_match_per_cube_reference(n, depth):
+    for seed in range(3):
+        _assert_batched_matches_reference(seed, n, depth)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(SIZES))
+@settings(max_examples=30, deadline=None)
+def test_batched_constants_match_reference_hypothesis(seed, size):
+    _assert_batched_matches_reference(seed, *size)
+
+
+def test_batched_constants_equal_reference_bitwise():
+    # the batch repeats each cube's arithmetic in the same order; with
+    # numpy's vectorized power for wk ** p, about one A_{p,1} value in
+    # twenty here would differ in the last bit
+    for n, depth in ((1, 7), (2, 4), (3, 2)):
+        for wv, root in _oracle_weights(17, n, depth):
+            assert ainf_fujii_wilson(wv, root, depth) == \
+                ainf_reference(wv, depth)
+        for seed in range(30):
+            wv, root = _oracle_weights(seed, n, depth)[0]
+            for p in (1.5, 3.0):
+                assert ap1_constant(wv, p, root, depth) == \
+                    ap1_reference(wv, p, root, depth)
+
+
+def test_report_rh_exponent_uses_report_ainf():
+    for n, depth in ((1, 6), (2, 4)):
+        wv, root = _oracle_weights(4, n, depth)[0]
+        rep = constants_report(wv, 2.0, root, depth)
+        assert rep.ainf_fw == ainf_fujii_wilson(wv, root, depth)
+        assert rep.rh_exponent == rh_exponent(rep.ainf_fw, n)
+        rw, worst, ok = rh_exponent_and_check(wv, root, depth)
+        assert (rep.rh_exponent, rep.rh_worst_ratio, rep.rh_pass) == \
+            (rw, worst, ok)
 
 
 def test_ap_two_value_oracle():
