@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .grid import CubeIndex, GridFunction, RootBox
-from .weights import (GridWeight, PowerWeight, ap_constant, constants_report,
-                      resolve)
+from .weights import GridWeight, PowerWeight, ap_constant, constants_report
 from .operators import OperatorConfig, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
 from .decomposition import cz_decompose
@@ -108,7 +107,6 @@ def _cmd_functional_check(args):
     n = int(config.get("n", 1))
     depth = args.depth
     root = RootBox.unit(n)
-    cells = (1 << depth) ** n
     vol = (root.side / (1 << depth)) ** n
 
     def load_masses(key):
@@ -234,7 +232,7 @@ def build_parser():
     sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--Ls", default="2,4,8")
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--mode", choices=("exhaustive", "random", "greedy"),
+    sp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="random")
     sp.set_defaults(func=_cmd_functional_check)
 

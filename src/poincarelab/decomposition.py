@@ -11,11 +11,11 @@ everywhere statement is an exact cell statement here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeIndex, GridError, GridFunction, block_reduce
+from .grid import CubeIndex, GridFunction, block_reduce, measure_cell_masses
 
 
 class DecompositionError(ValueError):
@@ -193,8 +193,7 @@ def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
     if w is None:
         masses = np.ones_like(block)
     else:
-        from .operators import measure_cell_masses
-        masses = np.asarray(measure_cell_masses(w, f))[sl]
+        masses = measure_cell_masses(w, f)[sl]
     masses = masses / masses.sum()
     if basis is not None:
         center = project(f, basis).values[sl]

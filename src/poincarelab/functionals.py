@@ -6,8 +6,7 @@ a(Q)^p w(Q); SD_p^s additionally demands a gain (1/L)^(p/s) on L-small
 families.  Suprema are over dyadic families: exhaustive mode computes the
 exact maximum over all antichains (with a volume budget for L-small
 families) by max-plus dynamic programming over the cube tree, which agrees
-with brute-force enumeration; random mode gives a sampled lower bound, and
-greedy mode runs the same exact DP as exhaustive.
+with brute-force enumeration; random mode gives a sampled lower bound.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CubeIndex, GridError, GridFunction, block_reduce
+from .grid import CubeIndex, GridFunction, block_reduce
 from .operators import lorentz_p1_norm_values
 
 
@@ -315,13 +314,13 @@ def _witness(a, w, p, Q, depth, cache, count, tol=1e-9):
 def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
                  mode="exhaustive", trials=1000, seed=0, budget_L=None):
     """Best D_p ratio over dyadic antichains below Q (optionally volume
-    limited to |Q|/budget_L).  exhaustive/greedy: exact tree maximum;
+    limited to |Q|/budget_L).  exhaustive: exact tree maximum;
     random: sampled lower bound."""
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
     den = a.eval(Q) ** p * w.mass(Q)
     cells = (1 << (depth - Q.level)) ** Q.n
     budget = cells if budget_L is None else int(math.floor(cells / budget_L + 1e-9))
-    if mode in ("exhaustive", "greedy"):
+    if mode == "exhaustive":
         cache = {}
         arr, _ = _score_arrays(a, w, p, Q, depth, cache)
         top = min(budget, arr.size - 1)
@@ -354,6 +353,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     """
     if any(L <= 1 for L in Ls):
         raise FunctionalError("each L must be > 1")
+    if mode not in ("exhaustive", "random"):
+        raise FunctionalError(f"unknown mode {mode!r}")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
     n = Q.n
     alpha_over_n = (a.alpha / n

@@ -165,7 +165,7 @@ class GridFunction:
         ``weight`` is a cell-value array of the same shape (or anything
         exposing ``cell_values(root, depth)``).
         """
-        w = _as_cell_values(weight, self.root, self.depth)
+        w = resolve(weight, self.root, self.depth)
         sl = self.block(q)
         denom = w[sl].sum()
         if denom <= 0:
@@ -188,10 +188,19 @@ class GridFunction:
 
     @classmethod
     def from_json_dict(cls, d):
-        root = RootBox(tuple(d["root"]["corner"]), float(d["root"]["side"]))
-        if root.n != int(d["n"]):
-            raise GridError("dimension mismatch between 'n' and root corner")
-        return cls(root, int(d["depth"]), d["values"])
+        """Read ``{"root": {"lower" | "corner": [...], "side": s}, "depth",
+        "values"}`` with an optional ``"n"`` checked against the corner."""
+        try:
+            box = d["root"]
+            corner = box["lower"] if "lower" in box else box["corner"]
+            root = RootBox(tuple(corner), float(box["side"]))
+            if "n" in d and root.n != int(d["n"]):
+                raise GridError("dimension mismatch between 'n' and root corner")
+            return cls(root, int(d["depth"]), d["values"])
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, GridError):
+                raise
+            raise GridError(f"malformed grid function JSON: {exc!r}") from None
 
     @classmethod
     def load(cls, path):
@@ -199,12 +208,27 @@ class GridFunction:
             return cls.from_json_dict(json.load(fh))
 
 
-def _as_cell_values(weight, root, depth):
-    if isinstance(weight, np.ndarray):
-        return weight
-    if isinstance(weight, GridFunction):
-        return weight.values
-    return weight.cell_values(root, depth)
+def resolve(w, root, depth):
+    """Cell values of a weight-like object on the given grid; a bare array
+    is taken as values."""
+    if isinstance(w, np.ndarray):
+        return w
+    if isinstance(w, GridFunction):
+        return w.values
+    return w.cell_values(root, depth)
+
+
+def measure_cell_masses(measure, g: GridFunction):
+    """Cell masses of a measure on the grid of ``g``: ``None`` is Lebesgue
+    measure, a bare array is taken as masses, a GridFunction is a density;
+    anything else supplies ``cell_masses``."""
+    if measure is None:
+        return np.full(g.values.shape, g.cell_volume)
+    if isinstance(measure, np.ndarray):
+        return measure
+    if isinstance(measure, GridFunction):
+        return measure.values * g.cell_volume
+    return measure.cell_masses(g.root, g.depth)
 
 
 def sample(root, depth, func):
@@ -214,21 +238,34 @@ def sample(root, depth, func):
     return gf.copy_with(func(*pts))
 
 
-def _split_levels(values, level):
-    """Shape (2**level, b) per axis: axes 2i index the cubes, 2i+1 cells."""
-    b = values.shape[0] >> level
+def _split_levels(values, level, shifted=False):
+    """Shape (m, b) per axis: axes 2i index the cubes, 2i+1 cells.
+
+    Aligned cubes give m = 2**level.  The half-shifted cubes of the level
+    start at odd multiples of b/2 and stay inside the box: they are the
+    aligned split of the box trimmed by b/2 cells per side, m = 2**level - 1.
+    Either way the result is a view of ``values``.
+    """
+    N = values.shape[0]
+    b = N >> level
     if b == 0:
         raise GridError("level exceeds depth")
-    return values.reshape((1 << level, b) * values.ndim)
+    if not shifted:
+        return values.reshape((1 << level, b) * values.ndim)
+    if b < 2:
+        raise GridError("shifted cubes need at least 2 cells per side")
+    trimmed = values[(slice(b // 2, N - b // 2),) * values.ndim]
+    return trimmed.reshape(((1 << level) - 1, b) * values.ndim)
 
 
-def block_reduce(values, level, op):
-    """Reduce the cell array onto the level-``level`` dyadic blocks.
+def block_reduce(values, level, op, shifted=False):
+    """Reduce the cell array onto the level-``level`` dyadic blocks
+    (half-shifted ones with ``shifted``).
 
     ``op`` is a numpy reduction (np.mean, np.amin, ...) applied per block;
-    the result has shape ``(2**level,) * n``.
+    the result has shape ``(m,) * n`` as in ``_split_levels``.
     """
-    return op(_split_levels(values, level),
+    return op(_split_levels(values, level, shifted),
               axis=tuple(range(1, 2 * values.ndim, 2)))
 
 

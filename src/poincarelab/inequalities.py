@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, RootBox, all_cubes,
-                   discrete_gradient, sample)
+from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
+                   dyadic_descendants, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
-from .decomposition import orthonormal_basis, project, oscillation
+from .decomposition import orthonormal_basis, project
+from .functionals import FractionalFunctional
 from .operators import (centered_maximal_values, centered_maximal_measure,
-                        fractional_integral, lorentz_p1_norm, lp_norm,
-                        measure_cell_masses, orlicz_exp_norm, truncate,
-                        weak_norm_values)
+                        fractional_integral, lorentz_p1_norm_values, lp_norm,
+                        orlicz_exp_norm, truncate, weak_norm_values)
 
 
 class InequalityError(ValueError):
@@ -85,12 +85,6 @@ class Exponents:
 # sides
 # ---------------------------------------------------------------------------
 
-def _cell_masses(w, f: GridFunction):
-    if w is None:
-        return np.full(f.values.shape, f.cell_volume)
-    return np.asarray(measure_cell_masses(w, f))
-
-
 def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
                    p=1.0, m=1, center="mean", rhs_kind="gradient",
                    normalized=True, grad=None):
@@ -105,8 +99,8 @@ def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
     if Q is None:
         Q = CubeIndex.root(f.n)
     sl = f.block(Q)
-    umass = _cell_masses(u, f)[sl]
-    vmass = umass if v is None else _cell_masses(v, f)[sl]
+    umass = measure_cell_masses(u, f)[sl]
+    vmass = umass if v is None else measure_cell_masses(v, f)[sl]
     block = f.values[sl]
     utot = umass.sum()
     if utot <= 0:
@@ -133,7 +127,6 @@ def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
                           else s ** (1.0 / p))
     elif rhs_kind == "lorentz":
         norm_m = umass / utot
-        from .operators import lorentz_p1_norm_values
         rhs = ell * lorentz_p1_norm_values(gblock.ravel(), norm_m.ravel(), p)
     elif rhs_kind == "mixed":
         uvals = umass / f.cell_volume
@@ -186,13 +179,10 @@ def _result(iid, lhs, rhs, bound, status, inputs):
                        passed, status, float(measured), inputs)
 
 
-def _functional_hypothesis_norm(f: GridFunction, a_eval, Q, depth=None):
+def _functional_hypothesis_norm(f: GridFunction, a_eval, Q):
     """max over dyadic P inside Q of avg_P |f - f_P| / a(P)."""
-    depth = f.depth if depth is None else depth
     best = 0.0
-    for P in all_cubes(f.n, depth):
-        if not Q.contains(P):
-            continue
+    for P in dyadic_descendants(Q, f.depth):
         block = f.values[f.block(P)]
         osc = float(np.abs(block - block.mean()).mean())
         best = max(best, osc / a_eval(P))
@@ -200,8 +190,7 @@ def _functional_hypothesis_norm(f: GridFunction, a_eval, Q, depth=None):
 
 
 def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
-                     p0=None, mu=None, alpha=1.0, a_functional=None,
-                     depth_cap=None):
+                     p0=None, mu=None, alpha=1.0, a_functional=None):
     """Evaluate one catalog inequality; see module docstring for the
     verified-vs-reported convention."""
     if Q is None:
@@ -209,24 +198,22 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
     n = f.n
     root, depth = f.root, f.depth
     inputs = {"id": iid, "p": p, "q": q, "m": m}
-    uvals = None if u is None else _cell_masses(u, f) / f.cell_volume
+    umass = measure_cell_masses(u, f)
+    un = umass / f.cell_volume
+    vn = un if v is None else measure_cell_masses(v, f) / f.cell_volume
 
-    if iid == "pp-two-weight":
-        lhs, rhs = poincare_sides(f, Q, u=u, v=v, lhs_exponent=p, p=p, m=1)
-        if p > 1:
-            un = _cell_masses(u, f) / f.cell_volume
-            vn = un if v is None else _cell_masses(v, f) / f.cell_volume
-            bound = two_weight_ap(un, vn, p, root, depth) ** (1.0 / p)
-        else:
-            un = _cell_masses(u, f) / f.cell_volume
-            bound = ap_constant(un, 1.0, root, depth)
+    if iid in ("pp-two-weight", "higher-order"):
+        higher = iid == "higher-order"
+        lhs, rhs = poincare_sides(f, Q, u=u, v=v, lhs_exponent=p, p=p,
+                                  m=m if higher else 1,
+                                  center="projection" if higher else "mean")
+        bound = (two_weight_ap(un, vn, p, root, depth) ** (1.0 / p)
+                 if p > 1 else ap_constant(un, 1.0, root, depth))
         return _result(iid, lhs, rhs, bound, "reported", inputs)
 
     if iid == "pp-measure":
-        mu_mass = _cell_masses(mu, f)
-        w_mass = _cell_masses(u, f)
-        from .functionals import FractionalFunctional
-        a = FractionalFunctional(alpha, p, mu_mass, w_mass, root, depth)
+        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), umass,
+                                 root, depth)
         anorm = _functional_hypothesis_norm(f, a.eval, Q)
         lhs, _ = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
         rhs = a.eval(Q)
@@ -234,7 +221,6 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         return _result(iid, lhs, rhs, bound, "reported", inputs)
 
     if iid in ("sobolev-A", "sobolev-B"):
-        un = _cell_masses(u, f) / f.cell_volume
         apq = ap_constant(un, q, root, depth)
         app = ap_constant(un, p, root, depth)
         kind = "A" if iid == "sobolev-A" else "B"
@@ -246,7 +232,6 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         return _result(iid, lhs, rhs, bound, "reported", inputs)
 
     if iid == "a1-linear":
-        un = _cell_masses(u, f) / f.cell_volume
         pstar = sobolev_exponent("classical", p, n)
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p,
                                   center="weighted_mean")
@@ -264,19 +249,9 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         return _result(iid, lhs, rhs, math.nan, "reported", inputs)
 
     if iid == "lorentz":
-        un = _cell_masses(u, f) / f.cell_volume
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p,
                                   rhs_kind="lorentz")
         bound = ap1_constant(un, p, root, depth) ** (1.0 / p)
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
-
-    if iid == "higher-order":
-        lhs, rhs = poincare_sides(f, Q, u=u, v=v, lhs_exponent=p, p=p, m=m,
-                                  center="projection")
-        un = _cell_masses(u, f) / f.cell_volume
-        vn = un if v is None else _cell_masses(v, f) / f.cell_volume
-        bound = (two_weight_ap(un, vn, p, root, depth) ** (1.0 / p)
-                 if p > 1 else ap_constant(un, 1.0, root, depth))
         return _result(iid, lhs, rhs, bound, "reported", inputs)
 
     if iid == "exp-JN":
@@ -291,7 +266,6 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
     if iid == "kz-downward":
         if p0 is None or p0 <= p:
             raise InequalityError("kz-downward needs p0 > p")
-        un = _cell_masses(u, f) / f.cell_volume
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
         app = ap_constant(un, p, root, depth)
         bound = app ** ((p0 - 1.0) / (p - 1.0)) if p > 1 else math.nan
@@ -326,7 +300,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
     if iid == "weak-1n'":
         if n < 2:
             raise InequalityError("weak-1n' needs n >= 2")
-        mu_mass = _cell_masses(mu, f)
+        mu_mass = measure_cell_masses(mu, f)
         nprime = n / (n - 1.0)
         sl = f.block(Q)
         dev = np.abs(f.values[sl] - f.values[sl].mean())
@@ -451,9 +425,8 @@ def weak_implies_strong_demo(g: GridFunction, mu, nu, p):
     the truncations at lambda = 2^k and the disjointness telescoping sum."""
     if np.any(g.values < 0):
         raise InequalityError("g must be nonnegative")
-    mu_mass = _cell_masses(mu, g).ravel()
-    nu_mass = _cell_masses(nu, g)
-    nu_vals = nu_mass / g.cell_volume
+    mu_mass = measure_cell_masses(mu, g).ravel()
+    nu_mass = measure_cell_masses(nu, g)
     gmax = float(g.values.max())
     report = {
         "strong": lp_norm(g.values.ravel(), mu_mass, p),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, block_reduce
-from .weights import _corner_singular_unit_integral, resolve
+from .grid import CubeIndex, GridFunction, block_reduce, measure_cell_masses
+from .weights import _corner_singular_unit_integral
 
 
 class OperatorError(ValueError):
@@ -246,42 +246,25 @@ def triple_norm_values(values, masses, p):
     return float(np.max(cum_mass[pos] ** (1.0 / p - 1.0) * cum_int[pos]))
 
 
-def _restrict(g: GridFunction, measure, q):
-    vals = g.values[g.block(q)].ravel()
-    masses = np.asarray(measure_cell_masses(measure, g))[g.block(q)].ravel()
-    return vals, masses
-
-
-def measure_cell_masses(measure, g: GridFunction):
-    if isinstance(measure, np.ndarray):
-        return measure
-    if hasattr(measure, "cell_masses"):
-        return measure.cell_masses(g.root, g.depth)
-    return resolve(measure, g.root, g.depth) * g.cell_volume
+def _restrict(g: GridFunction, measure, q, normalize):
+    """Values and measure masses of the cells of q (default: the root cube),
+    the masses scaled to total 1 with ``normalize``."""
+    sl = g.block(q or CubeIndex.root(g.n))
+    masses = measure_cell_masses(measure, g)[sl].ravel()
+    return g.values[sl].ravel(), (masses / masses.sum() if normalize
+                                  else masses)
 
 
 def weak_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    q = q or CubeIndex.root(g.n)
-    vals, masses = _restrict(g, measure, q)
-    if normalize:
-        masses = masses / masses.sum()
-    return weak_norm_values(vals, masses, p)
+    return weak_norm_values(*_restrict(g, measure, q, normalize), p)
 
 
 def lorentz_p1_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    q = q or CubeIndex.root(g.n)
-    vals, masses = _restrict(g, measure, q)
-    if normalize:
-        masses = masses / masses.sum()
-    return lorentz_p1_norm_values(vals, masses, p)
+    return lorentz_p1_norm_values(*_restrict(g, measure, q, normalize), p)
 
 
 def triple_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    q = q or CubeIndex.root(g.n)
-    vals, masses = _restrict(g, measure, q)
-    if normalize:
-        masses = masses / masses.sum()
-    return triple_norm_values(vals, masses, p)
+    return triple_norm_values(*_restrict(g, measure, q, normalize), p)
 
 
 def orlicz_exp_norm_values(values, masses, rel_tol=1e-12):
@@ -326,7 +309,7 @@ def orlicz_exp_norm(g: GridFunction, measure=None, q=None, rel_tol=1e-12):
     if measure is None:
         masses = np.full(vals.shape, 1.0 / vals.size)
     else:
-        masses = np.asarray(measure_cell_masses(measure, g))[g.block(q)].ravel()
+        masses = measure_cell_masses(measure, g)[g.block(q)].ravel()
         masses = masses / masses.sum()
     return orlicz_exp_norm_values(vals, masses, rel_tol)
 
@@ -392,7 +375,7 @@ def rubio_de_francia(h: GridFunction, w, p, cfg: OperatorConfig | None = None,
         raise OperatorError("p must be > 1")
     if np.any(h.values < 0) or not np.any(h.values > 0):
         raise OperatorError("h must be nonnegative and not identically zero")
-    w_masses = np.asarray(measure_cell_masses(w, h))
+    w_masses = measure_cell_masses(w, h)
     opnorm = maximal_opnorm(w_masses, p, h.values.shape, cfg, ap_value)
     K = cfg.rdf_terms
     term = h.values.copy()

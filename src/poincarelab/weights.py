@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, block_reduce,
-                   level_blocks)
+                   level_blocks, resolve)
 
 
 class WeightError(ValueError):
@@ -188,15 +188,6 @@ class Atomic:
         return out
 
 
-def resolve(w, root, depth):
-    """Cell-value array of a weight-like object on the given grid."""
-    if isinstance(w, np.ndarray):
-        return w
-    if isinstance(w, GridFunction):
-        return w.values
-    return w.cell_values(root, depth)
-
-
 # ---------------------------------------------------------------------------
 # cube families
 # ---------------------------------------------------------------------------
@@ -207,46 +198,13 @@ class FamilyDescriptor:
     shifted: bool = False
 
 
-def _shifted_level_blocks(arrs, level):
-    """Block reductions on the half-shifted grid at the given level.
-
-    Cubes have the level-``level`` sidelength but start at odd multiples of
-    the half block, staying inside the box; level must leave blocks of at
-    least 2 cells.
-    """
-    out = []
-    n = arrs[0][0].ndim
-    N = arrs[0][0].shape[0]
-    b = N >> level
-    if b < 2:
-        return None
-    step = b // 2
-    for arr, op in arrs:
-        win = np.lib.stride_tricks.sliding_window_view(arr, (b,) * n)
-        sel = win[tuple(slice(step, None, b) for _ in range(n))]
-        out.append(op(sel, axis=tuple(range(n, 2 * n))))
-    return out
-
-
-def family_reductions(arrs, depth, shifted=False):
-    """Yield (descriptor, reduced arrays) per level over the cube family.
-
-    ``arrs`` is a list of (cell array, numpy reduction).  Aligned dyadic
-    levels always; with ``shifted`` also the half-shifted cubes per level.
-    """
+def _family(depth, shifted):
+    """(level, shifted) per member of the cube family: every aligned level,
+    and with ``shifted`` the half-shifted cubes of each 0 < level < depth."""
     for level in range(depth + 1):
-        yield ("dyadic", level), [block_reduce(a, level, op) for a, op in arrs]
-        if shifted and level >= 1:
-            sh = _shifted_level_blocks(arrs, level)
-            if sh is not None:
-                yield ("shifted", level), sh
-
-
-def _argmax_cube(kind, level, flat_index, shape):
-    coords = np.unravel_index(flat_index, shape)
-    if kind == "dyadic":
-        return CubeIndex(level, tuple(int(c) for c in coords))
-    return ("shifted", level, tuple(int(c) for c in coords))
+        yield level, False
+        if shifted and 0 < level < depth:
+            yield level, True
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +220,23 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     if p < 1:
         raise WeightError("p must be >= 1")
     wv = resolve(w, root, depth)
-    if p == 1:
-        arrs = [(wv, np.mean), (wv, np.amin)]
-    else:
+    if p > 1:
         pprime = p / (p - 1.0)
-        arrs = [(wv, np.mean), (wv ** (1.0 - pprime), np.mean)]
+        dual = wv ** (1.0 - pprime)
     best, best_cube = -np.inf, None
-    for (kind, level), (A, B) in family_reductions(arrs, depth, shifted):
-        vals = A / B if p == 1 else A * B ** (p - 1.0)
+    for level, sh in _family(depth, shifted):
+        A = block_reduce(wv, level, np.mean, sh)
+        if p == 1:
+            vals = A / block_reduce(wv, level, np.amin, sh)
+        else:
+            vals = A * block_reduce(dual, level, np.mean, sh) ** (p - 1.0)
         i = int(np.argmax(vals))
         v = float(vals.ravel()[i])
         if v > best:
+            coords = tuple(int(c) for c in np.unravel_index(i, vals.shape))
             best = v
-            best_cube = _argmax_cube(kind, level, i, vals.shape)
+            best_cube = (("shifted", level, coords) if sh
+                         else CubeIndex(level, coords))
     if return_argmax:
         return best, best_cube
     return best
@@ -285,11 +247,12 @@ def two_weight_ap(u, v, p, root, depth, shifted=False):
     if p <= 1:
         raise WeightError("p must be > 1")
     uv = resolve(u, root, depth)
-    vv = resolve(v, root, depth)
     pprime = p / (p - 1.0)
-    arrs = [(uv, np.mean), (vv ** (1.0 - pprime), np.mean)]
+    dual = resolve(v, root, depth) ** (1.0 - pprime)
     best = -np.inf
-    for _, (A, B) in family_reductions(arrs, depth, shifted):
+    for level, sh in _family(depth, shifted):
+        A = block_reduce(uv, level, np.mean, sh)
+        B = block_reduce(dual, level, np.mean, sh)
         best = max(best, float(np.max(A * B ** (p - 1.0))))
     return best
 
@@ -298,8 +261,9 @@ def rhinf_constant(w, root, depth, shifted=False):
     """RH_inf constant: sup over cubes of (max w on Q)/(avg w on Q)."""
     wv = resolve(w, root, depth)
     best = -np.inf
-    for _, (A, B) in family_reductions([(wv, np.amax), (wv, np.mean)], depth, shifted):
-        best = max(best, float(np.max(A / B)))
+    for level, sh in _family(depth, shifted):
+        best = max(best, float(np.max(block_reduce(wv, level, np.amax, sh)
+                                      / block_reduce(wv, level, np.mean, sh))))
     return best
 
 
@@ -331,9 +295,11 @@ def rh_exponent(ainf, n):
 
 def _rh_check(wv, depth, ainf):
     rw = rh_exponent(ainf, wv.ndim)
+    wr = wv ** rw
     worst = -np.inf
-    for _, (A, B) in family_reductions([(wv ** rw, np.mean), (wv, np.mean)], depth):
-        worst = max(worst, float(np.max(A / B ** rw)))
+    for level, _ in _family(depth, shifted=False):
+        worst = max(worst, float(np.max(block_reduce(wr, level, np.mean)
+                                        / block_reduce(wv, level, np.mean) ** rw)))
     return rw, worst, worst <= 2.0
 
 
@@ -423,7 +389,8 @@ def constants_report(w, p, root, depth, shifted=False):
 
 
 def set_inequality_holds(w, p, root, depth, tol=1e-12):
-    """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for dyadic E inside Q."""
+    """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for every dyadic E, with
+    Q the root cube."""
     wv = resolve(w, root, depth)
     n = wv.ndim
     ap = ap_constant(wv, p, root, depth)
@@ -433,8 +400,7 @@ def set_inequality_holds(w, p, root, depth, tol=1e-12):
         b = wv.shape[0] >> level
         frac = (b ** n) / cells
         sums = block_reduce(wv, level, np.sum)
-        lhs = frac
         rhs = ap ** (1.0 / p) * (sums / total) ** (1.0 / p)
-        if np.any(lhs > rhs + tol):
+        if np.any(frac > rhs + tol):
             return False
     return True

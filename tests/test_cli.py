@@ -1,8 +1,10 @@
 """Command-line interface: orchestration, output formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +183,44 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a1"] > 1.0
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "poincarelab.cli", *args],
+                          capture_output=True, text=True)
+
+
+def test_readme_grid_function_json_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"stored as JSON:\s*```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "w.json"
+    path.write_text(block.group(1))
+    proc = _run_cli("constants", "--weight", str(path), "--p", "2")
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(proc.stdout)
+    assert d["config"]["depth"] == 2 and d["ap"] >= 1.0
+
+
+GOOD = {"root": {"lower": [0.0], "side": 1.0}, "depth": 1,
+        "values": [1.0, 3.0]}
+MALFORMED = {
+    "missing-root": {"depth": 1, "values": [1.0, 3.0]},
+    "missing-values": {"root": GOOD["root"], "depth": 1},
+    "wrong-length": dict(GOOD, values=[1.0, 3.0, 2.0]),
+    "nan": dict(GOOD, values=[1.0, float("nan")]),
+    "non-positive": dict(GOOD, values=[1.0, 0.0]),
+    "not-an-object": [1.0, 3.0],
+    "not-json": "{",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_weight_file_gives_one_error_line(tmp_path, name):
+    doc = MALFORMED[name]
+    path = tmp_path / "w.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    proc = _run_cli("constants", "--weight", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -214,6 +214,17 @@ def test_sdp_check_rejects_bad_L():
         sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [1.0])
 
 
+def test_unknown_mode_is_rejected():
+    # a mode other than exhaustive or random must not fall through to the
+    # sampler
+    a = unweighted_functional(1.0, 1.0, 1, 3)
+    m = lebesgue_masses(1, 3)
+    with pytest.raises(FunctionalError):
+        max_dp_ratio(a, m, 1.0, CubeIndex.root(1), 3, mode="greedy")
+    with pytest.raises(FunctionalError):
+        sdp_check(a, m, 1.0, CubeIndex.root(1), 3, [2.0], mode="greedy")
+
+
 def test_dp_ratio_monotone_under_family_growth():
     depth = 3
     a = unweighted_functional(1.0, 1.0, 1, depth)

@@ -1,5 +1,6 @@
 """Dyadic cube trees and piecewise-constant grid functions."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, all_cubes, block_reduce,
                               discrete_gradient, dyadic_descendants,
-                              level_blocks, sample)
+                              level_blocks, measure_cell_masses, resolve,
+                              sample)
+from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
+                                 resolve as weights_resolve)
 
 
 def test_root_box_unit_and_symmetric():
@@ -94,6 +98,41 @@ def test_level_blocks_are_cube_blocks_in_row_major_order(seed, size):
             assert np.array_equal(stack[k], f.values[f.block(q)])
 
 
+def _sliding_window_shifted(values, level, op):
+    """Half-shifted block reduction through every b-window of the box,
+    keeping the windows that start at odd multiples of b/2."""
+    n, b = values.ndim, values.shape[0] >> level
+    win = np.lib.stride_tricks.sliding_window_view(values, (b,) * n)
+    sel = win[(slice(b // 2, None, b),) * n]
+    return op(sel, axis=tuple(range(n, 2 * n)))
+
+
+@pytest.mark.parametrize("n,depth", ((1, 5), (2, 4), (3, 3), (4, 2)))
+def test_shifted_block_reduce_matches_explicit_slices(n, depth):
+    rng = np.random.default_rng(n * 10 + depth)
+    v = np.exp(rng.normal(0.0, 1.5, (1 << depth,) * n))
+    for level in range(1, depth):
+        b, m = v.shape[0] >> level, (1 << level) - 1
+        view = block_reduce(v, level, lambda a, axis: a, shifted=True)
+        assert np.shares_memory(view, v)
+        for op in (np.mean, np.amin, np.amax, np.sum):
+            got = block_reduce(v, level, op, shifted=True)
+            assert got.shape == (m,) * n
+            assert np.array_equal(got, _sliding_window_shifted(v, level, op))
+            for coords in itertools.product(range(m), repeat=n):
+                sl = tuple(slice(b // 2 + c * b, b // 2 + (c + 1) * b)
+                           for c in coords)
+                if op in (np.amin, np.amax):
+                    assert got[coords] == op(v[sl])
+                else:
+                    assert got[coords] == pytest.approx(op(v[sl]), rel=1e-13)
+
+
+def test_shifted_block_reduce_needs_two_cells_per_side():
+    with pytest.raises(GridError):
+        block_reduce(np.ones((4, 4)), 2, np.mean, shifted=True)
+
+
 def test_level_blocks_rejects_level_beyond_depth():
     with pytest.raises(GridError):
         level_blocks(np.zeros((4, 4)), 3)
@@ -162,6 +201,75 @@ def test_json_rejects_wrong_length(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(GridError):
         GridFunction.load(path)
+
+
+def test_json_lower_and_legacy_corner_layouts_load():
+    values = [1.0, 2.0, 3.0, 4.0]
+    layouts = [
+        {"root": {"lower": [0.0], "side": 1.0}, "depth": 2, "values": values},
+        {"root": {"corner": [0.0], "side": 1.0}, "depth": 2, "values": values},
+        {"n": 1, "root": {"corner": [0.0], "side": 1.0}, "depth": 2,
+         "values": values},
+    ]
+    for d in layouts:
+        g = GridFunction.from_json_dict(d)
+        assert g.root == RootBox.unit(1) and g.depth == 2
+        assert np.array_equal(g.values, values)
+
+
+@pytest.mark.parametrize("d", [
+    {"depth": 1, "values": [1.0, 2.0]},
+    {"root": {"side": 1.0}, "depth": 1, "values": [1.0, 2.0]},
+    {"root": {"lower": [0.0]}, "depth": 1, "values": [1.0, 2.0]},
+    {"root": {"lower": [0.0], "side": 1.0}, "values": [1.0, 2.0]},
+    {"root": {"lower": [0.0], "side": 1.0}, "depth": 1},
+    {"root": {"lower": 0.0, "side": 1.0}, "depth": 1, "values": [1.0, 2.0]},
+    {"root": {"lower": [0.0], "side": "wide"}, "depth": 1,
+     "values": [1.0, 2.0]},
+    {"root": {"lower": [0.0], "side": 1.0}, "depth": 1, "values": ["a", "b"]},
+    {"n": 2, "root": {"lower": [0.0], "side": 1.0}, "depth": 1,
+     "values": [1.0, 2.0]},
+    [1.0, 2.0],
+], ids=["no-root", "no-corner", "no-side", "no-depth", "no-values",
+        "scalar-corner", "text-side", "text-values", "n-mismatch", "list"])
+def test_json_malformed_raises_grid_error(d):
+    with pytest.raises(GridError):
+        GridFunction.from_json_dict(d)
+
+
+def test_resolve_takes_arrays_as_values():
+    root = RootBox.symmetric(1)
+    g = GridFunction(root, 2, np.array([1.0, 2.0, 3.0, 4.0]))
+    pw = PowerWeight(0.5, 1, root)
+    assert weights_resolve is resolve
+    assert resolve(g.values, root, 2) is g.values
+    assert resolve(g, root, 2) is g.values
+    assert resolve(GridWeight(g), root, 2) is g.values
+    assert np.array_equal(resolve(pw, root, 2), pw.cell_values(root, 2))
+
+
+def test_measure_cell_masses_contract():
+    root = RootBox.unit(1)
+    g = GridFunction(root, 2, np.array([1.0, 2.0, 3.0, 4.0]))
+    h = 0.25
+    masses = np.array([0.5, 0.25, 0.125, 1.0])
+    sym = RootBox.symmetric(1)
+    gs = GridFunction(sym, 2, np.ones(4))
+    pw = PowerWeight(0.5, 1, sym)
+    table = [
+        (None, g, np.full(4, h)),
+        (masses, g, masses),
+        (g, g, g.values * h),
+        (GridWeight(g), g, g.values * h),
+        (Density(g), g, g.values * h),
+        (Atomic([(0.1,), (0.6,)], [2.0, 5.0]), g, [2.0, 0.0, 5.0, 0.0]),
+        (pw, gs, pw.cell_masses(sym, 2)),
+    ]
+    for measure, on, expected in table:
+        got = measure_cell_masses(measure, on)
+        assert got.shape == on.values.shape
+        assert np.array_equal(got, expected)
+    assert measure_cell_masses(masses, g) is masses
 
 
 def test_grid_function_shape_validation():

@@ -49,6 +49,88 @@ def ap1_reference(wv, p, root, depth):
     return best
 
 
+def _family_slices(shape, depth, shifted):
+    """(cube, slices) per member of the cube family in walk order: each
+    level's aligned cubes, then its half-shifted cubes (0 < level < depth)
+    when ``shifted``, which start at odd multiples of half the side."""
+    N, n = shape[0], len(shape)
+    for level in range(depth + 1):
+        b = N >> level
+        for coords in itertools.product(range(1 << level), repeat=n):
+            yield (CubeIndex(level, coords),
+                   tuple(slice(c * b, (c + 1) * b) for c in coords))
+        if shifted and 0 < level < depth:
+            for coords in itertools.product(range((1 << level) - 1),
+                                            repeat=n):
+                yield (("shifted", level, coords),
+                       tuple(slice(b // 2 + c * b, b // 2 + (c + 1) * b)
+                             for c in coords))
+
+
+def _block_mean(block):
+    """Mean of one cube's cells in the summation order of numpy's reduction
+    over the split axes: each contiguous run of cells pairwise (the whole
+    cube if it is contiguous, else one last-axis row), then the run sums
+    one after another in row-major order."""
+    run = block.size if block.flags.c_contiguous else block.shape[-1]
+    total = 0.0
+    for run_sum in block.reshape(-1, run).sum(axis=1):
+        total += run_sum
+    return total / block.size
+
+
+def _per_cube(reductions, depth, shifted):
+    """The cubes in walk order and, per (array, reduction), the array of
+    its per-cube values, one explicit slice at a time."""
+    shape = reductions[0][0].shape
+    cubes, cols = [], [[] for _ in reductions]
+    for cube, sl in _family_slices(shape, depth, shifted):
+        cubes.append(cube)
+        for col, (arr, op) in zip(cols, reductions):
+            col.append(op(arr[sl]))
+    return cubes, [np.array(col) for col in cols]
+
+
+# the powers below act on whole arrays, as in the library, because numpy's
+# vectorized power may differ in the last bit from the scalar one
+
+def ap_reference(wv, p, depth, shifted):
+    """(A_p, attaining cube): the first maximum in walk order."""
+    if p == 1:
+        cubes, (A, B) = _per_cube([(wv, _block_mean), (wv, np.amin)], depth,
+                                  shifted)
+        vals = A / B
+    else:
+        pprime = p / (p - 1.0)
+        cubes, (A, B) = _per_cube([(wv, _block_mean),
+                                   (wv ** (1.0 - pprime), _block_mean)],
+                                  depth, shifted)
+        vals = A * B ** (p - 1.0)
+    i = int(np.argmax(vals))
+    return float(vals[i]), cubes[i]
+
+
+def two_weight_reference(uv, vv, p, depth, shifted):
+    pprime = p / (p - 1.0)
+    _, (A, B) = _per_cube([(uv, _block_mean),
+                           (vv ** (1.0 - pprime), _block_mean)],
+                          depth, shifted)
+    return float(np.max(A * B ** (p - 1.0)))
+
+
+def rhinf_reference(wv, depth, shifted):
+    _, (A, B) = _per_cube([(wv, np.amax), (wv, _block_mean)], depth, shifted)
+    return float(np.max(A / B))
+
+
+def rh_check_reference(wv, depth):
+    rw = rh_exponent(ainf_reference(wv, depth), wv.ndim)
+    _, (A, B) = _per_cube([(wv ** rw, _block_mean), (wv, _block_mean)],
+                          depth, False)
+    worst = float(np.max(A / B ** rw))
+    return rw, worst, worst <= 2.0
+
+
 # (n, depth) pairs small enough for the per-cube references
 SIZES = ((1, 1), (1, 4), (1, 7), (2, 1), (2, 3), (2, 5), (3, 1), (3, 3))
 
@@ -98,6 +180,39 @@ def test_batched_constants_equal_reference_bitwise():
             for p in (1.5, 3.0):
                 assert ap1_constant(wv, p, root, depth) == \
                     ap1_reference(wv, p, root, depth)
+
+
+@pytest.mark.parametrize("n,depth", SIZES)
+@pytest.mark.parametrize("shifted", (False, True))
+def test_family_constants_equal_per_cube_reference(n, depth, shifted):
+    for seed in range(2):
+        weights = _oracle_weights(seed, n, depth)
+        for wv, root in weights:
+            for p in (1.0, 1.5, 2.0, 3.0):
+                assert ap_constant(wv, p, root, depth, shifted,
+                                   return_argmax=True) == \
+                    ap_reference(wv, p, depth, shifted)
+            assert rhinf_constant(wv, root, depth, shifted) == \
+                rhinf_reference(wv, depth, shifted)
+            if not shifted:
+                assert rh_exponent_and_check(wv, root, depth) == \
+                    rh_check_reference(wv, depth)
+        (uv, root), (vv, _) = weights
+        for p in (1.5, 2.0, 3.0):
+            assert two_weight_ap(uv, vv, p, root, depth, shifted) == \
+                two_weight_reference(uv, vv, p, depth, shifted)
+
+
+def test_shifted_argmax_names_a_shifted_cube():
+    # a high/low pair straddling the centre is split by every aligned cube
+    wv = np.ones(16)
+    wv[7], wv[8] = 100.0, 0.01
+    ap, arg = ap_constant(wv, 2.0, UNIT1, 4, shifted=True,
+                          return_argmax=True)
+    # cells [7, 9): the level-3 half-shifted cube with coordinate 3
+    assert arg == ("shifted", 3, (3,))
+    assert ap == pytest.approx(50.005 ** 2, rel=1e-12)
+    assert ap_constant(wv, 2.0, UNIT1, 4) < 100.0
 
 
 def test_report_rh_exponent_uses_report_ainf():
