@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, RootBox
+from .grid import CubeIndex, GridFunction, RootBox, check_cell_cap
 from .weights import GridWeight, PowerWeight, ap_constant, constants_report
 from .operators import OperatorConfig, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
@@ -56,6 +56,7 @@ def _load_weight(args, depth):
             kv[k] = v
         delta = float(kv.get("delta", 0.5))
         n = int(kv.get("n", 1))
+        check_cell_cap(n, depth)
         w = PowerWeight(delta, n)
         return w, w.root, depth
     raise CliError("provide --weight FILE or --power-weight delta=... n=...")
@@ -107,6 +108,7 @@ def _cmd_functional_check(args):
     n = int(config.get("n", 1))
     depth = args.depth
     root = RootBox.unit(n)
+    check_cell_cap(n, depth)
     vol = (root.side / (1 << depth)) ** n
 
     def load_masses(key):
@@ -149,6 +151,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_sharpness(args):
+    check_cell_cap(args.n, args.depth)
     deltas = [float(x) for x in args.deltas.split(",")]
     sweep = sharpness_sweep(args.p, args.n, args.eps, deltas, args.depth)
     d = sweep.to_dict()

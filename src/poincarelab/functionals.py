@@ -11,6 +11,7 @@ with brute-force enumeration; random mode gives a sampled lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -178,7 +179,6 @@ def subcube_at(parent: CubeIndex, level, rel_coords):
 
 
 def full_partition(parent: CubeIndex, level):
-    import itertools
     shift = level - parent.level
     return [subcube_at(parent, level, rc)
             for rc in itertools.product(range(1 << shift), repeat=parent.n)]

@@ -21,6 +21,13 @@ class GridError(ValueError):
     pass
 
 
+def check_cell_cap(n, depth):
+    """Refuse a depth-``depth`` grid in dimension ``n`` with more than
+    2**MAX_CELL_EXPONENT cells, before anything is allocated for it."""
+    if n * depth > MAX_CELL_EXPONENT:
+        raise GridError(f"n*depth exceeds cap {MAX_CELL_EXPONENT}")
+
+
 @dataclass(frozen=True)
 class RootBox:
     """Ambient cube: lower corner and side length."""
@@ -96,8 +103,7 @@ class GridFunction:
     """Piecewise-constant function on the depth-``d`` cells of a root box."""
 
     def __init__(self, root, depth, values):
-        if root.n * depth > MAX_CELL_EXPONENT:
-            raise GridError(f"n*depth exceeds cap {MAX_CELL_EXPONENT}")
+        check_cell_cap(root.n, depth)
         n, N = root.n, 1 << depth
         arr = np.asarray(values, dtype=float)
         if arr.size != N ** n:
@@ -233,6 +239,7 @@ def measure_cell_masses(measure, g: GridFunction):
 
 def sample(root, depth, func):
     """GridFunction from a callable evaluated at cell midpoints."""
+    check_cell_cap(root.n, depth)
     gf = GridFunction(root, depth, np.zeros((1 << depth) ** root.n))
     pts = gf.cell_midpoints()
     return gf.copy_with(func(*pts))

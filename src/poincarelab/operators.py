@@ -71,41 +71,50 @@ def dyadic_maximal(f: GridFunction, q: CubeIndex | None = None):
     return f.copy_with(out)
 
 
-def _box_sums(padded, lo, hi, lead):
-    n = lo.shape[0]
-    batch = (slice(None),) * lead
-    s = None
-    for signs in itertools.product((0, 1), repeat=n):
-        corner = tuple(hi[i] if signs[i] else lo[i] for i in range(n))
-        term = padded[batch + corner]
-        if (n - sum(signs)) % 2 == 1:
-            term = -term
-        s = term if s is None else s + term
-    return s
-
-
 def _centered_maximal(masses, n, cell_volume=1.0):
     """Per cell center, the max over clipped cube windows of radius
-    r = 0..N-1 cells of mass(window)/volume(window), via an integral image
-    (O(cells) per radius).  The last ``n`` axes of ``masses`` are space;
-    leading axes, if any, index a batch of blocks maximized independently.
+    r = 0..N-1 cells of mass(window)/volume(window).  The last ``n`` axes
+    of ``masses`` are space (side N); leading axes, if any, index a batch
+    of blocks maximized independently.
+
+    The zero-led integral image P (N+1 entries per space axis) is
+    edge-padded by N-1 entries per side, so E[N-1+j] = P[clip(j, 0, N)]:
+    the clipped window corners i-r and i+r+1 of every cell i are then the
+    basic slices E[N-1-r : 2N-1-r] and E[N+r : 2N+r], and each of the 2^n
+    corner terms of a radius is a view.  Time O(N^(n+1)) per block; the
+    padded image holds (3N-1)^n floats per block.
     """
+    masses = np.asarray(masses, dtype=float)
     lead = masses.ndim - n
     N = masses.shape[-1]
     P = masses
     for ax in range(lead, masses.ndim):
         P = np.cumsum(P, axis=ax)
     P = np.pad(P, [(0, 0)] * lead + [(1, 0)] * n)
-    idx = np.indices(masses.shape[lead:])
+    E = np.pad(P, [(0, 0)] * lead + [(N - 1, N - 1)] * n, mode="edge")
+    J = np.clip(np.arange(-(N - 1), 2 * N, dtype=float), 0, N)
+    batch = (slice(None),) * lead
     best = masses / cell_volume
     for r in range(1, N):
-        lo = np.clip(idx - r, 0, None)
-        hi = np.clip(idx + r + 1, None, N)
-        sums = _box_sums(P, lo, hi, lead)
-        cnt = np.prod(hi - lo, axis=0)
+        ends = (slice(N - 1 - r, 2 * N - 1 - r), slice(N + r, 2 * N + r))
+        width = J[ends[1]] - J[ends[0]]
+        cnt = width
+        for ax in range(1, n):
+            cnt = np.multiply.outer(cnt, width)
         if cell_volume != 1.0:
             cnt = cnt * cell_volume
-        np.maximum(best, sums / cnt, out=best)
+        s = None
+        for signs in itertools.product((0, 1), repeat=n):
+            t = E[batch + tuple(ends[b] for b in signs)]
+            negative = (n - sum(signs)) % 2 == 1
+            if s is None:
+                s = -t if negative else t.copy()
+            elif negative:
+                s -= t
+            else:
+                s += t
+        s /= cnt
+        np.maximum(best, s, out=best)
     return best
 
 
@@ -328,18 +337,17 @@ def truncate(g: GridFunction, lam):
 
 
 def rdf_probe_corpus(shape, count, seed):
-    """Seeded probe functions for empirical maximal-operator norms: random
-    positive fields with every fourth entry a single-cell spike."""
+    """Seeded probe functions for empirical maximal-operator norms, stacked
+    as a ``(count, *shape)`` array: random positive fields with every
+    fourth entry a single-cell spike."""
     rng = np.random.default_rng(seed)
-    out = []
+    out = np.empty((count,) + tuple(shape))
     for i in range(count):
         if i % 4 == 3:
-            vals = np.full(shape, 1e-3)
-            idx = tuple(rng.integers(0, s) for s in shape)
-            vals[idx] = 1.0
+            out[i] = 1e-3
+            out[(i,) + tuple(rng.integers(0, s) for s in shape)] = 1.0
         else:
-            vals = rng.random(shape) + 0.05
-        out.append(vals)
+            out[i] = rng.random(shape) + 0.05
     return out
 
 
@@ -354,11 +362,13 @@ def maximal_opnorm(w_masses, p, shape, cfg: OperatorConfig, ap_value=None):
             raise OperatorError("ap-bound mode needs the A_p constant")
         pprime = p / (p - 1.0)
         return cfg.ap_bound_cn * pprime * ap_value ** (1.0 / (p - 1.0))
+    probes = rdf_probe_corpus(shape, cfg.probe_count, cfg.probe_seed)
+    maxed = _centered_maximal(probes, len(shape))
+    wm = w_masses.ravel()
     best = 0.0
-    for vals in rdf_probe_corpus(shape, cfg.probe_count, cfg.probe_seed):
-        num = lp_norm(centered_maximal_values(vals).ravel(), w_masses.ravel(), p)
-        den = lp_norm(vals.ravel(), w_masses.ravel(), p)
-        best = max(best, num / den)
+    for vals, mv in zip(probes, maxed):
+        best = max(best, lp_norm(mv.ravel(), wm, p)
+                   / lp_norm(vals.ravel(), wm, p))
     return max(best, 1.0)
 
 

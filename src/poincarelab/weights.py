@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, block_reduce,
-                   level_blocks, resolve)
+                   check_cell_cap, level_blocks, resolve)
 
 
 class WeightError(ValueError):
@@ -116,6 +116,7 @@ class PowerWeight:
         if key in self._mass_cache:
             return self._mass_cache[key]
         n, delta = self._n, self.delta
+        check_cell_cap(n, depth)
         N = 1 << depth
         h = root.side / N
         edges = root.lower[0] + h * np.arange(N + 1)
@@ -274,6 +275,7 @@ def ainf_fujii_wilson(w, root, depth):
     centered maximal of w restricted to Q (windows clipped to Q).  All
     cubes of one level go through the maximal kernel as one batch.
     """
+    # local import: operators imports _corner_singular_unit_integral from here
     from .operators import _centered_maximal
 
     wv = resolve(w, root, depth)

@@ -224,3 +224,22 @@ def test_malformed_weight_file_gives_one_error_line(tmp_path, name):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--power-weight", "delta=0.25", "n=2"],
+    ["report", "--power-weight", "delta=0.25", "n=2"],
+    ["sharpness", "--p", "1", "--n", "2"],
+    ["functional-check", "--functional", "{functional}"],
+], ids=lambda a: a[0])
+def test_depth_over_cell_cap_gives_one_error_line(tmp_path, argv):
+    # depth 30 fails fast only through the guard: without it the first
+    # allocation asks for 2^60 cells
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 2}))
+    argv = [a.format(functional=fpath) for a in argv]
+    proc = _run_cli(*argv, "--depth", "30")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines == ["error: n*depth exceeds cap 24"], proc.stderr

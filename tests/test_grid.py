@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, all_cubes, block_reduce,
+                              check_cell_cap,
                               discrete_gradient, dyadic_descendants,
                               level_blocks, measure_cell_masses, resolve,
                               sample)
@@ -50,6 +51,17 @@ def test_cell_count_cap():
     with pytest.raises(GridError):
         GridFunction(RootBox.unit(4), 7, np.zeros((128,) * 4))
     assert 4 * 6 <= MAX_CELL_EXPONENT
+
+
+def test_cell_cap_is_checked_before_allocation():
+    check_cell_cap(2, MAX_CELL_EXPONENT // 2)
+    with pytest.raises(GridError):
+        check_cell_cap(2, 30)
+    pw = PowerWeight(0.25, 2)
+    with pytest.raises(GridError):
+        pw.cell_masses(pw.root, 30)
+    with pytest.raises(GridError):
+        sample(RootBox.unit(2), 30, lambda x, y: x + y)
 
 
 def test_average_and_integral_oracle():

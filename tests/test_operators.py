@@ -16,7 +16,8 @@ from poincarelab.operators import (OperatorConfig, OperatorError,
                                    fractional_integral, fractional_kernel,
                                    lorentz_p1_norm_values, lp_norm,
                                    maximal_opnorm, orlicz_exp_norm_values,
-                                   powered_maximal, rubio_de_francia,
+                                   powered_maximal, rdf_probe_corpus,
+                                   rubio_de_francia,
                                    triple_norm_values, truncate,
                                    weak_norm_values)
 
@@ -62,6 +63,74 @@ def test_centered_maximal_matches_bruteforce():
                            brute_centered_maximal_1d(vals), atol=1e-12)
 
 
+def _reference_box_sums(padded, lo, hi, lead):
+    n = lo.shape[0]
+    batch = (slice(None),) * lead
+    s = None
+    for signs in itertools.product((0, 1), repeat=n):
+        corner = tuple(hi[i] if signs[i] else lo[i] for i in range(n))
+        term = padded[batch + corner]
+        if (n - sum(signs)) % 2 == 1:
+            term = -term
+        s = term if s is None else s + term
+    return s
+
+
+def reference_centered_maximal(masses, n, cell_volume=1.0):
+    """Per-radius clipped-index kernel: every radius gathers its 2^n window
+    corners from the zero-led integral image with fancy indices."""
+    lead = masses.ndim - n
+    N = masses.shape[-1]
+    P = masses
+    for ax in range(lead, masses.ndim):
+        P = np.cumsum(P, axis=ax)
+    P = np.pad(P, [(0, 0)] * lead + [(1, 0)] * n)
+    idx = np.indices(masses.shape[lead:])
+    best = masses / cell_volume
+    for r in range(1, N):
+        lo = np.clip(idx - r, 0, None)
+        hi = np.clip(idx + r + 1, None, N)
+        sums = _reference_box_sums(P, lo, hi, lead)
+        cnt = np.prod(hi - lo, axis=0)
+        if cell_volume != 1.0:
+            cnt = cnt * cell_volume
+        np.maximum(best, sums / cnt, out=best)
+    return best
+
+
+KERNEL_SIZES = [(1, s) for s in (1, 2, 4, 8, 64)] + \
+    [(n, s) for n in (2, 3) for s in (1, 2, 4, 8)]
+
+
+@pytest.mark.parametrize("n,side", KERNEL_SIZES)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("cell_volume", [1.0, 0.37, 2.0 ** -12])
+def test_centered_maximal_kernel_equals_reference(n, side, lead, cell_volume):
+    rng = np.random.default_rng(1000 * n + side)
+    masses = rng.exponential(size=lead + (side,) * n)
+    assert np.array_equal(_centered_maximal(masses, n, cell_volume),
+                          reference_centered_maximal(masses, n, cell_volume))
+
+
+def test_centered_maximal_kernel_accepts_integer_masses():
+    # a bare integer weight array reaches the kernel through A_inf
+    masses = np.random.default_rng(5).integers(1, 9, size=(3, 8, 8))
+    assert np.array_equal(_centered_maximal(masses, 2),
+                          reference_centered_maximal(masses, 2))
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KERNEL_SIZES),
+       st.integers(0, 2), st.sampled_from((1.0, 0.37, 2.0 ** -12)))
+@settings(max_examples=60, deadline=None)
+def test_centered_maximal_kernel_equals_reference_hypothesis(
+        seed, size, lead, cell_volume):
+    n, side = size
+    rng = np.random.default_rng(seed)
+    masses = rng.lognormal(0.0, 2.0, size=(2,) * lead + (side,) * n)
+    assert np.array_equal(_centered_maximal(masses, n, cell_volume),
+                          reference_centered_maximal(masses, n, cell_volume))
+
+
 def test_centered_maximal_indicator_decay():
     vals = np.zeros(8)
     vals[0] = 1.0
@@ -82,6 +151,18 @@ def test_centered_maximal_2d_matches_bruteforce():
                 best = max(best, win.mean())
             brute[i, j] = best
     assert np.allclose(centered_maximal_values(vals), brute, atol=1e-12)
+
+
+def test_centered_maximal_3d_matches_bruteforce():
+    rng = np.random.default_rng(12)
+    N = 4
+    vals = rng.uniform(0, 1, (N, N, N))
+    brute = np.zeros((N, N, N))
+    for x in itertools.product(range(N), repeat=3):
+        brute[x] = max(vals[tuple(slice(max(0, i - r), i + r + 1)
+                                  for i in x)].mean() for r in range(N))
+    assert np.allclose(centered_maximal_values(vals), brute,
+                       rtol=1e-12, atol=1e-12)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(((1, 8), (2, 4), (3, 2))),
@@ -320,3 +401,18 @@ def test_empirical_opnorm_at_least_one():
     cfg = OperatorConfig(opnorm_mode="empirical", probe_count=8)
     val = maximal_opnorm(np.full(16, 1 / 16), 2.0, (16,), cfg)
     assert val >= 1.0
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16)])
+@pytest.mark.parametrize("count", [1, 4, 20])
+def test_empirical_opnorm_equals_per_probe_loop(shape, count):
+    rng = np.random.default_rng(13)
+    w_masses = rng.exponential(size=shape)
+    p = 2.5
+    cfg = OperatorConfig(opnorm_mode="empirical", probe_count=count)
+    best = 0.0
+    for vals in rdf_probe_corpus(shape, count, cfg.probe_seed):
+        num = lp_norm(centered_maximal_values(vals).ravel(),
+                      w_masses.ravel(), p)
+        best = max(best, num / lp_norm(vals.ravel(), w_masses.ravel(), p))
+    assert maximal_opnorm(w_masses, p, shape, cfg) == max(best, 1.0)
