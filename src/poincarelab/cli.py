@@ -1,8 +1,8 @@
 """Command-line entry point: experiment orchestration and report emission.
 
-All structured output is JSON (sorted keys, fixed layout, so runs with the
-same config and seed are byte-identical); CSV is emitted only as
-plot-ready tables.
+All structured output is strict JSON (sorted keys, fixed layout, so runs
+with the same config and seed are byte-identical; NaN and infinities are
+written as null); CSV is emitted only as plot-ready tables.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,8 +27,21 @@ class CliError(Exception):
     pass
 
 
+def _finite(obj):
+    """``obj`` with every NaN or infinite float replaced by None, so that
+    the JSON output is strict (``null`` instead of ``NaN``/``Infinity``)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _dump(obj, out, fmt, csv_rows=None, csv_header=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if fmt == "json" or csv_rows is None:
         payload = text
     else:

@@ -5,8 +5,10 @@ D_p ratio of a disjoint family compares sum a(Q_i)^p w(Q_i) with
 a(Q)^p w(Q); SD_p^s additionally demands a gain (1/L)^(p/s) on L-small
 families.  Suprema are over dyadic families: exhaustive mode computes the
 exact maximum over all antichains (with a volume budget for L-small
-families) by max-plus dynamic programming over the cube tree, which agrees
-with brute-force enumeration; random mode gives a sampled lower bound.
+families) by one max-plus dynamic program, run level by level up the cube
+tree and read for every L; it agrees with brute-force enumeration, and its
+root step costs O(top^2) in the finest cells of the largest budget.  Random
+mode gives a sampled lower bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, block_reduce
+from .grid import CubeIndex, GridFunction, block_reduce, level_blocks
 from .operators import lorentz_p1_norm_values
 
 
@@ -220,7 +222,7 @@ def dp_ratio(a: Functional, w: CubeSums, p, family, Q: CubeIndex):
     """(sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p)."""
     den = a.eval(Q) ** p * w.mass(Q)
     num = sum(a.eval(qi) ** p * w.mass(qi) for qi in family)
-    return (num / den) ** (1.0 / p)
+    return float((num / den) ** (1.0 / p))
 
 
 @dataclass
@@ -249,55 +251,64 @@ class DpReport:
         }
 
 
-def _maxplus(x, y):
-    out = np.full(x.size + y.size - 1, -np.inf)
-    for i, v in enumerate(x):
-        if np.isfinite(v):
-            seg = out[i:i + y.size]
-            np.maximum(seg, v + y, out=seg)
+def _maxplus(x, y, width):
+    """Row-wise max-plus convolution of x and y, truncated at ``width``."""
+    out = np.full((len(x), min(x.shape[1] + y.shape[1] - 1, width)), -np.inf)
+    for i in range(min(x.shape[1], width)):
+        seg = out[:, i:i + y.shape[1]]
+        np.maximum(seg, x[:, i:i + 1] + y[:, :seg.shape[1]], out=seg)
     return out
 
 
-def _score_arrays(a, w, p, Q, depth, cache):
-    """Budgeted max-plus DP.  cache[Q] = (arr, convs) where arr[c] is the
-    best sum of a^p w over antichains in the subtree of Q using exactly c
-    finest cells, and convs are the forward child convolutions kept for
-    witness backtracking (None at leaves)."""
-    if Q in cache:
-        return cache[Q]
-    cells = (1 << (depth - Q.level)) ** Q.n
-    score = a.eval(Q) ** p * w.mass(Q)
-    if Q.level == depth:
-        entry = (np.array([0.0, score]), None)
-    else:
-        convs = [np.array([0.0])]
-        for ch in Q.children():
-            carr, _ = _score_arrays(a, w, p, ch, depth, cache)
-            convs.append(_maxplus(convs[-1], carr))
-        arr = convs[-1].copy()
-        arr[cells] = max(arr[cells], score)
-        entry = (arr, convs)
-    cache[Q] = entry
-    return entry
+def _level_dp(a, w, p, Q, depth, top):
+    """Budgeted max-plus DP over the cube tree below Q, bottom-up by level.
+
+    Row i of relative level r is the i-th cube of full_partition(Q,
+    Q.level + r).  arrs[r][i, c] is the best sum of a^p w over antichains
+    below it using exactly c <= top finest cells; kids[r][i, j] is the row
+    of its j-th child (``CubeIndex.children()`` order) and convs[r][j][i]
+    its fold over the first j children, kept for witness backtracking.  One
+    _maxplus call per child slot serves a whole level.  The root step costs
+    O(top^2): the DP is quadratic in the finest cells of the largest budget.
+    """
+    n, D = Q.n, depth - Q.level
+    scores = [np.array([a.eval(P) ** p * w.mass(P)
+                        for P in full_partition(Q, Q.level + r)])
+              for r in range(D + 1)]
+    leaves = np.stack([np.zeros_like(scores[D]), scores[D]], axis=1)
+    arrs = [None] * D + [leaves[:, :top + 1]]
+    convs, kids = [None] * D, [None] * D
+    for r in range(D - 1, -1, -1):
+        rows = np.arange(1 << (n * (r + 1))).reshape((2 << r,) * n)
+        kids[r] = level_blocks(rows, r).reshape(1 << (n * r), -1)
+        below = arrs[r + 1][kids[r]]
+        folds = [np.zeros((len(below), 1)), below[:, 0]]
+        for j in range(1, 1 << n):
+            folds.append(_maxplus(folds[-1], below[:, j], top + 1))
+        arrs[r], convs[r] = folds.pop(), folds
+        cells = 1 << (n * (D - r))
+        if cells <= top:
+            arrs[r][:, cells] = np.maximum(arrs[r][:, cells], scores[r])
+    return arrs, convs, scores, kids
 
 
-def _witness(a, w, p, Q, depth, cache, count, tol=1e-9):
-    """Antichain in the subtree of Q achieving the DP value at exact cell
-    count ``count``."""
-    arr, convs = cache[Q]
+def _witness(dp, q, r, i, count, tol=1e-9):
+    """Antichain below q (row i of relative level r) attaining the DP value
+    at exactly ``count`` finest cells; children are scanned last first."""
+    arrs, convs, scores, kids = dp
+    arr = arrs[r][i]
     if count <= 0 or not np.isfinite(arr[count]) or arr[count] <= 0:
         return []
-    cells = (1 << (depth - Q.level)) ** Q.n
-    score = a.eval(Q) ** p * w.mass(Q)
     scale = 1.0 + abs(arr[count])
-    if count == cells and score >= arr[count] - tol * scale:
-        return [Q]
+    if count == 1 << (q.n * (len(arrs) - 1 - r)) \
+            and scores[r][i] >= arr[count] - tol * scale:
+        return [q]
     out = []
-    children = Q.children()
+    children = q.children()
     rem, val = count, arr[count]
     for j in range(len(children) - 1, -1, -1):
-        carr, _ = cache[children[j]]
-        prev = convs[j]
+        carr = arrs[r + 1][kids[r][i, j]]
+        prev = convs[r][j][i]
         pick = 0
         for c in range(min(rem, carr.size - 1) + 1):
             if rem - c < prev.size and np.isfinite(prev[rem - c]) \
@@ -305,9 +316,27 @@ def _witness(a, w, p, Q, depth, cache, count, tol=1e-9):
                     and prev[rem - c] + carr[c] >= val - tol * scale:
                 pick = c
                 break
-        out.extend(_witness(a, w, p, children[j], depth, cache, pick, tol))
-        val = val - (cache[children[j]][0][pick] if pick else 0.0)
+        out.extend(_witness(dp, children[j], r + 1, kids[r][i, j], pick, tol))
+        val = val - (carr[pick] if pick else 0.0)
         rem -= pick
+    return out
+
+
+def _dp_maxima(a, w, p, Q, depth, Ls):
+    """(ratio, witness) of the best antichain below Q within |Q|/L (no
+    limit for L None) for each L, all read from one level DP."""
+    cells = 1 << (Q.n * (depth - Q.level))
+    tops = [cells if L is None else min(math.floor(cells / L + 1e-9), cells)
+            for L in Ls]
+    dp = _level_dp(a, w, p, Q, depth, max(tops, default=0))
+    root = dp[0][0][0]
+    den = a.eval(Q) ** p * w.mass(Q)
+    out = []
+    for top in tops:
+        finite = np.where(np.isfinite(root[:top + 1]), root[:top + 1], -np.inf)
+        use = int(np.argmax(finite))
+        ratio = float((max(float(finite[use]), 0.0) / den) ** (1.0 / p))
+        out.append((ratio, _witness(dp, Q, 0, 0, use)))
     return out
 
 
@@ -317,18 +346,9 @@ def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
     limited to |Q|/budget_L).  exhaustive: exact tree maximum;
     random: sampled lower bound."""
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
-    den = a.eval(Q) ** p * w.mass(Q)
-    cells = (1 << (depth - Q.level)) ** Q.n
-    budget = cells if budget_L is None else int(math.floor(cells / budget_L + 1e-9))
     if mode == "exhaustive":
-        cache = {}
-        arr, _ = _score_arrays(a, w, p, Q, depth, cache)
-        top = min(budget, arr.size - 1)
-        finite = np.where(np.isfinite(arr[:top + 1]), arr[:top + 1], -np.inf)
-        use = int(np.argmax(finite))
-        num = float(finite[use])
-        witness = _witness(a, w, p, Q, depth, cache, use)
-        return DpReport(p, (max(num, 0.0) / den) ** (1.0 / p), witness, 0, mode)
+        [(ratio, witness)] = _dp_maxima(a, w, p, Q, depth, [budget_L])
+        return DpReport(float(p), ratio, witness, 0, mode)
     if mode == "random":
         rng = np.random.default_rng(seed)
         L = budget_L if budget_L is not None else 1.0 + 1e-9
@@ -338,7 +358,7 @@ def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
             r = dp_ratio(a, w, p, fam.members, Q)
             if r > best:
                 best, witness = r, fam.members
-        return DpReport(p, best, witness, trials, mode)
+        return DpReport(float(p), best, witness, trials, mode)
     raise FunctionalError(f"unknown mode {mode!r}")
 
 
@@ -356,19 +376,18 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
-    n = Q.n
-    alpha_over_n = (a.alpha / n
+    alpha_over_n = (a.alpha / Q.n
                     if fractional_exact and isinstance(a, FractionalFunctional)
                     else None)
     per_L, violations = {}, 0
     worst, witness = 0.0, []
     rng = np.random.default_rng(seed)
     total_trials = 0
-    for L in sorted(Ls):
+    Ls = sorted(Ls)
+    exact = _dp_maxima(a, w, p, Q, depth, Ls) if mode == "exhaustive" else None
+    for k, L in enumerate(Ls):
         if mode == "exhaustive":
-            rep = max_dp_ratio(a, w_masses, p, Q, depth, "exhaustive",
-                               budget_L=L)
-            ratios = [(rep.worst_ratio, rep.witness)]
+            ratios = [exact[k]]
         else:
             ratios = []
             for _ in range(trials):
@@ -389,7 +408,7 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
         slope = float(coef[0])
         resid = float(res[0]) if len(res) else 0.0
-    return DpReport(p, worst, witness, total_trials, mode, slope, resid,
+    return DpReport(float(p), worst, witness, total_trials, mode, slope, resid,
                     per_L, violations)
 
 

@@ -294,16 +294,6 @@ def all_cubes(n, depth, min_level=0):
             yield CubeIndex(level, coords)
 
 
-def dyadic_descendants(q, depth):
-    """All dyadic subcubes of q down to ``depth`` (inclusive, q first)."""
-    stack = [q]
-    while stack:
-        c = stack.pop()
-        yield c
-        if c.level < depth:
-            stack.extend(c.children())
-
-
 def discrete_gradient(f, order=1):
     """Magnitude of the order-``m`` gradient as a GridFunction.
 

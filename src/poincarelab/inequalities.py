@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
-                   dyadic_descendants, measure_cell_masses, sample)
+                   level_blocks, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import orthonormal_basis, project
-from .functionals import FractionalFunctional
+from .functionals import FractionalFunctional, full_partition
 from .operators import (centered_maximal_values, centered_maximal_measure,
                         fractional_integral, lorentz_p1_norm_values, lp_norm,
                         orlicz_exp_norm, truncate, weak_norm_values)
@@ -180,12 +180,14 @@ def _result(iid, lhs, rhs, bound, status, inputs):
 
 
 def _functional_hypothesis_norm(f: GridFunction, a_eval, Q):
-    """max over dyadic P inside Q of avg_P |f - f_P| / a(P)."""
-    best = 0.0
-    for P in dyadic_descendants(Q, f.depth):
-        block = f.values[f.block(P)]
-        osc = float(np.abs(block - block.mean()).mean())
-        best = max(best, osc / a_eval(P))
+    """max over dyadic P inside Q of avg_P |f - f_P| / a(P), one level of
+    cubes at a time."""
+    best, axes = 0.0, tuple(range(1, f.n + 1))
+    for level in range(Q.level, f.depth + 1):
+        blocks = level_blocks(f.values[f.block(Q)], level - Q.level)
+        osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
+        a = np.array([a_eval(P) for P in full_partition(Q, level)])
+        best = max(best, float(np.max(osc / a)))
     return best
 
 
@@ -272,29 +274,19 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         inputs["p0"] = p0
         return _result(iid, lhs, rhs, bound, "reported", inputs)
 
-    if iid == "pointwise-i1":
+    if iid in ("pointwise-i1", "i1-vs-m"):
         if n < 2:
-            raise InequalityError("pointwise-i1 needs n >= 2 (alpha = 1 < n)")
+            raise InequalityError(f"{iid} needs n >= 2 (alpha = 1 < n)")
         grad = discrete_gradient(f, 1)
         i1 = fractional_integral(grad, 1.0, Q)
         sl = f.block(Q)
-        dev = np.abs(f.values[sl] - f.values[sl].mean())
-        denom = i1.values[sl]
+        if iid == "pointwise-i1":
+            num, denom = np.abs(f.values[sl] - f.values[sl].mean()), i1.values[sl]
+        else:
+            num = i1.values[sl]
+            denom = f.sidelength(Q) * centered_maximal_values(grad.values)[sl]
         mask = denom > 0
-        sup = float(np.max(dev[mask] / denom[mask])) if mask.any() else 0.0
-        return _result(iid, sup, 1.0, math.nan, "reported", inputs)
-
-    if iid == "i1-vs-m":
-        if n < 2:
-            raise InequalityError("i1-vs-m needs n >= 2")
-        grad = discrete_gradient(f, 1)
-        i1 = fractional_integral(grad, 1.0, Q)
-        sl = f.block(Q)
-        Mg = centered_maximal_values(grad.values)[sl]
-        ell = f.sidelength(Q)
-        denom = ell * Mg
-        mask = denom > 0
-        sup = float(np.max(i1.values[sl][mask] / denom[mask])) if mask.any() else 0.0
+        sup = float(np.max(num[mask] / denom[mask])) if mask.any() else 0.0
         return _result(iid, sup, 1.0, math.nan, "reported", inputs)
 
     if iid == "weak-1n'":
@@ -428,14 +420,13 @@ def weak_implies_strong_demo(g: GridFunction, mu, nu, p):
     mu_mass = measure_cell_masses(mu, g).ravel()
     nu_mass = measure_cell_masses(nu, g)
     gmax = float(g.values.max())
+    grad = discrete_gradient(g, 1)
     report = {
         "strong": lp_norm(g.values.ravel(), mu_mass, p),
-        "gradient_total": 0.0,
+        "gradient_total": float((grad.values * nu_mass).sum()),
         "levels": [],
         "telescoped_gradient": 0.0,
     }
-    grad = discrete_gradient(g, 1)
-    report["gradient_total"] = float((grad.values * nu_mass).sum())
     if gmax == 0.0:
         report["chain_constant"] = 0.0
         return report

@@ -243,3 +243,52 @@ def test_depth_over_cell_cap_gives_one_error_line(tmp_path, argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert lines == ["error: n*depth exceeds cap 24"], proc.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_every_command_writes_strict_json(tmp_path, step_weight_file,
+                                          spike_file):
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
+    f = GridFunction(RootBox.unit(1), 4, np.linspace(0.0, 1.0, 16))
+    fin = tmp_path / "f.json"
+    f.save(fin)
+    f2 = GridFunction(RootBox.unit(2), 3, np.arange(64.0) % 5)
+    fin2 = tmp_path / "f2.json"
+    f2.save(fin2)
+    h = tmp_path / "h1.json"
+    GridFunction(RootBox.unit(1), 1, np.array([1.0, 2.0])).save(h)
+    commands = {
+        "constants-p1": ["constants", "--weight", step_weight_file,
+                         "--p", "1"],
+        "constants": ["constants", "--power-weight", "delta=0.25", "n=1",
+                      "--depth", "5"],
+        "report": ["report", "--power-weight", "delta=0.25", "n=1",
+                   "--depth", "5", "--p", "1"],
+        "functional-check": ["functional-check", "--functional", str(fpath),
+                             "--Ls", "2,4", "--mode", "exhaustive",
+                             "--depth", "4"],
+        "poincare-mixed": ["poincare", "--id", "mixed", "--input",
+                           str(fin2), "--p", "1"],
+        "poincare": ["poincare", "--id", "pp-two-weight", "--input",
+                     str(fin), "--p", "1"],
+        "sharpness": ["sharpness", "--p", "1", "--n", "2", "--eps", "0.1",
+                      "--deltas", "0.5,0.25", "--depth", "4"],
+        "rdf": ["rdf", "--input", str(h), "--weight", step_weight_file,
+                "--terms", "3"],
+    }
+    for emit in ("stopping", "good", "bad", "report"):
+        commands[f"cz-{emit}"] = ["cz", "--input", spike_file, "--L", "2",
+                                  "--emit", emit]
+    docs = {}
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == 0, name
+        docs[name] = json.loads(out.read_text(),
+                                parse_constant=_reject_constant)
+    # the two outputs that used to carry a bare NaN
+    assert docs["constants-p1"]["ap1"] is None
+    assert docs["poincare-mixed"]["bound"] is None

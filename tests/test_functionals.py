@@ -13,7 +13,8 @@ from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      full_partition, max_dp_ratio,
                                      random_small_family, sdp_check,
                                      subcube_at)
-from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
+                              discrete_gradient)
 
 UNIT1 = RootBox.unit(1)
 
@@ -243,3 +244,183 @@ def test_report_to_dict_roundtrips_witness():
     d = rep.to_dict()
     assert d["worst_ratio"] == pytest.approx(rep.worst_ratio)
     assert all(isinstance(wit, list) and len(wit) == 2 for wit in d["witness"])
+
+
+# ---------------------------------------------------------------------------
+# the level DP against the per-node recursive DP it replaced
+# ---------------------------------------------------------------------------
+
+def reference_maxplus(x, y):
+    out = np.full(x.size + y.size - 1, -np.inf)
+    for i, v in enumerate(x):
+        if np.isfinite(v):
+            seg = out[i:i + y.size]
+            np.maximum(seg, v + y, out=seg)
+    return out
+
+
+def reference_score_arrays(a, w, p, Q, depth, cache):
+    """Per-node budgeted max-plus DP.  cache[Q] = (arr, convs) where arr[c]
+    is the best sum of a^p w over antichains in the subtree of Q using
+    exactly c finest cells, and convs are the forward child convolutions
+    kept for witness backtracking (None at leaves)."""
+    if Q in cache:
+        return cache[Q]
+    cells = (1 << (depth - Q.level)) ** Q.n
+    score = a.eval(Q) ** p * w.mass(Q)
+    if Q.level == depth:
+        entry = (np.array([0.0, score]), None)
+    else:
+        convs = [np.array([0.0])]
+        for ch in Q.children():
+            carr, _ = reference_score_arrays(a, w, p, ch, depth, cache)
+            convs.append(reference_maxplus(convs[-1], carr))
+        arr = convs[-1].copy()
+        arr[cells] = max(arr[cells], score)
+        entry = (arr, convs)
+    cache[Q] = entry
+    return entry
+
+
+def reference_witness(a, w, p, Q, depth, cache, count, tol=1e-9):
+    arr, convs = cache[Q]
+    if count <= 0 or not np.isfinite(arr[count]) or arr[count] <= 0:
+        return []
+    cells = (1 << (depth - Q.level)) ** Q.n
+    score = a.eval(Q) ** p * w.mass(Q)
+    scale = 1.0 + abs(arr[count])
+    if count == cells and score >= arr[count] - tol * scale:
+        return [Q]
+    out = []
+    children = Q.children()
+    rem, val = count, arr[count]
+    for j in range(len(children) - 1, -1, -1):
+        carr, _ = cache[children[j]]
+        prev = convs[j]
+        pick = 0
+        for c in range(min(rem, carr.size - 1) + 1):
+            if rem - c < prev.size and np.isfinite(prev[rem - c]) \
+                    and np.isfinite(carr[c]) \
+                    and prev[rem - c] + carr[c] >= val - tol * scale:
+                pick = c
+                break
+        out.extend(reference_witness(a, w, p, children[j], depth, cache,
+                                     pick, tol))
+        val = val - (cache[children[j]][0][pick] if pick else 0.0)
+        rem -= pick
+    return out
+
+
+def reference_max_dp_ratio(a, w_masses, p, Q, depth, budget_L=None):
+    """The exhaustive branch of max_dp_ratio before the level DP."""
+    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    den = a.eval(Q) ** p * w.mass(Q)
+    cells = (1 << (depth - Q.level)) ** Q.n
+    budget = cells if budget_L is None \
+        else int(np.floor(cells / budget_L + 1e-9))
+    cache = {}
+    arr, _ = reference_score_arrays(a, w, p, Q, depth, cache)
+    top = min(budget, arr.size - 1)
+    finite = np.where(np.isfinite(arr[:top + 1]), arr[:top + 1], -np.inf)
+    use = int(np.argmax(finite))
+    num = float(finite[use])
+    witness = reference_witness(a, w, p, Q, depth, cache, use)
+    return (max(num, 0.0) / den) ** (1.0 / p), witness
+
+
+def five_functionals(rng, n, depth, p):
+    """One functional of each class on a seeded depth-``depth`` grid."""
+    root = RootBox.unit(n)
+    shape = (1 << depth,) * n
+    mu, wm = rng.uniform(0.1, 1.0, shape), rng.uniform(0.1, 1.0, shape)
+    grad = discrete_gradient(GridFunction(root, depth,
+                                          rng.normal(size=shape)))
+    cs = CubeSums(mu, depth)
+    table = {q: cs.mass(q) ** (1.0 / p) for q in all_cubes(n, depth)}
+    return [FractionalFunctional(0.7, p, mu, wm, root, depth),
+            GradientFunctional(1, p, grad, wm, mu, scale=0.3),
+            LorentzGradientFunctional(p, grad, wm),
+            IncreasingFunctional(table, root, depth),
+            ConstantFunctional(1.7, root, depth)], wm
+
+
+def cubes_to_check(n, depth):
+    root = CubeIndex.root(n)
+    return [root, root.children()[-1], CubeIndex(2, (1,) * n)][:depth]
+
+
+@pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_level_dp_equals_per_node_dp(n, depth, p):
+    rng = np.random.default_rng(40 + 10 * n + int(p))
+    functionals, wm = five_functionals(rng, n, depth, p)
+    for a in functionals:
+        for Q in cubes_to_check(n, depth):
+            cells = (1 << (depth - Q.level)) ** n
+            for L in (None, 1.5, 2.0, 3.0, float(cells), 2.0 * cells):
+                rep = max_dp_ratio(a, wm, p, Q, depth, budget_L=L)
+                ratio, witness = reference_max_dp_ratio(a, wm, p, Q, depth,
+                                                        budget_L=L)
+                assert rep.worst_ratio == ratio
+                assert rep.witness == witness
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.sampled_from(
+    [1.0, 1.5, 2.0]), st.floats(1.01, 20.0))
+@settings(max_examples=40, deadline=None)
+def test_level_dp_equals_per_node_dp_hypothesis(n, seed, p, L):
+    rng = np.random.default_rng(seed)
+    depth = {1: 4, 2: 2, 3: 1}[n]
+    shape = (1 << depth,) * n
+    mu = rng.lognormal(0.0, 1.0, shape)
+    wm = rng.lognormal(0.0, 1.0, shape)
+    a = FractionalFunctional(rng.uniform(0.2, 2.0), p, mu, wm,
+                             RootBox.unit(n), depth)
+    Q = CubeIndex.root(n)
+    for budget_L in (None, L):
+        rep = max_dp_ratio(a, wm, p, Q, depth, budget_L=budget_L)
+        assert (rep.worst_ratio, rep.witness) == \
+            reference_max_dp_ratio(a, wm, p, Q, depth, budget_L=budget_L)
+
+
+@pytest.mark.parametrize("n,depth,Ls", [(1, 6, [2.0, 3.0, 4.0, 8.0]),
+                                        (2, 3, [4.0, 16.0, 5.0]),
+                                        (3, 2, [8.0, 2.0])])
+def test_exhaustive_sdp_check_equals_per_L_max_dp_ratio(n, depth, Ls):
+    rng = np.random.default_rng(n)
+    functionals, wm = five_functionals(rng, n, depth, 1.0)
+    for a in functionals:
+        for Q in cubes_to_check(n, depth):
+            rep = sdp_check(a, wm, 1.0, Q, depth, Ls, mode="exhaustive")
+            per_L = {L: max_dp_ratio(a, wm, 1.0, Q, depth, budget_L=L)
+                     for L in Ls}
+            assert rep.per_L == {L: r.worst_ratio for L, r in per_L.items()}
+            worst = max(sorted(Ls), key=lambda L: per_L[L].worst_ratio)
+            assert rep.worst_ratio == per_L[worst].worst_ratio
+            assert rep.witness == per_L[worst].witness
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_sdp_check_without_budgets(mode):
+    a = unweighted_functional(1.0, 1.0, 1, 3)
+    rep = sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [],
+                    mode=mode)
+    assert (rep.worst_ratio, rep.witness, rep.per_L) == (0.0, [], {})
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_report_fields_are_python_floats(mode):
+    rng = np.random.default_rng(9)
+    depth = 4
+    functionals, wm = five_functionals(rng, 1, depth, 2.0)
+    for a in functionals:
+        reports = [sdp_check(a, wm, 2, CubeIndex.root(1), depth, [2, 4.0],
+                             trials=20, mode=mode),
+                   max_dp_ratio(a, wm, 2, CubeIndex.root(1), depth,
+                                mode=mode, trials=20, budget_L=2.0)]
+        for rep in reports:
+            d = rep.to_dict()
+            floats = [d["exponent"], d["worst_ratio"], *d["per_L"].values()]
+            if d["smallness_slope"] is not None:
+                floats += [d["smallness_slope"], d["fit_residual"]]
+            assert all(type(v) is float for v in floats), d

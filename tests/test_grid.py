@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, all_cubes, block_reduce,
                               check_cell_cap,
-                              discrete_gradient, dyadic_descendants,
+                              discrete_gradient,
                               level_blocks, measure_cell_masses, resolve,
                               sample)
 from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
@@ -166,13 +166,6 @@ def test_min_avg_max_sandwich():
     for q in all_cubes(1, 5):
         blk = f.values[f.block(q)]
         assert blk.min() - 1e-12 <= f.average(q) <= blk.max() + 1e-12
-
-
-def test_dyadic_descendants_counts():
-    q = CubeIndex(1, (0, 1))
-    level2 = [c for c in dyadic_descendants(q, 3)]
-    # q itself plus its subtree down to depth 3: 1 + 4 + 16
-    assert len(level2) == 21
 
 
 def test_gradient_oracle_1d():

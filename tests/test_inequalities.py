@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poincarelab.functionals import ConstantFunctional
-from poincarelab.grid import GridFunction, RootBox, sample
+from poincarelab.functionals import (ConstantFunctional, CubeSums,
+                                     FractionalFunctional,
+                                     IncreasingFunctional)
+from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes, sample
 from poincarelab.inequalities import (Exponents, InequalityError,
+                                      _functional_hypothesis_norm,
                                       check_inequality, plateau_function,
                                       poincare_sides, sharpness_point,
                                       sharpness_scaling_exponents,
@@ -126,6 +131,59 @@ def test_check_exp_jn_two_valued():
     # |f - mean| = 1, and the exponential norm of the constant 1 is 1/ln 2
     assert res.lhs == pytest.approx(1.0 / math.log(2), rel=1e-9)
     assert np.isfinite(res.measured_constant)
+
+
+def reference_hypothesis_norm(f, a_eval, Q):
+    """max over dyadic P inside Q of avg_P |f - f_P| / a(P), cube by cube."""
+    best = 0.0
+    for P in all_cubes(f.n, f.depth, Q.level):
+        if Q.contains(P):
+            block = f.values[f.block(P)]
+            osc = float(np.abs(block - block.mean()).mean())
+            best = max(best, osc / a_eval(P))
+    return best
+
+
+@pytest.mark.parametrize("n,depth", [(1, 8), (2, 5), (3, 3)])
+def test_hypothesis_norm_equals_per_cube_walk(n, depth):
+    rng = np.random.default_rng(60 + n)
+    shape = (1 << depth,) * n
+    root = RootBox.unit(n)
+    f = GridFunction(root, depth, rng.lognormal(0.0, 1.0, shape))
+    mu = rng.uniform(0.1, 1.0, shape)
+    um = rng.uniform(0.1, 1.0, shape)
+    cs = CubeSums(mu, depth)
+    inc = IncreasingFunctional({q: cs.mass(q) for q in all_cubes(n, depth)},
+                               root, depth)
+    for Q in (CubeIndex.root(n), CubeIndex(1, (1,) * n),
+              CubeIndex(2, (1,) * n)):
+        for a in (FractionalFunctional(0.8, 1.5, mu, um, root, depth), inc):
+            assert _functional_hypothesis_norm(f, a.eval, Q) == \
+                reference_hypothesis_norm(f, a.eval, Q)
+        frac = FractionalFunctional(0.8, 1.5, mu, um, root, depth)
+        res = check_inequality("pp-measure", f, Q=Q, u=um, mu=mu, p=1.5,
+                               alpha=0.8)
+        assert res.bound == \
+            (n / 0.8) * reference_hypothesis_norm(f, frac.eval, Q)
+        res = check_inequality("exp-JN", f, Q=Q, p=1.0, a_functional=inc)
+        assert res.bound == reference_hypothesis_norm(f, inc.eval, Q)
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.floats(0.1, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_hypothesis_norm_equals_per_cube_walk_hypothesis(n, seed, sigma):
+    rng = np.random.default_rng(seed)
+    depth = {1: 6, 2: 3, 3: 2}[n]
+    shape = (1 << depth,) * n
+    root = RootBox.unit(n)
+    f = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
+    a = FractionalFunctional(rng.uniform(0.2, 2.0), rng.uniform(1.0, 3.0),
+                             rng.lognormal(0.0, sigma, shape),
+                             rng.lognormal(0.0, sigma, shape), root, depth)
+    coords = tuple(int(c) for c in rng.integers(0, 2, n))
+    for Q in (CubeIndex.root(n), CubeIndex(1, coords)):
+        assert _functional_hypothesis_norm(f, a.eval, Q) == \
+            reference_hypothesis_norm(f, a.eval, Q)
 
 
 def test_catalog_passes_on_mild_weight():
