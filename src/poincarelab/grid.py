@@ -276,15 +276,13 @@ def block_reduce(values, level, op, shifted=False):
               axis=tuple(range(1, 2 * values.ndim, 2)))
 
 
-def level_blocks(values, level):
-    """The level-``level`` dyadic cubes as one contiguous stack of shape
-    ``(2**(level*n), b, ..., b)``; entry k holds the cells (as selected by
-    ``GridFunction.block``) of the k-th cube in row-major coordinate order.
-    """
-    n = values.ndim
-    split = _split_levels(values, level)
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return split.transpose(order).reshape((-1,) + split.shape[1::2])
+def level_blocks(values, level, shifted=False):
+    """The level-``level`` dyadic cubes, half-shifted with ``shifted``, as
+    one contiguous array of shape ``(m,) * n + (b,) * n`` (m as in
+    ``_split_levels``): entry ``coords`` holds the cells of that cube."""
+    split = _split_levels(values, level, shifted)
+    order = tuple(range(0, split.ndim, 2)) + tuple(range(1, split.ndim, 2))
+    return np.ascontiguousarray(split.transpose(order))
 
 
 def all_cubes(n, depth, min_level=0):

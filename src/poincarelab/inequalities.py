@@ -182,12 +182,12 @@ def _result(iid, lhs, rhs, bound, status, inputs):
 def _functional_hypothesis_norm(f: GridFunction, a_eval, Q):
     """max over dyadic P inside Q of avg_P |f - f_P| / a(P), one level of
     cubes at a time."""
-    best, axes = 0.0, tuple(range(1, f.n + 1))
+    best, axes = 0.0, tuple(range(f.n, 2 * f.n))
     for level in range(Q.level, f.depth + 1):
         blocks = level_blocks(f.values[f.block(Q)], level - Q.level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
         a = np.array([a_eval(P) for P in full_partition(Q, level)])
-        best = max(best, float(np.max(osc / a)))
+        best = max(best, float(np.max(osc.ravel() / a)))
     return best
 
 

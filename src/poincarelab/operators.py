@@ -17,6 +17,9 @@ import numpy as np
 from .grid import CubeIndex, GridFunction, block_reduce, measure_cell_masses
 from .weights import _corner_singular_unit_integral
 
+AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
+PROBE_SEED = 7     # seed of the empirical estimate's probe corpus
+
 
 class OperatorError(ValueError):
     pass
@@ -27,9 +30,7 @@ class OperatorConfig:
     rdf_terms: int = 20
     opnorm_mode: str = "empirical"            # supplied | empirical | ap-bound
     opnorm_value: float | None = None
-    ap_bound_cn: float = 1.0
     probe_count: int = 20
-    probe_seed: int = 7
 
     def __post_init__(self):
         if self.rdf_terms < 1:
@@ -361,8 +362,8 @@ def maximal_opnorm(w_masses, p, shape, cfg: OperatorConfig, ap_value=None):
         if ap_value is None:
             raise OperatorError("ap-bound mode needs the A_p constant")
         pprime = p / (p - 1.0)
-        return cfg.ap_bound_cn * pprime * ap_value ** (1.0 / (p - 1.0))
-    probes = rdf_probe_corpus(shape, cfg.probe_count, cfg.probe_seed)
+        return AP_BOUND_CN * pprime * ap_value ** (1.0 / (p - 1.0))
+    probes = rdf_probe_corpus(shape, cfg.probe_count, PROBE_SEED)
     maxed = _centered_maximal(probes, len(shape))
     wm = w_masses.ravel()
     best = 0.0

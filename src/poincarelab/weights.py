@@ -4,11 +4,12 @@ Weights are positive densities on the grid: either sampled cell values
 (GridWeight) or the radial power law |x|^(delta-n) with quasi-closed-form
 cell masses (PowerWeight).  All class constants (A_p, A_1, Fujii-Wilson
 A_inf, reverse-Holder exponent, A_{p,1}, RH_inf) are suprema over the
-finite dyadic family up to the working depth, optionally augmented with
-half-shifted grids; reports record the family used.  The half-shifted
-cubes enter A_p, A_1 and RH_inf only: Fujii-Wilson A_inf, A_{p,1} and the
-reverse-Holder check use the aligned dyadic cubes even when
-``shifted=True``.
+finite dyadic family up to the working depth, taken by one sweep over
+that family; reports record the family used.  ``shifted=True`` adds the
+half-shifted cubes to every constant.  They are a grid stand-in for the
+one-third-shifted lattices of Lerner-Nazarov's three-lattice theorem
+("Intuitive dyadic calculus"); the theorem's constants are not claimed
+for them.
 """
 
 from __future__ import annotations
@@ -199,18 +200,43 @@ class FamilyDescriptor:
     shifted: bool = False
 
 
-def _family(depth, shifted):
-    """(level, shifted) per member of the cube family: every aligned level,
-    and with ``shifted`` the half-shifted cubes of each 0 < level < depth."""
+def _sweep(depth, shifted, per_cube):
+    """Supremum over the cube family and the first cube attaining it.
+
+    The walk takes each level's aligned cubes, then with ``shifted`` its
+    half-shifted cubes (0 < level < depth).  ``per_cube(level, sh)`` gives
+    one value per cube of that member, shaped as ``block_reduce`` returns
+    it; the cube is named as a CubeIndex, or as ``("shifted", level,
+    coords)``.
+    """
+    best, best_cube = -np.inf, None
     for level in range(depth + 1):
-        yield level, False
-        if shifted and 0 < level < depth:
-            yield level, True
+        for sh in (False, True) if shifted and 0 < level < depth else (False,):
+            vals = per_cube(level, sh)
+            i = int(np.argmax(vals))
+            if vals.flat[i] > best:
+                best = float(vals.flat[i])
+                coords = tuple(int(c) for c in np.unravel_index(i, vals.shape))
+                best_cube = (("shifted", level, coords) if sh
+                             else CubeIndex(level, coords))
+    return best, best_cube
 
 
 # ---------------------------------------------------------------------------
 # weight-class constants
 # ---------------------------------------------------------------------------
+
+def _ap_cubes(uv, vv, p):
+    """Per-cube A_p expression for ``_sweep``: (avg u)(avg v^(1-p'))^(p-1)
+    for p > 1, (avg u) * max(1/v) for p = 1."""
+    if p == 1:
+        return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
+                                  / block_reduce(vv, level, np.amin, sh))
+    dual = vv ** (1.0 - p / (p - 1.0))
+    return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
+                              * block_reduce(dual, level, np.mean, sh)
+                              ** (p - 1.0))
+
 
 def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     """Muckenhoupt A_p constant over the dyadic family up to ``depth``.
@@ -221,26 +247,8 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     if p < 1:
         raise WeightError("p must be >= 1")
     wv = resolve(w, root, depth)
-    if p > 1:
-        pprime = p / (p - 1.0)
-        dual = wv ** (1.0 - pprime)
-    best, best_cube = -np.inf, None
-    for level, sh in _family(depth, shifted):
-        A = block_reduce(wv, level, np.mean, sh)
-        if p == 1:
-            vals = A / block_reduce(wv, level, np.amin, sh)
-        else:
-            vals = A * block_reduce(dual, level, np.mean, sh) ** (p - 1.0)
-        i = int(np.argmax(vals))
-        v = float(vals.ravel()[i])
-        if v > best:
-            coords = tuple(int(c) for c in np.unravel_index(i, vals.shape))
-            best = v
-            best_cube = (("shifted", level, coords) if sh
-                         else CubeIndex(level, coords))
-    if return_argmax:
-        return best, best_cube
-    return best
+    found = _sweep(depth, shifted, _ap_cubes(wv, wv, p))
+    return found if return_argmax else found[0]
 
 
 def two_weight_ap(u, v, p, root, depth, shifted=False):
@@ -248,46 +256,36 @@ def two_weight_ap(u, v, p, root, depth, shifted=False):
     if p <= 1:
         raise WeightError("p must be > 1")
     uv = resolve(u, root, depth)
-    pprime = p / (p - 1.0)
-    dual = resolve(v, root, depth) ** (1.0 - pprime)
-    best = -np.inf
-    for level, sh in _family(depth, shifted):
-        A = block_reduce(uv, level, np.mean, sh)
-        B = block_reduce(dual, level, np.mean, sh)
-        best = max(best, float(np.max(A * B ** (p - 1.0))))
-    return best
+    return _sweep(depth, shifted, _ap_cubes(uv, resolve(v, root, depth), p))[0]
 
 
 def rhinf_constant(w, root, depth, shifted=False):
     """RH_inf constant: sup over cubes of (max w on Q)/(avg w on Q)."""
     wv = resolve(w, root, depth)
-    best = -np.inf
-    for level, sh in _family(depth, shifted):
-        best = max(best, float(np.max(block_reduce(wv, level, np.amax, sh)
-                                      / block_reduce(wv, level, np.mean, sh))))
-    return best
+    return _sweep(depth, shifted,
+                  lambda level, sh: (block_reduce(wv, level, np.amax, sh)
+                                     / block_reduce(wv, level, np.mean, sh)))[0]
 
 
-def ainf_fujii_wilson(w, root, depth):
-    """Fujii-Wilson A_inf constant over the dyadic family.
+def ainf_fujii_wilson(w, root, depth, shifted=False):
+    """Fujii-Wilson A_inf constant over the cube family.
 
-    For each dyadic cube Q: (1/w(Q)) * integral over Q of the discrete
-    centered maximal of w restricted to Q (windows clipped to Q).  All
-    cubes of one level go through the maximal kernel as one batch.
+    For each cube Q: (1/w(Q)) * integral over Q of the discrete centered
+    maximal of w restricted to Q (windows clipped to Q).  All cubes of one
+    family member go through the maximal kernel as one batch.
     """
     # local import: operators imports _corner_singular_unit_integral from here
     from .operators import _centered_maximal
 
     wv = resolve(w, root, depth)
-    n = wv.ndim
-    space = tuple(range(1, n + 1))
-    best = -np.inf
-    for level in range(depth + 1):
-        blocks = level_blocks(wv, level)
-        m = _centered_maximal(blocks, n)
-        best = max(best, float(np.max(m.mean(axis=space)
-                                      / blocks.mean(axis=space))))
-    return best
+    space = tuple(range(wv.ndim, 2 * wv.ndim))
+
+    def per_cube(level, sh):
+        blocks = level_blocks(wv, level, sh)
+        return (_centered_maximal(blocks, wv.ndim).mean(axis=space)
+                / blocks.mean(axis=space))
+
+    return _sweep(depth, shifted, per_cube)[0]
 
 
 def rh_exponent(ainf, n):
@@ -295,20 +293,21 @@ def rh_exponent(ainf, n):
     return 1.0 + 1.0 / (2.0 ** (n + 1) * ainf - 1.0)
 
 
-def _rh_check(wv, depth, ainf):
+def _rh_check(wv, depth, shifted, ainf):
     rw = rh_exponent(ainf, wv.ndim)
     wr = wv ** rw
-    worst = -np.inf
-    for level, _ in _family(depth, shifted=False):
-        worst = max(worst, float(np.max(block_reduce(wr, level, np.mean)
-                                        / block_reduce(wv, level, np.mean) ** rw)))
+    worst = _sweep(depth, shifted,
+                   lambda level, sh: (block_reduce(wr, level, np.mean, sh)
+                                      / block_reduce(wv, level, np.mean, sh)
+                                      ** rw))[0]
     return rw, worst, worst <= 2.0
 
 
 def rh_exponent_and_check(w, root, depth):
-    """(r_w, worst ratio of avg(w^r_w) to avg(w)^r_w, pass flag <= 2)."""
+    """(r_w, worst ratio of avg(w^r_w) to avg(w)^r_w, pass flag <= 2) over
+    the aligned dyadic cubes."""
     wv = resolve(w, root, depth)
-    return _rh_check(wv, depth, ainf_fujii_wilson(wv, root, depth))
+    return _rh_check(wv, depth, False, ainf_fujii_wilson(wv, root, depth))
 
 
 # Python's float pow per element: numpy's vectorized power may round the
@@ -316,7 +315,7 @@ def rh_exponent_and_check(w, root, depth):
 _float_pow = np.frompyfunc(pow, 2, 1)
 
 
-def ap1_constant(w, p, root, depth):
+def ap1_constant(w, p, root, depth, shifted=False):
     """A_{p,1} constant: sup of (avg w) * weak-L^{p'} norm of 1/w, p-th power.
 
     The weak norm is taken in L^{p',inf}(Q, w dx/|Q|); exact evaluation via
@@ -327,19 +326,19 @@ def ap1_constant(w, p, root, depth):
     if p <= 1:
         raise WeightError("p must be > 1")
     wv = resolve(w, root, depth)
-    n = wv.ndim
-    cellvol = (root.side / wv.shape[0]) ** n
+    cellvol = (root.side / wv.shape[0]) ** wv.ndim
     pprime = p / (p - 1.0)
-    best = -np.inf
-    for level in range(depth + 1):
-        rows = level_blocks(wv, level).reshape(1 << (level * n), -1)
-        vol = rows.shape[1] * cellvol
-        w_up = np.sort(rows, axis=1)          # 1/w descending
-        cum = np.cumsum(w_up * cellvol / vol, axis=1)
-        wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=1)
-        wk_p = _float_pow(wk, p).astype(float)
-        best = max(best, float(np.max(rows.mean(axis=1) * wk_p)))
-    return best
+
+    def per_cube(level, sh):
+        blocks = level_blocks(wv, level, sh)
+        rows = blocks.reshape(blocks.shape[:wv.ndim] + (-1,))
+        vol = rows.shape[-1] * cellvol
+        w_up = np.sort(rows, axis=-1)         # 1/w descending
+        cum = np.cumsum(w_up * cellvol / vol, axis=-1)
+        wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=-1)
+        return rows.mean(axis=-1) * _float_pow(wk, p).astype(float)
+
+    return _sweep(depth, shifted, per_cube)[0]
 
 
 @dataclass
@@ -382,9 +381,9 @@ def constants_report(w, p, root, depth, shifted=False):
     wv = resolve(w, root, depth)
     ap, arg = ap_constant(wv, p, root, depth, shifted, return_argmax=True)
     a1 = ap_constant(wv, 1.0, root, depth, shifted)
-    ainf = ainf_fujii_wilson(wv, root, depth)
-    rw, worst, ok = _rh_check(wv, depth, ainf)
-    ap1 = ap1_constant(wv, p, root, depth) if p > 1 else float("nan")
+    ainf = ainf_fujii_wilson(wv, root, depth, shifted)
+    rw, worst, ok = _rh_check(wv, depth, shifted, ainf)
+    ap1 = ap1_constant(wv, p, root, depth, shifted) if p > 1 else float("nan")
     rhi = rhinf_constant(wv, root, depth, shifted)
     return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst, ok, ap1, rhi,
                                  FamilyDescriptor(depth, shifted))

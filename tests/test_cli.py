@@ -1,5 +1,6 @@
 """Command-line interface: orchestration, output formats, exit codes."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -188,6 +189,32 @@ def test_console_entry_point():
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "poincarelab.cli", *args],
                           capture_output=True, text=True)
+
+
+# sha256 of the stdout of the aligned README constants and report
+# commands: restructuring the constants must leave these bytes alone.
+# Recorded with numpy 2.4.6 on x86-64.  Vectorized powers may round
+# differently on another numpy build or CPU, which would move the digests
+# with no code change; the failure message names both versions.
+DIGESTS_NUMPY = "2.4.6"
+README_DIGESTS = {
+    "constants --power-weight delta=0.25 n=1 --depth 8 --p 2":
+        "124b33c54c278c68927d00f626b10ca7332b643b53e360923fb80f053a7d2724",
+    "report --power-weight delta=0.5 n=2 --depth 5":
+        "5572a39c036e7a9b986fb583aa5ac23bfa7e91dd74615e353f8371843e5498ad",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_aligned_readme_output_bytes_are_pinned(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"poincarelab {command}" in readme
+    proc = _run_cli(*command.split())
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == README_DIGESTS[command], (
+        f"digest recorded with numpy {DIGESTS_NUMPY}, run with numpy "
+        f"{np.__version__}: on another build a difference may be rounding")
 
 
 def test_readme_grid_function_json_loads(tmp_path):

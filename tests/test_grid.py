@@ -102,12 +102,10 @@ def test_level_blocks_are_cube_blocks_in_row_major_order(seed, size):
     for level in range(depth + 1):
         stack = level_blocks(f.values, level)
         b = 1 << (depth - level)
-        assert stack.shape == (1 << (level * n),) + (b,) * n
+        assert stack.shape == (1 << level,) * n + (b,) * n
         assert stack.flags.c_contiguous
-        cubes = list(all_cubes(n, level, min_level=level))
-        assert len(cubes) == stack.shape[0]
-        for k, q in enumerate(cubes):
-            assert np.array_equal(stack[k], f.values[f.block(q)])
+        for q in all_cubes(n, level, min_level=level):
+            assert np.array_equal(stack[q.coords], f.values[f.block(q)])
 
 
 def _sliding_window_shifted(values, level, op):
@@ -127,13 +125,19 @@ def test_shifted_block_reduce_matches_explicit_slices(n, depth):
         b, m = v.shape[0] >> level, (1 << level) - 1
         view = block_reduce(v, level, lambda a, axis: a, shifted=True)
         assert np.shares_memory(view, v)
-        for op in (np.mean, np.amin, np.amax, np.sum):
-            got = block_reduce(v, level, op, shifted=True)
+        reduced = {op: block_reduce(v, level, op, shifted=True)
+                   for op in (np.mean, np.amin, np.amax, np.sum)}
+        for op, got in reduced.items():
             assert got.shape == (m,) * n
             assert np.array_equal(got, _sliding_window_shifted(v, level, op))
-            for coords in itertools.product(range(m), repeat=n):
-                sl = tuple(slice(b // 2 + c * b, b // 2 + (c + 1) * b)
-                           for c in coords)
+        stack = level_blocks(v, level, shifted=True)
+        assert stack.shape == (m,) * n + (b,) * n
+        assert stack.flags.c_contiguous
+        for coords in itertools.product(range(m), repeat=n):
+            sl = tuple(slice(b // 2 + c * b, b // 2 + (c + 1) * b)
+                       for c in coords)
+            assert np.array_equal(stack[coords], v[sl])
+            for op, got in reduced.items():
                 if op in (np.amin, np.amax):
                     assert got[coords] == op(v[sl])
                 else:

@@ -20,34 +20,7 @@ UNIT1 = RootBox.unit(1)
 STEP = np.array([1.0, 3.0])
 
 
-# -- per-cube reference implementations of the level-batched constants ----
-
-def _cube_slices(wv, depth):
-    for level in range(depth + 1):
-        b = wv.shape[0] >> level
-        for coords in itertools.product(range(1 << level), repeat=wv.ndim):
-            yield tuple(slice(c * b, (c + 1) * b) for c in coords)
-
-
-def ainf_reference(wv, depth):
-    """Fujii-Wilson A_inf, one centered maximal per dyadic cube."""
-    return max(float(centered_maximal_values(wv[sl]).mean() / wv[sl].mean())
-               for sl in _cube_slices(wv, depth))
-
-
-def ap1_reference(wv, p, root, depth):
-    """A_{p,1}, one weak-norm evaluation per dyadic cube."""
-    cellvol = (root.side / wv.shape[0]) ** wv.ndim
-    pprime = p / (p - 1.0)
-    best = -np.inf
-    for sl in _cube_slices(wv, depth):
-        block = wv[sl]
-        vol = block.size * cellvol
-        wk = weak_norm_values((1.0 / block).ravel(),
-                              (block * cellvol / vol).ravel(), pprime)
-        best = max(best, float(block.mean() * wk ** p))
-    return best
-
+# -- per-cube reference implementations of the family constants ----------
 
 def _family_slices(shape, depth, shifted):
     """(cube, slices) per member of the cube family in walk order: each
@@ -65,6 +38,32 @@ def _family_slices(shape, depth, shifted):
                 yield (("shifted", level, coords),
                        tuple(slice(b // 2 + c * b, b // 2 + (c + 1) * b)
                              for c in coords))
+
+
+def ainf_reference(wv, depth, shifted=False):
+    """Fujii-Wilson A_inf, one centered maximal per cube of the family; each
+    cube's cells are copied out contiguously, as the batched stack holds
+    them, so that its mean sums in the same order."""
+    best = -np.inf
+    for _, sl in _family_slices(wv.shape, depth, shifted):
+        block = np.ascontiguousarray(wv[sl])
+        best = max(best, float(centered_maximal_values(block).mean()
+                               / block.mean()))
+    return best
+
+
+def ap1_reference(wv, p, root, depth, shifted=False):
+    """A_{p,1}, one weak-norm evaluation per cube of the family."""
+    cellvol = (root.side / wv.shape[0]) ** wv.ndim
+    pprime = p / (p - 1.0)
+    best = -np.inf
+    for _, sl in _family_slices(wv.shape, depth, shifted):
+        block = np.ascontiguousarray(wv[sl])
+        vol = block.size * cellvol
+        wk = weak_norm_values((1.0 / block).ravel(),
+                              (block * cellvol / vol).ravel(), pprime)
+        best = max(best, float(block.mean() * wk ** p))
+    return best
 
 
 def _block_mean(block):
@@ -123,10 +122,10 @@ def rhinf_reference(wv, depth, shifted):
     return float(np.max(A / B))
 
 
-def rh_check_reference(wv, depth):
-    rw = rh_exponent(ainf_reference(wv, depth), wv.ndim)
+def rh_check_reference(wv, depth, shifted=False):
+    rw = rh_exponent(ainf_reference(wv, depth, shifted), wv.ndim)
     _, (A, B) = _per_cube([(wv ** rw, _block_mean), (wv, _block_mean)],
-                          depth, False)
+                          depth, shifted)
     worst = float(np.max(A / B ** rw))
     return rw, worst, worst <= 2.0
 
@@ -147,12 +146,13 @@ def _oracle_weights(seed, n, depth):
 
 
 def _assert_batched_matches_reference(seed, n, depth):
-    for wv, root in _oracle_weights(seed, n, depth):
-        assert ainf_fujii_wilson(wv, root, depth) == \
-            pytest.approx(ainf_reference(wv, depth), rel=1e-12)
+    for (wv, root), shifted in itertools.product(
+            _oracle_weights(seed, n, depth), (False, True)):
+        assert ainf_fujii_wilson(wv, root, depth, shifted) == \
+            ainf_reference(wv, depth, shifted)
         for p in (1.5, 2.0, 3.0):
-            assert ap1_constant(wv, p, root, depth) == \
-                pytest.approx(ap1_reference(wv, p, root, depth), rel=1e-12)
+            assert ap1_constant(wv, p, root, depth, shifted) == \
+                ap1_reference(wv, p, root, depth, shifted)
 
 
 @pytest.mark.parametrize("n,depth", SIZES)
@@ -194,9 +194,11 @@ def test_family_constants_equal_per_cube_reference(n, depth, shifted):
                     ap_reference(wv, p, depth, shifted)
             assert rhinf_constant(wv, root, depth, shifted) == \
                 rhinf_reference(wv, depth, shifted)
-            if not shifted:
-                assert rh_exponent_and_check(wv, root, depth) == \
-                    rh_check_reference(wv, depth)
+            report = constants_report(wv, 2.0, root, depth, shifted)
+            assert (report.rh_exponent, report.rh_worst_ratio,
+                    report.rh_pass) == rh_check_reference(wv, depth, shifted)
+            assert rh_exponent_and_check(wv, root, depth) == \
+                rh_check_reference(wv, depth)
         (uv, root), (vv, _) = weights
         for p in (1.5, 2.0, 3.0):
             assert two_weight_ap(uv, vv, p, root, depth, shifted) == \
@@ -213,6 +215,30 @@ def test_shifted_argmax_names_a_shifted_cube():
     assert arg == ("shifted", 3, (3,))
     assert ap == pytest.approx(50.005 ** 2, rel=1e-12)
     assert ap_constant(wv, 2.0, UNIT1, 4) < 100.0
+
+
+def test_argmax_tie_goes_to_the_cube_walked_first():
+    # cells [6, 8) = (4, 1) and the half-shifted [5, 7) = (1, 4) tie for
+    # the maximum; a level's aligned cubes are walked before its shifted
+    wv = np.ones(8)
+    wv[6] = 4.0
+    found = ap_constant(wv, 2.0, UNIT1, 3, shifted=True, return_argmax=True)
+    assert found == (1.5625, CubeIndex(2, (3,)))
+    assert found == ap_reference(wv, 2.0, 3, shifted=True)
+
+
+def test_shifted_family_raises_ainf_of_a_straddling_weight():
+    # a high/low pair straddling the centre: a half-shifted cube around it
+    # has a larger Fujii-Wilson ratio than any aligned cube
+    wv = np.ones(16)
+    wv[7], wv[8] = 10.0, 0.01
+    aligned = constants_report(wv, 2.0, UNIT1, 4)
+    shifted = constants_report(wv, 2.0, UNIT1, 4, shifted=True)
+    assert shifted.ainf_fw > aligned.ainf_fw
+    assert shifted.ainf_fw == ainf_reference(wv, 4, shifted=True)
+    assert (shifted.rh_exponent, shifted.rh_worst_ratio, shifted.rh_pass) == \
+        rh_check_reference(wv, 4, shifted=True)
+    assert shifted.ap1 == ap1_reference(wv, 2.0, UNIT1, 4, shifted=True)
 
 
 def test_report_rh_exponent_uses_report_ainf():
