@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from .grid import CubeIndex, GridFunction, RootBox, check_cell_cap
-from .weights import GridWeight, PowerWeight, ap_constant, constants_report
+from .weights import (Density, GridWeight, PowerWeight, ap_constant,
+                      constants_report)
 from .operators import OperatorConfig, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
 from .decomposition import cz_decompose
@@ -66,7 +67,9 @@ def _load_weight(args, depth):
     if getattr(args, "power_weight", None):
         kv = {}
         for tok in args.power_weight:
-            k, _, v = tok.partition("=")
+            k, eq, v = tok.partition("=")
+            if not eq or k not in ("delta", "n"):
+                raise CliError(f"--power-weight takes delta=... n=..., got {tok!r}")
             kv[k] = v
         delta = float(kv.get("delta", 0.5))
         n = int(kv.get("n", 1))
@@ -76,13 +79,17 @@ def _load_weight(args, depth):
     raise CliError("provide --weight FILE or --power-weight delta=... n=...")
 
 
-def _cmd_constants(args):
+def _constants(args, command):
     w, root, depth = _load_weight(args, args.depth)
-    wv = w.cell_values(root, depth)
-    rep = constants_report(wv, args.p, root, depth, shifted=args.shifted_grids)
-    d = rep.to_dict()
-    d["config"] = {"command": "constants", "p": args.p, "depth": depth,
-                   "shifted": args.shifted_grids, "seed": args.seed}
+    rep = constants_report(w.cell_values(root, depth), args.p, root, depth,
+                           shifted=args.shifted_grids)
+    return rep.to_dict(), {"command": command, "p": args.p, "depth": depth,
+                           "shifted": args.shifted_grids, "seed": args.seed}
+
+
+def _cmd_constants(args):
+    d, config = _constants(args, "constants")
+    d["config"] = config
     rows = [(k, d[k], json.dumps(d.get("ap_argmax")) if k == "ap" else "")
             for k in ("ap", "a1", "ainf_fw", "rh_exponent", "ap1", "rhinf")]
     _dump(d, args.out, args.format, rows, ("constant", "value", "argmax"))
@@ -129,8 +136,7 @@ def _cmd_functional_check(args):
         src = config.get(key, "lebesgue")
         if src == "lebesgue":
             return np.full((1 << depth,) * n, vol)
-        g = GridFunction.load(src)
-        return g.values * g.cell_volume
+        return Density(GridFunction.load(src)).cell_masses(root, depth)
 
     mu = load_masses("mu")
     wm = load_masses("w")
@@ -196,13 +202,8 @@ def _cmd_rdf(args):
 
 
 def _cmd_report(args):
-    w, root, depth = _load_weight(args, args.depth)
-    wv = w.cell_values(root, depth)
-    rep = constants_report(wv, args.p, root, depth, shifted=args.shifted_grids)
-    d = {"constants": rep.to_dict(),
-         "config": {"command": "report", "p": args.p, "depth": depth,
-                    "shifted": args.shifted_grids, "seed": args.seed}}
-    _dump(d, args.out, args.format)
+    constants, config = _constants(args, "report")
+    _dump({"constants": constants, "config": config}, args.out, args.format)
     return 0
 
 

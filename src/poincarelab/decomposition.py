@@ -5,7 +5,9 @@ The decomposition consumes a nonnegative grid function h directly (in the
 typical use h is a normalized oscillation |f - f_Q|/a(Q)), so the same
 engine serves plain oscillations, polynomial oscillations, and good-lambda
 style experiments.  Stopping descends to single cells, so every almost-
-everywhere statement is an exact cell statement here.
+everywhere statement is an exact cell statement here.  One top-down pass
+over the per-level means finds the stopping cubes and the good part; each
+bad part (h - good on its stopping cube) is built only when read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, block_reduce, measure_cell_masses
+from .grid import (CubeIndex, GridFunction, block_reduce, measure_cell_masses,
+                   upsample)
 
 
 class DecompositionError(ValueError):
@@ -26,67 +29,68 @@ class DecompositionError(ValueError):
 class CZDecomposition:
     Q: CubeIndex
     L: float
-    stopping: list
+    stopping: list                  # by level, then row-major by coords
     omega_mask: np.ndarray          # bool over all cells (true on Omega_L)
     good: GridFunction
-    bad: list                       # (cube, GridFunction supported on cube)
     h: GridFunction
 
+    @property
+    def bad(self):
+        """(cube, GridFunction) per stopping cube: h - good on the cube and
+        0 elsewhere, built when read."""
+        out = []
+        for q in self.stopping:
+            sl = self.h.block(q)
+            vals = np.zeros_like(self.h.values)
+            vals[sl] = self.h.values[sl] - self.good.values[sl]
+            out.append((q, self.h.copy_with(vals)))
+        return out
+
     def omega_volume_fraction(self):
-        sl = self.h.block(self.Q)
-        block = self.omega_mask[sl]
-        return float(block.sum() / block.size)
+        return float(self.omega_mask[self.h.block(self.Q)].mean())
 
     def reconstruction_error(self):
-        total = self.good.values.copy()
-        for _, b in self.bad:
-            total = total + b.values
+        """One pass: the bad parts sum to h - good on Omega_L, 0 off it."""
         sl = self.h.block(self.Q)
-        return float(np.max(np.abs(total[sl] - self.h.values[sl])))
+        h, g = self.h.values[sl], self.good.values[sl]
+        total = np.where(self.omega_mask[sl], g + (h - g), g)
+        return float(np.max(np.abs(total - h)))
 
 
 def cz_decompose(h: GridFunction, Q: CubeIndex | None = None, L: float = 2.0):
     """Stopping cubes = maximal dyadic subcubes of Q with average of h
-    above L; good part equals h off their union and the cube average on
-    each stopping cube; bad parts are the mean-zero remainders."""
-    if Q is None:
-        Q = CubeIndex.root(h.n)
+    above L, by level, then row-major by coords; good part equals h off
+    their union and the cube average on each stopping cube; bad parts are
+    the mean-zero remainders.  Per level, ``free`` marks the cubes of Q with
+    no stopped ancestor, ``avg`` the stopped ancestor's mean."""
+    Q = Q or CubeIndex.root(h.n)
     if L <= 1:
         raise DecompositionError("L must be > 1")
     if np.any(h.values < 0):
         raise DecompositionError("h must be nonnegative")
-    means = [block_reduce(h.values, k, np.mean) for k in range(h.depth + 1)]
-    if means[Q.level][Q.coords] > L:
+    sl = h.block(Q)
+    if block_reduce(h.values, Q.level, np.mean)[Q.coords] > L:
         raise DecompositionError("average of h over Q exceeds L")
 
+    free, avg = np.ones((1,) * h.n, dtype=bool), np.zeros((1,) * h.n)
     stopping = []
-    stack = [Q]
-    while stack:
-        q = stack.pop()
-        if q.level == h.depth:
-            continue
-        for ch in q.children():
-            if means[ch.level][ch.coords] > L:
-                stopping.append(ch)
-            else:
-                stack.append(ch)
+    for level in range(Q.level + 1, h.depth + 1):
+        r = level - Q.level
+        means = block_reduce(h.values, level, np.mean)[
+            tuple(slice(c << r, (c + 1) << r) for c in Q.coords)]
+        free, avg = upsample(free), upsample(avg)
+        stop = free & (means > L)
+        stopping += [CubeIndex(level, [(c << r) + i for c, i in zip(Q.coords, idx)])
+                     for idx in np.argwhere(stop)]
+        avg[stop] = means[stop]
+        free &= ~stop
 
-    omega = np.zeros(h.values.shape, dtype=bool)
-    good = h.values.copy()
-    bad = []
-    for q in stopping:
-        sl = h.block(q)
-        omega[sl] = True
-        avg = means[q.level][q.coords]
-        bvals = np.zeros_like(h.values)
-        bvals[sl] = h.values[sl] - avg
-        good[sl] = avg
-        bad.append((q, h.copy_with(bvals)))
     # outside Q the split is not defined; zero it for tidiness
-    outside = np.ones(h.values.shape, dtype=bool)
-    outside[h.block(Q)] = False
-    good[outside] = 0.0
-    return CZDecomposition(Q, float(L), stopping, omega, h.copy_with(good), bad, h)
+    omega = np.zeros(h.values.shape, dtype=bool)
+    omega[sl] = ~free
+    good = np.zeros_like(h.values)
+    good[sl] = np.where(free, h.values[sl], avg)
+    return CZDecomposition(Q, float(L), stopping, omega, h.copy_with(good), h)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +98,9 @@ def cz_decompose(h: GridFunction, Q: CubeIndex | None = None, L: float = 2.0):
 # ---------------------------------------------------------------------------
 
 def _monomial_exponents(n, max_total_degree):
-    out = []
-    for exps in itertools.product(range(max_total_degree + 1), repeat=n):
-        if sum(exps) <= max_total_degree:
-            out.append(exps)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    exps = itertools.product(range(max_total_degree + 1), repeat=n)
+    return sorted((e for e in exps if sum(e) <= max_total_degree),
+                  key=lambda e: (sum(e), e))
 
 
 @dataclass
@@ -186,8 +187,7 @@ def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
                 q_exp=1.0, w=None, weighted_center=False):
     """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) with center
     c = P_Q f (basis given), f_{Q,w} (weighted_center) or f_Q."""
-    if Q is None:
-        Q = CubeIndex.root(f.n)
+    Q = Q or CubeIndex.root(f.n)
     sl = f.block(Q)
     block = f.values[sl]
     if w is None:
@@ -206,8 +206,7 @@ def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
 
 def oscillation_inf_constants(f: GridFunction, Q: CubeIndex | None = None):
     """inf over constants c of avg_Q |f - c| (exact minimizer: the median)."""
-    if Q is None:
-        Q = CubeIndex.root(f.n)
+    Q = Q or CubeIndex.root(f.n)
     block = f.values[f.block(Q)]
     med = float(np.median(block))
     return float(np.abs(block - med).mean())

@@ -375,6 +375,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         raise FunctionalError("each L must be > 1")
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
+    if mode == "random" and trials < 1:
+        raise FunctionalError("trials must be >= 1")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
     alpha_over_n = (a.alpha / Q.n
                     if fractional_exact and isinstance(a, FractionalFunctional)

@@ -276,6 +276,13 @@ def block_reduce(values, level, op, shifted=False):
               axis=tuple(range(1, 2 * values.ndim, 2)))
 
 
+def upsample(arr):
+    """A per-cube array of one level laid out on the next finer level."""
+    for ax in range(arr.ndim):
+        arr = np.repeat(arr, 2, axis=ax)
+    return arr
+
+
 def level_blocks(values, level, shifted=False):
     """The level-``level`` dyadic cubes, half-shifted with ``shifted``, as
     one contiguous array of shape ``(m,) * n + (b,) * n`` (m as in

@@ -96,8 +96,7 @@ def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
     (L^{p,1} of the gradient against u), "mixed" (unnormalized, with the
     maximal-function weight (M(u chi_Q))^{p/n'}/u^{p-1}).
     """
-    if Q is None:
-        Q = CubeIndex.root(f.n)
+    Q = Q or CubeIndex.root(f.n)
     sl = f.block(Q)
     umass = measure_cell_masses(u, f)[sl]
     vmass = umass if v is None else measure_cell_masses(v, f)[sl]
@@ -195,8 +194,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
                      p0=None, mu=None, alpha=1.0, a_functional=None):
     """Evaluate one catalog inequality; see module docstring for the
     verified-vs-reported convention."""
-    if Q is None:
-        Q = CubeIndex.root(f.n)
+    Q = Q or CubeIndex.root(f.n)
     n = f.n
     root, depth = f.root, f.depth
     inputs = {"id": iid, "p": p, "q": q, "m": m}

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, block_reduce, measure_cell_masses
+from .grid import (CubeIndex, GridFunction, block_reduce, measure_cell_masses,
+                   upsample)
 from .weights import _corner_singular_unit_integral
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
@@ -41,12 +42,6 @@ class OperatorConfig:
 # maximal operators
 # ---------------------------------------------------------------------------
 
-def _upsample(arr):
-    for ax in range(arr.ndim):
-        arr = np.repeat(arr, 2, axis=ax)
-    return arr
-
-
 def dyadic_maximal_values(values):
     """Local dyadic maximal on a cell block: per cell, the largest average
     of |values| over dyadic sub-blocks containing it (one top-down pass)."""
@@ -55,7 +50,7 @@ def dyadic_maximal_values(values):
     run = None
     for lev in range(depth + 1):
         bm = block_reduce(a, lev, np.mean)
-        run = bm if run is None else np.maximum(_upsample(run), bm)
+        run = bm if run is None else np.maximum(upsample(run), bm)
     return run
 
 
@@ -64,8 +59,7 @@ def dyadic_maximal(f: GridFunction, q: CubeIndex | None = None):
 
     Returns a GridFunction equal to the maximal on Q and 0 outside.
     """
-    if q is None:
-        q = CubeIndex.root(f.n)
+    q = q or CubeIndex.root(f.n)
     out = np.zeros_like(f.values)
     sl = f.block(q)
     out[sl] = dyadic_maximal_values(f.values[sl])
@@ -174,8 +168,7 @@ def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
         raise OperatorError("alpha must lie in (0, n)")
     if np.any(g.values < 0):
         raise OperatorError("g must be nonnegative")
-    if q is None:
-        q = CubeIndex.root(n)
+    q = q or CubeIndex.root(n)
     sl = g.block(q)
     block = g.values[sl]
     s = block.shape[0]

@@ -113,6 +113,68 @@ def test_functional_check(tmp_path):
     assert d["per_L"]["2.0"] == pytest.approx(0.25)
 
 
+def _functional_check_errors(tmp_path, capsys, config, *extra):
+    """Run functional-check (1D, depth 4) on ``config``; return exit code
+    and stderr lines."""
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps(dict({"variant": "fractional", "n": 1},
+                                     **config)))
+    rc = main(["functional-check", "--functional", str(fpath), "--depth",
+               "4", "--Ls", "2,4", *extra])
+    captured = capsys.readouterr()
+    return rc, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("grid", [(RootBox.unit(1), 5),
+                                  (RootBox((0.0,), 7.0), 4)],
+                         ids=["depth-5-file", "side-7-file"])
+def test_functional_check_rejects_mass_file_from_another_grid(
+        tmp_path, capsys, grid):
+    root, depth = grid
+    wpath = tmp_path / "w.json"
+    GridFunction(root, depth, np.ones(1 << depth)).save(wpath)
+    rc, err = _functional_check_errors(tmp_path, capsys, {"w": str(wpath)},
+                                       "--mode", "exhaustive")
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_functional_check_mass_file_on_the_run_grid(tmp_path):
+    # a unit density on the run's grid is Lebesgue measure, bit for bit
+    wpath = tmp_path / "w.json"
+    GridFunction(RootBox.unit(1), 4, np.ones(16)).save(wpath)
+    outs = []
+    for w in ("lebesgue", str(wpath)):
+        fpath = tmp_path / "a.json"
+        fpath.write_text(json.dumps({"variant": "fractional", "n": 1,
+                                     "mu": w, "w": w}))
+        out = tmp_path / "fc.json"
+        assert main(["functional-check", "--functional", str(fpath),
+                     "--depth", "4", "--Ls", "2,4", "--mode", "exhaustive",
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_functional_check_rejects_nonpositive_trials(tmp_path, capsys,
+                                                     trials):
+    rc, err = _functional_check_errors(tmp_path, capsys, {},
+                                       "--trials", trials)
+    assert rc == 1
+    assert err == ["error: trials must be >= 1"]
+
+
+@pytest.mark.parametrize("tokens", [["dleta=0.25", "n=1"], ["0.25"]],
+                         ids=["misspelt-key", "bare-value"])
+def test_power_weight_rejects_unknown_tokens(capsys, tokens):
+    rc = main(["constants", "--power-weight", *tokens, "--depth", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --power-weight"), err
+
+
 def test_poincare_check(tmp_path):
     x = np.linspace(0, 1, 17)[:-1] + 1 / 32
     g = GridFunction(RootBox.unit(1), 4, x)

@@ -1,13 +1,18 @@
 """Stopping-time decomposition and polynomial projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.decomposition import (DecompositionError, cz_decompose,
                                        orthonormal_basis, oscillation,
                                        oscillation_inf_constants, project,
                                        projection_sup_bound_margin)
-from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              block_reduce, sample)
 
 UNIT1 = RootBox.unit(1)
 
@@ -52,6 +57,9 @@ def test_cz_input_validation():
     with pytest.raises(DecompositionError):
         cz_decompose(GridFunction(UNIT1, 2, np.array([1.0, -1, 1, 1])),
                      L=2.0)
+    with pytest.raises(GridError):      # Q finer than the grid
+        cz_decompose(GridFunction(UNIT1, 2, np.ones(4)),
+                     Q=CubeIndex(3, (0,)), L=2.0)
 
 
 def test_cz_invariants_fuzz():
@@ -96,6 +104,127 @@ def test_cz_on_subcube_only():
     assert dec.stopping == []
     # the split is only defined inside Q
     assert np.all(dec.good.values[:4] == 0.0)
+
+
+def reference_cz_decompose(h, Q=None, L=2.0):
+    """Stack-based oracle: children pushed on a LIFO stack, one full-grid
+    bad part per stopping cube, the reconstruction summed part by part.
+    Returns (stopping, omega_mask, good, bad, reconstruction_error)."""
+    Q = Q or CubeIndex.root(h.n)
+    means = [block_reduce(h.values, k, np.mean) for k in range(h.depth + 1)]
+    stopping = []
+    stack = [Q]
+    while stack:
+        q = stack.pop()
+        if q.level == h.depth:
+            continue
+        for ch in q.children():
+            if means[ch.level][ch.coords] > L:
+                stopping.append(ch)
+            else:
+                stack.append(ch)
+    omega = np.zeros(h.values.shape, dtype=bool)
+    good = h.values.copy()
+    bad = []
+    for q in stopping:
+        sl = h.block(q)
+        omega[sl] = True
+        avg = means[q.level][q.coords]
+        bvals = np.zeros_like(h.values)
+        bvals[sl] = h.values[sl] - avg
+        good[sl] = avg
+        bad.append((q, bvals))
+    outside = np.ones(h.values.shape, dtype=bool)
+    outside[h.block(Q)] = False
+    good[outside] = 0.0
+    total = good.copy()
+    for _, b in bad:
+        total = total + b
+    sl = h.block(Q)
+    err = float(np.max(np.abs(total[sl] - h.values[sl])))
+    return stopping, omega, good, bad, err
+
+
+def random_cz_input(rng, n, depth, root_q, L):
+    """Skewed nonnegative h and a cube Q (the root or a random proper
+    subcube, above the cells where the depth allows) with the average of h
+    over Q below L."""
+    vals = rng.exponential(1.0, (2 ** depth,) * n) ** rng.uniform(0.5, 3.0)
+    level = 0 if root_q else int(rng.integers(1, max(depth - 1, 1) + 1))
+    Q = CubeIndex(level, tuple(rng.integers(0, 2 ** level, n)))
+    h = GridFunction(RootBox.unit(n), depth, vals)
+    scale = rng.uniform(0.3, 1.0) * L / h.average(Q)
+    return h.copy_with(vals * scale), Q
+
+
+def assert_matches_reference(h, Q, L):
+    stopping, omega, good, bad, err = reference_cz_decompose(h, Q, L)
+    dec = cz_decompose(h, Q=Q, L=L)
+    assert set(dec.stopping) == set(stopping)
+    assert dec.stopping == sorted(stopping, key=lambda q: (q.level, q.coords))
+    assert np.array_equal(dec.omega_mask, omega)
+    assert np.array_equal(dec.good.values, good)
+    parts = dec.bad
+    assert [q for q, _ in parts] == dec.stopping
+    ref_parts = dict(bad)
+    for q, b in parts:
+        assert np.array_equal(b.values, ref_parts[q])
+    assert dec.reconstruction_error() == err
+
+
+DEPTHS = {1: (1, 7), 2: (1, 5), 3: (1, 3)}
+
+
+def test_cz_level_pass_equals_stack_reference_seeded():
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        n = 1 + trial % 3
+        depth = int(rng.integers(*DEPTHS[n], endpoint=True))
+        L = float(rng.uniform(1.0001, 1.1) if trial % 4 == 0
+                  else rng.uniform(1.05, 5.0))
+        h, Q = random_cz_input(rng, n, depth, trial % 2 == 0, L)
+        assert_matches_reference(h, Q, L)
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.booleans(),
+       st.floats(1.0001, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_cz_level_pass_equals_stack_reference_hypothesis(n, seed, root_q, L):
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(*DEPTHS[n], endpoint=True))
+    h, Q = random_cz_input(rng, n, depth, root_q, L)
+    assert_matches_reference(h, Q, L)
+
+
+def test_cz_stopping_listed_by_level_then_coords():
+    h = GridFunction(UNIT1, 3, np.array([5, .1, .1, .1, .1, .1, 5, .1]))
+    # the stack oracle pops the right half first
+    assert reference_cz_decompose(h, L=2.0)[0] == [CubeIndex(2, (3,)),
+                                                   CubeIndex(2, (0,))]
+    dec = cz_decompose(h, L=2.0)
+    assert dec.stopping == [CubeIndex(2, (0,)), CubeIndex(2, (3,))]
+    assert [q for q, _ in dec.bad] == dec.stopping
+
+
+def test_cz_peak_memory_is_a_small_multiple_of_the_grid():
+    # 1,200 single-cell stopping cubes on a 2D depth-7 grid: one spike in
+    # each of 1,200 distinct parent blocks, so no coarser cube stops
+    rng = np.random.default_rng(0)
+    N = 128
+    vals = rng.uniform(0.5, 1.0, (N, N))
+    for p in rng.choice((N // 2) ** 2, size=1200, replace=False):
+        i, j = np.unravel_index(int(p), (N // 2, N // 2))
+        vals[2 * i + rng.integers(0, 2), 2 * j + rng.integers(0, 2)] = 4.0
+    h = GridFunction(RootBox.unit(2), 7, vals)
+    tracemalloc.start()
+    try:
+        dec = cz_decompose(h, L=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.stopping) == 1200
+    assert {q.level for q in dec.stopping} == {7}
+    assert peak <= 10 * vals.nbytes
 
 
 # ---------------------------------------------------------------------------

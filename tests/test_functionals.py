@@ -226,6 +226,17 @@ def test_unknown_mode_is_rejected():
         sdp_check(a, m, 1.0, CubeIndex.root(1), 3, [2.0], mode="greedy")
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_random_mode_needs_a_trial(trials):
+    a = unweighted_functional(1.0, 1.0, 1, 3)
+    with pytest.raises(FunctionalError, match="trials must be >= 1"):
+        sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [2.0],
+                  trials=trials, mode="random")
+    # the exhaustive DP draws no samples, so trials is not read there
+    sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [2.0],
+              trials=trials, mode="exhaustive")
+
+
 def test_dp_ratio_monotone_under_family_growth():
     depth = 3
     a = unweighted_functional(1.0, 1.0, 1, depth)
