@@ -8,18 +8,23 @@ exact maximum over all antichains (with a volume budget for L-small
 families) by one max-plus dynamic program, run level by level up the cube
 tree and read for every L; it agrees with brute-force enumeration, and its
 root step costs O(top^2) in the finest cells of the largest budget.  Random
-mode gives a sampled lower bound.
+mode gives a sampled lower bound; it costs one scalar draw per try of each
+sampled family.  Both modes read a(Q)^p w(Q) from one array per cube level,
+built from ``Functional.level_values`` (array formulas for the fractional
+and gradient functionals, ``eval`` per cube for the others).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, block_reduce, level_blocks
+from .grid import (CubeIndex, GridFunction, block_reduce, float_pow,
+                   level_blocks)
 from .operators import lorentz_p1_norm_values
 
 
@@ -37,16 +42,30 @@ class CubeSums:
     def mass(self, q: CubeIndex):
         return float(self.levels[q.level][q.coords])
 
+    def block(self, Q: CubeIndex, level):
+        """Masses of the level-``level`` cubes of Q, shaped as
+        ``Functional.level_values``."""
+        span = 1 << (level - Q.level)
+        return self.levels[level][tuple(slice(c * span, (c + 1) * span)
+                                        for c in Q.coords)]
+
 
 # ---------------------------------------------------------------------------
 # functional variants
 # ---------------------------------------------------------------------------
 
 class Functional:
-    """Base: bound to (root, depth); subclasses implement eval(q)."""
+    """Base: bound to (root, depth); subclasses implement eval(q), and may
+    give level_values an array formula whose entries equal eval."""
 
     def eval(self, q: CubeIndex) -> float:
         raise NotImplementedError
+
+    def level_values(self, Q: CubeIndex, level):
+        """a(P) for every level-``level`` cube P of Q, shaped
+        ``(2^(level - Q.level),) * n`` in ``full_partition`` order."""
+        return np.array([self.eval(P) for P in full_partition(Q, level)],
+                        dtype=float).reshape((1 << (level - Q.level),) * Q.n)
 
 
 class FractionalFunctional(Functional):
@@ -65,6 +84,11 @@ class FractionalFunctional(Functional):
     def eval(self, q):
         ell = self.root.side / (1 << q.level)
         return ell ** self.alpha * (self.mu.mass(q) / self.w.mass(q)) ** (1.0 / self.p)
+
+    def level_values(self, Q, level):
+        ell = self.root.side / (1 << level)
+        ratio = self.mu.block(Q, level) / self.w.block(Q, level)
+        return ell ** self.alpha * float_pow(ratio, 1.0 / self.p).astype(float)
 
 
 class GradientFunctional(Functional):
@@ -86,6 +110,12 @@ class GradientFunctional(Functional):
         ell = self.root.side / (1 << q.level)
         return self.scale * ell ** self.m \
             * (self.num.mass(q) / self.u.mass(q)) ** (1.0 / self.p)
+
+    def level_values(self, Q, level):
+        ell = self.root.side / (1 << level)
+        ratio = self.num.block(Q, level) / self.u.block(Q, level)
+        return self.scale * ell ** self.m \
+            * float_pow(ratio, 1.0 / self.p).astype(float)
 
 
 class LorentzGradientFunctional(Functional):
@@ -186,32 +216,58 @@ def full_partition(parent: CubeIndex, level):
             for rc in itertools.product(range(1 << shift), repeat=parent.n)]
 
 
-def random_small_family(Q: CubeIndex, L, rng, depth, max_tries=400):
-    """Greedy rejection sampler for L-small families of dyadic subcubes:
-    uniformly random cubes, overlaps rejected, until the remaining volume
-    budget is below one finest cell (or tries run out)."""
-    if L <= 1:
-        raise FunctionalError("L must be > 1")
-    n = Q.n
-    span = 1 << (depth - Q.level)
-    budget = span ** n / L
-    mask = np.zeros((span,) * n, dtype=bool)
+@functools.lru_cache(maxsize=None)
+def _z_spread(n, bits):
+    """For each r < 2^bits, r with its bits moved n places apart: folding
+    z = (z << 1) | spread[r_i] over a cube's coordinates gives its index
+    in Z order (Morton order)."""
+    if n == 1:
+        return range(1 << bits)     # the identity, without a table
+    return tuple(sum(((r >> j) & 1) << (n * j) for j in range(bits))
+                 for r in range(1 << bits))
+
+
+def _draw_family(Q: CubeIndex, L, rng, depth, max_tries=400):
+    """Greedy rejection sampler for L-small families of dyadic subcubes of
+    Q: uniformly random cubes, overlaps rejected, until the remaining
+    volume budget is below one finest cell (or tries run out).  Members
+    are ``(level, rel)`` pairs, rel the coordinates relative to Q; one
+    scalar draw picks a try's level, n more its position.  The finest
+    cells of Q are marked in Z order, where each dyadic subcube of Q is
+    one run: the cells of the level-k cube with Z index z are
+    [z * c, (z + 1) * c) for c cells per cube."""
+    n, D = Q.n, depth - Q.level
+    budget = (1 << D) ** n / L
+    spread = _z_spread(n, D)
+    taken = bytearray((1 << D) ** n)
     members, used, tries = [], 0, 0
     while budget - used >= 1.0 and tries < max_tries:
         tries += 1
         level = int(rng.integers(Q.level, depth + 1))
-        b = 1 << (depth - level)
-        cells = b ** n
+        cells = 1 << (n * (depth - level))
         if cells > budget - used:
             continue
         rel = tuple(int(rng.integers(0, 1 << (level - Q.level))) for _ in range(n))
-        sl = tuple(slice(r * b, (r + 1) * b) for r in rel)
-        if mask[sl].any():
+        z = 0
+        for r in rel:
+            z = (z << 1) | spread[r]
+        start = z * cells
+        if taken.find(1, start, start + cells) >= 0:
             continue
-        mask[sl] = True
-        members.append(subcube_at(Q, level, rel))
+        taken[start:start + cells] = b"\x01" * cells
+        members.append((level, rel))
         used += cells
-    return SmallFamily(Q, members, float(L))
+    return members
+
+
+def random_small_family(Q: CubeIndex, L, rng, depth, max_tries=400):
+    """One sampled L-small family of dyadic subcubes of Q (see
+    ``_draw_family``)."""
+    if L <= 1:
+        raise FunctionalError("L must be > 1")
+    return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
+                           in _draw_family(Q, L, rng, depth, max_tries)],
+                       float(L))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +316,17 @@ def _maxplus(x, y, width):
     return out
 
 
-def _level_dp(a, w, p, Q, depth, top):
-    """Budgeted max-plus DP over the cube tree below Q, bottom-up by level.
+def _scores(a, w, p, Q, depth):
+    """a(P)^p w(P) for the cubes P of each level from Q's to ``depth``,
+    one array per level shaped as ``level_values``; the power is Python's
+    float pow, as in ``dp_ratio``."""
+    return [float_pow(a.level_values(Q, level), p).astype(float)
+            * w.block(Q, level) for level in range(Q.level, depth + 1)]
+
+
+def _level_dp(scores, n, top):
+    """Budgeted max-plus DP over the cube tree below Q, bottom-up by level,
+    from the ``_scores`` of Q.
 
     Row i of relative level r is the i-th cube of full_partition(Q,
     Q.level + r).  arrs[r][i, c] is the best sum of a^p w over antichains
@@ -271,10 +336,8 @@ def _level_dp(a, w, p, Q, depth, top):
     _maxplus call per child slot serves a whole level.  The root step costs
     O(top^2): the DP is quadratic in the finest cells of the largest budget.
     """
-    n, D = Q.n, depth - Q.level
-    scores = [np.array([a.eval(P) ** p * w.mass(P)
-                        for P in full_partition(Q, Q.level + r)])
-              for r in range(D + 1)]
+    D = len(scores) - 1
+    scores = [s.ravel() for s in scores]
     leaves = np.stack([np.zeros_like(scores[D]), scores[D]], axis=1)
     arrs = [None] * D + [leaves[:, :top + 1]]
     convs, kids = [None] * D, [None] * D
@@ -322,15 +385,15 @@ def _witness(dp, q, r, i, count, tol=1e-9):
     return out
 
 
-def _dp_maxima(a, w, p, Q, depth, Ls):
+def _dp_maxima(scores, p, Q, depth, Ls):
     """(ratio, witness) of the best antichain below Q within |Q|/L (no
     limit for L None) for each L, all read from one level DP."""
     cells = 1 << (Q.n * (depth - Q.level))
     tops = [cells if L is None else min(math.floor(cells / L + 1e-9), cells)
             for L in Ls]
-    dp = _level_dp(a, w, p, Q, depth, max(tops, default=0))
+    dp = _level_dp(scores, Q.n, max(tops, default=0))
     root = dp[0][0][0]
-    den = a.eval(Q) ** p * w.mass(Q)
+    den = scores[0].item()
     out = []
     for top in tops:
         finite = np.where(np.isfinite(root[:top + 1]), root[:top + 1], -np.inf)
@@ -340,26 +403,41 @@ def _dp_maxima(a, w, p, Q, depth, Ls):
     return out
 
 
+def _sampled(scores, p, Q, depth, L, trials, rng):
+    """D_p ratios of ``trials`` sampled L-small families below Q, their
+    maximum and the first family attaining it.  Each ratio is
+    ``dp_ratio``'s: the members' ``_scores`` entries added in member
+    order, then the 1/p power, on Python floats."""
+    den = scores[0].item()
+    ratios, best, best_fam = [], -math.inf, []
+    for _ in range(trials):
+        fam = _draw_family(Q, L, rng, depth)
+        num = sum(scores[level - Q.level].item(rel) for level, rel in fam)
+        r = float((num / den) ** (1.0 / p))
+        ratios.append(r)
+        if r > best:
+            best, best_fam = r, fam
+    return ratios, best, [subcube_at(Q, level, rel) for level, rel in best_fam]
+
+
 def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
                  mode="exhaustive", trials=1000, seed=0, budget_L=None):
     """Best D_p ratio over dyadic antichains below Q (optionally volume
     limited to |Q|/budget_L).  exhaustive: exact tree maximum;
     random: sampled lower bound."""
+    if mode not in ("exhaustive", "random"):
+        raise FunctionalError(f"unknown mode {mode!r}")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    scores = _scores(a, w, p, Q, depth)
     if mode == "exhaustive":
-        [(ratio, witness)] = _dp_maxima(a, w, p, Q, depth, [budget_L])
+        [(ratio, witness)] = _dp_maxima(scores, p, Q, depth, [budget_L])
         return DpReport(float(p), ratio, witness, 0, mode)
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        L = budget_L if budget_L is not None else 1.0 + 1e-9
+    L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
+    _, best, witness = _sampled(scores, p, Q, depth, L, trials,
+                                np.random.default_rng(seed))
+    if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []
-        for _ in range(trials):
-            fam = random_small_family(Q, max(L, 1.0 + 1e-9), rng, depth)
-            r = dp_ratio(a, w, p, fam.members, Q)
-            if r > best:
-                best, witness = r, fam.members
-        return DpReport(float(p), best, witness, trials, mode)
-    raise FunctionalError(f"unknown mode {mode!r}")
+    return DpReport(float(p), best, witness, trials, mode)
 
 
 def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
@@ -367,6 +445,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L).
 
+    Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``);
+    random mode costs one scalar draw per try of each sampled family.
     For FractionalFunctional inputs the exact bound
     ratio <= (1/L)^(alpha/n) is checked per family; violations beyond
     1e-12 are counted in the report.
@@ -378,31 +458,26 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     if mode == "random" and trials < 1:
         raise FunctionalError("trials must be >= 1")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    scores = _scores(a, w, p, Q, depth)
     alpha_over_n = (a.alpha / Q.n
                     if fractional_exact and isinstance(a, FractionalFunctional)
                     else None)
+    Ls = sorted(Ls)
+    if mode == "exhaustive":
+        found = [([r], r, wit)
+                 for r, wit in _dp_maxima(scores, p, Q, depth, Ls)]
+    else:
+        rng = np.random.default_rng(seed)
+        found = [_sampled(scores, p, Q, depth, L, trials, rng) for L in Ls]
     per_L, violations = {}, 0
     worst, witness = 0.0, []
-    rng = np.random.default_rng(seed)
-    total_trials = 0
-    Ls = sorted(Ls)
-    exact = _dp_maxima(a, w, p, Q, depth, Ls) if mode == "exhaustive" else None
-    for k, L in enumerate(Ls):
-        if mode == "exhaustive":
-            ratios = [exact[k]]
-        else:
-            ratios = []
-            for _ in range(trials):
-                fam = random_small_family(Q, L, rng, depth)
-                ratios.append((dp_ratio(a, w, p, fam.members, Q), fam.members))
-            total_trials += trials
-        best_r, best_w = max(ratios, key=lambda t: t[0])
+    for L, (ratios, best_r, best_w) in zip(Ls, found):
         per_L[L] = best_r
         if best_r > worst:
             worst, witness = best_r, best_w
         if alpha_over_n is not None:
             bound = (1.0 / L) ** alpha_over_n
-            violations += sum(1 for r, _ in ratios if r > bound + 1e-12)
+            violations += sum(1 for r in ratios if r > bound + 1e-12)
     slope, resid = None, None
     xs = np.log([1.0 / L for L in sorted(per_L)])
     ys = np.log([max(per_L[L], 1e-300) for L in sorted(per_L)])
@@ -410,6 +485,7 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
         slope = float(coef[0])
         resid = float(res[0]) if len(res) else 0.0
+    total_trials = trials * len(Ls) if mode == "random" else 0
     return DpReport(float(p), worst, witness, total_trials, mode, slope, resid,
                     per_L, violations)
 

@@ -21,6 +21,11 @@ class GridError(ValueError):
     pass
 
 
+# Python's float pow per element: numpy's vectorized power may round the
+# last bit differently from the scalar definitions of the cube quantities
+float_pow = np.frompyfunc(pow, 2, 1)
+
+
 def check_cell_cap(n, depth):
     """Refuse a depth-``depth`` grid in dimension ``n`` with more than
     2**MAX_CELL_EXPONENT cells, before anything is allocated for it."""

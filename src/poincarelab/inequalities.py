@@ -19,7 +19,7 @@ from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
                    level_blocks, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import orthonormal_basis, project
-from .functionals import FractionalFunctional, full_partition
+from .functionals import FractionalFunctional, Functional
 from .operators import (centered_maximal_values, centered_maximal_measure,
                         fractional_integral, lorentz_p1_norm_values, lp_norm,
                         orlicz_exp_norm, truncate, weak_norm_values)
@@ -178,15 +178,14 @@ def _result(iid, lhs, rhs, bound, status, inputs):
                        passed, status, float(measured), inputs)
 
 
-def _functional_hypothesis_norm(f: GridFunction, a_eval, Q):
+def _functional_hypothesis_norm(f: GridFunction, a: Functional, Q):
     """max over dyadic P inside Q of avg_P |f - f_P| / a(P), one level of
-    cubes at a time."""
+    cubes at a time, a(P) read from ``a.level_values``."""
     best, axes = 0.0, tuple(range(f.n, 2 * f.n))
     for level in range(Q.level, f.depth + 1):
         blocks = level_blocks(f.values[f.block(Q)], level - Q.level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
-        a = np.array([a_eval(P) for P in full_partition(Q, level)])
-        best = max(best, float(np.max(osc.ravel() / a)))
+        best = max(best, float(np.max(osc / a.level_values(Q, level))))
     return best
 
 
@@ -214,7 +213,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
     if iid == "pp-measure":
         a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), umass,
                                  root, depth)
-        anorm = _functional_hypothesis_norm(f, a.eval, Q)
+        anorm = _functional_hypothesis_norm(f, a, Q)
         lhs, _ = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
         rhs = a.eval(Q)
         bound = (n / alpha) * anorm
@@ -257,7 +256,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
     if iid == "exp-JN":
         if a_functional is None:
             raise InequalityError("exp-JN needs an increasing functional")
-        hyp = _functional_hypothesis_norm(f, a_functional.eval, Q)
+        hyp = _functional_hypothesis_norm(f, a_functional, Q)
         dev = f.copy_with(np.abs(f.values - f.values[f.block(Q)].mean()))
         lhs = orlicz_exp_norm(dev, q=Q)
         rhs = a_functional.eval(Q)

@@ -76,29 +76,34 @@ def _centered_maximal(masses, n, cell_volume=1.0):
     edge-padded by N-1 entries per side, so E[N-1+j] = P[clip(j, 0, N)]:
     the clipped window corners i-r and i+r+1 of every cell i are then the
     basic slices E[N-1-r : 2N-1-r] and E[N+r : 2N+r], and each of the 2^n
-    corner terms of a radius is a view.  Time O(N^(n+1)) per block; the
-    padded image holds (3N-1)^n floats per block.
+    corner terms of a radius is a view.  E is one preallocated array filled
+    by slices: the masses summed in place at [N, 2N) per axis, zeros below
+    N (the lead P[0] and its padding), then each axis's top edge copied
+    outward.  Time O(N^(n+1)) per block; E holds (3N-1)^n floats per block.
     """
     masses = np.asarray(masses, dtype=float)
     lead = masses.ndim - n
     N = masses.shape[-1]
-    P = masses
-    for ax in range(lead, masses.ndim):
-        P = np.cumsum(P, axis=ax)
-    P = np.pad(P, [(0, 0)] * lead + [(1, 0)] * n)
-    E = np.pad(P, [(0, 0)] * lead + [(N - 1, N - 1)] * n, mode="edge")
-    J = np.clip(np.arange(-(N - 1), 2 * N, dtype=float), 0, N)
     batch = (slice(None),) * lead
+    E = np.empty(masses.shape[:lead] + (3 * N - 1,) * n)
+    core = E[batch + (slice(N, 2 * N),) * n]
+    core[...] = masses
+    for ax in range(lead, masses.ndim):
+        np.cumsum(core, axis=ax, out=core)
+    for ax in range(n):
+        E[batch + (slice(None),) * ax + (slice(0, N),)] = 0.0
+    for ax in range(n):
+        before = batch + (slice(None),) * ax
+        # from a copy of the edge plane: assigning the overlapping view
+        # would make numpy buffer the whole broadcast destination
+        top = before + (slice(2 * N, None),)
+        E[top] = E[before + (slice(2 * N - 1, 2 * N),)].copy()
+    J = np.clip(np.arange(-(N - 1), 2 * N, dtype=float), 0, N)
     best = masses / cell_volume
     for r in range(1, N):
         ends = (slice(N - 1 - r, 2 * N - 1 - r), slice(N + r, 2 * N + r))
-        width = J[ends[1]] - J[ends[0]]
-        cnt = width
-        for ax in range(1, n):
-            cnt = np.multiply.outer(cnt, width)
-        if cell_volume != 1.0:
-            cnt = cnt * cell_volume
-        s = None
+        # the last radius's arrays are dropped before these are allocated
+        s = cnt = None
         for signs in itertools.product((0, 1), repeat=n):
             t = E[batch + tuple(ends[b] for b in signs)]
             negative = (n - sum(signs)) % 2 == 1
@@ -108,6 +113,12 @@ def _centered_maximal(masses, n, cell_volume=1.0):
                 s -= t
             else:
                 s += t
+        width = J[ends[1]] - J[ends[0]]
+        cnt = width
+        for ax in range(1, n):
+            cnt = np.multiply.outer(cnt, width)
+        if cell_volume != 1.0:
+            cnt *= cell_volume
         s /= cnt
         np.maximum(best, s, out=best)
     return best

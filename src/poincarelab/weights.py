@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, block_reduce,
-                   check_cell_cap, level_blocks, resolve)
+                   check_cell_cap, float_pow, level_blocks, resolve,
+                   upsample)
 
 
 class WeightError(ValueError):
@@ -310,11 +311,6 @@ def rh_exponent_and_check(w, root, depth):
     return _rh_check(wv, depth, False, ainf_fujii_wilson(wv, root, depth))
 
 
-# Python's float pow per element: numpy's vectorized power may round the
-# last bit differently from the scalar definition of the constants
-_float_pow = np.frompyfunc(pow, 2, 1)
-
-
 def ap1_constant(w, p, root, depth, shifted=False):
     """A_{p,1} constant: sup of (avg w) * weak-L^{p'} norm of 1/w, p-th power.
 
@@ -336,7 +332,7 @@ def ap1_constant(w, p, root, depth, shifted=False):
         w_up = np.sort(rows, axis=-1)         # 1/w descending
         cum = np.cumsum(w_up * cellvol / vol, axis=-1)
         wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=-1)
-        return rows.mean(axis=-1) * _float_pow(wk, p).astype(float)
+        return rows.mean(axis=-1) * float_pow(wk, p).astype(float)
 
     return _sweep(depth, shifted, per_cube)[0]
 
@@ -390,18 +386,22 @@ def constants_report(w, p, root, depth, shifted=False):
 
 
 def set_inequality_holds(w, p, root, depth, tol=1e-12):
-    """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for every dyadic E, with
-    Q the root cube."""
+    """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for every pair of
+    dyadic cubes E inside Q down to ``depth``, up to a relative ``tol`` on
+    its p-th power (|E|/|Q|)^p w(Q) <= ap w(E).
+
+    One pass down the levels, O(depth * cells): ``worst`` holds, per cube
+    E of the level, the max of the left side (|E|/|Q|)^p w(Q) over the
+    cubes Q containing E, which is max(w(E), 2^(-np) worst(parent of E)).
+    """
     wv = resolve(w, root, depth)
-    n = wv.ndim
     ap = ap_constant(wv, p, root, depth)
-    cells = wv.size
-    total = wv.sum()
+    shrink = 2.0 ** (-wv.ndim * p)
+    worst = None
     for level in range(depth + 1):
-        b = wv.shape[0] >> level
-        frac = (b ** n) / cells
         sums = block_reduce(wv, level, np.sum)
-        rhs = ap ** (1.0 / p) * (sums / total) ** (1.0 / p)
-        if np.any(frac > rhs + tol):
+        worst = sums if worst is None \
+            else np.maximum(sums, shrink * upsample(worst))
+        if np.any(worst > ap * sums * (1.0 + tol)):
             return False
     return True

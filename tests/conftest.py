@@ -41,6 +41,17 @@ def smooth_field_2d(rng, depth, terms=4):
     return sample(RootBox.unit(2), depth, fn)
 
 
+def counting(cls):
+    """Subclass of a functional class that counts its eval calls."""
+    class Counting(cls):
+        calls = 0
+
+        def eval(self, q):
+            self.calls += 1
+            return super().eval(q)
+    return Counting
+
+
 def function_corpus_2d(count, depth, seed=3):
     rng = np.random.default_rng(seed)
     return [smooth_field_2d(rng, depth) for _ in range(count)]

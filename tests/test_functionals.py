@@ -15,6 +15,7 @@ from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      subcube_at)
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
                               discrete_gradient)
+from tests.conftest import counting
 
 UNIT1 = RootBox.unit(1)
 
@@ -435,3 +436,166 @@ def test_report_fields_are_python_floats(mode):
             if d["smallness_slope"] is not None:
                 floats += [d["smallness_slope"], d["fit_residual"]]
             assert all(type(v) is float for v in floats), d
+
+
+# ---------------------------------------------------------------------------
+# per-level a(Q) arrays and the sampled mode against per-cube references
+# ---------------------------------------------------------------------------
+
+def assert_level_values_equal_eval(a, Q, depth):
+    for level in range(Q.level, depth + 1):
+        got = a.level_values(Q, level)
+        assert got.shape == (1 << (level - Q.level),) * Q.n
+        assert np.array_equal(got.ravel(),
+                              [a.eval(P) for P in full_partition(Q, level)])
+
+
+@pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_level_values_equal_eval_per_cube(n, depth, p):
+    rng = np.random.default_rng(70 + 10 * n + int(2 * p))
+    functionals, _ = five_functionals(rng, n, depth, p)
+    for a in functionals:
+        for Q in cubes_to_check(n, depth):
+            assert_level_values_equal_eval(a, Q, depth)
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(0.1, 3.0),
+       st.floats(0.1, 3.0), st.integers(1, 2), st.floats(0.01, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_level_values_equal_eval_per_cube_hypothesis(n, seed, p, sigma,
+                                                     alpha, m, side):
+    rng = np.random.default_rng(seed)
+    depth = {1: 4, 2: 3, 3: 2}[n]
+    root = RootBox((0.0,) * n, side)
+    shape = (1 << depth,) * n
+    mu = rng.lognormal(0.0, sigma, shape)
+    wm = rng.lognormal(0.0, sigma, shape)
+    grad = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
+    cs = CubeSums(mu, depth)
+    functionals = [FractionalFunctional(alpha, p, mu, wm, root, depth),
+                   GradientFunctional(m, p, grad, wm, mu, scale=sigma),
+                   LorentzGradientFunctional(p, grad, wm),
+                   IncreasingFunctional({q: cs.mass(q) ** (1.0 / p)
+                                         for q in all_cubes(n, depth)},
+                                        root, depth),
+                   ConstantFunctional(alpha, root, depth)]
+    coords = tuple(int(c) for c in rng.integers(0, 2, n))
+    for a in functionals:
+        for Q in (CubeIndex.root(n), CubeIndex(1, coords)):
+            assert_level_values_equal_eval(a, Q, depth)
+
+
+def reference_random_small_family(Q, L, rng, depth, max_tries=400):
+    """The sampler as it was: CubeIndex members built per accepted try."""
+    n = Q.n
+    span = 1 << (depth - Q.level)
+    budget = span ** n / L
+    mask = np.zeros((span,) * n, dtype=bool)
+    members, used, tries = [], 0, 0
+    while budget - used >= 1.0 and tries < max_tries:
+        tries += 1
+        level = int(rng.integers(Q.level, depth + 1))
+        b = 1 << (depth - level)
+        cells = b ** n
+        if cells > budget - used:
+            continue
+        rel = tuple(int(rng.integers(0, 1 << (level - Q.level)))
+                    for _ in range(n))
+        sl = tuple(slice(r * b, (r + 1) * b) for r in rel)
+        if mask[sl].any():
+            continue
+        mask[sl] = True
+        members.append(subcube_at(Q, level, rel))
+        used += cells
+    return members
+
+
+def reference_sdp_check_random(a, w_masses, p, Q, depth, Ls, trials, seed):
+    """sdp_check(mode="random") as it was: one dp_ratio per family."""
+    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    alpha_over_n = a.alpha / Q.n if isinstance(a, FractionalFunctional) \
+        else None
+    rng = np.random.default_rng(seed)
+    per_L, violations, worst, witness = {}, 0, 0.0, []
+    for L in sorted(Ls):
+        ratios = []
+        for _ in range(trials):
+            fam = reference_random_small_family(Q, L, rng, depth)
+            ratios.append((dp_ratio(a, w, p, fam, Q), fam))
+        best_r, best_w = max(ratios, key=lambda t: t[0])
+        per_L[L] = best_r
+        if best_r > worst:
+            worst, witness = best_r, best_w
+        if alpha_over_n is not None:
+            bound = (1.0 / L) ** alpha_over_n
+            violations += sum(1 for r, _ in ratios if r > bound + 1e-12)
+    return worst, per_L, witness, violations, trials * len(Ls)
+
+
+def reference_max_dp_ratio_random(a, w_masses, p, Q, depth, trials, seed,
+                                  budget_L):
+    """max_dp_ratio(mode="random") as it was."""
+    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    rng = np.random.default_rng(seed)
+    L = budget_L if budget_L is not None else 1.0 + 1e-9
+    best, witness = 0.0, []
+    for _ in range(trials):
+        fam = reference_random_small_family(Q, max(L, 1.0 + 1e-9), rng, depth)
+        r = dp_ratio(a, w, p, fam, Q)
+        if r > best:
+            best, witness = r, fam
+    return best, witness
+
+
+@pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("seed", range(10))
+def test_sampled_mode_equals_per_family_reference(n, depth, seed):
+    rng = np.random.default_rng(90 + seed)
+    p = (1.0, 1.5, 2.0)[seed % 3]
+    functionals, wm = five_functionals(rng, n, depth, p)
+    Ls = [3.0, 5.5, 2.0]
+    for a in functionals:
+        for Q in cubes_to_check(n, depth)[:2]:
+            rep = sdp_check(a, wm, p, Q, depth, Ls, trials=12, seed=seed)
+            assert (rep.worst_ratio, rep.per_L, rep.witness, rep.violations,
+                    rep.trials) == reference_sdp_check_random(
+                        a, wm, p, Q, depth, Ls, 12, seed)
+            for budget_L in (None, 3.0, 5.5):
+                rep = max_dp_ratio(a, wm, p, Q, depth, mode="random",
+                                   trials=12, seed=seed, budget_L=budget_L)
+                assert (rep.worst_ratio, rep.witness, rep.trials) == \
+                    reference_max_dp_ratio_random(a, wm, p, Q, depth, 12,
+                                                  seed, budget_L) + (12,)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.floats(1.01, 16.0),
+       st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_random_small_family_equals_reference_sampler(seed, L, n):
+    depth = {1: 6, 2: 3, 3: 2}[n]
+    Q = CubeIndex(1, (1,) * n)
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(3):
+        fam = random_small_family(Q, L, rng, depth)
+        assert fam.members == reference_random_small_family(Q, L, ref_rng,
+                                                            depth)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_sdp_check_reads_level_arrays_not_eval_per_cube(mode):
+    depth = 6
+    rng = np.random.default_rng(12)
+    mu, wm = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
+    grad = GridFunction(UNIT1, depth, rng.uniform(0.1, 1.0, 64))
+    for a in (counting(FractionalFunctional)(0.7, 1.5, mu, wm, UNIT1, depth),
+              counting(GradientFunctional)(1, 1.5, grad, wm, mu)):
+        sdp_check(a, wm, 1.5, CubeIndex.root(1), depth, [2.0, 3.0, 8.0],
+                  trials=50, mode=mode)
+        max_dp_ratio(a, wm, 1.5, CubeIndex.root(1), depth, mode=mode,
+                     trials=50, budget_L=2.0)
+        # 127 cubes and 100 sampled families per call: none is evaluated
+        # one by one
+        assert a.calls <= 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      FractionalFunctional,
+                                     GradientFunctional,
                                      IncreasingFunctional)
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes, sample
 from poincarelab.inequalities import (Exponents, InequalityError,
@@ -18,7 +19,7 @@ from poincarelab.inequalities import (Exponents, InequalityError,
                                       sharpness_scaling_exponents,
                                       sharpness_sweep, sobolev_exponent,
                                       weak_implies_strong_demo)
-from tests.conftest import smooth_field_2d
+from tests.conftest import counting, smooth_field_2d
 
 UNIT1 = RootBox.unit(1)
 
@@ -158,7 +159,7 @@ def test_hypothesis_norm_equals_per_cube_walk(n, depth):
     for Q in (CubeIndex.root(n), CubeIndex(1, (1,) * n),
               CubeIndex(2, (1,) * n)):
         for a in (FractionalFunctional(0.8, 1.5, mu, um, root, depth), inc):
-            assert _functional_hypothesis_norm(f, a.eval, Q) == \
+            assert _functional_hypothesis_norm(f, a, Q) == \
                 reference_hypothesis_norm(f, a.eval, Q)
         frac = FractionalFunctional(0.8, 1.5, mu, um, root, depth)
         res = check_inequality("pp-measure", f, Q=Q, u=um, mu=mu, p=1.5,
@@ -182,8 +183,21 @@ def test_hypothesis_norm_equals_per_cube_walk_hypothesis(n, seed, sigma):
                              rng.lognormal(0.0, sigma, shape), root, depth)
     coords = tuple(int(c) for c in rng.integers(0, 2, n))
     for Q in (CubeIndex.root(n), CubeIndex(1, coords)):
-        assert _functional_hypothesis_norm(f, a.eval, Q) == \
+        assert _functional_hypothesis_norm(f, a, Q) == \
             reference_hypothesis_norm(f, a.eval, Q)
+
+
+def test_hypothesis_norm_reads_level_arrays_not_eval_per_cube():
+    rng = np.random.default_rng(66)
+    depth = 6
+    f = GridFunction(UNIT1, depth, rng.lognormal(0.0, 1.0, 64))
+    mu, um = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
+    grad = GridFunction(UNIT1, depth, rng.uniform(0.1, 1.0, 64))
+    for a in (counting(FractionalFunctional)(0.8, 1.5, mu, um, UNIT1, depth),
+              counting(GradientFunctional)(1, 1.5, grad, um, mu)):
+        # 127 cubes below the root, none evaluated one by one
+        _functional_hypothesis_norm(f, a, CubeIndex.root(1))
+        assert a.calls == 0
 
 
 def test_catalog_passes_on_mild_weight():

@@ -1,6 +1,7 @@
 """Maximal operators, fractional integrals, norms, majorant series."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ def test_centered_maximal_kernel_equals_reference_hypothesis(
     masses = rng.lognormal(0.0, 2.0, size=(2,) * lead + (side,) * n)
     assert np.array_equal(_centered_maximal(masses, n, cell_volume),
                           reference_centered_maximal(masses, n, cell_volume))
+
+
+def test_centered_maximal_peak_memory_is_the_padded_image():
+    # a 32^3 block: the (3N-1)^n padded image, then per radius the output,
+    # the reused window sums and the window counts, each one input in size,
+    # plus numpy's fixed-size ufunc iteration buffers (64 kB each)
+    masses = np.random.default_rng(8).lognormal(size=(32,) * 3)
+    image = 95 ** 3 * masses.itemsize
+    tracemalloc.start()
+    try:
+        _centered_maximal(masses, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image < peak <= image + 3 * masses.nbytes + 2 ** 18
 
 
 def test_centered_maximal_indicator_decay():

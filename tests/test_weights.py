@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import weights
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes
 from poincarelab.operators import centered_maximal_values, weak_norm_values
 from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
@@ -349,6 +350,51 @@ def test_ap1_below_ap(small_weight_corpus):
 def test_set_inequality(small_weight_corpus):
     for wv, root, depth in small_weight_corpus[:6]:
         assert set_inequality_holds(wv, 2.0, root, depth)
+
+
+def set_inequality_worst(wv, p):
+    """(max over all dyadic pairs E inside Q, max over E inside the root)
+    of (|E|/|Q|)^p w(Q)/w(E), pair by pair."""
+    n, depth = wv.ndim, wv.shape[0].bit_length() - 1
+    g = GridFunction(RootBox.unit(n), depth, wv)
+    cubes = list(all_cubes(n, depth))
+    mass = {q: float(wv[g.block(q)].sum()) for q in cubes}
+    worst, root_worst = 0.0, 0.0
+    for Q in cubes:
+        for E in cubes:
+            if Q.contains(E):
+                val = (2.0 ** (-n * (E.level - Q.level))) ** p \
+                    * mass[Q] / mass[E]
+                worst = max(worst, val)
+                if Q.level == 0:
+                    root_worst = max(root_worst, val)
+    return worst, root_worst
+
+
+@pytest.mark.parametrize("n,depth", [(1, 4), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_set_inequality_checks_every_dyadic_pair(monkeypatch, n, depth, p):
+    # the inequality follows from the A_p bound, so only an A_p value below
+    # the true constant (patched in) can make it fail; the check must agree
+    # with the all-pairs oracle on either side of the worst pair
+    root = RootBox.unit(n)
+    missed_by_root_only = 0
+    for seed in range(4):
+        rng = np.random.default_rng(100 * n + 10 * depth + seed)
+        wv = rng.lognormal(0.0, 1.0, (1 << depth,) * n)
+        assert set_inequality_holds(wv, p, root, depth)
+        worst, root_worst = set_inequality_worst(wv, p)
+        assert worst <= ap_constant(wv, p, root, depth) * (1 + 1e-12)
+        cases = [(worst * (1 + 1e-6), True), (worst * (1 - 1e-6), False)]
+        if root_worst < worst * (1 - 1e-6):
+            missed_by_root_only += 1
+            cases.append(((root_worst + worst) / 2, False))
+        for ap, holds in cases:
+            monkeypatch.setattr(weights, "ap_constant", lambda *a, v=ap: v)
+            assert set_inequality_holds(wv, p, root, depth) is holds
+            monkeypatch.undo()
+    # a pair below the root is the worst on some of these weights
+    assert missed_by_root_only > 0
 
 
 def test_corner_integral_1d_closed_form():
