@@ -2,7 +2,8 @@
 
 All structured output is strict JSON (sorted keys, fixed layout, so runs
 with the same config and seed are byte-identical; NaN and infinities are
-written as null); CSV is emitted only as plot-ready tables.
+written as null); CSV is emitted only as plot-ready tables, and a command
+with no table refuses ``--format csv``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .grid import CubeIndex, GridFunction, RootBox, check_cell_cap
+from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
+                   measure_cell_masses)
 from .weights import (Density, GridWeight, PowerWeight, ap_constant,
                       constants_report)
 from .operators import OperatorConfig, rubio_de_francia
@@ -41,10 +43,11 @@ def _finite(obj):
 
 
 def _dump(obj, out, fmt, csv_rows=None, csv_header=None):
-    text = json.dumps(_finite(obj), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
-    if fmt == "json" or csv_rows is None:
-        payload = text
+    if fmt == "json":
+        payload = json.dumps(_finite(obj), sort_keys=True, indent=2,
+                             allow_nan=False) + "\n"
+    elif csv_rows is None:
+        raise CliError("--format csv needs a table; this output has none")
     else:
         import io
         buf = io.StringIO()
@@ -157,7 +160,7 @@ def _cmd_poincare(args):
     w = None
     if args.weight or args.power_weight:
         wobj, root, depth = _load_weight(args, f.depth)
-        w = wobj.cell_values(f.root, f.depth) * f.cell_volume
+        w = measure_cell_masses(wobj, f)
     res = check_inequality(args.id, f, u=w, p=args.p, q=args.q, m=args.m,
                            p0=args.p0, mu=w)
     d = res.to_dict()
@@ -186,12 +189,13 @@ def _cmd_sharpness(args):
 def _cmd_rdf(args):
     h = GridFunction.load(args.input)
     wobj, _, _ = _load_weight(args, h.depth)
-    wm = wobj.cell_values(h.root, h.depth) * h.cell_volume
+    wm = measure_cell_masses(wobj, h)
     cfg = OperatorConfig(rdf_terms=args.terms, opnorm_mode=args.opnorm,
                          opnorm_value=args.opnorm_value)
     ap_val = None
     if args.opnorm == "ap-bound":
-        ap_val = ap_constant(wm / h.cell_volume, args.p, h.root, h.depth)
+        ap_val = ap_constant(wobj.cell_values(h.root, h.depth), args.p,
+                             h.root, h.depth)
     R, rep = rubio_de_francia(h, wm, args.p, cfg, ap_value=ap_val)
     rep = dict(rep)
     rep["config"] = {"command": "rdf", "p": args.p, "terms": args.terms,

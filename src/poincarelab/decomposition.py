@@ -183,25 +183,34 @@ def projection_sup_bound_margin(f: GridFunction, basis: PolyBasis):
     return float(np.max(np.abs(pf))) / denom if denom > 0 else 0.0
 
 
-def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
-                q_exp=1.0, w=None, weighted_center=False):
-    """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) with center
-    c = P_Q f (basis given), f_{Q,w} (weighted_center) or f_Q."""
-    Q = Q or CubeIndex.root(f.n)
+def _deviation_sum(f: GridFunction, Q: CubeIndex, basis, q_exp, w,
+                   weighted_center):
+    """(int_Q |f - c|^q dw, w(Q)) with the masses of ``w`` from
+    ``measure_cell_masses`` (Lebesgue when None) and the center c of
+    ``oscillation``."""
     sl = f.block(Q)
     block = f.values[sl]
-    if w is None:
-        masses = np.ones_like(block)
-    else:
-        masses = measure_cell_masses(w, f)[sl]
-    masses = masses / masses.sum()
+    masses = measure_cell_masses(w, f)[sl]
+    tot = masses.sum()
     if basis is not None:
         center = project(f, basis).values[sl]
     elif weighted_center:
-        center = float((block * masses).sum())
+        center = float((block * masses).sum() / tot)
     else:
         center = float(block.mean())
-    return float(((np.abs(block - center) ** q_exp * masses).sum()) ** (1.0 / q_exp))
+    return (np.abs(block - center) ** q_exp * masses).sum(), tot
+
+
+def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
+                q_exp=1.0, w=None, weighted_center=False):
+    """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) with center
+    c = P_Q f (basis given), f_{Q,w} (weighted_center) or f_Q, and w
+    Lebesgue when None.  The integral is summed against the cell masses
+    and then divided by w(Q); this is the left side of every Poincare
+    inequality in the catalog."""
+    dev, tot = _deviation_sum(f, Q or CubeIndex.root(f.n), basis, q_exp, w,
+                              weighted_center)
+    return float((dev / tot) ** (1.0 / q_exp))
 
 
 def oscillation_inf_constants(f: GridFunction, Q: CubeIndex | None = None):

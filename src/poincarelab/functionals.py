@@ -441,7 +441,7 @@ def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
 
 
 def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
-              trials=1000, seed=0, mode="random", fractional_exact=True):
+              trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L).
 
@@ -459,8 +459,7 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         raise FunctionalError("trials must be >= 1")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
     scores = _scores(a, w, p, Q, depth)
-    alpha_over_n = (a.alpha / Q.n
-                    if fractional_exact and isinstance(a, FractionalFunctional)
+    alpha_over_n = (a.alpha / Q.n if isinstance(a, FractionalFunctional)
                     else None)
     Ls = sorted(Ls)
     if mode == "exhaustive":

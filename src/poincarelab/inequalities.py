@@ -18,7 +18,7 @@ import numpy as np
 from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
                    level_blocks, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
-from .decomposition import orthonormal_basis, project
+from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import FractionalFunctional, Functional
 from .operators import (centered_maximal_values, centered_maximal_measure,
                         fractional_integral, lorentz_p1_norm_values, lp_norm,
@@ -85,58 +85,51 @@ class Exponents:
 # sides
 # ---------------------------------------------------------------------------
 
-def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
-                   p=1.0, m=1, center="mean", rhs_kind="gradient",
-                   normalized=True, grad=None):
-    """(lhs, rhs) of an oscillation inequality on Q.
-
-    lhs: (1/u(Q) int_Q |f - c|^lhs_exponent u)^(1/lhs_exponent) with center
-    c in {cube mean, weighted mean, polynomial projection of order m}.
-    rhs kinds: "gradient" (two-weight: v inside, u outside), "lorentz"
-    (L^{p,1} of the gradient against u), "mixed" (unnormalized, with the
-    maximal-function weight (M(u chi_Q))^{p/n'}/u^{p-1}).
-    """
-    Q = Q or CubeIndex.root(f.n)
+def _gradient_side(f: GridFunction, Q, u=None, v=None, p=1.0, m=1,
+                   kind="gradient"):
+    """Right side of an oscillation inequality on Q, with u(Q) the outer
+    mass: "gradient" is ell(Q)^m (1/u(Q) int_Q |grad^m f|^p v)^(1/p) (v = u
+    when None), "lorentz" is ell(Q) times the L^{p,1} norm of the gradient
+    against u/u(Q), and "mixed" is the unnormalized
+    (int_Q |grad f|^p (M(u chi_Q))^{p/n'} u^{1-p})^(1/p)."""
     sl = f.block(Q)
     umass = measure_cell_masses(u, f)[sl]
-    vmass = umass if v is None else measure_cell_masses(v, f)[sl]
-    block = f.values[sl]
     utot = umass.sum()
     if utot <= 0:
         raise InequalityError("degenerate outer weight mass")
-    if grad is None:
-        grad = discrete_gradient(f, m)
-    gblock = grad.values[sl]
-    ell = f.sidelength(Q)
-
-    if center == "projection":
-        basis = orthonormal_basis(f, Q, m)
-        c = project(f, basis).values[sl]
-    elif center == "weighted_mean":
-        c = float((block * umass).sum() / utot)
-    else:
-        c = float(block.mean())
-    osc = (np.abs(block - c) ** lhs_exponent * umass).sum()
-    lhs = (osc / utot) ** (1.0 / lhs_exponent) if normalized \
-        else osc ** (1.0 / lhs_exponent)
-
-    if rhs_kind == "gradient":
+    gblock = discrete_gradient(f, m).values[sl]
+    if kind == "gradient":
+        vmass = umass if v is None else measure_cell_masses(v, f)[sl]
         s = (gblock ** p * vmass).sum()
-        rhs = ell ** m * ((s / utot) ** (1.0 / p) if normalized
-                          else s ** (1.0 / p))
-    elif rhs_kind == "lorentz":
-        norm_m = umass / utot
-        rhs = ell * lorentz_p1_norm_values(gblock.ravel(), norm_m.ravel(), p)
-    elif rhs_kind == "mixed":
+        return float(f.sidelength(Q) ** m * ((s / utot) ** (1.0 / p)))
+    if kind == "lorentz":
+        return float(f.sidelength(Q) * lorentz_p1_norm_values(
+            gblock.ravel(), (umass / utot).ravel(), p))
+    if kind == "mixed":
         uvals = umass / f.cell_volume
-        Mw = centered_maximal_values(uvals)
-        nprime = math.inf if f.n == 1 else f.n / (f.n - 1.0)
-        mix = np.ones_like(uvals) if nprime == math.inf else Mw ** (p / nprime)
+        mix = 1.0 if f.n == 1 else \
+            centered_maximal_values(uvals) ** (p / (f.n / (f.n - 1.0)))
         s = (gblock ** p * mix / uvals ** (p - 1.0) * f.cell_volume).sum()
-        rhs = s ** (1.0 / p)
-    else:
-        raise InequalityError(f"unknown rhs kind {rhs_kind!r}")
-    return float(lhs), float(rhs)
+        return float(s ** (1.0 / p))
+    raise InequalityError(f"unknown rhs kind {kind!r}")
+
+
+def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
+                   p=1.0, m=1, center="mean", rhs_kind="gradient"):
+    """(lhs, rhs) of an oscillation inequality on Q.
+
+    lhs is ``decomposition.oscillation`` against u with exponent
+    lhs_exponent and center c in {"mean", "weighted_mean", "projection"
+    (polynomial projection of order m)}.  rhs kinds: "gradient"
+    (two-weight: v inside, u outside), "lorentz" (L^{p,1} of the gradient
+    against u), "mixed" (unnormalized, with the maximal-function weight
+    (M(u chi_Q))^{p/n'}/u^{p-1}).
+    """
+    Q = Q or CubeIndex.root(f.n)
+    rhs = _gradient_side(f, Q, u, v, p, m, rhs_kind)
+    basis = orthonormal_basis(f, Q, m) if center == "projection" else None
+    return oscillation(f, Q, basis, lhs_exponent, u,
+                       center == "weighted_mean"), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +207,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), umass,
                                  root, depth)
         anorm = _functional_hypothesis_norm(f, a, Q)
-        lhs, _ = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
+        lhs = oscillation(f, Q, q_exp=p, w=u)
         rhs = a.eval(Q)
         bound = (n / alpha) * anorm
         return _result(iid, lhs, rhs, bound, "reported", inputs)
@@ -240,10 +233,9 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
 
     if iid == "mixed":
         pstar = sobolev_exponent("classical", p, n)
-        lhs, _ = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p,
-                                center="weighted_mean", normalized=False)
-        _, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p,
-                                rhs_kind="mixed")
+        rhs = _gradient_side(f, Q, u, p=p, kind="mixed")
+        dev, _ = _deviation_sum(f, Q, None, pstar, u, True)
+        lhs = dev ** (1.0 / pstar)
         inputs["p_star"] = pstar
         return _result(iid, lhs, rhs, math.nan, "reported", inputs)
 
@@ -357,12 +349,10 @@ def sharpness_point(p, n, eps, delta, depth):
     w = PowerWeight(delta, n, root)
     f = plateau_function(root, depth, eps)
     masses = w.cell_masses(root, depth)
-    tot = masses.sum()
     pstar = sobolev_exponent("classical", p, n)
-    lhs = float(((f.values ** pstar * masses).sum() / tot) ** (1.0 / pstar))
-    grad = discrete_gradient(f, 1)
-    rhs0 = root.side * float(((grad.values ** p * masses).sum() / tot)
-                             ** (1.0 / p))
+    lhs = float(((f.values ** pstar * masses).sum() / masses.sum())
+                ** (1.0 / pstar))
+    rhs0 = _gradient_side(f, CubeIndex.root(n), masses, p=p)
     a1 = ap_constant(w.cell_values(root, depth), 1.0, root, depth)
     return lhs, rhs0, a1
 

@@ -318,14 +318,7 @@ def orlicz_exp_norm_values(values, masses, rel_tol=1e-12):
 def orlicz_exp_norm(g: GridFunction, measure=None, q=None, rel_tol=1e-12):
     """exp-L Luxemburg norm of g on Q against the normalized measure
     (Lebesgue dx/|Q| when no measure is given)."""
-    q = q or CubeIndex.root(g.n)
-    vals = g.values[g.block(q)].ravel()
-    if measure is None:
-        masses = np.full(vals.shape, 1.0 / vals.size)
-    else:
-        masses = measure_cell_masses(measure, g)[g.block(q)].ravel()
-        masses = masses / masses.sum()
-    return orlicz_exp_norm_values(vals, masses, rel_tol)
+    return orlicz_exp_norm_values(*_restrict(g, measure, q, False), rel_tol)
 
 
 # ---------------------------------------------------------------------------

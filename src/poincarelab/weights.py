@@ -56,9 +56,6 @@ class GridWeight:
     def cell_masses(self, root, depth):
         return self.cell_values(root, depth) * self.g.cell_volume
 
-    def cube_mass(self, q, depth=None):
-        return self.g.integral(q)
-
 
 _CORNER_INTEGRAL_CACHE = {}
 
@@ -96,7 +93,7 @@ def _corner_singular_unit_integral(n, gamma, sublevels=6):
 class PowerWeight:
     """w(x) = |x|^(delta - n) on a root box symmetric about the origin."""
 
-    def __init__(self, delta, n, root=None, subdivision_levels=6):
+    def __init__(self, delta, n, root=None):
         if not (0 < delta <= 1):
             raise WeightError("delta must lie in (0, 1]")
         self.delta = float(delta)
@@ -104,7 +101,6 @@ class PowerWeight:
         self.root = root if root is not None else RootBox.symmetric(n)
         if any(lo + self.root.side / 2.0 != 0.0 for lo in self.root.lower):
             raise WeightError("PowerWeight root box must be centered at the origin")
-        self.subdivision_levels = subdivision_levels
         self._mass_cache = {}
 
     @property
@@ -133,7 +129,7 @@ class PowerWeight:
             # cells whose closure touches the origin need singularity-aware
             # subdivision; the grid is origin-symmetric so these are the 2^n
             # cells with a corner at 0
-            corner = _corner_singular_unit_integral(n, delta, self.subdivision_levels)
+            corner = _corner_singular_unit_integral(n, delta)
             touching = np.all(np.abs(lows + np.where(lows < 0, h, 0.0)) < h * 1e-9,
                               axis=-1)
             masses[touching] = (h ** delta) * corner

@@ -381,3 +381,45 @@ def test_every_command_writes_strict_json(tmp_path, step_weight_file,
     # the two outputs that used to carry a bare NaN
     assert docs["constants-p1"]["ap1"] is None
     assert docs["poincare-mixed"]["bound"] is None
+
+
+CSV_CASES = {
+    "constants": (["constants", "--weight", "{w}", "--p", "2"], "constant,"),
+    "sharpness": (["sharpness", "--p", "1", "--n", "2", "--eps", "0.1",
+                   "--deltas", "0.5", "--depth", "3"], "delta,"),
+    "cz-stopping": (["cz", "--input", "{h}", "--emit", "stopping"], "level,"),
+    "poincare": (["poincare", "--id", "pp-two-weight", "--input", "{h}"], None),
+    "rdf": (["rdf", "--input", "{h}", "--weight", "{w2}", "--terms", "2"],
+            None),
+    "functional-check": (["functional-check", "--functional", "{a}",
+                          "--mode", "exhaustive", "--depth", "3"], None),
+    "report": (["report", "--weight", "{w}"], None),
+    "cz-report": (["cz", "--input", "{h}", "--emit", "report"], None),
+    "cz-good": (["cz", "--input", "{h}", "--emit", "good"], None),
+    "cz-bad": (["cz", "--input", "{h}", "--emit", "bad"], None),
+}
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_only_for_commands_with_a_table(name, flag_first, tmp_path,
+                                            capsys, step_weight_file,
+                                            spike_file):
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
+    w2 = tmp_path / "w2.json"
+    GridFunction(RootBox.unit(1), 2, np.array([1.0, 3.0, 2.0, 1.0])).save(w2)
+    args, header = CSV_CASES[name]
+    args = [a.format(w=step_weight_file, w2=w2, h=spike_file, a=fpath)
+            for a in args]
+    out = tmp_path / "out.csv"
+    fmt = ["--format", "csv"]
+    argv = (fmt + args if flag_first else args + fmt) + ["--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    if header is None:
+        assert rc == 1 and not out.exists()
+        assert len(err) == 1 and err[0].startswith("error: --format csv"), err
+    else:
+        assert rc == 0 and err == []
+        assert out.read_text().startswith(header)

@@ -11,7 +11,9 @@ from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      FractionalFunctional,
                                      GradientFunctional,
                                      IncreasingFunctional)
-from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes, sample
+from poincarelab.decomposition import orthonormal_basis, project
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
+                              discrete_gradient, measure_cell_masses, sample)
 from poincarelab.inequalities import (Exponents, InequalityError,
                                       _functional_hypothesis_norm,
                                       check_inequality, plateau_function,
@@ -19,6 +21,13 @@ from poincarelab.inequalities import (Exponents, InequalityError,
                                       sharpness_scaling_exponents,
                                       sharpness_sweep, sobolev_exponent,
                                       weak_implies_strong_demo)
+from poincarelab.operators import (centered_maximal_measure,
+                                   centered_maximal_values,
+                                   fractional_integral,
+                                   lorentz_p1_norm_values,
+                                   orlicz_exp_norm_values, weak_norm_values)
+from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
+                                 two_weight_ap)
 from tests.conftest import counting, smooth_field_2d
 
 UNIT1 = RootBox.unit(1)
@@ -307,3 +316,184 @@ def test_weak_implies_strong_rejects_signed_input():
     g = GridFunction(UNIT1, 3, np.array([1.0, -1, 0, 0, 0, 0, 0, 0]))
     with pytest.raises(InequalityError):
         weak_implies_strong_demo(g, None, None, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: each side written out in full, compared with ==
+# ---------------------------------------------------------------------------
+
+def reference_sides(f, Q=None, u=None, v=None, lhs_exponent=1.0, p=1.0, m=1,
+                    center="mean", rhs_kind="gradient", normalized=True):
+    """Both sides of an oscillation inequality in one block: the masses
+    of u and v, the center, the oscillation (normalized or not) and the
+    gradient, Lorentz or mixed right side."""
+    Q = Q or CubeIndex.root(f.n)
+    sl = f.block(Q)
+    umass = measure_cell_masses(u, f)[sl]
+    vmass = umass if v is None else measure_cell_masses(v, f)[sl]
+    block = f.values[sl]
+    utot = umass.sum()
+    gblock = discrete_gradient(f, m).values[sl]
+    ell = f.sidelength(Q)
+    if center == "projection":
+        c = project(f, orthonormal_basis(f, Q, m)).values[sl]
+    elif center == "weighted_mean":
+        c = float((block * umass).sum() / utot)
+    else:
+        c = float(block.mean())
+    osc = (np.abs(block - c) ** lhs_exponent * umass).sum()
+    lhs = (osc / utot) ** (1.0 / lhs_exponent) if normalized \
+        else osc ** (1.0 / lhs_exponent)
+    if rhs_kind == "gradient":
+        rhs = ell ** m * (((gblock ** p * vmass).sum() / utot) ** (1.0 / p))
+    elif rhs_kind == "lorentz":
+        rhs = ell * lorentz_p1_norm_values(gblock.ravel(),
+                                           (umass / utot).ravel(), p)
+    else:
+        uvals = umass / f.cell_volume
+        nprime = math.inf if f.n == 1 else f.n / (f.n - 1.0)
+        mix = np.ones_like(uvals) if nprime == math.inf \
+            else centered_maximal_values(uvals) ** (p / nprime)
+        rhs = (gblock ** p * mix / uvals ** (p - 1.0)
+               * f.cell_volume).sum() ** (1.0 / p)
+    return float(lhs), float(rhs)
+
+
+def reference_check(iid, f, u, v, mu, p, q, m, p0, alpha, a_functional):
+    """(lhs, rhs, bound) of one catalog id, from ``reference_sides`` and
+    the bound formulas."""
+    Q, n, root, depth = CubeIndex.root(f.n), f.n, f.root, f.depth
+    umass = measure_cell_masses(u, f)
+    un = umass / f.cell_volume
+    vn = un if v is None else measure_cell_masses(v, f) / f.cell_volume
+    sl = f.block(Q)
+    dev = np.abs(f.values[sl] - f.values[sl].mean())
+    grad = discrete_gradient(f, 1)
+    pstar = sobolev_exponent("classical", p, n) if p < n else None
+    if iid in ("pp-two-weight", "higher-order"):
+        higher = iid == "higher-order"
+        lhs, rhs = reference_sides(f, u=u, v=v, lhs_exponent=p, p=p,
+                                   m=m if higher else 1,
+                                   center="projection" if higher else "mean")
+        bound = (two_weight_ap(un, vn, p, root, depth) ** (1.0 / p)
+                 if p > 1 else ap_constant(un, 1.0, root, depth))
+    elif iid == "pp-measure":
+        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), umass,
+                                 root, depth)
+        lhs = reference_sides(f, u=u, lhs_exponent=p, p=p)[0]
+        rhs = a.eval(Q)
+        bound = (n / alpha) * _functional_hypothesis_norm(f, a, Q)
+    elif iid in ("sobolev-A", "sobolev-B"):
+        apq = ap_constant(un, q, root, depth)
+        app = ap_constant(un, p, root, depth)
+        kind = iid[-1]
+        lhs, rhs = reference_sides(
+            f, u=u, lhs_exponent=sobolev_exponent(kind, p, n, q=q, apq=apq),
+            p=p)
+        bound = app ** (1.0 / p) if kind == "A" \
+            else apq ** (1.0 / (n * q)) * app ** (2.0 / p)
+    elif iid == "a1-linear":
+        lhs, rhs = reference_sides(f, u=u, lhs_exponent=pstar, p=p,
+                                   center="weighted_mean")
+        bound = ap_constant(un, 1.0, root, depth)
+    elif iid == "mixed":
+        lhs = reference_sides(f, u=u, lhs_exponent=pstar, p=p,
+                              center="weighted_mean", normalized=False)[0]
+        rhs = reference_sides(f, u=u, lhs_exponent=pstar, p=p,
+                              rhs_kind="mixed")[1]
+        bound = math.nan
+    elif iid == "lorentz":
+        lhs, rhs = reference_sides(f, u=u, lhs_exponent=p, p=p,
+                                   rhs_kind="lorentz")
+        bound = ap1_constant(un, p, root, depth) ** (1.0 / p)
+    elif iid == "exp-JN":
+        lhs = orlicz_exp_norm_values(dev.ravel(),
+                                     np.full(dev.size, 1.0 / dev.size))
+        rhs = a_functional.eval(Q)
+        bound = max(_functional_hypothesis_norm(f, a_functional, Q), 1e-300)
+    elif iid == "kz-downward":
+        lhs, rhs = reference_sides(f, u=u, lhs_exponent=p, p=p)
+        bound = ap_constant(un, p, root, depth) ** ((p0 - 1.0) / (p - 1.0))
+    elif iid in ("pointwise-i1", "i1-vs-m"):
+        i1 = fractional_integral(grad, 1.0, Q).values[sl]
+        if iid == "pointwise-i1":
+            num, denom = dev, i1
+        else:
+            num = i1
+            denom = f.sidelength(Q) * centered_maximal_values(grad.values)[sl]
+        mask = denom > 0
+        lhs, rhs, bound = float(np.max(num[mask] / denom[mask])), 1.0, math.nan
+    else:   # weak-1n'
+        mu_mass = measure_cell_masses(mu, f)
+        nprime = n / (n - 1.0)
+        lhs = weak_norm_values(dev.ravel(), mu_mass[sl].ravel(), nprime)
+        Mmu = centered_maximal_measure(mu_mass, f.cell_volume)[sl]
+        rhs = float((grad.values[sl] * Mmu ** (1.0 / nprime)).sum()
+                    * f.cell_volume)
+        bound = math.nan
+    return lhs, rhs, bound
+
+
+CATALOG = ("pp-two-weight", "higher-order", "pp-measure", "sobolev-A",
+           "sobolev-B", "a1-linear", "mixed", "lorentz", "exp-JN",
+           "kz-downward", "pointwise-i1", "i1-vs-m", "weak-1n'")
+CATALOG_PARAMS = {"pp-two-weight": (2.0, 1), "higher-order": (2.0, 2),
+                  "kz-downward": (2.0, 1), "lorentz": (1.5, 1)}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+NEEDS_N2 = ("sobolev-A", "sobolev-B", "a1-linear", "mixed", "pointwise-i1",
+            "i1-vs-m", "weak-1n'")
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("iid,n,depth,side", [
+    (iid, n, depth, side) for iid in CATALOG
+    for n, depth, side in ((1, 6, 1.0), (1, 5, 0.3), (2, 4, 2.0), (2, 3, 0.3))
+    if n == 2 or iid not in NEEDS_N2])
+def test_catalog_equals_reference_sides(iid, n, depth, side, weighted):
+    rng = np.random.default_rng([CATALOG.index(iid), n, depth, weighted])
+    root = RootBox((-0.1,) * n, side)
+    shape = (1 << depth,) * n
+    f = GridFunction(root, depth, rng.normal(size=shape))
+    vol = f.cell_volume
+    u, v = ((rng.lognormal(0.0, 0.7, shape) * vol,
+             rng.lognormal(0.0, 0.7, shape) * vol) if weighted
+            else (None, None))
+    mu = rng.uniform(0.1, 1.0, shape) * vol
+    p, m = CATALOG_PARAMS.get(iid, (1.5 if n == 2 else 1.0, 1))
+    cs = CubeSums(rng.uniform(0.1, 1.0, shape), depth)
+    inc = IncreasingFunctional({c: cs.mass(c) for c in all_cubes(n, depth)},
+                               root, depth)
+    kw = dict(u=u, v=v, mu=mu, p=p, q=1.5, m=m, p0=3.0, alpha=0.8,
+              a_functional=inc)
+    res = check_inequality(iid, f, **kw)
+    ref = reference_check(iid, f, **kw)
+    assert _same(res.lhs, ref[0])
+    assert _same(res.rhs, ref[1])
+    assert _same(res.bound, ref[2])
+
+
+def reference_sharpness_point(p, n, eps, delta, depth):
+    root = RootBox.symmetric(n)
+    w = PowerWeight(delta, n, root)
+    f = plateau_function(root, depth, eps)
+    masses = w.cell_masses(root, depth)
+    tot = masses.sum()
+    pstar = sobolev_exponent("classical", p, n)
+    lhs = float(((f.values ** pstar * masses).sum() / tot) ** (1.0 / pstar))
+    grad = discrete_gradient(f, 1)
+    rhs0 = root.side * float(((grad.values ** p * masses).sum() / tot)
+                             ** (1.0 / p))
+    return lhs, rhs0, ap_constant(w.cell_values(root, depth), 1.0, root, depth)
+
+
+@pytest.mark.parametrize("p,n,depth", [(1.0, 2, 6), (1.5, 2, 5), (1.0, 3, 4),
+                                       (2.0, 3, 3)])
+@pytest.mark.parametrize("delta", [0.5, 0.125])
+def test_sharpness_point_equals_reference(p, n, depth, delta):
+    assert sharpness_point(p, n, 0.05, delta, depth) == \
+        reference_sharpness_point(p, n, 0.05, delta, depth)
