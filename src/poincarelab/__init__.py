@@ -17,10 +17,9 @@ from .weights import (Atomic, Density, GridWeight, PowerWeight,
                       WeightConstantsReport, ainf_fujii_wilson, ap1_constant,
                       ap_constant, constants_report, rh_exponent,
                       rh_exponent_and_check, rhinf_constant, two_weight_ap)
-from .operators import (OperatorConfig, centered_maximal, dyadic_maximal,
-                        fractional_integral, lorentz_p1_norm, orlicz_exp_norm,
-                        powered_maximal, rubio_de_francia, triple_norm,
-                        truncate, weak_norm)
+from .operators import (centered_maximal, dyadic_maximal, fractional_integral,
+                        lorentz_p1_norm, orlicz_exp_norm, powered_maximal,
+                        rubio_de_francia, triple_norm, truncate, weak_norm)
 from .functionals import (ConstantFunctional, DpReport, FractionalFunctional,
                           GradientFunctional, IncreasingFunctional,
                           LorentzGradientFunctional, SmallFamily, dp_ratio,

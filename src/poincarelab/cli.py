@@ -20,7 +20,7 @@ from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
                    measure_cell_masses)
 from .weights import (Density, GridWeight, PowerWeight, ap_constant,
                       constants_report)
-from .operators import OperatorConfig, rubio_de_francia
+from .operators import AP_BOUND_CN, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
 from .decomposition import cz_decompose
 from .inequalities import check_inequality, sharpness_sweep
@@ -133,13 +133,13 @@ def _cmd_functional_check(args):
     depth = args.depth
     root = RootBox.unit(n)
     check_cell_cap(n, depth)
-    vol = (root.side / (1 << depth)) ** n
+    grid = GridFunction(root, depth, np.zeros((1 << depth) ** n))
 
     def load_masses(key):
         src = config.get(key, "lebesgue")
-        if src == "lebesgue":
-            return np.full((1 << depth,) * n, vol)
-        return Density(GridFunction.load(src)).cell_masses(root, depth)
+        return measure_cell_masses(
+            None if src == "lebesgue" else Density(GridFunction.load(src)),
+            grid)
 
     mu = load_masses("mu")
     wm = load_masses("w")
@@ -168,8 +168,6 @@ def _cmd_poincare(args):
                    "q": args.q, "m": args.m, "depth": f.depth,
                    "seed": args.seed}
     _dump(d, args.out, args.format)
-    if res.status == "verified" and res.passed is False:
-        return 1
     return 0
 
 
@@ -187,17 +185,18 @@ def _cmd_sharpness(args):
 
 
 def _cmd_rdf(args):
+    if (args.opnorm == "supplied") != (args.opnorm_value is not None):
+        raise CliError("--opnorm-value goes with --opnorm supplied, "
+                       "and only with it")
     h = GridFunction.load(args.input)
     wobj, _, _ = _load_weight(args, h.depth)
-    wm = measure_cell_masses(wobj, h)
-    cfg = OperatorConfig(rdf_terms=args.terms, opnorm_mode=args.opnorm,
-                         opnorm_value=args.opnorm_value)
-    ap_val = None
-    if args.opnorm == "ap-bound":
-        ap_val = ap_constant(wobj.cell_values(h.root, h.depth), args.p,
-                             h.root, h.depth)
-    R, rep = rubio_de_francia(h, wm, args.p, cfg, ap_value=ap_val)
-    rep = dict(rep)
+    p, opnorm = args.p, args.opnorm_value
+    if args.opnorm == "ap-bound" and p > 1:  # rubio_de_francia refuses p <= 1
+        ap = ap_constant(wobj.cell_values(h.root, h.depth), p, h.root, h.depth)
+        opnorm = AP_BOUND_CN * (p / (p - 1.0)) * ap ** (1.0 / (p - 1.0))
+    R, rep = rubio_de_francia(h, measure_cell_masses(wobj, h), p, args.terms,
+                              opnorm)
+    rep["opnorm_mode"] = args.opnorm  # ap-bound arrives as a supplied number
     rep["config"] = {"command": "rdf", "p": args.p, "terms": args.terms,
                      "opnorm_mode": args.opnorm, "seed": args.seed}
     rep["majorant"] = R.to_json_dict()
@@ -300,6 +299,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.shifted_grids and args.command not in ("constants", "report"):
+            raise CliError("--shifted-grids applies only to constants and "
+                           f"report, not {args.command}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

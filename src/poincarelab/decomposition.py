@@ -113,12 +113,9 @@ class PolyBasis:
     depth: int
     exponents: list
     phis: np.ndarray                # (num_basis, *block shape)
-    condition_number: float
-    ill_conditioned: bool = False
 
 
-def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int,
-                      cond_warn=1e8):
+def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int):
     """Gram-Schmidt (via QR) on monomials of total degree <= m-1 in
     coordinates centered and scaled to Q, sampled at cell midpoints; inner
     product is the grid average over Q."""
@@ -143,8 +140,6 @@ def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int,
                 col = col * scaled[i].ravel() ** k
         cols.append(col)
     A = np.stack(cols, axis=1)
-    gram = A.T @ A / ncells
-    cond = float(np.linalg.cond(gram))
     Qmat, R = np.linalg.qr(A / np.sqrt(ncells))
     if np.linalg.matrix_rank(R) < len(exps):
         raise DecompositionError("rank-deficient monomial sample (grid too coarse)")
@@ -153,8 +148,7 @@ def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int,
     signs[signs == 0] = 1.0
     Qmat = Qmat * signs
     phis = (Qmat.T * np.sqrt(ncells)).reshape((len(exps),) + scaled[0].shape)
-    return PolyBasis(Q, m, f_template.root, f_template.depth, exps, phis,
-                     cond, cond > cond_warn)
+    return PolyBasis(Q, m, f_template.root, f_template.depth, exps, phis)
 
 
 def project(f: GridFunction, basis: PolyBasis):

@@ -28,6 +28,9 @@ from .grid import (CubeIndex, GridFunction, block_reduce, float_pow,
 from .operators import lorentz_p1_norm_values
 
 
+FAMILY_MAX_TRIES = 400  # draws per sampled L-small family
+
+
 class FunctionalError(ValueError):
     pass
 
@@ -227,21 +230,21 @@ def _z_spread(n, bits):
                  for r in range(1 << bits))
 
 
-def _draw_family(Q: CubeIndex, L, rng, depth, max_tries=400):
+def _draw_family(Q: CubeIndex, L, rng, depth):
     """Greedy rejection sampler for L-small families of dyadic subcubes of
     Q: uniformly random cubes, overlaps rejected, until the remaining
-    volume budget is below one finest cell (or tries run out).  Members
-    are ``(level, rel)`` pairs, rel the coordinates relative to Q; one
-    scalar draw picks a try's level, n more its position.  The finest
-    cells of Q are marked in Z order, where each dyadic subcube of Q is
-    one run: the cells of the level-k cube with Z index z are
+    volume budget is below one finest cell (or FAMILY_MAX_TRIES tries run
+    out).  Members are ``(level, rel)`` pairs, rel the coordinates relative
+    to Q; one scalar draw picks a try's level, n more its position.  The
+    finest cells of Q are marked in Z order, where each dyadic subcube of
+    Q is one run: the cells of the level-k cube with Z index z are
     [z * c, (z + 1) * c) for c cells per cube."""
     n, D = Q.n, depth - Q.level
     budget = (1 << D) ** n / L
     spread = _z_spread(n, D)
     taken = bytearray((1 << D) ** n)
     members, used, tries = [], 0, 0
-    while budget - used >= 1.0 and tries < max_tries:
+    while budget - used >= 1.0 and tries < FAMILY_MAX_TRIES:
         tries += 1
         level = int(rng.integers(Q.level, depth + 1))
         cells = 1 << (n * (depth - level))
@@ -260,13 +263,13 @@ def _draw_family(Q: CubeIndex, L, rng, depth, max_tries=400):
     return members
 
 
-def random_small_family(Q: CubeIndex, L, rng, depth, max_tries=400):
+def random_small_family(Q: CubeIndex, L, rng, depth):
     """One sampled L-small family of dyadic subcubes of Q (see
     ``_draw_family``)."""
     if L <= 1:
         raise FunctionalError("L must be > 1")
     return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
-                           in _draw_family(Q, L, rng, depth, max_tries)],
+                           in _draw_family(Q, L, rng, depth)],
                        float(L))
 
 

@@ -56,9 +56,9 @@ class RootBox:
         return cls((0.0,) * n, 1.0)
 
     @classmethod
-    def symmetric(cls, n, halfside=1.0):
-        """Box (-halfside, halfside)^n centered at the origin."""
-        return cls((-float(halfside),) * n, 2.0 * halfside)
+    def symmetric(cls, n):
+        """Box (-1, 1)^n centered at the origin."""
+        return cls((-1.0,) * n, 2.0)
 
 
 @dataclass(frozen=True)
@@ -169,19 +169,6 @@ class GridFunction:
         if q is None:
             return float(self.values.sum() * self.cell_volume)
         return float(self.values[self.block(q)].sum() * self.cell_volume)
-
-    def weighted_average(self, weight, q):
-        """Average of f against a weight: (1/w(Q)) * sum f*w over cells of Q.
-
-        ``weight`` is a cell-value array of the same shape (or anything
-        exposing ``cell_values(root, depth)``).
-        """
-        w = resolve(weight, self.root, self.depth)
-        sl = self.block(q)
-        denom = w[sl].sum()
-        if denom <= 0:
-            raise GridError("zero weight mass on cube")
-        return float((self.values[sl] * w[sl]).sum() / denom)
 
     # -- serialization ----------------------------------------------------
 

@@ -2,10 +2,11 @@
 oscillation-inequality catalog, the power-weight sharpness sweep, and the
 weak-to-strong truncation demonstration.
 
-Unknown dimensional constants are never asserted: each check either
-verifies a fully explicit bound or reports the measured constant; sweeps
-track measured constants for boundedness, which is the falsifiable
-content.
+Unknown dimensional constants are never asserted: every catalog check
+reports its measured constant lhs / (bound * rhs), and ``passed`` compares
+lhs with bound * rhs only where the bound is finite; no check verifies a
+bound.  Sweeps track measured constants for boundedness, which is the
+falsifiable content.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ def sobolev_exponent(kind, p, n, q=1.0, apq=1.0, M=None):
 class Exponents:
     p: float
     n: int
-    q: float = 1.0
-    m: int = 1
 
     @property
     def p_conjugate(self):
@@ -144,9 +143,9 @@ class CheckResult:
     bound: float
     ratio: float
     passed: bool | None
-    status: str                      # "verified" | "reported"
     measured_constant: float
     inputs: dict = field(default_factory=dict)
+    status = "reported"              # every id reports; none verifies
 
     def to_dict(self):
         return {
@@ -162,13 +161,13 @@ class CheckResult:
         }
 
 
-def _result(iid, lhs, rhs, bound, status, inputs):
+def _result(iid, lhs, rhs, bound, inputs):
     ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
     prod = bound * rhs
     passed = (lhs <= prod * (1 + 1e-9)) if np.isfinite(bound) else None
     measured = lhs / prod if prod > 0 else math.inf if lhs > 0 else 0.0
     return CheckResult(iid, float(lhs), float(rhs), float(bound), float(ratio),
-                       passed, status, float(measured), inputs)
+                       passed, float(measured), inputs)
 
 
 def _functional_hypothesis_norm(f: GridFunction, a: Functional, Q):
@@ -184,52 +183,55 @@ def _functional_hypothesis_norm(f: GridFunction, a: Functional, Q):
 
 def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
                      p0=None, mu=None, alpha=1.0, a_functional=None):
-    """Evaluate one catalog inequality; see module docstring for the
-    verified-vs-reported convention."""
+    """Evaluate one catalog inequality; see the module docstring for what
+    is reported."""
     Q = Q or CubeIndex.root(f.n)
     n = f.n
     root, depth = f.root, f.depth
     inputs = {"id": iid, "p": p, "q": q, "m": m}
-    umass = measure_cell_masses(u, f)
-    un = umass / f.cell_volume
-    vn = un if v is None else measure_cell_masses(v, f) / f.cell_volume
+
+    def cell_values(w):
+        return measure_cell_masses(w, f) / f.cell_volume
 
     if iid in ("pp-two-weight", "higher-order"):
         higher = iid == "higher-order"
         lhs, rhs = poincare_sides(f, Q, u=u, v=v, lhs_exponent=p, p=p,
                                   m=m if higher else 1,
                                   center="projection" if higher else "mean")
-        bound = (two_weight_ap(un, vn, p, root, depth) ** (1.0 / p)
-                 if p > 1 else ap_constant(un, 1.0, root, depth))
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        uv = cell_values(u)
+        vv = uv if v is None else cell_values(v)
+        bound = (two_weight_ap(uv, vv, p, root, depth) ** (1.0 / p)
+                 if p > 1 else ap_constant(uv, 1.0, root, depth))
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "pp-measure":
-        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), umass,
-                                 root, depth)
+        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f),
+                                 measure_cell_masses(u, f), root, depth)
         anorm = _functional_hypothesis_norm(f, a, Q)
         lhs = oscillation(f, Q, q_exp=p, w=u)
         rhs = a.eval(Q)
         bound = (n / alpha) * anorm
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid in ("sobolev-A", "sobolev-B"):
-        apq = ap_constant(un, q, root, depth)
-        app = ap_constant(un, p, root, depth)
+        uv = cell_values(u)
+        apq = ap_constant(uv, q, root, depth)
+        app = ap_constant(uv, p, root, depth)
         kind = "A" if iid == "sobolev-A" else "B"
         pstar = sobolev_exponent(kind, p, n, q=q, apq=apq)
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p, m=1)
         bound = app ** (1.0 / p) if kind == "A" \
             else apq ** (1.0 / (n * q)) * app ** (2.0 / p)
         inputs["p_star"] = pstar
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "a1-linear":
         pstar = sobolev_exponent("classical", p, n)
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p,
                                   center="weighted_mean")
-        bound = ap_constant(un, 1.0, root, depth)
+        bound = ap_constant(cell_values(u), 1.0, root, depth)
         inputs["p_star"] = pstar
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "mixed":
         pstar = sobolev_exponent("classical", p, n)
@@ -237,13 +239,13 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         dev, _ = _deviation_sum(f, Q, None, pstar, u, True)
         lhs = dev ** (1.0 / pstar)
         inputs["p_star"] = pstar
-        return _result(iid, lhs, rhs, math.nan, "reported", inputs)
+        return _result(iid, lhs, rhs, math.nan, inputs)
 
     if iid == "lorentz":
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p,
                                   rhs_kind="lorentz")
-        bound = ap1_constant(un, p, root, depth) ** (1.0 / p)
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        bound = ap1_constant(cell_values(u), p, root, depth) ** (1.0 / p)
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "exp-JN":
         if a_functional is None:
@@ -252,16 +254,16 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         dev = f.copy_with(np.abs(f.values - f.values[f.block(Q)].mean()))
         lhs = orlicz_exp_norm(dev, q=Q)
         rhs = a_functional.eval(Q)
-        return _result(iid, lhs, rhs, max(hyp, 1e-300), "reported", inputs)
+        return _result(iid, lhs, rhs, max(hyp, 1e-300), inputs)
 
     if iid == "kz-downward":
         if p0 is None or p0 <= p:
             raise InequalityError("kz-downward needs p0 > p")
         lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
-        app = ap_constant(un, p, root, depth)
+        app = ap_constant(cell_values(u), p, root, depth)
         bound = app ** ((p0 - 1.0) / (p - 1.0)) if p > 1 else math.nan
         inputs["p0"] = p0
-        return _result(iid, lhs, rhs, bound, "reported", inputs)
+        return _result(iid, lhs, rhs, bound, inputs)
 
     if iid in ("pointwise-i1", "i1-vs-m"):
         if n < 2:
@@ -276,7 +278,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
             denom = f.sidelength(Q) * centered_maximal_values(grad.values)[sl]
         mask = denom > 0
         sup = float(np.max(num[mask] / denom[mask])) if mask.any() else 0.0
-        return _result(iid, sup, 1.0, math.nan, "reported", inputs)
+        return _result(iid, sup, 1.0, math.nan, inputs)
 
     if iid == "weak-1n'":
         if n < 2:
@@ -290,7 +292,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         grad = discrete_gradient(f, 1)
         rhs = float((grad.values[sl] * Mmu ** (1.0 / nprime)).sum()
                     * f.cell_volume)
-        return _result(iid, lhs, rhs, math.nan, "reported", inputs)
+        return _result(iid, lhs, rhs, math.nan, inputs)
 
     raise InequalityError(f"unknown inequality id {iid!r}")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +19,12 @@ from .weights import _corner_singular_unit_integral
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
 PROBE_SEED = 7     # seed of the empirical estimate's probe corpus
+PROBE_COUNT = 20   # size of that corpus
+EXP_NORM_REL_TOL = 1e-12  # relative bracket width of the exp-L bisection
 
 
 class OperatorError(ValueError):
     pass
-
-
-@dataclass
-class OperatorConfig:
-    rdf_terms: int = 20
-    opnorm_mode: str = "empirical"            # supplied | empirical | ap-bound
-    opnorm_value: float | None = None
-    probe_count: int = 20
-
-    def __post_init__(self):
-        if self.rdf_terms < 1:
-            raise OperatorError("rdf_terms must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +258,19 @@ def _restrict(g: GridFunction, measure, q, normalize):
                                   else masses)
 
 
-def weak_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    return weak_norm_values(*_restrict(g, measure, q, normalize), p)
+def weak_norm(g: GridFunction, p, measure, q=None):
+    return weak_norm_values(*_restrict(g, measure, q, True), p)
 
 
-def lorentz_p1_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    return lorentz_p1_norm_values(*_restrict(g, measure, q, normalize), p)
+def lorentz_p1_norm(g: GridFunction, p, measure, q=None):
+    return lorentz_p1_norm_values(*_restrict(g, measure, q, True), p)
 
 
-def triple_norm(g: GridFunction, p, measure, q=None, normalize=True):
-    return triple_norm_values(*_restrict(g, measure, q, normalize), p)
+def triple_norm(g: GridFunction, p, measure, q=None):
+    return triple_norm_values(*_restrict(g, measure, q, True), p)
 
 
-def orlicz_exp_norm_values(values, masses, rel_tol=1e-12):
+def orlicz_exp_norm_values(values, masses):
     """Luxemburg norm for Phi(t) = exp(t) - 1 on a normalized measure:
     the lambda with mean of (exp(|g|/lambda) - 1) equal to 1, by bisection."""
     v = np.abs(np.asarray(values, dtype=float)).ravel()
@@ -306,7 +295,7 @@ def orlicz_exp_norm_values(values, masses, rel_tol=1e-12):
         lo *= 0.5
         if lo < 1e-300:
             return 0.0
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > EXP_NORM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
@@ -315,10 +304,10 @@ def orlicz_exp_norm_values(values, masses, rel_tol=1e-12):
     return hi
 
 
-def orlicz_exp_norm(g: GridFunction, measure=None, q=None, rel_tol=1e-12):
+def orlicz_exp_norm(g: GridFunction, measure=None, q=None):
     """exp-L Luxemburg norm of g on Q against the normalized measure
     (Lebesgue dx/|Q| when no measure is given)."""
-    return orlicz_exp_norm_values(*_restrict(g, measure, q, False), rel_tol)
+    return orlicz_exp_norm_values(*_restrict(g, measure, q, False))
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +338,10 @@ def rdf_probe_corpus(shape, count, seed):
     return out
 
 
-def maximal_opnorm(w_masses, p, shape, cfg: OperatorConfig, ap_value=None):
-    """||M||_{L^p(w)} estimate per cfg.opnorm_mode."""
-    if cfg.opnorm_mode == "supplied":
-        if cfg.opnorm_value is None:
-            raise OperatorError("supplied mode needs opnorm_value")
-        return float(cfg.opnorm_value)
-    if cfg.opnorm_mode == "ap-bound":
-        if ap_value is None:
-            raise OperatorError("ap-bound mode needs the A_p constant")
-        pprime = p / (p - 1.0)
-        return AP_BOUND_CN * pprime * ap_value ** (1.0 / (p - 1.0))
-    probes = rdf_probe_corpus(shape, cfg.probe_count, PROBE_SEED)
+def maximal_opnorm(w_masses, p, shape):
+    """Empirical ||M||_{L^p(w)}: the largest ratio ||Mg|| / ||g|| over the
+    PROBE_COUNT seeded probes g, and at least 1."""
+    probes = rdf_probe_corpus(shape, PROBE_COUNT, PROBE_SEED)
     maxed = _centered_maximal(probes, len(shape))
     wm = w_masses.ravel()
     best = 0.0
@@ -370,34 +351,38 @@ def maximal_opnorm(w_masses, p, shape, cfg: OperatorConfig, ap_value=None):
     return max(best, 1.0)
 
 
-def rubio_de_francia(h: GridFunction, w, p, cfg: OperatorConfig | None = None,
-                     ap_value=None):
-    """Truncated majorant series R(h) = sum_k M^k h / (2 ||M||)^k.
+def rubio_de_francia(h: GridFunction, w, p, terms=20, opnorm=None):
+    """Truncated majorant series R(h) = sum_k M^k h / (2 ||M||)^k, k <= terms.
 
-    Returns (R, report) where report records the operator-norm estimate,
-    the number of terms, and the geometric tail bound
-    (1/(2||M||))^(K+1) / (1 - 1/(2||M||)) * ||h||_{L^p(w)}.
+    ||M|| is ``opnorm`` when given ("supplied") and the ``maximal_opnorm``
+    estimate otherwise ("empirical").  Returns (R, report) where report
+    records the operator-norm value and mode, the number of terms, and the
+    geometric tail bound (1/(2||M||))^(terms+1) / (1 - 1/(2||M||)) ||h||_{L^p(w)}.
     """
-    cfg = cfg or OperatorConfig()
+    if terms < 1:
+        raise OperatorError("terms must be >= 1")
     if p <= 1:
         raise OperatorError("p must be > 1")
     if np.any(h.values < 0) or not np.any(h.values > 0):
         raise OperatorError("h must be nonnegative and not identically zero")
     w_masses = measure_cell_masses(w, h)
-    opnorm = maximal_opnorm(w_masses, p, h.values.shape, cfg, ap_value)
-    K = cfg.rdf_terms
+    mode = "supplied"
+    if opnorm is None:
+        mode, opnorm = "empirical", maximal_opnorm(w_masses, p, h.values.shape)
+    elif not opnorm >= 1:   # ||M|| >= 1 because Mh >= h
+        raise OperatorError("opnorm must be >= 1")
     term = h.values.copy()
     acc = term.copy()
     ratio = 1.0 / (2.0 * opnorm)
-    for k in range(1, K + 1):
+    for k in range(1, terms + 1):
         term = centered_maximal_values(term)
         acc = acc + term * ratio ** k
     hnorm = lp_norm(h.values.ravel(), w_masses.ravel(), p)
-    tail = ratio ** (K + 1) / (1.0 - ratio) * hnorm
+    tail = ratio ** (terms + 1) / (1.0 - ratio) * hnorm
     report = {
         "opnorm": opnorm,
-        "opnorm_mode": cfg.opnorm_mode,
-        "terms": K,
+        "opnorm_mode": mode,
+        "terms": terms,
         "tail_bound": tail,
         "h_norm": hnorm,
     }

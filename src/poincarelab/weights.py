@@ -58,9 +58,11 @@ class GridWeight:
 
 
 _CORNER_INTEGRAL_CACHE = {}
+CORNER_SUBLEVELS = 6  # midpoint subdivision levels of the corner integral
+SET_INEQUALITY_TOL = 1e-12  # relative slack of set_inequality_holds
 
 
-def _corner_singular_unit_integral(n, gamma, sublevels=6):
+def _corner_singular_unit_integral(n, gamma):
     """integral over [0,1]^n of |u|^(gamma - n) du for gamma > 0.
 
     Splits the unit cube into 2^n half-side subcubes; the origin subcube is
@@ -71,10 +73,10 @@ def _corner_singular_unit_integral(n, gamma, sublevels=6):
         raise WeightError("exponent must be positive")
     if n == 1:
         return 1.0 / gamma
-    key = (n, float(gamma), sublevels)
+    key = (n, float(gamma))
     if key in _CORNER_INTEGRAL_CACHE:
         return _CORNER_INTEGRAL_CACHE[key]
-    K = 1 << sublevels
+    K = 1 << CORNER_SUBLEVELS
     side = 0.5 / K
     mids = side * (np.arange(K) + 0.5)
     shell = 0.0
@@ -140,12 +142,6 @@ class PowerWeight:
         N = 1 << depth
         h = root.side / N
         return self.cell_masses(root, depth) / h ** self._n
-
-    def cube_mass(self, q, depth):
-        masses = self.cell_masses(self.root, depth)
-        span = 1 << (depth - q.level)
-        sl = tuple(slice(c * span, (c + 1) * span) for c in q.coords)
-        return float(masses[sl].sum())
 
 
 class Density:
@@ -381,10 +377,10 @@ def constants_report(w, p, root, depth, shifted=False):
                                  FamilyDescriptor(depth, shifted))
 
 
-def set_inequality_holds(w, p, root, depth, tol=1e-12):
+def set_inequality_holds(w, p, root, depth):
     """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for every pair of
-    dyadic cubes E inside Q down to ``depth``, up to a relative ``tol`` on
-    its p-th power (|E|/|Q|)^p w(Q) <= ap w(E).
+    dyadic cubes E inside Q down to ``depth``, up to a relative
+    SET_INEQUALITY_TOL on its p-th power (|E|/|Q|)^p w(Q) <= ap w(E).
 
     One pass down the levels, O(depth * cells): ``worst`` holds, per cube
     E of the level, the max of the left side (|E|/|Q|)^p w(Q) over the
@@ -398,6 +394,6 @@ def set_inequality_holds(w, p, root, depth, tol=1e-12):
         sums = block_reduce(wv, level, np.sum)
         worst = sums if worst is None \
             else np.maximum(sums, shrink * upsample(worst))
-        if np.any(worst > ap * sums * (1.0 + tol)):
+        if np.any(worst > ap * sums * (1.0 + SET_INEQUALITY_TOL)):
             return False
     return True

@@ -19,10 +19,9 @@ from poincarelab.functionals import (CubeSums, FractionalFunctional,
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
 from poincarelab.inequalities import (InequalityError, check_inequality,
                                       sharpness_sweep, sobolev_exponent)
-from poincarelab.operators import (OperatorConfig, centered_maximal_values,
-                                   lp_norm, rdf_probe_corpus,
-                                   rubio_de_francia, triple_norm_values,
-                                   weak_norm_values)
+from poincarelab.operators import (centered_maximal_values, lp_norm,
+                                   rdf_probe_corpus, rubio_de_francia,
+                                   triple_norm_values, weak_norm_values)
 from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
                                  rh_exponent_and_check, rhinf_constant)
 from tests import conftest
@@ -240,14 +239,13 @@ def test_criterion_08_majorant_series():
     weights = [np.ones(N),
                np.where(np.arange(N) < N // 2, 1.0, 3.0),
                pw.cell_values(root, depth)]
-    cfg = OperatorConfig(rdf_terms=20)
     ok = True
     worst_b = worst_c = 0.0
     for wv in weights:
         wm = wv * (root.side / N)
         for vals in rdf_probe_corpus((N,), 20, 7):
             h = GridFunction(root, depth, vals)
-            R, rep = rubio_de_francia(h, wv, 2.0, cfg)
+            R, rep = rubio_de_francia(h, wv, 2.0, terms=20)
             ok &= bool(np.all(R.values >= h.values - 1e-12))        # (A)
             hn = lp_norm(h.values, wm, 2.0)
             rn = lp_norm(R.values, wm, 2.0)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poincarelab import cli
 from poincarelab.cli import main
 from poincarelab.grid import GridFunction, RootBox
 
@@ -214,6 +215,44 @@ def test_rdf_command(tmp_path, step_weight_file):
                                       h.values.tolist()))
 
 
+@pytest.fixture()
+def rdf_argv(tmp_path):
+    """rdf on a seeded 2D depth-4 input and lognormal weight, p = 2."""
+    rng = np.random.default_rng(5)
+    root = RootBox.unit(2)
+    h, w = tmp_path / "h.json", tmp_path / "w.json"
+    GridFunction(root, 4, rng.uniform(0.05, 1.0, (16, 16))).save(h)
+    GridFunction(root, 4, np.exp(rng.normal(0.0, 0.5, (16, 16)))).save(w)
+    return ["rdf", "--input", str(h), "--weight", str(w), "--p", "2"]
+
+
+def test_rdf_ap_bound_opnorm(rdf_argv, capsys, monkeypatch):
+    # C_n p' [w]_{A_p}^(1/(p-1)) with C_n = 1: p = 2 and A_2 = 4 give 2 * 4
+    monkeypatch.setattr(cli, "ap_constant", lambda *args: 4.0)
+    assert main([*rdf_argv, "--opnorm", "ap-bound"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["opnorm"], d["opnorm_mode"]) == (8.0, "ap-bound")
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["--opnorm", "supplied"], "error: --opnorm-value goes with"),
+    (["--opnorm-value", "5"], "error: --opnorm-value goes with"),
+    (["--opnorm", "ap-bound", "--opnorm-value", "5"],
+     "error: --opnorm-value goes with"),
+    (["--terms", "0"], "error: terms must be >= 1"),
+    (["--p", "1", "--opnorm", "ap-bound"], "error: p must be > 1"),
+    (["--opnorm", "supplied", "--opnorm-value", "0.5"],
+     "error: opnorm must be >= 1"),
+], ids=["supplied-without-value", "value-without-mode", "value-with-ap-bound",
+        "no-terms", "p-1-ap-bound", "opnorm-below-1"])
+def test_rdf_bad_options_give_one_error_line(rdf_argv, capsys, extra, error):
+    rc = main([*rdf_argv, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(error), err
+
+
 def test_report_command(tmp_path):
     out = tmp_path / "rep.json"
     rc = main(["report", "--power-weight", "delta=0.25", "n=1",
@@ -265,6 +304,27 @@ README_DIGESTS = {
     "report --power-weight delta=0.5 n=2 --depth 5":
         "5572a39c036e7a9b986fb583aa5ac23bfa7e91dd74615e353f8371843e5498ad",
 }
+
+
+# sha256 of the stdout of rdf on ``rdf_argv`` per --opnorm mode, recorded
+# with the same numpy build as README_DIGESTS
+RDF_DIGESTS = {
+    "empirical":
+        "9cae7a94d657df823f22483326aee2b79692ca68ee304b4a816bd0650f0f5bd9",
+    "ap-bound":
+        "4eff9f70347d1bc62f07cb388e90dad7eee2e6982e3150e33be6c6b2f5d179d6",
+    "supplied --opnorm-value 3":
+        "418bd399cb358a7993afe7ed8f75806195e76d7f2fb4b85e35ab7ba5a5da44ec",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RDF_DIGESTS))
+def test_rdf_output_bytes_are_pinned(rdf_argv, capsys, mode):
+    assert main([*rdf_argv, "--opnorm", *mode.split()]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == RDF_DIGESTS[mode], (
+        f"digest recorded with numpy {DIGESTS_NUMPY}, run with numpy "
+        f"{np.__version__}: on another build a difference may be rounding")
 
 
 @pytest.mark.parametrize("command", sorted(README_DIGESTS))
@@ -400,18 +460,23 @@ CSV_CASES = {
 }
 
 
+def _case_args(name, tmp_path, step_weight_file, spike_file):
+    """The arguments of ``CSV_CASES[name]`` on files in ``tmp_path``."""
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
+    w2 = tmp_path / "w2.json"
+    GridFunction(RootBox.unit(1), 2, np.array([1.0, 3.0, 2.0, 1.0])).save(w2)
+    return [a.format(w=step_weight_file, w2=w2, h=spike_file, a=fpath)
+            for a in CSV_CASES[name][0]]
+
+
 @pytest.mark.parametrize("flag_first", [True, False])
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
 def test_csv_only_for_commands_with_a_table(name, flag_first, tmp_path,
                                             capsys, step_weight_file,
                                             spike_file):
-    fpath = tmp_path / "a.json"
-    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
-    w2 = tmp_path / "w2.json"
-    GridFunction(RootBox.unit(1), 2, np.array([1.0, 3.0, 2.0, 1.0])).save(w2)
-    args, header = CSV_CASES[name]
-    args = [a.format(w=step_weight_file, w2=w2, h=spike_file, a=fpath)
-            for a in args]
+    args = _case_args(name, tmp_path, step_weight_file, spike_file)
+    header = CSV_CASES[name][1]
     out = tmp_path / "out.csv"
     fmt = ["--format", "csv"]
     argv = (fmt + args if flag_first else args + fmt) + ["--out", str(out)]
@@ -423,3 +488,23 @@ def test_csv_only_for_commands_with_a_table(name, flag_first, tmp_path,
     else:
         assert rc == 0 and err == []
         assert out.read_text().startswith(header)
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_shifted_grids_only_for_constants_and_report(name, flag_first,
+                                                     tmp_path, capsys,
+                                                     step_weight_file,
+                                                     spike_file):
+    args = _case_args(name, tmp_path, step_weight_file, spike_file)
+    flag = ["--shifted-grids"]
+    rc = main(flag + args if flag_first else args + flag)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if name in ("constants", "report"):
+        assert rc == 0 and err == []
+        assert json.loads(captured.out)["config"]["shifted"] is True
+    else:
+        assert rc == 1 and captured.out == ""
+        assert err == ["error: --shifted-grids applies only to constants "
+                       f"and report, not {args[0]}"], err

@@ -72,12 +72,6 @@ def test_average_and_integral_oracle():
     assert f.integral() == 1.0
 
 
-def test_weighted_average_oracle():
-    f = GridFunction(RootBox.unit(1), 1, np.array([0.0, 1.0]))
-    w = GridFunction(RootBox.unit(1), 1, np.array([1.0, 3.0]))
-    assert f.weighted_average(w, CubeIndex.root(1)) == 0.75
-
-
 def test_sample_midpoints_1d():
     f = sample(RootBox.unit(1), 2, lambda x: x)
     assert np.allclose(f.values, [1 / 8, 3 / 8, 5 / 8, 7 / 8])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
-from poincarelab.operators import (PROBE_SEED, OperatorConfig, OperatorError,
+from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    _centered_maximal, centered_maximal,
                                    centered_maximal_measure,
                                    centered_maximal_values,
@@ -365,9 +365,7 @@ def test_orlicz_matches_dense_scan():
 def test_rdf_constant_input():
     h = GridFunction(UNIT1, 4, np.ones(16))
     w = np.ones(16)
-    cfg = OperatorConfig(rdf_terms=10, opnorm_mode="supplied",
-                        opnorm_value=1.0)
-    R, rep = rubio_de_francia(h, w, 2.0, cfg)
+    R, rep = rubio_de_francia(h, w, 2.0, terms=10, opnorm=1.0)
     expected = sum(0.5 ** k for k in range(11))
     assert np.allclose(R.values, expected, atol=1e-12)
     assert rep["opnorm"] == 1.0 and rep["terms"] == 10
@@ -400,35 +398,37 @@ def test_rdf_rejects_bad_input():
     h2 = GridFunction(UNIT1, 2, np.ones(4))
     with pytest.raises(OperatorError):
         rubio_de_francia(h2, np.ones(4), 1.0)
+    with pytest.raises(OperatorError):
+        rubio_de_francia(h2, np.ones(4), 2.0, terms=0)
+    with pytest.raises(OperatorError):
+        rubio_de_francia(h2, np.ones(4), 2.0, opnorm=0.5)
 
 
 def test_opnorm_modes():
-    cfg = OperatorConfig(opnorm_mode="supplied", opnorm_value=3.0)
-    assert maximal_opnorm(np.ones(8), 2.0, (8,), cfg) == 3.0
-    cfg2 = OperatorConfig(opnorm_mode="ap-bound")
-    # p = 2: p' * ap^(1/(p-1)) = 2 * 4
-    assert maximal_opnorm(np.ones(8), 2.0, (8,), cfg2, ap_value=4.0) == \
-        pytest.approx(8.0)
-    with pytest.raises(OperatorError):
-        maximal_opnorm(np.ones(8), 2.0, (8,), cfg2)
+    # a supplied operator norm is used as given; without one, the
+    # empirical estimate is; the ap-bound value is pinned in test_cli
+    h = GridFunction(UNIT1, 3, np.arange(1.0, 9.0))
+    w = np.full(8, 1 / 8)
+    _, rep = rubio_de_francia(h, w, 2.0, opnorm=3.0)
+    assert (rep["opnorm"], rep["opnorm_mode"]) == (3.0, "supplied")
+    _, rep = rubio_de_francia(h, w, 2.0)
+    assert (rep["opnorm"], rep["opnorm_mode"]) == \
+        (maximal_opnorm(w, 2.0, (8,)), "empirical")
 
 
 def test_empirical_opnorm_at_least_one():
-    cfg = OperatorConfig(opnorm_mode="empirical", probe_count=8)
-    val = maximal_opnorm(np.full(16, 1 / 16), 2.0, (16,), cfg)
+    val = maximal_opnorm(np.full(16, 1 / 16), 2.0, (16,))
     assert val >= 1.0
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 16)])
-@pytest.mark.parametrize("count", [1, 4, 20])
-def test_empirical_opnorm_equals_per_probe_loop(shape, count):
+def test_empirical_opnorm_equals_per_probe_loop(shape):
     rng = np.random.default_rng(13)
     w_masses = rng.exponential(size=shape)
     p = 2.5
-    cfg = OperatorConfig(opnorm_mode="empirical", probe_count=count)
     best = 0.0
-    for vals in rdf_probe_corpus(shape, count, PROBE_SEED):
+    for vals in rdf_probe_corpus(shape, PROBE_COUNT, PROBE_SEED):
         num = lp_norm(centered_maximal_values(vals).ravel(),
                       w_masses.ravel(), p)
         best = max(best, num / lp_norm(vals.ravel(), w_masses.ravel(), p))
-    assert maximal_opnorm(w_masses, p, shape, cfg) == max(best, 1.0)
+    assert maximal_opnorm(w_masses, p, shape) == max(best, 1.0)

@@ -440,9 +440,10 @@ def test_power_weight_mass_additivity():
 def test_power_weight_refinement_stability():
     root = RootBox.symmetric(2)
     w = PowerWeight(0.5, 2, root)
-    q = CubeIndex(1, (0, 0))  # touches the singularity
-    m1 = w.cube_mass(q, 5)
-    m2 = w.cube_mass(q, 7)
+    # the mass of the level-1 cube (0, 0), which touches the singularity,
+    # as a block sum of the cell masses at depths 5 and 7
+    m1 = w.cell_masses(root, 5)[:16, :16].sum()
+    m2 = w.cell_masses(root, 7)[:64, :64].sum()
     assert m1 == pytest.approx(m2, rel=1e-2)
 
 
