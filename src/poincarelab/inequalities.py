@@ -345,55 +345,86 @@ class SharpnessSweep:
         }
 
 
+def _plateau_powers(p, root, eps, depth):
+    """(p*, f^{p*}, |grad f|^p) of the plateau f: the parts of a sharpness
+    point that do not depend on the weight."""
+    f = plateau_function(root, depth, eps)
+    pstar = sobolev_exponent("classical", p, root.n)
+    return pstar, f.values ** pstar, discrete_gradient(f, 1).values ** p
+
+
+def _sharpness_sides(powers, masses, p, root):
+    """(lhs, rhs0) of the plateau against the weight's cell masses: the
+    L^{p*} mean of f and ell(root) times the L^p mean of |grad f|."""
+    pstar, fpow, gpow = powers
+    tot = masses.sum()
+    lhs = float(((fpow * masses).sum() / tot) ** (1.0 / pstar))
+    rhs0 = float(root.side * (((gpow * masses).sum() / tot) ** (1.0 / p)))
+    return lhs, rhs0
+
+
+def _sharpness_point(powers, p, root, delta, depth):
+    w = PowerWeight(delta, root.n, root)
+    lhs, rhs0 = _sharpness_sides(powers, w.cell_masses(root, depth), p, root)
+    return lhs, rhs0, ap_constant(w.cell_values(root, depth), 1.0, root,
+                                  depth)
+
+
 def sharpness_point(p, n, eps, delta, depth):
     """(lhs, rhs0, a1) for one power-weight/plateau configuration."""
     root = RootBox.symmetric(n)
-    w = PowerWeight(delta, n, root)
-    f = plateau_function(root, depth, eps)
-    masses = w.cell_masses(root, depth)
-    pstar = sobolev_exponent("classical", p, n)
-    lhs = float(((f.values ** pstar * masses).sum() / masses.sum())
-                ** (1.0 / pstar))
-    rhs0 = _gradient_side(f, CubeIndex.root(n), masses, p=p)
-    a1 = ap_constant(w.cell_values(root, depth), 1.0, root, depth)
-    return lhs, rhs0, a1
+    return _sharpness_point(_plateau_powers(p, root, eps, depth), p, root,
+                            delta, depth)
+
+
+def _loglog_fit(xs, ys):
+    """(slope, residual) of the least-squares line through the points
+    (log x, log y); NaN for both with fewer than two distinct x, where no
+    line is determined."""
+    if len(set(xs)) < 2:
+        return math.nan, math.nan
+    coef, res = np.polyfit(np.log(xs), np.log(ys), 1, full=True)[:2]
+    return float(coef[0]), float(res[0]) if len(res) else 0.0
 
 
 def sharpness_sweep(p, n, eps, deltas, depth):
     """Power-weight sharpness experiment: fit the exponent beta_hat of the
-    measured ratio lhs/rhs0 against the A_1 constant over the delta sweep."""
+    measured ratio lhs/rhs0 against the A_1 constant over the delta sweep.
+
+    The plateau is built once; each delta costs one weight, two sums and
+    A_1.  beta_hat and fit_residual are NaN when the A_1 values take fewer
+    than two distinct values, as with fewer than two distinct deltas: no
+    line is determined then.
+    """
     if not (0 < eps < 0.5):
         raise InequalityError("eps must lie in (0, 1/2)")
     if not (1 <= p < n):
         raise InequalityError("requires 1 <= p < n")
+    if not deltas:
+        raise InequalityError("deltas must not be empty")
     if any(not (0 < d < 1) for d in deltas):
         raise InequalityError("deltas must lie in (0, 1)")
     deltas = sorted(deltas, reverse=True)
-    lhs, rhs0, a1 = [], [], []
-    for d in deltas:
-        l, r, a = sharpness_point(p, n, eps, d, depth)
-        lhs.append(l)
-        rhs0.append(r)
-        a1.append(a)
-    xs = np.log(a1)
-    ys = np.log(np.array(lhs) / np.array(rhs0))
-    coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
-    resid = float(res[0]) if len(res) else 0.0
-    return SharpnessSweep(p, n, eps, deltas, lhs, rhs0, a1, float(coef[0]),
-                          resid)
+    root = RootBox.symmetric(n)
+    powers = _plateau_powers(p, root, eps, depth)
+    points = [_sharpness_point(powers, p, root, d, depth) for d in deltas]
+    lhs, rhs0, a1 = (list(col) for col in zip(*points))
+    beta, resid = _loglog_fit(a1, np.array(lhs) / np.array(rhs0))
+    return SharpnessSweep(p, n, eps, deltas, lhs, rhs0, a1, beta, resid)
 
 
 def sharpness_scaling_exponents(p, n, delta, epsilons, depth):
     """Fitted log-log exponents of lhs and rhs0 against eps at fixed delta
-    (proof-scaling diagnostics)."""
-    ls, rs = [], []
-    for eps in sorted(epsilons):
-        l, r, _ = sharpness_point(p, n, eps, delta, depth)
-        ls.append(l)
-        rs.append(r)
-    xs = np.log(sorted(epsilons))
-    return (float(np.polyfit(xs, np.log(ls), 1)[0]),
-            float(np.polyfit(xs, np.log(rs), 1)[0]))
+    (proof-scaling diagnostics), NaN with fewer than two distinct eps.  The
+    weight's masses are resolved once for all eps."""
+    if not epsilons:
+        raise InequalityError("epsilons must not be empty")
+    root = RootBox.symmetric(n)
+    masses = PowerWeight(delta, n, root).cell_masses(root, depth)
+    epsilons = sorted(epsilons)
+    ls, rs = zip(*(_sharpness_sides(_plateau_powers(p, root, eps, depth),
+                                    masses, p, root) for eps in epsilons))
+    return _loglog_fit(epsilons, ls)[0], _loglog_fit(epsilons, rs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,18 @@ def _corner_singular_unit_integral(n, gamma):
 
 
 class PowerWeight:
-    """w(x) = |x|^(delta - n) on a root box symmetric about the origin."""
+    """w(x) = |x|^(delta - n) on a root box symmetric about the origin.
+
+    Cell masses: in 1D the exact integral of the density; for n >= 2 the
+    midpoint rule, except on the 2^n cells with a corner at the origin,
+    which get the exact integral h^delta * _corner_singular_unit_integral.
+    The masses are evaluated on the positive orthant only and reflected
+    across every axis, so they are exactly symmetric; where the cell edges
+    are exact binary fractions (a side such as 2, the default) the
+    reflected midpoints equal the computed ones bit for bit.  At depth 0
+    the single cell contains the origin and gets its exact mass
+    2^n (side/2)^delta * _corner_singular_unit_integral.
+    """
 
     def __init__(self, delta, n, root=None):
         if not (0 < delta <= 1):
@@ -112,30 +123,32 @@ class PowerWeight:
     def cell_masses(self, root, depth):
         if root != self.root:
             raise WeightError("PowerWeight resolved on a different root box")
-        key = depth
-        if key in self._mass_cache:
-            return self._mass_cache[key]
+        if depth in self._mass_cache:
+            return self._mass_cache[depth]
         n, delta = self._n, self.delta
         check_cell_cap(n, depth)
         N = 1 << depth
         h = root.side / N
-        edges = root.lower[0] + h * np.arange(N + 1)
         if n == 1:
-            F = np.sign(edges) * np.abs(edges) ** delta / delta
-            masses = np.diff(F)
+            edges = root.lower[0] + h * np.arange(N + 1)
+            masses = np.diff(np.sign(edges) * np.abs(edges) ** delta / delta)
+        elif N == 1:
+            masses = np.full((1,) * n, 2 ** n * (h / 2.0) ** delta
+                             * _corner_singular_unit_integral(n, delta))
         else:
-            lows = np.stack(np.meshgrid(*([edges[:-1]] * n), indexing="ij"), axis=-1)
-            mids = lows + h / 2.0
-            r = np.sqrt(np.sum(mids * mids, axis=-1))
-            masses = (r ** (delta - n)) * h ** n
-            # cells whose closure touches the origin need singularity-aware
-            # subdivision; the grid is origin-symmetric so these are the 2^n
-            # cells with a corner at 0
-            corner = _corner_singular_unit_integral(n, delta)
-            touching = np.all(np.abs(lows + np.where(lows < 0, h, 0.0)) < h * 1e-9,
-                              axis=-1)
-            masses[touching] = (h ** delta) * corner
-        self._mass_cache[key] = masses
+            # the positive orthant, from one 1D array of squared midpoints
+            mids = root.lower[0] + h * np.arange(N // 2, N) + h / 2.0
+            sq = mids * mids
+            r2 = sq
+            for _ in range(1, n):
+                r2 = r2[..., None] + sq
+            masses = (np.sqrt(r2) ** (delta - n)) * h ** n
+            masses[(0,) * n] = (h ** delta) * _corner_singular_unit_integral(
+                n, delta)
+            for axis in range(n):
+                masses = np.concatenate([np.flip(masses, axis), masses],
+                                        axis=axis)
+        self._mass_cache[depth] = masses
         return masses
 
     def cell_values(self, root, depth):
@@ -219,12 +232,47 @@ def _sweep(depth, shifted, per_cube):
 # weight-class constants
 # ---------------------------------------------------------------------------
 
+def _halve(arr, op):
+    """``op`` (np.minimum or np.maximum) over each 2^n block of cells: the
+    array one level coarser."""
+    for axis in range(arr.ndim):
+        lead = (slice(None),) * axis
+        arr = op(arr[lead + (slice(0, None, 2),)],
+                 arr[lead + (slice(1, None, 2),)])
+    return arr
+
+
+def _extremum_levels(values, op):
+    """Per-cube extremum ``op`` (np.minimum or np.maximum) of every cube
+    family member, as ``block_reduce(values, level, op.reduce, sh)`` gives
+    it, for ``_sweep``.
+
+    The aligned levels form one pyramid, each level halved from the next
+    finer one; a half-shifted level-l cube is the union of 2^n aligned
+    level-(l+1) cubes, so it is halved from that level trimmed by one cube
+    per side.  Extrema do not depend on the order of comparison, so each
+    value equals the one-block reduction (up to the sign of a zero).
+    """
+    pyramid = [values]
+    while pyramid[-1].shape[0] > 1:
+        pyramid.append(_halve(pyramid[-1], op))
+    pyramid.reverse()
+
+    def per_cube(level, sh):
+        if not sh:
+            return pyramid[level]
+        return _halve(pyramid[level + 1][(slice(1, -1),) * values.ndim], op)
+
+    return per_cube
+
+
 def _ap_cubes(uv, vv, p):
     """Per-cube A_p expression for ``_sweep``: (avg u)(avg v^(1-p'))^(p-1)
     for p > 1, (avg u) * max(1/v) for p = 1."""
     if p == 1:
+        low = _extremum_levels(vv, np.minimum)
         return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
-                                  / block_reduce(vv, level, np.amin, sh))
+                                  / low(level, sh))
     dual = vv ** (1.0 - p / (p - 1.0))
     return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
                               * block_reduce(dual, level, np.mean, sh)
@@ -255,8 +303,9 @@ def two_weight_ap(u, v, p, root, depth, shifted=False):
 def rhinf_constant(w, root, depth, shifted=False):
     """RH_inf constant: sup over cubes of (max w on Q)/(avg w on Q)."""
     wv = resolve(w, root, depth)
+    high = _extremum_levels(wv, np.maximum)
     return _sweep(depth, shifted,
-                  lambda level, sh: (block_reduce(wv, level, np.amax, sh)
+                  lambda level, sh: (high(level, sh)
                                      / block_reduce(wv, level, np.mean, sh)))[0]
 
 

@@ -190,6 +190,7 @@ def test_poincare_check(tmp_path):
     assert d["passed"] is True
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sharpness_command(tmp_path):
     out = tmp_path / "sh.json"
     rc = main(["sharpness", "--p", "1", "--n", "2", "--eps", "0.1",
@@ -197,6 +198,27 @@ def test_sharpness_command(tmp_path):
     assert rc == 0
     d = json.loads(out.read_text())
     assert len(d["deltas"]) == 2 and "beta_hat" in d
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("deltas", ["0.5", "0.5,0.5"])
+def test_sharpness_without_two_distinct_deltas_has_no_fit(tmp_path, deltas):
+    out = tmp_path / "sh.json"
+    assert main(["sharpness", "--p", "1", "--n", "2", "--deltas", deltas,
+                 "--depth", "5", "--out", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert d["beta_hat"] is None and d["fit_residual"] is None
+    assert len(d["lhs"]) == len(deltas.split(","))
+
+
+def test_depth_zero_power_weight_constants_are_finite():
+    # the single depth-0 cell holds the singularity: its mass is exact
+    proc = _run_cli("constants", "--power-weight", "delta=0.5", "n=2",
+                    "--depth", "0")
+    assert proc.returncode == 0 and proc.stderr == ""
+    d = json.loads(proc.stdout)
+    for key in ("ap", "a1", "ainf_fw", "ap1", "rhinf", "rh_worst_ratio"):
+        assert d[key] == pytest.approx(1.0, rel=1e-12), key
 
 
 def test_rdf_command(tmp_path, step_weight_file):

@@ -31,6 +31,8 @@ from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
 from tests.conftest import counting, smooth_field_2d
 
 UNIT1 = RootBox.unit(1)
+# an inf or NaN mass or ratio shows up as a RuntimeWarning on the way
+RAISE_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +253,21 @@ def test_catalog_unknown_id():
 # sharpness sweep
 # ---------------------------------------------------------------------------
 
+@RAISE_WARNINGS
 def test_plateau_function_shape():
     f = plateau_function(RootBox.symmetric(2), 5, 0.1)
     assert f.values.max() == 1.0 and f.values.min() == 0.0
     assert np.all((0.0 <= f.values) & (f.values <= 1.0))
 
 
+@RAISE_WARNINGS
 def test_sharpness_point_monotone_weight_constant():
     a1s = [sharpness_point(1.0, 2, 0.05, d, 5)[2]
            for d in (0.5, 0.25, 0.125)]
     assert a1s[0] < a1s[1] < a1s[2]
 
 
+@RAISE_WARNINGS
 def test_sharpness_sweep_validation():
     with pytest.raises(InequalityError):
         sharpness_sweep(1.0, 2, 0.6, [0.5], 4)
@@ -272,6 +277,7 @@ def test_sharpness_sweep_validation():
         sharpness_sweep(1.0, 2, 0.05, [1.5], 4)
 
 
+@RAISE_WARNINGS
 def test_sharpness_sweep_structure():
     sweep = sharpness_sweep(1.0, 2, 0.1, [0.5, 0.25], 5)
     d = sweep.to_dict()
@@ -281,6 +287,7 @@ def test_sharpness_sweep_structure():
     assert np.isfinite(sweep.beta_hat)
 
 
+@RAISE_WARNINGS
 def test_sharpness_scaling_exponents_match_plateau_calculus():
     # shrinking the plateau: the numerator scales like eps^(delta/p*) and
     # the gradient side like eps^(delta/p - 1)
@@ -491,9 +498,69 @@ def reference_sharpness_point(p, n, eps, delta, depth):
     return lhs, rhs0, ap_constant(w.cell_values(root, depth), 1.0, root, depth)
 
 
+@RAISE_WARNINGS
 @pytest.mark.parametrize("p,n,depth", [(1.0, 2, 6), (1.5, 2, 5), (1.0, 3, 4),
                                        (2.0, 3, 3)])
 @pytest.mark.parametrize("delta", [0.5, 0.125])
 def test_sharpness_point_equals_reference(p, n, depth, delta):
     assert sharpness_point(p, n, 0.05, delta, depth) == \
         reference_sharpness_point(p, n, 0.05, delta, depth)
+
+
+def reference_sharpness_sweep(p, n, eps, deltas, depth):
+    """``sharpness_sweep(...).to_dict()`` from one full point per delta."""
+    deltas = sorted(deltas, reverse=True)
+    points = [reference_sharpness_point(p, n, eps, d, depth) for d in deltas]
+    lhs, rhs0, a1 = ([pt[i] for pt in points] for i in range(3))
+    coef, res = np.polyfit(np.log(a1), np.log(np.array(lhs) / np.array(rhs0)),
+                           1, full=True)[:2]
+    return {"p": p, "n": n, "epsilon": eps, "deltas": deltas, "lhs": lhs,
+            "rhs0": rhs0, "a1": a1, "beta_hat": float(coef[0]),
+            "fit_residual": float(res[0]) if len(res) else 0.0}
+
+
+@RAISE_WARNINGS
+@pytest.mark.parametrize("p,n,depth", [(1.0, 2, 6), (1.5, 2, 5), (1.0, 3, 4),
+                                       (1.5, 3, 4), (2.0, 3, 4)])
+@pytest.mark.parametrize("deltas", [[0.5, 0.25, 0.125], [0.125, 0.5, 0.5],
+                                    [0.9, 0.05]])
+def test_sharpness_sweep_equals_reference_points(p, n, depth, deltas):
+    assert sharpness_sweep(p, n, 0.05, deltas, depth).to_dict() == \
+        reference_sharpness_sweep(p, n, 0.05, deltas, depth)
+
+
+def reference_scaling_exponents(p, n, delta, epsilons, depth):
+    """The eps exponents from one full sharpness point per eps."""
+    ls, rs = [], []
+    for eps in sorted(epsilons):
+        lhs, rhs0, _ = reference_sharpness_point(p, n, eps, delta, depth)
+        ls.append(lhs)
+        rs.append(rhs0)
+    xs = np.log(sorted(epsilons))
+    return (float(np.polyfit(xs, np.log(ls), 1)[0]),
+            float(np.polyfit(xs, np.log(rs), 1)[0]))
+
+
+@RAISE_WARNINGS
+@pytest.mark.parametrize("p,n,depth", [(1.0, 2, 6), (1.5, 3, 5)])
+def test_scaling_exponents_equal_reference_points(p, n, depth):
+    for delta, epsilons in ((0.5, [0.1, 0.05, 0.025]), (0.125, [0.2, 0.1])):
+        assert sharpness_scaling_exponents(p, n, delta, epsilons, depth) == \
+            reference_scaling_exponents(p, n, delta, epsilons, depth)
+
+
+@RAISE_WARNINGS
+def test_sharpness_fit_needs_two_distinct_values():
+    # through one point a fitted slope is meaningless
+    for deltas in ([0.5], [0.5, 0.5]):
+        sweep = sharpness_sweep(1.0, 2, 0.1, deltas, 5)
+        assert len(sweep.lhs) == len(deltas)
+        assert np.all(np.isfinite(sweep.lhs + sweep.rhs0 + sweep.a1))
+        assert math.isnan(sweep.beta_hat) and math.isnan(sweep.fit_residual)
+    for epsilons in ([0.1], [0.1, 0.1]):
+        assert all(math.isnan(x) for x in
+                   sharpness_scaling_exponents(1.0, 2, 0.5, epsilons, 5))
+    with pytest.raises(InequalityError):
+        sharpness_sweep(1.0, 2, 0.1, [], 5)
+    with pytest.raises(InequalityError):
+        sharpness_scaling_exponents(1.0, 2, 0.5, [], 5)

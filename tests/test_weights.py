@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import weights
-from poincarelab.grid import CubeIndex, GridFunction, RootBox, all_cubes
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
+                              block_reduce)
 from poincarelab.operators import centered_maximal_values, weak_norm_values
 from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
                                  WeightError, _corner_singular_unit_integral,
-                                 ainf_fujii_wilson, ap1_constant, ap_constant,
-                                 constants_report, resolve, rh_exponent,
-                                 rh_exponent_and_check, rhinf_constant,
-                                 set_inequality_holds, two_weight_ap)
+                                 _extremum_levels, ainf_fujii_wilson,
+                                 ap1_constant, ap_constant, constants_report,
+                                 resolve, rh_exponent, rh_exponent_and_check,
+                                 rhinf_constant, set_inequality_holds,
+                                 two_weight_ap)
+
+# an inf or NaN mass or constant shows up as a RuntimeWarning on the way;
+# it fails the test instead of passing silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 UNIT1 = RootBox.unit(1)
 STEP = np.array([1.0, 3.0])
@@ -407,6 +413,124 @@ def test_corner_integral_2d_regular_case():
     # delta = n makes the integrand identically 1
     assert _corner_singular_unit_integral(2, 2.0) == pytest.approx(1.0,
                                                                    rel=1e-9)
+
+
+def reference_power_masses(delta, n, depth, root):
+    """PowerWeight cell masses for n >= 2 and depth >= 1: the midpoint rule
+    on a stacked meshgrid of every cell's lower corner, the cells touching
+    the origin found by a tolerance mask and given the corner integral."""
+    N = 1 << depth
+    h = root.side / N
+    edges = root.lower[0] + h * np.arange(N + 1)
+    lows = np.stack(np.meshgrid(*([edges[:-1]] * n), indexing="ij"), axis=-1)
+    mids = lows + h / 2.0
+    r = np.sqrt(np.sum(mids * mids, axis=-1))
+    masses = (r ** (delta - n)) * h ** n
+    touching = np.all(np.abs(lows + np.where(lows < 0, h, 0.0)) < h * 1e-9,
+                      axis=-1)
+    masses[touching] = (h ** delta) * weights._corner_singular_unit_integral(
+        n, delta)
+    return masses
+
+
+MASS_DELTAS = (0.05, 0.125, 0.25, 0.5, 0.9, 1.0)
+
+
+def _cheap_4d_corner(monkeypatch, n):
+    """In 4D the corner integral costs seconds per delta; both sides of a
+    comparison read the same stand-in value instead."""
+    if n == 4:
+        monkeypatch.setattr(weights, "_corner_singular_unit_integral",
+                            lambda n, gamma: 1.0 + gamma / n)
+
+
+@pytest.mark.parametrize("n,depth", [(2, d) for d in range(1, 10)]
+                         + [(3, d) for d in range(1, 7)]
+                         + [(4, d) for d in range(1, 5)])
+def test_mirrored_power_masses_equal_meshgrid_reference(monkeypatch, n,
+                                                        depth):
+    _cheap_4d_corner(monkeypatch, n)
+    root = RootBox.symmetric(n)
+    for delta in MASS_DELTAS:
+        masses = PowerWeight(delta, n, root).cell_masses(root, depth)
+        ref = reference_power_masses(delta, n, depth, root)
+        assert masses.shape == ref.shape
+        assert masses.tobytes() == ref.tobytes()
+
+
+def test_mirrored_power_masses_on_a_non_dyadic_side():
+    # cell edges that are not exact binary fractions: the reflected
+    # orthant is exactly symmetric, where midpoints computed on the
+    # negative side may round differently in the last bits
+    for n, depth in ((2, 5), (3, 3)):
+        root = RootBox((-0.15,) * n, 0.3)
+        masses = PowerWeight(0.5, n, root).cell_masses(root, depth)
+        for axis in range(n):
+            assert np.array_equal(masses, np.flip(masses, axis))
+        assert np.allclose(masses, reference_power_masses(0.5, n, depth, root),
+                           rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_power_weight_depth_zero_is_exact_and_finite(monkeypatch, n):
+    # the single depth-0 cell contains the origin
+    _cheap_4d_corner(monkeypatch, n)
+    root = RootBox.symmetric(n)
+    for delta in MASS_DELTAS:
+        w = PowerWeight(delta, n, root)
+        mass = w.cell_masses(root, 0)
+        assert mass.shape == (1,) * n and np.all(np.isfinite(mass))
+        assert mass.sum() == pytest.approx(w.cell_masses(root, 1).sum(),
+                                           rel=1e-12)
+        wv = w.cell_values(root, 0)
+        for p in (1.0, 1.5, 2.0):
+            assert ap_constant(wv, p, root, 0) == pytest.approx(1.0, rel=1e-12)
+        assert rhinf_constant(wv, root, 0) == pytest.approx(1.0, rel=1e-12)
+
+
+# extrema with their block_reduce counterparts; no -0.0 in the inputs,
+# because which of two equal zeros an extremum returns depends on the order
+EXTREMA = ((np.minimum, np.amin), (np.maximum, np.amax))
+TIES = (0.0, 1e-300, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan)
+
+
+def _assert_extremum_levels_equal_block_reduce(values):
+    depth = values.shape[0].bit_length() - 1
+    for op, reduction in EXTREMA:
+        per_cube = _extremum_levels(values, op)
+        for level in range(depth + 1):
+            for sh in (False, True) if 0 < level < depth else (False,):
+                got = per_cube(level, sh)
+                ref = block_reduce(values, level, reduction, sh)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n,depth", ((1, 0), (1, 7), (2, 0), (2, 5), (3, 3),
+                                     (4, 2)))
+def test_extremum_levels_equal_block_reduce(n, depth):
+    rng = np.random.default_rng([n, depth])
+    shape = (1 << depth,) * n
+    _assert_extremum_levels_equal_block_reduce(rng.lognormal(size=shape))
+    ties = np.array(TIES)
+    for _ in range(5):
+        _assert_extremum_levels_equal_block_reduce(
+            ties[rng.integers(0, len(ties), shape)])
+
+
+# one canonical NaN, no -0.0 (adding +0.0 turns it into 0.0)
+_cell = st.one_of(st.sampled_from(TIES), st.floats()).map(
+    lambda x: np.nan if x != x else x + 0.0)
+
+
+@given(st.sampled_from(((1, 5), (2, 3), (3, 2))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_extremum_levels_equal_block_reduce_hypothesis(size, data):
+    n, depth = size
+    cells = (1 << depth) ** n
+    values = data.draw(st.lists(_cell, min_size=cells, max_size=cells))
+    _assert_extremum_levels_equal_block_reduce(
+        np.array(values).reshape((1 << depth,) * n))
 
 
 def test_power_weight_total_mass_1d():
