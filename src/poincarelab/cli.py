@@ -18,8 +18,7 @@ import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
                    measure_cell_masses)
-from .weights import (Density, GridWeight, PowerWeight, ap_constant,
-                      constants_report)
+from .weights import GridWeight, PowerWeight, ap_constant, constants_report
 from .operators import AP_BOUND_CN, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
 from .decomposition import cz_decompose
@@ -84,8 +83,7 @@ def _load_weight(args, depth):
 
 def _constants(args, command):
     w, root, depth = _load_weight(args, args.depth)
-    rep = constants_report(w.cell_values(root, depth), args.p, root, depth,
-                           shifted=args.shifted_grids)
+    rep = constants_report(w, args.p, root, depth, shifted=args.shifted_grids)
     return rep.to_dict(), {"command": command, "p": args.p, "depth": depth,
                            "shifted": args.shifted_grids, "seed": args.seed}
 
@@ -138,8 +136,7 @@ def _cmd_functional_check(args):
     def load_masses(key):
         src = config.get(key, "lebesgue")
         return measure_cell_masses(
-            None if src == "lebesgue" else Density(GridFunction.load(src)),
-            grid)
+            None if src == "lebesgue" else GridFunction.load(src), grid)
 
     mu = load_masses("mu")
     wm = load_masses("w")
@@ -192,7 +189,7 @@ def _cmd_rdf(args):
     wobj, _, _ = _load_weight(args, h.depth)
     p, opnorm = args.p, args.opnorm_value
     if args.opnorm == "ap-bound" and p > 1:  # rubio_de_francia refuses p <= 1
-        ap = ap_constant(wobj.cell_values(h.root, h.depth), p, h.root, h.depth)
+        ap = ap_constant(wobj, p, h.root, h.depth)
         opnorm = AP_BOUND_CN * (p / (p - 1.0)) * ap ** (1.0 / (p - 1.0))
     R, rep = rubio_de_francia(h, measure_cell_masses(wobj, h), p, args.terms,
                               opnorm)
@@ -213,7 +210,7 @@ def _cmd_report(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="poincarelab")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--depth", type=int, default=6)
+    ap.add_argument("--depth", type=int, default=None)  # 6 where it is read
     ap.add_argument("--out", default=None)
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--shifted-grids", action="store_true")
@@ -302,6 +299,14 @@ def main(argv=None):
         if args.shifted_grids and args.command not in ("constants", "report"):
             raise CliError("--shifted-grids applies only to constants and "
                            f"report, not {args.command}")
+        if args.depth is None:
+            args.depth = 6
+        elif args.command in ("cz", "poincare", "rdf"):
+            raise CliError(f"--depth does not apply to {args.command}: the "
+                           "grid comes from the --input file")
+        elif getattr(args, "weight", None):
+            raise CliError(f"--depth does not apply to {args.command} "
+                           "--weight: the grid comes from the weight file")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

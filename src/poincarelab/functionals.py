@@ -443,10 +443,21 @@ def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
     return DpReport(float(p), best, witness, trials, mode)
 
 
+def _loglog_fit(xs, ys):
+    """(slope, residual) of the least-squares line through the points
+    (log x, log y); NaN for both with fewer than two distinct x, where no
+    line is determined."""
+    if len(set(xs)) < 2:
+        return math.nan, math.nan
+    coef, res = np.polyfit(np.log(xs), np.log(ys), 1, full=True)[:2]
+    return float(coef[0]), float(res[0]) if len(res) else 0.0
+
+
 def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
               trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
-    smallness slope of log(max ratio) against log(1/L).
+    smallness slope of log(max ratio) against log(1/L) (NaN, with its
+    residual, for a single L).
 
     Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``);
     random mode costs one scalar draw per try of each sampled family.
@@ -480,13 +491,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         if alpha_over_n is not None:
             bound = (1.0 / L) ** alpha_over_n
             violations += sum(1 for r in ratios if r > bound + 1e-12)
-    slope, resid = None, None
-    xs = np.log([1.0 / L for L in sorted(per_L)])
-    ys = np.log([max(per_L[L], 1e-300) for L in sorted(per_L)])
-    if len(xs) >= 2:
-        coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
-        slope = float(coef[0])
-        resid = float(res[0]) if len(res) else 0.0
+    slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
+                               [max(per_L[L], 1e-300) for L in sorted(per_L)])
     total_trials = trials * len(Ls) if mode == "random" else 0
     return DpReport(float(p), worst, witness, total_trials, mode, slope, resid,
                     per_L, violations)

@@ -143,9 +143,6 @@ class GridFunction:
     def sidelength(self, q):
         return self.root.side / (1 << q.level)
 
-    def cube_volume(self, q):
-        return self.sidelength(q) ** self.n
-
     def block(self, q):
         """Slice tuple selecting the cells of cube ``q``."""
         if q.level > self.depth:
@@ -206,26 +203,40 @@ class GridFunction:
             return cls.from_json_dict(json.load(fh))
 
 
+def _density_values(g: GridFunction, root, depth):
+    """The values of ``g`` as a density on the depth-``depth`` grid of
+    ``root``: refused unless ``g`` lies on that grid and is nonnegative."""
+    if g.root != root:
+        raise GridError(f"density on root box {g.root} resolved on {root}")
+    if g.depth != depth:
+        raise GridError(f"density on a depth-{g.depth} grid resolved at "
+                        f"depth {depth}")
+    if np.any(g.values < 0):
+        raise GridError("density must be nonnegative")
+    return g.values
+
+
 def resolve(w, root, depth):
-    """Cell values of a weight-like object on the given grid; a bare array
-    is taken as values."""
+    """Cell values of a weight on the given grid: a bare array is taken as
+    values, a GridFunction is a density on that grid; anything else
+    supplies ``cell_values``."""
     if isinstance(w, np.ndarray):
         return w
     if isinstance(w, GridFunction):
-        return w.values
+        return _density_values(w, root, depth)
     return w.cell_values(root, depth)
 
 
 def measure_cell_masses(measure, g: GridFunction):
     """Cell masses of a measure on the grid of ``g``: ``None`` is Lebesgue
-    measure, a bare array is taken as masses, a GridFunction is a density;
-    anything else supplies ``cell_masses``."""
+    measure, a bare array is taken as masses, a GridFunction is a density
+    on that grid; anything else supplies ``cell_masses``."""
     if measure is None:
         return np.full(g.values.shape, g.cell_volume)
     if isinstance(measure, np.ndarray):
         return measure
     if isinstance(measure, GridFunction):
-        return measure.values * g.cell_volume
+        return _density_values(measure, g.root, g.depth) * g.cell_volume
     return measure.cell_masses(g.root, g.depth)
 
 
@@ -320,3 +331,37 @@ def discrete_gradient(f, order=1):
                 d = diff_axis(d, axis)
         total += np.abs(d)
     return f.copy_with(total)
+
+
+_CORNER_INTEGRAL_CACHE = {}
+CORNER_SUBLEVELS = 6  # midpoint subdivision levels of the corner integral
+
+
+def _corner_singular_unit_integral(n, gamma):
+    """integral over [0,1]^n of |u|^(gamma - n) du for gamma > 0.
+
+    Splits the unit cube into 2^n half-side subcubes; the origin subcube is
+    a (1/2)^gamma rescaled copy of the whole, the other 2^n - 1 are handled
+    by vectorized midpoint subdivision (integrand smooth away from 0).
+    """
+    if gamma <= 0:
+        raise GridError("exponent must be positive")
+    if n == 1:
+        return 1.0 / gamma
+    key = (n, float(gamma))
+    if key in _CORNER_INTEGRAL_CACHE:
+        return _CORNER_INTEGRAL_CACHE[key]
+    K = 1 << CORNER_SUBLEVELS
+    side = 0.5 / K
+    mids = side * (np.arange(K) + 0.5)
+    shell = 0.0
+    for offs in itertools.product((0, 1), repeat=n):
+        if all(o == 0 for o in offs):
+            continue
+        axes = [mids + 0.5 * o for o in offs]
+        grids = np.meshgrid(*axes, indexing="ij")
+        r2 = sum(g * g for g in grids)
+        shell += float((r2 ** ((gamma - n) / 2.0)).sum()) * side ** n
+    out = shell / (1.0 - 2.0 ** (-gamma))
+    _CORNER_INTEGRAL_CACHE[key] = out
+    return out

@@ -20,7 +20,7 @@ from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
                    level_blocks, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
-from .functionals import FractionalFunctional, Functional
+from .functionals import FractionalFunctional, Functional, _loglog_fit
 from .operators import (centered_maximal_values, centered_maximal_measure,
                         fractional_integral, lorentz_p1_norm_values, lp_norm,
                         orlicz_exp_norm, truncate, weak_norm_values)
@@ -200,8 +200,7 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
                                   center="projection" if higher else "mean")
         uv = cell_values(u)
         vv = uv if v is None else cell_values(v)
-        bound = (two_weight_ap(uv, vv, p, root, depth) ** (1.0 / p)
-                 if p > 1 else ap_constant(uv, 1.0, root, depth))
+        bound = two_weight_ap(uv, vv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "pp-measure":
@@ -364,10 +363,10 @@ def _sharpness_sides(powers, masses, p, root):
 
 
 def _sharpness_point(powers, p, root, delta, depth):
-    w = PowerWeight(delta, root.n, root)
-    lhs, rhs0 = _sharpness_sides(powers, w.cell_masses(root, depth), p, root)
-    return lhs, rhs0, ap_constant(w.cell_values(root, depth), 1.0, root,
-                                  depth)
+    masses = PowerWeight(delta, root.n, root).cell_masses(root, depth)
+    lhs, rhs0 = _sharpness_sides(powers, masses, p, root)
+    h = root.side / (1 << depth)
+    return lhs, rhs0, ap_constant(masses / h ** root.n, 1.0, root, depth)
 
 
 def sharpness_point(p, n, eps, delta, depth):
@@ -375,16 +374,6 @@ def sharpness_point(p, n, eps, delta, depth):
     root = RootBox.symmetric(n)
     return _sharpness_point(_plateau_powers(p, root, eps, depth), p, root,
                             delta, depth)
-
-
-def _loglog_fit(xs, ys):
-    """(slope, residual) of the least-squares line through the points
-    (log x, log y); NaN for both with fewer than two distinct x, where no
-    line is determined."""
-    if len(set(xs)) < 2:
-        return math.nan, math.nan
-    coef, res = np.polyfit(np.log(xs), np.log(ys), 1, full=True)[:2]
-    return float(coef[0]), float(res[0]) if len(res) else 0.0
 
 
 def sharpness_sweep(p, n, eps, deltas, depth):

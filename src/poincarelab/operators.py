@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, block_reduce, measure_cell_masses,
-                   upsample)
-from .weights import _corner_singular_unit_integral
+from .grid import (CubeIndex, GridFunction, _corner_singular_unit_integral,
+                   block_reduce, measure_cell_masses, upsample)
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
 PROBE_SEED = 7     # seed of the empirical estimate's probe corpus
@@ -118,10 +117,6 @@ def centered_maximal_values(values):
     the block (cell volume 1, so window averages)."""
     a = np.abs(np.asarray(values, dtype=float))
     return _centered_maximal(a, a.ndim)
-
-
-def centered_maximal(f: GridFunction):
-    return f.copy_with(centered_maximal_values(f.values))
 
 
 def centered_maximal_measure(cell_masses, cell_volume):
@@ -249,27 +244,6 @@ def triple_norm_values(values, masses, p):
     return float(np.max(cum_mass[pos] ** (1.0 / p - 1.0) * cum_int[pos]))
 
 
-def _restrict(g: GridFunction, measure, q, normalize):
-    """Values and measure masses of the cells of q (default: the root cube),
-    the masses scaled to total 1 with ``normalize``."""
-    sl = g.block(q or CubeIndex.root(g.n))
-    masses = measure_cell_masses(measure, g)[sl].ravel()
-    return g.values[sl].ravel(), (masses / masses.sum() if normalize
-                                  else masses)
-
-
-def weak_norm(g: GridFunction, p, measure, q=None):
-    return weak_norm_values(*_restrict(g, measure, q, True), p)
-
-
-def lorentz_p1_norm(g: GridFunction, p, measure, q=None):
-    return lorentz_p1_norm_values(*_restrict(g, measure, q, True), p)
-
-
-def triple_norm(g: GridFunction, p, measure, q=None):
-    return triple_norm_values(*_restrict(g, measure, q, True), p)
-
-
 def orlicz_exp_norm_values(values, masses):
     """Luxemburg norm for Phi(t) = exp(t) - 1 on a normalized measure:
     the lambda with mean of (exp(|g|/lambda) - 1) equal to 1, by bisection."""
@@ -307,7 +281,9 @@ def orlicz_exp_norm_values(values, masses):
 def orlicz_exp_norm(g: GridFunction, measure=None, q=None):
     """exp-L Luxemburg norm of g on Q against the normalized measure
     (Lebesgue dx/|Q| when no measure is given)."""
-    return orlicz_exp_norm_values(*_restrict(g, measure, q, False))
+    sl = g.block(q or CubeIndex.root(g.n))
+    return orlicz_exp_norm_values(g.values[sl],
+                                  measure_cell_masses(measure, g)[sl])
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,29 @@
 
 Weights are positive densities on the grid: either sampled cell values
 (GridWeight) or the radial power law |x|^(delta-n) with quasi-closed-form
-cell masses (PowerWeight).  All class constants (A_p, A_1, Fujii-Wilson
-A_inf, reverse-Holder exponent, A_{p,1}, RH_inf) are suprema over the
-finite dyadic family up to the working depth, taken by one sweep over
-that family; reports record the family used.  ``shifted=True`` adds the
-half-shifted cubes to every constant.  They are a grid stand-in for the
-one-third-shifted lattices of Lerner-Nazarov's three-lattice theorem
-("Intuitive dyadic calculus"); the theorem's constants are not claimed
-for them.
+cell masses (PowerWeight); a bare GridFunction is a nonnegative density
+and Atomic a measure of point masses.  ``grid.resolve`` and
+``grid.measure_cell_masses`` turn each into cell values or cell masses.
+All class constants (A_p, A_1, Fujii-Wilson A_inf, reverse-Holder
+exponent, A_{p,1}, RH_inf) are suprema over the finite dyadic family up
+to the working depth, taken by one sweep over that family; reports
+record the family used.  ``shifted=True`` adds the half-shifted cubes to
+every constant.  They are a grid stand-in for the one-third-shifted
+lattices of Lerner-Nazarov's three-lattice theorem ("Intuitive dyadic
+calculus"); the theorem's constants are not claimed for them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, RootBox, block_reduce,
+from .grid import (CubeIndex, GridFunction, RootBox,
+                   _corner_singular_unit_integral, block_reduce,
                    check_cell_cap, float_pow, level_blocks, resolve,
                    upsample)
+from .operators import _centered_maximal
 
 
 class WeightError(ValueError):
@@ -49,47 +52,13 @@ class GridWeight:
         return self.g.n
 
     def cell_values(self, root, depth):
-        if root != self.g.root or depth != self.g.depth:
-            raise WeightError("weight resolved on a different grid")
-        return self.g.values
+        return resolve(self.g, root, depth)
 
     def cell_masses(self, root, depth):
         return self.cell_values(root, depth) * self.g.cell_volume
 
 
-_CORNER_INTEGRAL_CACHE = {}
-CORNER_SUBLEVELS = 6  # midpoint subdivision levels of the corner integral
 SET_INEQUALITY_TOL = 1e-12  # relative slack of set_inequality_holds
-
-
-def _corner_singular_unit_integral(n, gamma):
-    """integral over [0,1]^n of |u|^(gamma - n) du for gamma > 0.
-
-    Splits the unit cube into 2^n half-side subcubes; the origin subcube is
-    a (1/2)^gamma rescaled copy of the whole, the other 2^n - 1 are handled
-    by vectorized midpoint subdivision (integrand smooth away from 0).
-    """
-    if gamma <= 0:
-        raise WeightError("exponent must be positive")
-    if n == 1:
-        return 1.0 / gamma
-    key = (n, float(gamma))
-    if key in _CORNER_INTEGRAL_CACHE:
-        return _CORNER_INTEGRAL_CACHE[key]
-    K = 1 << CORNER_SUBLEVELS
-    side = 0.5 / K
-    mids = side * (np.arange(K) + 0.5)
-    shell = 0.0
-    for offs in itertools.product((0, 1), repeat=n):
-        if all(o == 0 for o in offs):
-            continue
-        axes = [mids + 0.5 * o for o in offs]
-        grids = np.meshgrid(*axes, indexing="ij")
-        r2 = sum(g * g for g in grids)
-        shell += float((r2 ** ((gamma - n) / 2.0)).sum()) * side ** n
-    out = shell / (1.0 - 2.0 ** (-gamma))
-    _CORNER_INTEGRAL_CACHE[key] = out
-    return out
 
 
 class PowerWeight:
@@ -114,7 +83,6 @@ class PowerWeight:
         self.root = root if root is not None else RootBox.symmetric(n)
         if any(lo + self.root.side / 2.0 != 0.0 for lo in self.root.lower):
             raise WeightError("PowerWeight root box must be centered at the origin")
-        self._mass_cache = {}
 
     @property
     def n(self):
@@ -123,8 +91,6 @@ class PowerWeight:
     def cell_masses(self, root, depth):
         if root != self.root:
             raise WeightError("PowerWeight resolved on a different root box")
-        if depth in self._mass_cache:
-            return self._mass_cache[depth]
         n, delta = self._n, self.delta
         check_cell_cap(n, depth)
         N = 1 << depth
@@ -148,27 +114,12 @@ class PowerWeight:
             for axis in range(n):
                 masses = np.concatenate([np.flip(masses, axis), masses],
                                         axis=axis)
-        self._mass_cache[depth] = masses
         return masses
 
     def cell_values(self, root, depth):
         N = 1 << depth
         h = root.side / N
         return self.cell_masses(root, depth) / h ** self._n
-
-
-class Density:
-    """Measure with nonnegative grid density."""
-
-    def __init__(self, g: GridFunction):
-        if np.any(g.values < 0):
-            raise WeightError("density must be nonnegative")
-        self.g = g
-
-    def cell_masses(self, root, depth):
-        if root != self.g.root or depth != self.g.depth:
-            raise WeightError("measure resolved on a different grid")
-        return self.g.values * self.g.cell_volume
 
 
 class Atomic:
@@ -267,8 +218,8 @@ def _extremum_levels(values, op):
 
 
 def _ap_cubes(uv, vv, p):
-    """Per-cube A_p expression for ``_sweep``: (avg u)(avg v^(1-p'))^(p-1)
-    for p > 1, (avg u) * max(1/v) for p = 1."""
+    """Per-cube two-weight A_p expression for ``_sweep``: (avg u)(avg
+    v^(1-p'))^(p-1) for p > 1, (avg u) * max(1/v) for p = 1."""
     if p == 1:
         low = _extremum_levels(vv, np.minimum)
         return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
@@ -293,9 +244,10 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
 
 
 def two_weight_ap(u, v, p, root, depth, shifted=False):
-    """Two-weight A_p constant sup (avg u)(avg v^(1-p'))^(p-1)."""
-    if p <= 1:
-        raise WeightError("p must be > 1")
+    """Two-weight A_p constant sup (avg u)(avg v^(1-p'))^(p-1) for p > 1,
+    sup (avg u) * max(1/v) for p = 1."""
+    if p < 1:
+        raise WeightError("p must be >= 1")
     uv = resolve(u, root, depth)
     return _sweep(depth, shifted, _ap_cubes(uv, resolve(v, root, depth), p))[0]
 
@@ -316,9 +268,6 @@ def ainf_fujii_wilson(w, root, depth, shifted=False):
     maximal of w restricted to Q (windows clipped to Q).  All cubes of one
     family member go through the maximal kernel as one batch.
     """
-    # local import: operators imports _corner_singular_unit_integral from here
-    from .operators import _centered_maximal
-
     wv = resolve(w, root, depth)
     space = tuple(range(wv.ndim, 2 * wv.ndim))
 

@@ -8,6 +8,19 @@ import pytest
 from poincarelab.grid import GridFunction, RootBox, sample
 
 
+# GridFunction weights that the depth-4 grid of the unit interval refuses,
+# and the words each refusal names the mismatch with
+OFF_GRID = {
+    "other-depth": (lambda: GridFunction(RootBox.unit(1), 3, np.ones(8)),
+                    "depth-3"),
+    "other-root": (lambda: GridFunction(RootBox((0.0,), 7.0), 4,
+                                        np.ones(16)), "side=7.0"),
+    "negative": (lambda: GridFunction(RootBox.unit(1), 4,
+                                      np.linspace(-1.0, 1.0, 16)),
+                 "nonnegative"),
+}
+
+
 def lognormal_weight(rng, n, depth, sigma=None):
     """Random positive cell values with log-normal fluctuations."""
     if sigma is None:

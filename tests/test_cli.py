@@ -13,6 +13,7 @@ import pytest
 from poincarelab import cli
 from poincarelab.cli import main
 from poincarelab.grid import GridFunction, RootBox
+from tests.conftest import OFF_GRID
 
 
 @pytest.fixture()
@@ -114,6 +115,15 @@ def test_functional_check(tmp_path):
     assert d["per_L"]["2.0"] == pytest.approx(0.25)
 
 
+def test_functional_check_with_one_L_has_no_fit(tmp_path, capsys):
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
+    assert main(["functional-check", "--functional", str(fpath), "--Ls", "4",
+                 "--mode", "exhaustive", "--depth", "4"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["smallness_slope"] is None and d["fit_residual"] is None
+
+
 def _functional_check_errors(tmp_path, capsys, config, *extra):
     """Run functional-check (1D, depth 4) on ``config``; return exit code
     and stderr lines."""
@@ -155,6 +165,20 @@ def test_functional_check_mass_file_on_the_run_grid(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("key", ["mu", "w"])
+@pytest.mark.parametrize("case", sorted(OFF_GRID))
+def test_functional_check_names_the_off_grid_mismatch(tmp_path, capsys,
+                                                      case, key):
+    make, words = OFF_GRID[case]
+    wpath = tmp_path / "w.json"
+    make().save(wpath)
+    rc, err = _functional_check_errors(tmp_path, capsys, {key: str(wpath)},
+                                       "--mode", "exhaustive")
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert words in err[0]
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -530,3 +554,28 @@ def test_shifted_grids_only_for_constants_and_report(name, flag_first,
         assert rc == 1 and captured.out == ""
         assert err == ["error: --shifted-grids applies only to constants "
                        f"and report, not {args[0]}"], err
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+@pytest.mark.parametrize("name", sorted(CSV_CASES) + ["constants-power"])
+def test_depth_only_where_no_file_sets_the_grid(name, flag_first, tmp_path,
+                                               capsys, step_weight_file,
+                                               spike_file):
+    args = (["constants", "--power-weight", "delta=0.5", "n=1"]
+            if name == "constants-power"
+            else _case_args(name, tmp_path, step_weight_file, spike_file))
+    flag = ["--depth", "4"]
+    rc = main(flag + args if flag_first else args + flag)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if name in ("constants-power", "functional-check", "sharpness"):
+        # the case's own "--depth 3" after the subcommand wins over a
+        # global --depth, and a later one wins over it
+        assert rc == 0 and err == []
+        depth = 3 if flag_first and name != "constants-power" else 4
+        assert json.loads(captured.out)["config"]["depth"] == depth
+    else:
+        assert rc == 1 and captured.out == ""
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: --depth does not apply to "
+                                 f"{args[0]}"), err

@@ -438,6 +438,35 @@ def test_report_fields_are_python_floats(mode):
             assert all(type(v) is float for v in floats), d
 
 
+def reference_smallness_fit(per_L):
+    """The smallness slope and residual as sdp_check fitted them inline."""
+    xs = np.log([1.0 / L for L in sorted(per_L)])
+    ys = np.log([max(per_L[L], 1e-300) for L in sorted(per_L)])
+    coef, res = np.polyfit(xs, ys, 1, full=True)[:2]
+    return float(coef[0]), float(res[0]) if len(res) else 0.0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("Ls", [[2.0, 4.0], [8.0, 2.0, 3.0, 4.0],
+                                [4.0, 2.0, 4.0]])
+def test_smallness_fit_equals_inline_formula(mode, Ls):
+    rng = np.random.default_rng(21)
+    functionals, wm = five_functionals(rng, 1, 5, 1.5)
+    for a in functionals:
+        rep = sdp_check(a, wm, 1.5, CubeIndex.root(1), 5, Ls, trials=30,
+                        mode=mode)
+        assert (rep.smallness_slope, rep.fit_residual) == \
+            reference_smallness_fit(rep.per_L)
+
+
+@pytest.mark.parametrize("Ls", [[4.0], [4.0, 4.0]])
+def test_smallness_fit_is_nan_for_one_L(Ls):
+    a = unweighted_functional(1.0, 1.0, 1, 4)
+    rep = sdp_check(a, lebesgue_masses(1, 4), 1.0, CubeIndex.root(1), 4, Ls,
+                    mode="exhaustive")
+    assert np.isnan(rep.smallness_slope) and np.isnan(rep.fit_residual)
+
+
 # ---------------------------------------------------------------------------
 # per-level a(Q) arrays and the sampled mode against per-cube references
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               discrete_gradient,
                               level_blocks, measure_cell_masses, resolve,
                               sample)
-from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
+from poincarelab.decomposition import oscillation
+from poincarelab.weights import (Atomic, GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
+from tests.conftest import OFF_GRID
 
 
 def test_root_box_unit_and_symmetric():
@@ -251,6 +253,33 @@ def test_resolve_takes_arrays_as_values():
     assert np.array_equal(resolve(pw, root, 2), pw.cell_values(root, 2))
 
 
+@pytest.mark.parametrize("case", sorted(OFF_GRID))
+def test_weight_off_the_grid_is_refused_on_every_path(case):
+    make, words = OFF_GRID[case]
+    w = make()
+    f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
+    calls = {
+        "resolve": lambda: resolve(w, f.root, f.depth),
+        "measure_cell_masses": lambda: measure_cell_masses(w, f),
+        "oscillation": lambda: oscillation(f, CubeIndex(1, (0,)), w=w),
+        "ap_constant": lambda: ap_constant(w, 2.0, f.root, f.depth),
+    }
+    if case != "negative":      # GridWeight refuses it when built
+        calls["GridWeight.cell_values"] = \
+            lambda: GridWeight(w).cell_values(f.root, f.depth)
+    for call in calls.values():
+        with pytest.raises(GridError, match=words):
+            call()
+
+
+def test_weight_on_the_grid_passes_every_path():
+    f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
+    w = f.copy_with(np.linspace(0.0, 1.0, 16))  # zero is a valid density
+    assert resolve(w, f.root, f.depth) is w.values
+    assert np.array_equal(measure_cell_masses(w, f), w.values / 16)
+    assert oscillation(f, w=w) == oscillation(f, w=w.values / 16)
+
+
 def test_measure_cell_masses_contract():
     root = RootBox.unit(1)
     g = GridFunction(root, 2, np.array([1.0, 2.0, 3.0, 4.0]))
@@ -264,7 +293,6 @@ def test_measure_cell_masses_contract():
         (masses, g, masses),
         (g, g, g.values * h),
         (GridWeight(g), g, g.values * h),
-        (Density(g), g, g.values * h),
         (Atomic([(0.1,), (0.6,)], [2.0, 5.0]), g, [2.0, 0.0, 5.0, 0.0]),
         (pw, gs, pw.cell_masses(sym, 2)),
     ]

@@ -1,5 +1,7 @@
-"""Source hygiene: every name a library module imports is used there, and
-every module-level private function is referenced by some module."""
+"""Source hygiene: every name a library module imports is used there,
+every module-level private function is referenced by some module, every
+public function, class and method is read by some module or test, and no
+function imports a package module locally."""
 
 import ast
 from pathlib import Path
@@ -69,3 +71,92 @@ def test_detector_flags_unreferenced_private_functions():
                        "    pass\n\n\ndef __dunder__():\n    pass\n",
                "b.py": "from . import a\na._used()\n"}
     assert unused_private_functions(sources) == [("a.py", "_stale")]
+
+
+def _names_read(sources):
+    """Every name read in ``sources`` (name -> source text), as a bare name
+    or as an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def unread_public_names(defining, reading):
+    """(module, name) of each public module-level function and class in
+    ``defining``, and of each public method of such a class (named
+    ``Class.method``), that no source in ``reading`` reads by name or as
+    an attribute; an import alone is not a read."""
+    read = _names_read(reading)
+    unread = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name not in read:
+                unread.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                unread += [(module, f"{node.name}.{item.name}")
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_")
+                           and item.name not in read]
+    return sorted(unread)
+
+
+TESTS = Path(__file__).parent
+
+
+def test_every_public_name_is_read():
+    defining = {p.name: p.read_text() for p in MODULES}
+    reading = {str(p): p.read_text()
+               for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    assert unread_public_names(defining, reading) == []
+
+
+def test_detector_flags_unread_public_names():
+    defining = {"a.py": "def used():\n    pass\n\n\ndef stale():\n    pass\n\n\n"
+                        "def _private():\n    pass\n\n\nclass K:\n"
+                        "    def run(self):\n        pass\n\n"
+                        "    def idle(self):\n        pass\n\n"
+                        "    def __init__(self):\n        pass\n"}
+    reading = {"b.py": "from a import K, stale, used\nused()\nK().run()\n"}
+    assert unread_public_names(defining, reading) == [("a.py", "K.idle"),
+                                                      ("a.py", "stale")]
+
+
+def local_package_imports(source):
+    """(line, function) of each import of a package module (a relative
+    import, or one of ``poincarelab``) inside a function body."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else None
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if names is None or any(n.split(".")[0] == "poincarelab"
+                                    for n in names):
+                found.append((node.lineno, fn.name))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    assert local_package_imports(path.read_text()) == []
+
+
+def test_detector_flags_function_local_package_imports():
+    src = ("import io\nfrom . import grid\n\n\ndef f():\n    import io\n"
+           "    from .operators import g\n    return g\n\n\n"
+           "def h():\n    import poincarelab.grid\n"
+           "    from numpy import pi\n    return pi\n")
+    assert local_package_imports(src) == [(7, "f"), (12, "h")]

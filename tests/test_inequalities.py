@@ -134,6 +134,40 @@ def test_check_two_weight_oracle():
     assert res.ratio == pytest.approx(0.25)
 
 
+def reference_two_weight_a1(uv, vv, root, depth):
+    """sup over dyadic Q of avg_Q u * max_Q 1/v, one cube slice at a time."""
+    g = GridFunction(root, depth, uv)
+    return max(float(uv[g.block(q)].mean() * (1.0 / vv[g.block(q)]).max())
+               for q in all_cubes(uv.ndim, depth))
+
+
+@pytest.mark.parametrize("n,depth", [(1, 6), (2, 4), (3, 2)])
+def test_two_weight_bound_at_p1_reads_v(n, depth):
+    rng = np.random.default_rng([13, n])
+    root = RootBox.unit(n)
+    shape = (1 << depth,) * n
+    f = GridFunction(root, depth, rng.normal(size=shape))
+    uv, vv = rng.lognormal(0.0, 0.7, shape), rng.lognormal(0.0, 0.7, shape)
+    vol = f.cell_volume
+    res = check_inequality("pp-two-weight", f, u=uv * vol, v=vv * vol, p=1.0)
+    ref = reference_two_weight_a1(uv, vv, root, depth)
+    assert res.bound == pytest.approx(ref, rel=1e-12)
+    assert two_weight_ap(uv, vv, 1.0, root, depth) == \
+        pytest.approx(ref, rel=1e-12)
+    # with v = u it is A_1, bit for bit
+    assert two_weight_ap(uv, uv, 1.0, root, depth) == \
+        ap_constant(uv, 1.0, root, depth)
+
+
+def test_two_weight_bound_example_u_one_v_quarter():
+    root = RootBox.unit(2)
+    f = sample(root, 4, lambda x, y: x * y)
+    u = np.full((16, 16), f.cell_volume)
+    bounds = [check_inequality("pp-two-weight", f, u=u, v=u / 4, p=p).bound
+              for p in (1.0, 2.0)]
+    assert bounds == [4.0, 2.0]
+
+
 def test_check_exp_jn_two_valued():
     vals = np.ones(32)
     vals[:16] = -1.0

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
-                                   _centered_maximal, centered_maximal,
-                                   centered_maximal_measure,
+                                   _centered_maximal, centered_maximal_measure,
                                    centered_maximal_values,
                                    dyadic_maximal, dyadic_maximal_values,
                                    fractional_integral, fractional_kernel,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from poincarelab import weights
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
-                              block_reduce)
+                              block_reduce, measure_cell_masses)
 from poincarelab.operators import centered_maximal_values, weak_norm_values
-from poincarelab.weights import (Atomic, Density, GridWeight, PowerWeight,
+from poincarelab.weights import (Atomic, GridWeight, PowerWeight,
                                  WeightError, _corner_singular_unit_integral,
                                  _extremum_levels, ainf_fujii_wilson,
                                  ap1_constant, ap_constant, constants_report,
@@ -573,8 +573,8 @@ def test_power_weight_refinement_stability():
 
 def test_density_and_atomic_masses():
     g = GridFunction(UNIT1, 2, np.array([1.0, 2.0, 3.0, 4.0]))
-    d = Density(g)
-    assert np.allclose(d.cell_masses(UNIT1, 2), g.values * 0.25)
+    # a GridFunction is the density
+    assert np.allclose(measure_cell_masses(g, g), g.values * 0.25)
     a = Atomic([(0.1,), (0.6,)], [2.0, 5.0])
     masses = a.cell_masses(UNIT1, 2)
     assert masses.sum() == pytest.approx(7.0)
