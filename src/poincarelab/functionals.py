@@ -36,20 +36,25 @@ class FunctionalError(ValueError):
 
 
 class CubeSums:
-    """Per-level block sums of a cell-mass array, for O(1) cube masses."""
+    """Per-level block sums of a cell-mass array, each summed on first read."""
 
     def __init__(self, masses, depth):
-        self.depth = depth
-        self.levels = [block_reduce(masses, k, np.sum) for k in range(depth + 1)]
+        self.masses, self.depth = masses, depth
+        self._levels = {}
+
+    def level(self, k):
+        if k not in self._levels:
+            self._levels[k] = block_reduce(self.masses, k, np.sum)
+        return self._levels[k]
 
     def mass(self, q: CubeIndex):
-        return float(self.levels[q.level][q.coords])
+        return float(self.level(q.level)[q.coords])
 
     def block(self, Q: CubeIndex, level):
         """Masses of the level-``level`` cubes of Q, shaped as
         ``Functional.level_values``."""
         span = 1 << (level - Q.level)
-        return self.levels[level][tuple(slice(c * span, (c + 1) * span)
+        return self.level(level)[tuple(slice(c * span, (c + 1) * span)
                                         for c in Q.coords)]
 
 
@@ -95,30 +100,30 @@ class FractionalFunctional(Functional):
 
 
 class GradientFunctional(Functional):
-    """a(Q) = scale * l(Q)^m * (1/u(Q) * int_Q |grad|^p v)^(1/p)."""
+    """a(Q) = l(Q)^m * (1/u(Q) * int_Q |grad|^p v)^(1/p), v = u when None."""
 
-    def __init__(self, m, p, grad: GridFunction, u_masses, v_masses=None, scale=1.0):
+    def __init__(self, m, p, grad: GridFunction, u_masses, v_masses=None):
         if m < 1 or p < 1:
             raise FunctionalError("need m >= 1 and p >= 1")
-        self.m, self.p, self.scale = int(m), float(p), float(scale)
+        self.m, self.p = int(m), float(p)
         self.root, self.depth = grad.root, grad.depth
         u = np.asarray(u_masses, dtype=float)
         v = u if v_masses is None else np.asarray(v_masses, dtype=float)
         if np.any(u <= 0):
             raise FunctionalError("degenerate outer weight")
         self.u = CubeSums(u, self.depth)
-        self.num = CubeSums(np.abs(grad.values) ** self.p * v, self.depth)
+        g = np.abs(grad.values)  # inline, numpy powers it in place: slower
+        self.num = CubeSums(g ** self.p * v, self.depth)
 
     def eval(self, q):
         ell = self.root.side / (1 << q.level)
-        return self.scale * ell ** self.m \
+        return ell ** self.m \
             * (self.num.mass(q) / self.u.mass(q)) ** (1.0 / self.p)
 
     def level_values(self, Q, level):
         ell = self.root.side / (1 << level)
         ratio = self.num.block(Q, level) / self.u.block(Q, level)
-        return self.scale * ell ** self.m \
-            * float_pow(ratio, 1.0 / self.p).astype(float)
+        return ell ** self.m * float_pow(ratio, 1.0 / self.p).astype(float)
 
 
 class LorentzGradientFunctional(Functional):
@@ -291,8 +296,8 @@ class DpReport:
     witness: list
     trials: int
     mode: str
-    smallness_slope: float | None = None
-    fit_residual: float | None = None
+    smallness_slope: float = math.nan
+    fit_residual: float = math.nan
     per_L: dict = field(default_factory=dict)
     violations: int = 0
 

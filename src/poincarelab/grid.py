@@ -219,12 +219,15 @@ def _density_values(g: GridFunction, root, depth):
 def resolve(w, root, depth):
     """Cell values of a weight on the given grid: a bare array is taken as
     values, a GridFunction is a density on that grid; anything else
-    supplies ``cell_values``."""
-    if isinstance(w, np.ndarray):
-        return w
+    supplies ``cell_values``.  A weight is refused unless every cell value
+    is positive."""
     if isinstance(w, GridFunction):
-        return _density_values(w, root, depth)
-    return w.cell_values(root, depth)
+        w = _density_values(w, root, depth)
+    elif not isinstance(w, np.ndarray):
+        w = w.cell_values(root, depth)
+    if np.any(w <= 0):
+        raise GridError("weight cell values must be positive")
+    return w
 
 
 def measure_cell_masses(measure, g: GridFunction):

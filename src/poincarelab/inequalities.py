@@ -20,10 +20,11 @@ from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
                    level_blocks, measure_cell_masses, sample)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
-from .functionals import FractionalFunctional, Functional, _loglog_fit
+from .functionals import (FractionalFunctional, Functional, GradientFunctional,
+                          LorentzGradientFunctional, _loglog_fit)
 from .operators import (centered_maximal_values, centered_maximal_measure,
-                        fractional_integral, lorentz_p1_norm_values, lp_norm,
-                        orlicz_exp_norm, truncate, weak_norm_values)
+                        fractional_integral, lp_norm, orlicz_exp_norm_values,
+                        truncate, weak_norm_values)
 
 
 class InequalityError(ValueError):
@@ -84,48 +85,19 @@ class Exponents:
 # sides
 # ---------------------------------------------------------------------------
 
-def _gradient_side(f: GridFunction, Q, u=None, v=None, p=1.0, m=1,
-                   kind="gradient"):
-    """Right side of an oscillation inequality on Q, with u(Q) the outer
-    mass: "gradient" is ell(Q)^m (1/u(Q) int_Q |grad^m f|^p v)^(1/p) (v = u
-    when None), "lorentz" is ell(Q) times the L^{p,1} norm of the gradient
-    against u/u(Q), and "mixed" is the unnormalized
-    (int_Q |grad f|^p (M(u chi_Q))^{p/n'} u^{1-p})^(1/p)."""
-    sl = f.block(Q)
-    umass = measure_cell_masses(u, f)[sl]
-    utot = umass.sum()
-    if utot <= 0:
-        raise InequalityError("degenerate outer weight mass")
-    gblock = discrete_gradient(f, m).values[sl]
-    if kind == "gradient":
-        vmass = umass if v is None else measure_cell_masses(v, f)[sl]
-        s = (gblock ** p * vmass).sum()
-        return float(f.sidelength(Q) ** m * ((s / utot) ** (1.0 / p)))
-    if kind == "lorentz":
-        return float(f.sidelength(Q) * lorentz_p1_norm_values(
-            gblock.ravel(), (umass / utot).ravel(), p))
-    if kind == "mixed":
-        uvals = umass / f.cell_volume
-        mix = 1.0 if f.n == 1 else \
-            centered_maximal_values(uvals) ** (p / (f.n / (f.n - 1.0)))
-        s = (gblock ** p * mix / uvals ** (p - 1.0) * f.cell_volume).sum()
-        return float(s ** (1.0 / p))
-    raise InequalityError(f"unknown rhs kind {kind!r}")
-
-
 def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
-                   p=1.0, m=1, center="mean", rhs_kind="gradient"):
+                   p=1.0, m=1, center="mean"):
     """(lhs, rhs) of an oscillation inequality on Q.
 
     lhs is ``decomposition.oscillation`` against u with exponent
     lhs_exponent and center c in {"mean", "weighted_mean", "projection"
-    (polynomial projection of order m)}.  rhs kinds: "gradient"
-    (two-weight: v inside, u outside), "lorentz" (L^{p,1} of the gradient
-    against u), "mixed" (unnormalized, with the maximal-function weight
-    (M(u chi_Q))^{p/n'}/u^{p-1}).
+    (polynomial projection of order m)}.  rhs is the two-weight gradient
+    functional a(Q) (v inside, u outside; ``GradientFunctional``).
     """
     Q = Q or CubeIndex.root(f.n)
-    rhs = _gradient_side(f, Q, u, v, p, m, rhs_kind)
+    vmass = None if v is None else measure_cell_masses(v, f)
+    rhs = GradientFunctional(m, p, discrete_gradient(f, m),
+                             measure_cell_masses(u, f), vmass).eval(Q)
     basis = orthonormal_basis(f, Q, m) if center == "projection" else None
     return oscillation(f, Q, basis, lhs_exponent, u,
                        center == "weighted_mean"), rhs
@@ -233,16 +205,24 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "mixed":
+        # unnormalized, against the weight (M(u chi_Q))^{p/n'} / u^{p-1}
         pstar = sobolev_exponent("classical", p, n)
-        rhs = _gradient_side(f, Q, u, p=p, kind="mixed")
+        sl = f.block(Q)
+        uvals = cell_values(u)[sl]
+        if uvals.sum() <= 0:
+            raise InequalityError("degenerate outer weight mass")
+        mix = centered_maximal_values(uvals) ** (p / (n / (n - 1.0)))
+        rhs = float((discrete_gradient(f, 1).values[sl] ** p * mix
+                     / uvals ** (p - 1.0) * f.cell_volume).sum() ** (1.0 / p))
         dev, _ = _deviation_sum(f, Q, None, pstar, u, True)
         lhs = dev ** (1.0 / pstar)
         inputs["p_star"] = pstar
         return _result(iid, lhs, rhs, math.nan, inputs)
 
     if iid == "lorentz":
-        lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p,
-                                  rhs_kind="lorentz")
+        rhs = LorentzGradientFunctional(p, discrete_gradient(f, 1),
+                                        measure_cell_masses(u, f)).eval(Q)
+        lhs = oscillation(f, Q, q_exp=p, w=u)
         bound = ap1_constant(cell_values(u), p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
@@ -250,8 +230,9 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         if a_functional is None:
             raise InequalityError("exp-JN needs an increasing functional")
         hyp = _functional_hypothesis_norm(f, a_functional, Q)
-        dev = f.copy_with(np.abs(f.values - f.values[f.block(Q)].mean()))
-        lhs = orlicz_exp_norm(dev, q=Q)
+        block = f.values[f.block(Q)]
+        lhs = orlicz_exp_norm_values(np.abs(block - block.mean()),
+                                     np.full(block.shape, f.cell_volume))
         rhs = a_functional.eval(Q)
         return _result(iid, lhs, rhs, max(hyp, 1e-300), inputs)
 
@@ -345,11 +326,14 @@ class SharpnessSweep:
 
 
 def _plateau_powers(p, root, eps, depth):
-    """(p*, f^{p*}, |grad f|^p) of the plateau f: the parts of a sharpness
-    point that do not depend on the weight."""
+    """(p*, f^{p*}, |grad f|^p) of the plateau f, the weight-free parts of
+    a sharpness point; refused when the grid samples f as a constant."""
     f = plateau_function(root, depth, eps)
+    grad = discrete_gradient(f, 1).values
+    if not np.any(grad):
+        raise InequalityError(f"depth {depth} does not resolve eps={eps}")
     pstar = sobolev_exponent("classical", p, root.n)
-    return pstar, f.values ** pstar, discrete_gradient(f, 1).values ** p
+    return pstar, f.values ** pstar, grad ** p
 
 
 def _sharpness_sides(powers, masses, p, root):

@@ -278,14 +278,6 @@ def orlicz_exp_norm_values(values, masses):
     return hi
 
 
-def orlicz_exp_norm(g: GridFunction, measure=None, q=None):
-    """exp-L Luxemburg norm of g on Q against the normalized measure
-    (Lebesgue dx/|Q| when no measure is given)."""
-    sl = g.block(q or CubeIndex.root(g.n))
-    return orlicz_exp_norm_values(g.values[sl],
-                                  measure_cell_masses(measure, g)[sl])
-
-
 # ---------------------------------------------------------------------------
 # truncation and Rubio de Francia
 # ---------------------------------------------------------------------------

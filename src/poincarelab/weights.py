@@ -36,11 +36,9 @@ class WeightError(ValueError):
 # ---------------------------------------------------------------------------
 
 class GridWeight:
-    """Weight given by strictly positive cell values."""
+    """Weight given by the cell values of a GridFunction."""
 
     def __init__(self, g: GridFunction):
-        if np.any(g.values <= 0):
-            raise WeightError("weight cell values must be strictly positive")
         self.g = g
 
     @property

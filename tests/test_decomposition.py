@@ -324,6 +324,19 @@ def test_median_minimizes_l1_oscillation():
     assert oscillation(f) <= 2.0 * best + 1e-12
 
 
+def test_median_minimizes_l1_oscillation_on_a_subcube():
+    rng = np.random.default_rng(6)
+    f = GridFunction(RootBox.unit(2), 4, rng.normal(size=(16, 16)))
+    Q = CubeIndex(2, (1, 3))
+    block = f.values[4:8, 12:16]
+    best = oscillation_inf_constants(f, Q)
+    grid = np.linspace(block.min(), block.max(), 2001)
+    assert best <= min(np.abs(block - c).mean() for c in grid) + 1e-9
+    assert best == oscillation_inf_constants(
+        GridFunction(RootBox.unit(2), 2, block))
+    assert oscillation(f, Q) <= 2.0 * best + 1e-12
+
+
 def test_weighted_oscillation_center():
     f = GridFunction(UNIT1, 2, np.array([0.0, 0.0, 1.0, 1.0]))
     w = np.array([3.0, 3.0, 1.0, 1.0]) * 0.25

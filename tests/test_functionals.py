@@ -14,7 +14,7 @@ from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      random_small_family, sdp_check,
                                      subcube_at)
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
-                              discrete_gradient)
+                              block_reduce, discrete_gradient)
 from tests.conftest import counting
 
 UNIT1 = RootBox.unit(1)
@@ -95,6 +95,35 @@ def test_increasing_functional_dp_below_one():
         a = IncreasingFunctional(table, UNIT1, depth)
         rep = max_dp_ratio(a, np.full(8, 1 / 8), p, CubeIndex.root(1), depth)
         assert rep.worst_ratio <= 1.0 + 1e-9
+
+
+def test_cube_sums_sum_only_the_levels_read(monkeypatch):
+    summed = []
+
+    def counting_block_reduce(values, level, op):
+        summed.append(level)
+        return block_reduce(values, level, op)
+
+    monkeypatch.setattr("poincarelab.functionals.block_reduce",
+                        counting_block_reduce)
+    masses = np.arange(64.0).reshape(8, 8)
+    cs = CubeSums(masses, 3)
+    assert summed == []
+    assert cs.mass(CubeIndex.root(2)) == masses.sum()
+    assert cs.mass(CubeIndex.root(2)) == masses.sum()
+    assert summed == [0]
+    assert np.array_equal(cs.block(CubeIndex(1, (1, 0)), 2),
+                          block_reduce(masses, 2, np.sum)[2:4, 0:2])
+    assert cs.mass(CubeIndex(2, (3, 1))) == masses[6:8, 2:4].sum()
+    assert summed == [0, 2]
+
+
+def test_enumerate_antichains_refuses_beyond_its_cap():
+    # a(d) = a(d - 1)^2 + 1 antichains below a 1D cube d levels up
+    root = CubeIndex.root(1)
+    assert len(enumerate_antichains(root, 2, cap=100)) == 26
+    with pytest.raises(FunctionalError, match="cap"):
+        enumerate_antichains(root, 3, cap=100)
 
 
 def test_gradient_functional_eval():
@@ -350,7 +379,7 @@ def five_functionals(rng, n, depth, p):
     cs = CubeSums(mu, depth)
     table = {q: cs.mass(q) ** (1.0 / p) for q in all_cubes(n, depth)}
     return [FractionalFunctional(0.7, p, mu, wm, root, depth),
-            GradientFunctional(1, p, grad, wm, mu, scale=0.3),
+            GradientFunctional(1, p, grad, wm, mu),
             LorentzGradientFunctional(p, grad, wm),
             IncreasingFunctional(table, root, depth),
             ConstantFunctional(1.7, root, depth)], wm
@@ -432,9 +461,8 @@ def test_report_fields_are_python_floats(mode):
                                 mode=mode, trials=20, budget_L=2.0)]
         for rep in reports:
             d = rep.to_dict()
-            floats = [d["exponent"], d["worst_ratio"], *d["per_L"].values()]
-            if d["smallness_slope"] is not None:
-                floats += [d["smallness_slope"], d["fit_residual"]]
+            floats = [d["exponent"], d["worst_ratio"], *d["per_L"].values(),
+                      d["smallness_slope"], d["fit_residual"]]
             assert all(type(v) is float for v in floats), d
 
 
@@ -504,7 +532,7 @@ def test_level_values_equal_eval_per_cube_hypothesis(n, seed, p, sigma,
     grad = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
     cs = CubeSums(mu, depth)
     functionals = [FractionalFunctional(alpha, p, mu, wm, root, depth),
-                   GradientFunctional(m, p, grad, wm, mu, scale=sigma),
+                   GradientFunctional(m, p, grad, wm, mu),
                    LorentzGradientFunctional(p, grad, wm),
                    IncreasingFunctional({q: cs.mass(q) ** (1.0 / p)
                                          for q in all_cubes(n, depth)},

@@ -74,6 +74,16 @@ def test_average_and_integral_oracle():
     assert f.integral() == 1.0
 
 
+def test_integral_on_a_subcube():
+    f = GridFunction(RootBox((0.0, 0.0), 2.0), 2, np.arange(16.0))
+    # cells of side 1/2, so area 1/4 each
+    assert f.integral(CubeIndex(1, (1, 0))) == \
+        (8.0 + 9.0 + 12.0 + 13.0) * 0.25
+    assert f.integral(CubeIndex(2, (3, 3))) == 15.0 * 0.25
+    assert sum(f.integral(q) for q in CubeIndex.root(2).children()) == \
+        f.integral()
+
+
 def test_sample_midpoints_1d():
     f = sample(RootBox.unit(1), 2, lambda x: x)
     assert np.allclose(f.values, [1 / 8, 3 / 8, 5 / 8, 7 / 8])
@@ -263,10 +273,9 @@ def test_weight_off_the_grid_is_refused_on_every_path(case):
         "measure_cell_masses": lambda: measure_cell_masses(w, f),
         "oscillation": lambda: oscillation(f, CubeIndex(1, (0,)), w=w),
         "ap_constant": lambda: ap_constant(w, 2.0, f.root, f.depth),
+        "GridWeight.cell_values":
+            lambda: GridWeight(w).cell_values(f.root, f.depth),
     }
-    if case != "negative":      # GridWeight refuses it when built
-        calls["GridWeight.cell_values"] = \
-            lambda: GridWeight(w).cell_values(f.root, f.depth)
     for call in calls.values():
         with pytest.raises(GridError, match=words):
             call()
@@ -275,7 +284,8 @@ def test_weight_off_the_grid_is_refused_on_every_path(case):
 def test_weight_on_the_grid_passes_every_path():
     f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
     w = f.copy_with(np.linspace(0.0, 1.0, 16))  # zero is a valid density
-    assert resolve(w, f.root, f.depth) is w.values
+    with pytest.raises(GridError, match="positive"):    # but not a weight
+        resolve(w, f.root, f.depth)
     assert np.array_equal(measure_cell_masses(w, f), w.values / 16)
     assert oscillation(f, w=w) == oscillation(f, w=w.values / 16)
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used there,
 every module-level private function is referenced by some module, every
-public function, class and method is read by some module or test, and no
-function imports a package module locally."""
+public function, class and method is read by some module or test, every
+defaulted parameter of one is passed by some call, and no function imports
+a package module locally."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,87 @@ def test_detector_flags_function_local_package_imports():
            "def h():\n    import poincarelab.grid\n"
            "    from numpy import pi\n    return pi\n")
     assert local_package_imports(src) == [(7, "f"), (12, "h")]
+
+
+def _defaulted_params(fn, method):
+    """(position or None, name) of each parameter of ``fn`` with a default:
+    the position counts the arguments a call spells out, so a method's
+    ``self`` or ``cls`` is not counted; keyword-only parameters have no
+    position."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    found = [(i - int(method), a.arg) for i, a in enumerate(args) if i >= first]
+    found += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                            fn.args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def unpassed_defaults(defining, calling):
+    """(module, name, parameter) of each defaulted parameter of a public
+    module-level function, or of a method of a public class (``__init__``
+    answering to calls of the class), that no call in ``calling`` passes by
+    keyword or by position.  Calls are matched by the called name alone,
+    and one that unpacks ``*args`` or ``**kwargs`` passes everything it
+    could."""
+    calls = {}
+    for source in calling.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else \
+                    fn.attr if isinstance(fn, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+
+    def passed(name, pos, param):
+        for call in calls.get(name, []):
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            if pos is not None and (
+                    len(call.args) > pos
+                    or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    unpassed = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                targets = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                targets = [(f"{node.name}.{item.name}",
+                            node.name if item.name == "__init__"
+                            else item.name, item, True)
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and (item.name == "__init__"
+                                or not item.name.startswith("_"))]
+            else:
+                continue
+            for label, called, fn, method in targets:
+                unpassed += [(module, label, param)
+                             for pos, param in _defaulted_params(fn, method)
+                             if not passed(called, pos, param)]
+    return sorted(unpassed)
+
+
+def test_every_default_is_passed_somewhere():
+    defining = {p.name: p.read_text() for p in MODULES}
+    calling = {str(p): p.read_text()
+               for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    assert unpassed_defaults(defining, calling) == []
+
+
+def test_detector_flags_unpassed_defaults():
+    defining = {"a.py": "def f(x, k=1, j=2, *, opt=None):\n    pass\n\n\n"
+                        "def _g(x, k=1):\n    pass\n\n\nclass K:\n"
+                        "    def __init__(self, s=0):\n        pass\n\n"
+                        "    def run(self, t=1, u=2):\n        pass\n\n"
+                        "    @classmethod\n    def make(cls, v=1):\n"
+                        "        pass\n"}
+    calling = {"b.py": "f(1, 2)\nf(0, opt=3)\nK().run(5)\nK.make()\n",
+               "c.py": "args = ()\nkw = {}\nK(*args)\nK.make(**kw)\n"}
+    assert unpassed_defaults(defining, calling) == [("a.py", "K.run", "u"),
+                                                    ("a.py", "f", "j")]

@@ -55,6 +55,16 @@ def test_dyadic_maximal_dominates_averages():
         assert np.all(blk >= f.average(q) - 1e-12)
 
 
+def test_dyadic_maximal_on_a_subcube():
+    rng = np.random.default_rng(2)
+    f = GridFunction(UNIT1, 4, rng.uniform(0, 5, 16))
+    q = CubeIndex(2, (1,))
+    M = dyadic_maximal(f, q)
+    inside = GridFunction(UNIT1, 2, f.values[4:8])
+    assert np.array_equal(M.values[4:8], dyadic_maximal(inside).values)
+    assert not M.values[:4].any() and not M.values[8:].any()
+
+
 def test_centered_maximal_matches_bruteforce():
     rng = np.random.default_rng(1)
     for _ in range(5):
