@@ -8,10 +8,13 @@ exact maximum over all antichains (with a volume budget for L-small
 families) by one max-plus dynamic program, run level by level up the cube
 tree and read for every L; it agrees with brute-force enumeration, and its
 root step costs O(top^2) in the finest cells of the largest budget.  Random
-mode gives a sampled lower bound; it costs one scalar draw per try of each
-sampled family.  Both modes read a(Q)^p w(Q) from one array per cube level,
-built from ``Functional.level_values`` (array formulas for the fractional
-and gradient functionals, ``eval`` per cube for the others).
+mode gives a sampled lower bound; its draws come from one buffered stream of
+raw generator words per sampling call and equal scalar
+``Generator.integers`` draws bit for bit, so nothing else may draw from the
+generator while a sampling call runs.  Both modes read a(Q)^p w(Q) from one
+array per cube level, built from ``Functional.level_values`` (array
+formulas for the fractional and gradient functionals, ``eval`` per cube for
+the others).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .grid import (CubeIndex, GridFunction, block_reduce, float_pow,
 from .operators import lorentz_p1_norm_values
 
 
-FAMILY_MAX_TRIES = 400  # draws per sampled L-small family
+FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
+_WORDS_FIRST, _WORDS_CAP = 16, 4096  # raw words per refill, doubled to the cap
 
 
 class FunctionalError(ValueError):
@@ -235,14 +239,80 @@ def _z_spread(n, bits):
                  for r in range(1 << bits))
 
 
-def _draw_family(Q: CubeIndex, L, rng, depth):
+class _WordStream:
+    """The 32-bit words scalar ``Generator.integers`` calls read, pulled
+    from ``bit_generator.random_raw`` in chunks of _WORDS_FIRST words
+    doubling up to _WORDS_CAP.  A generator whose state has ``has_uint32``
+    gives 64-bit raw words, read as their low then high 32-bit halves, and
+    a half pending at entry is read first; MT19937's raw words are its
+    32-bit words.  ``below(R)`` is numpy's bounded draw for ranges up to
+    2^32 (Lemire, ACM TOMACS 2019), so a sequence of ``below`` calls equals
+    ``int(rng.integers(0, R))`` calls bit for bit.  On exit from the
+    ``with`` block, however it is left, the saved state is restored and
+    exactly the words read are drawn again, so the generator is where those
+    scalar calls would have left it.  Nothing else may draw from the
+    generator while the stream is open."""
+
+    def __init__(self, rng):
+        self._bitgen = rng.bit_generator
+        self._saved = self._bitgen.state
+        self._halves = "has_uint32" in self._saved
+        self._pending = self._halves and bool(self._saved["has_uint32"])
+        self._words = [self._saved["uinteger"]] if self._pending else []
+        self._pos = self._before = 0    # read in, and before, self._words
+        self._chunk = _WORDS_FIRST
+
+    def __enter__(self):
+        return self
+
+    def _refill(self):
+        raw = self._bitgen.random_raw(self._chunk)
+        if self._halves:
+            raw = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel()
+        self._before += len(self._words)
+        self._words, self._pos = raw.tolist(), 0
+        self._chunk = min(2 * self._chunk, _WORDS_CAP)
+
+    def below(self, R):
+        """A uniform integer in [0, R), as ``int(rng.integers(0, R))``."""
+        if R == 1:
+            return 0
+        if R > 1 << 32:
+            raise FunctionalError("ranges above 2^32 are not drawn here")
+        while True:
+            if self._pos == len(self._words):
+                self._refill()
+            m = self._words[self._pos] * R
+            self._pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= R or low >= ((1 << 32) - R) % R:
+                return m >> 32
+
+    def __exit__(self, *exc):
+        read = self._before + self._pos
+        fresh = max(read - self._pending, 0)    # words past the pending half
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        if not self._halves:
+            bitgen.random_raw(fresh)
+        elif read:
+            raw = bitgen.random_raw((fresh + 1) // 2)
+            state = bitgen.state
+            state["has_uint32"] = fresh % 2
+            if fresh:
+                state["uinteger"] = int(raw[-1]) >> 32
+            bitgen.state = state
+
+
+def _draw_family(Q: CubeIndex, L, below, depth):
     """Greedy rejection sampler for L-small families of dyadic subcubes of
     Q: uniformly random cubes, overlaps rejected, until the remaining
     volume budget is below one finest cell (or FAMILY_MAX_TRIES tries run
     out).  Members are ``(level, rel)`` pairs, rel the coordinates relative
-    to Q; one scalar draw picks a try's level, n more its position.  The
-    finest cells of Q are marked in Z order, where each dyadic subcube of
-    Q is one run: the cells of the level-k cube with Z index z are
+    to Q; each try draws its level with ``below`` (a ``_WordStream``'s),
+    and n more draws its position when the level fits the budget left.
+    The finest cells of Q are marked in Z order, where each dyadic subcube
+    of Q is one run: the cells of the level-k cube with Z index z are
     [z * c, (z + 1) * c) for c cells per cube."""
     n, D = Q.n, depth - Q.level
     budget = (1 << D) ** n / L
@@ -251,11 +321,11 @@ def _draw_family(Q: CubeIndex, L, rng, depth):
     members, used, tries = [], 0, 0
     while budget - used >= 1.0 and tries < FAMILY_MAX_TRIES:
         tries += 1
-        level = int(rng.integers(Q.level, depth + 1))
+        level = Q.level + below(D + 1)
         cells = 1 << (n * (depth - level))
         if cells > budget - used:
             continue
-        rel = tuple(int(rng.integers(0, 1 << (level - Q.level))) for _ in range(n))
+        rel = tuple(below(1 << (level - Q.level)) for _ in range(n))
         z = 0
         for r in rel:
             z = (z << 1) | spread[r]
@@ -270,12 +340,15 @@ def _draw_family(Q: CubeIndex, L, rng, depth):
 
 def random_small_family(Q: CubeIndex, L, rng, depth):
     """One sampled L-small family of dyadic subcubes of Q (see
-    ``_draw_family``)."""
+    ``_draw_family``), drawn from a ``_WordStream`` of ``rng``: the
+    family and the state left in ``rng`` equal those of scalar
+    ``rng.integers`` draws."""
     if L <= 1:
         raise FunctionalError("L must be > 1")
+    with _WordStream(rng) as stream:
+        members = _draw_family(Q, L, stream.below, depth)
     return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
-                           in _draw_family(Q, L, rng, depth)],
-                       float(L))
+                           in members], float(L))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +488,14 @@ def _sampled(scores, p, Q, depth, L, trials, rng):
     """D_p ratios of ``trials`` sampled L-small families below Q, their
     maximum and the first family attaining it.  Each ratio is
     ``dp_ratio``'s: the members' ``_scores`` entries added in member
-    order, then the 1/p power, on Python floats."""
+    order, then the 1/p power, on Python floats.  The families are drawn
+    from one ``_WordStream`` of ``rng``."""
     den = scores[0].item()
     ratios, best, best_fam = [], -math.inf, []
-    for _ in range(trials):
-        fam = _draw_family(Q, L, rng, depth)
+    with _WordStream(rng) as stream:
+        fams = [_draw_family(Q, L, stream.below, depth)
+                for _ in range(trials)]
+    for fam in fams:
         num = sum(scores[level - Q.level].item(rel) for level, rel in fam)
         r = float((num / den) ** (1.0 / p))
         ratios.append(r)
@@ -464,8 +540,10 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     smallness slope of log(max ratio) against log(1/L) (NaN, with its
     residual, for a single L).
 
-    Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``);
-    random mode costs one scalar draw per try of each sampled family.
+    Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``).
+    Random mode draws its families from a buffered stream of raw
+    generator words, equal bit for bit to scalar ``Generator.integers``
+    draws; nothing else may draw from the generator while it runs.
     For FractionalFunctional inputs the exact bound
     ratio <= (1/L)^(alpha/n) is checked per family; violations beyond
     1e-12 are counted in the report.

@@ -364,6 +364,32 @@ RDF_DIGESTS = {
 }
 
 
+# sha256 of the stdout of functional-check --mode random (default --p,
+# --Ls, --trials and --seed) on a Lebesgue fractional functional, per
+# dimension and depth: the sampled families, and so the witness, must keep
+# their bits.  Recorded with the same numpy build as README_DIGESTS.
+SAMPLED_DIGESTS = {
+    (1, 10):
+        "8d03f519e0be19d54cd1aad87485ee7b515d0f37a0277162b1df06ac3992e255",
+    (2, 5):
+        "1824e08f9d8efe9cc3c05559b5102c3288aa4fbdeab3361b1a5b66f7680505a7",
+}
+
+
+@pytest.mark.parametrize("n,depth", sorted(SAMPLED_DIGESTS))
+def test_sampled_functional_check_bytes_are_pinned(tmp_path, capsys, n,
+                                                   depth):
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": n,
+                                 "mu": "lebesgue", "w": "lebesgue"}))
+    assert main(["functional-check", "--functional", str(fpath),
+                 "--mode", "random", "--depth", str(depth)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SAMPLED_DIGESTS[n, depth], (
+        f"digest recorded with numpy {DIGESTS_NUMPY}, run with numpy "
+        f"{np.__version__}: on another build a difference may be rounding")
+
+
 @pytest.mark.parametrize("mode", sorted(RDF_DIGESTS))
 def test_rdf_output_bytes_are_pinned(rdf_argv, capsys, mode):
     assert main([*rdf_argv, "--opnorm", *mode.split()]) == 0

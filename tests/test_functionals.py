@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import functionals
 from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      FractionalFunctional, FunctionalError,
                                      GradientFunctional, IncreasingFunctional,
@@ -627,18 +628,93 @@ def test_sampled_mode_equals_per_family_reference(n, depth, seed):
                                                   seed, budget_L) + (12,)
 
 
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
+
+
+def generators(name, seed):
+    """Two generators on the same seeded ``name`` BitGenerator."""
+    return [np.random.Generator(getattr(np.random, name)(seed))
+            for _ in range(2)]
+
+
+def assert_same_state(rng, ref_rng):
+    """Equal ``bit_generator.state`` dicts, arrays (Philox's counter, key
+    and buffer, MT19937's key) compared element-wise."""
+    def same(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        if isinstance(x, np.ndarray):
+            return x.dtype == y.dtype and np.array_equal(x, y)
+        return type(x) is type(y) and x == y
+    assert same(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
 @given(st.integers(0, 2 ** 31 - 1), st.floats(1.01, 16.0),
        st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_random_small_family_equals_reference_sampler(seed, L, n):
     depth = {1: 6, 2: 3, 3: 2}[n]
     Q = CubeIndex(1, (1,) * n)
-    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-    for _ in range(3):
-        fam = random_small_family(Q, L, rng, depth)
-        assert fam.members == reference_random_small_family(Q, L, ref_rng,
-                                                            depth)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for name in ("PCG64", "MT19937", "Philox"):
+        rng, ref_rng = generators(name, seed)
+        for _ in range(3):
+            fam = random_small_family(Q, L, rng, depth)
+            assert fam.members == reference_random_small_family(
+                Q, L, ref_rng, depth)
+        assert_same_state(rng, ref_rng)
+
+
+# ranges of one below() call each: R = 1 draws nothing, powers of two are
+# never rejected, the last three are rejected on up to half their words
+STREAM_RANGES = [1, 2, 8, 1 << 16, 1 << 32, 11, 1000,
+                 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1]
+
+
+@pytest.mark.parametrize("draws", [0, 1, 2, 9, 40, 3000])
+@pytest.mark.parametrize("pending", [False, True],
+                         ids=["no-pending-half", "pending-half"])
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_word_stream_equals_scalar_integers(name, pending, draws):
+    rng, ref_rng = generators(name, 50 + draws)
+    if pending:     # a 64-bit generator now holds a spare 32-bit half
+        assert int(rng.integers(0, 7)) == int(ref_rng.integers(0, 7))
+    ranges = [STREAM_RANGES[(3 * i + draws) % len(STREAM_RANGES)]
+              for i in range(draws)]
+    with functionals._WordStream(rng) as stream:
+        got = [stream.below(R) for R in ranges]
+    assert got == [int(ref_rng.integers(0, R)) for R in ranges]
+    assert_same_state(rng, ref_rng)
+    assert np.array_equal(rng.random(3), ref_rng.random(3))
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_word_stream_refuses_ranges_above_2_32(name):
+    rng, ref_rng = generators(name, 3)
+    with functionals._WordStream(rng) as stream:
+        assert stream.below(1 << 32) == int(ref_rng.integers(0, 1 << 32))
+        with pytest.raises(FunctionalError):
+            stream.below((1 << 32) + 1)
+    assert_same_state(rng, ref_rng)
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_exception_mid_family_leaves_the_draws_made(name, monkeypatch):
+    below, ranges = functionals._WordStream.below, []
+
+    def failing_below(stream, R):
+        if len(ranges) == 25:
+            raise KeyboardInterrupt
+        ranges.append(R)
+        return below(stream, R)
+
+    monkeypatch.setattr(functionals._WordStream, "below", failing_below)
+    rng, ref_rng = generators(name, 8)
+    with pytest.raises(KeyboardInterrupt):
+        random_small_family(CubeIndex.root(2), 1.5, rng, 5)
+    for R in ranges:
+        ref_rng.integers(0, R)
+    assert_same_state(rng, ref_rng)
+    assert np.array_equal(rng.random(3), ref_rng.random(3))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
