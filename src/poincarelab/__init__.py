@@ -17,8 +17,7 @@ from .weights import (Atomic, GridWeight, PowerWeight, WeightConstantsReport,
                       ainf_fujii_wilson, ap1_constant, ap_constant,
                       constants_report, rh_exponent, rh_exponent_and_check,
                       rhinf_constant, two_weight_ap)
-from .operators import (dyadic_maximal, fractional_integral, powered_maximal,
-                        rubio_de_francia, truncate)
+from .operators import fractional_integral, rubio_de_francia, truncate
 from .functionals import (ConstantFunctional, DpReport, FractionalFunctional,
                           GradientFunctional, IncreasingFunctional,
                           LorentzGradientFunctional, SmallFamily, dp_ratio,

@@ -42,23 +42,11 @@ def dyadic_maximal_values(values):
     return run
 
 
-def dyadic_maximal(f: GridFunction, q: CubeIndex | None = None):
-    """M^d_Q f: max over dyadic P with x in P, P inside Q, of avg |f| over P.
-
-    Returns a GridFunction equal to the maximal on Q and 0 outside.
-    """
-    q = q or CubeIndex.root(f.n)
-    out = np.zeros_like(f.values)
-    sl = f.block(q)
-    out[sl] = dyadic_maximal_values(f.values[sl])
-    return f.copy_with(out)
-
-
 def _centered_maximal(masses, n, cell_volume=1.0):
     """Per cell center, the max over clipped cube windows of radius
     r = 0..N-1 cells of mass(window)/volume(window).  The last ``n`` axes
-    of ``masses`` are space (side N); leading axes, if any, index a batch
-    of blocks maximized independently.
+    of ``masses`` are space (side N on every axis, odd sides included);
+    leading axes, if any, index a batch of blocks maximized independently.
 
     The zero-led integral image P (N+1 entries per space axis) is
     edge-padded by N-1 entries per side, so E[N-1+j] = P[clip(j, 0, N)]:
@@ -67,11 +55,28 @@ def _centered_maximal(masses, n, cell_volume=1.0):
     corner terms of a radius is a view.  E is one preallocated array filled
     by slices: the masses summed in place at [N, 2N) per axis, zeros below
     N (the lead P[0] and its padding), then each axis's top edge copied
-    outward.  Time O(N^(n+1)) per block; E holds (3N-1)^n floats per block.
+    outward.
+
+    Windows are evaluated only for r = 1..h, h = N//2.  At radius h every
+    window is clipped on every axis, so the window of cell i at radius h+t
+    is, axis by axis, the radius-h window of the cell t steps nearer the
+    centre, which stops there: at (N-1)//2 from below h, at h from h up.
+    The radius-h values are therefore maximized along these centre-ward
+    rays by doubling, s = max(s, s[toward(step)]) for step = 1, 2, 4, ...
+    up to (N-1)//2, each step one gather over all space axes.  The rays
+    reuse values computed with the same corner terms and counts, and max
+    is exact, so every output equals the per-radius loop over r < N bit
+    for bit.  Per block that is N//2 radii of 2^n window reads of N^n
+    cells each, half of the full loop, plus fewer than log2(N) gathers of
+    N^n cells; E holds (3N-1)^n floats per block.
     """
     masses = np.asarray(masses, dtype=float)
     lead = masses.ndim - n
-    N = masses.shape[-1]
+    space = masses.shape[lead:]
+    if n < 1 or space != space[:1] * n:
+        raise OperatorError("centered maximal needs a cubic block, got space "
+                            f"shape {space}")
+    N = space[0]
     batch = (slice(None),) * lead
     E = np.empty(masses.shape[:lead] + (3 * N - 1,) * n)
     core = E[batch + (slice(N, 2 * N),) * n]
@@ -88,7 +93,8 @@ def _centered_maximal(masses, n, cell_volume=1.0):
         E[top] = E[before + (slice(2 * N - 1, 2 * N),)].copy()
     J = np.clip(np.arange(-(N - 1), 2 * N, dtype=float), 0, N)
     best = masses / cell_volume
-    for r in range(1, N):
+    h = N // 2
+    for r in range(1, h + 1):
         ends = (slice(N - 1 - r, 2 * N - 1 - r), slice(N + r, 2 * N + r))
         # the last radius's arrays are dropped before these are allocated
         s = cnt = None
@@ -109,6 +115,19 @@ def _centered_maximal(masses, n, cell_volume=1.0):
             cnt *= cell_volume
         s /= cnt
         np.maximum(best, s, out=best)
+    # radii h+1..N-1: the radius-h values maximized along centre-ward rays;
+    # the image and the last counts are not read again, so each gather
+    # allocates into what they held
+    E = core = t = cnt = None
+    idx = np.arange(N)
+    step = 1
+    while step <= (N - 1) // 2:
+        toward = np.where(idx < h, np.minimum(idx + step, (N - 1) // 2),
+                          np.maximum(idx - step, h))
+        np.maximum(s, s[batch + np.ix_(*(toward,) * n)], out=s)
+        step *= 2
+    if step > 1:
+        np.maximum(best, s, out=best)
     return best
 
 
@@ -124,14 +143,6 @@ def centered_maximal_measure(cell_masses, cell_volume):
     mass(window)/volume(window)."""
     m = np.asarray(cell_masses, dtype=float)
     return _centered_maximal(m, m.ndim, cell_volume)
-
-
-def powered_maximal(f: GridFunction, epsilon):
-    """M_eps(f) = M(|f|^eps)^(1/eps) with the centered maximal."""
-    if not (0 < epsilon <= 1):
-        raise OperatorError("epsilon must lie in (0, 1]")
-    return f.copy_with(centered_maximal_values(np.abs(f.values) ** epsilon)
-                       ** (1.0 / epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -217,12 +217,17 @@ def _extremum_levels(values, op):
 
 def _ap_cubes(uv, vv, p):
     """Per-cube two-weight A_p expression for ``_sweep``: (avg u)(avg
-    v^(1-p'))^(p-1) for p > 1, (avg u) * max(1/v) for p = 1."""
+    v^(1-p'))^(p-1) for p > 1, (avg u) * max(1/v) for p = 1.  A p so near
+    1 that v^(1-p') overflows on some cell is refused."""
     if p == 1:
         low = _extremum_levels(vv, np.minimum)
         return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
                                   / low(level, sh))
-    dual = vv ** (1.0 - p / (p - 1.0))
+    with np.errstate(over="ignore"):
+        dual = vv ** (1.0 - p / (p - 1.0))
+    if not np.all(np.isfinite(dual)):
+        raise WeightError(f"w^(1-p') is not finite on some cell at p={p}; "
+                          "p is too close to 1 for this weight")
     return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
                               * block_reduce(dual, level, np.mean, sh)
                               ** (p - 1.0))

@@ -422,6 +422,19 @@ def test_readme_grid_function_json_loads(tmp_path):
     assert d["config"]["depth"] == 2 and d["ap"] >= 1.0
 
 
+def test_constants_refuse_a_p_whose_dual_weight_overflows(tmp_path):
+    # w^(1-p') = w^-1000 overflows on the smallest cells of this weight:
+    # one error line instead of "ap": null with a RuntimeWarning
+    w = np.random.default_rng(3).lognormal(0.0, 1.5, 256)
+    path = tmp_path / "w.json"
+    GridFunction(RootBox.unit(1), 8, w).save(path)
+    proc = _run_cli("constants", "--weight", str(path), "--p", "1.001")
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: w^(1-p') is not finite")
+
+
 GOOD = {"root": {"lower": [0.0], "side": 1.0}, "depth": 1,
         "values": [1.0, 3.0]}
 MALFORMED = {

@@ -12,11 +12,11 @@ from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    _centered_maximal, centered_maximal_measure,
                                    centered_maximal_values,
-                                   dyadic_maximal, dyadic_maximal_values,
+                                   dyadic_maximal_values,
                                    fractional_integral, fractional_kernel,
                                    lorentz_p1_norm_values, lp_norm,
                                    maximal_opnorm, orlicz_exp_norm_values,
-                                   powered_maximal, rdf_probe_corpus,
+                                   rdf_probe_corpus,
                                    rubio_de_francia,
                                    triple_norm_values, truncate,
                                    weak_norm_values)
@@ -49,20 +49,10 @@ def test_dyadic_maximal_constant_fixed_point():
 def test_dyadic_maximal_dominates_averages():
     rng = np.random.default_rng(0)
     f = GridFunction(UNIT1, 4, rng.uniform(0, 5, 16))
-    M = dyadic_maximal(f)
+    M = dyadic_maximal_values(f.values)
     for q in [CubeIndex(2, (1,)), CubeIndex(3, (5,))]:
-        blk = M.values[f.block(q)]
+        blk = M[f.block(q)]
         assert np.all(blk >= f.average(q) - 1e-12)
-
-
-def test_dyadic_maximal_on_a_subcube():
-    rng = np.random.default_rng(2)
-    f = GridFunction(UNIT1, 4, rng.uniform(0, 5, 16))
-    q = CubeIndex(2, (1,))
-    M = dyadic_maximal(f, q)
-    inside = GridFunction(UNIT1, 2, f.values[4:8])
-    assert np.array_equal(M.values[4:8], dyadic_maximal(inside).values)
-    assert not M.values[:4].any() and not M.values[8:].any()
 
 
 def test_centered_maximal_matches_bruteforce():
@@ -108,8 +98,18 @@ def reference_centered_maximal(masses, n, cell_volume=1.0):
     return best
 
 
-KERNEL_SIZES = [(1, s) for s in (1, 2, 4, 8, 64)] + \
-    [(n, s) for n in (2, 3) for s in (1, 2, 4, 8)]
+# sides 1 and 2 take no doubling step of the centre-ward rays, 3-4 one,
+# 5-8 two, 9-16 three, 32 four and 64 five; odd sides stop their low cells at
+# (N-1)//2 = N//2, even sides one cell earlier
+KERNEL_SIZES = [(1, s) for s in (1, 2, 3, 4, 5, 7, 8, 9, 64)] + \
+    [(2, s) for s in (1, 2, 3, 4, 5, 8, 16, 32)] + \
+    [(3, s) for s in (1, 2, 3, 4, 8, 16)]
+
+
+def assert_same_bits(a, b):
+    # array_equal counts -0.0 equal to 0.0; signbit tells them apart
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("n,side", KERNEL_SIZES)
@@ -118,15 +118,61 @@ KERNEL_SIZES = [(1, s) for s in (1, 2, 4, 8, 64)] + \
 def test_centered_maximal_kernel_equals_reference(n, side, lead, cell_volume):
     rng = np.random.default_rng(1000 * n + side)
     masses = rng.exponential(size=lead + (side,) * n)
-    assert np.array_equal(_centered_maximal(masses, n, cell_volume),
-                          reference_centered_maximal(masses, n, cell_volume))
+    assert_same_bits(_centered_maximal(masses, n, cell_volume),
+                     reference_centered_maximal(masses, n, cell_volume))
+
+
+@pytest.mark.parametrize("n,side", KERNEL_SIZES)
+def test_centered_maximal_kernel_equals_reference_on_zero_cells(n, side):
+    # exact zeros of both signs, and whole windows of them
+    rng = np.random.default_rng(2000 * n + side)
+    masses = rng.exponential(size=(3,) + (side,) * n)
+    masses[rng.random(masses.shape) < 0.6] = 0.0
+    masses[rng.random(masses.shape) < 0.2] = -0.0
+    masses[0] = 0.0
+    for cell_volume in (1.0, 0.37):
+        assert_same_bits(_centered_maximal(masses, n, cell_volume),
+                         reference_centered_maximal(masses, n, cell_volume))
+
+
+def _window(cell, r, N):
+    return tuple((max(0, i - r), min(N, i + r + 1)) for i in cell)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_centre_ward_windows_repeat_the_half_side_radius(n):
+    # the identity the kernel's rays rest on, by brute force: from radius
+    # h = N//2 on, the window of cell i at radius h+t is the radius-h
+    # window of the cell t steps nearer the centre on every axis, which
+    # stops at (N-1)//2 from below h and at h from h up
+    for N in range(1, 10):
+        h = N // 2
+        for cell in itertools.product(range(N), repeat=n):
+            assert all(lo == 0 or hi == N for lo, hi in _window(cell, h, N))
+            for t in range(N - h):
+                moved = tuple(min(i + t, (N - 1) // 2) if i < h
+                              else max(i - t, h) for i in cell)
+                assert _window(cell, h + t, N) == _window(moved, h, N)
+
+
+@pytest.mark.parametrize("shape,n", [((4, 8), 2), ((3, 4, 8), 2),
+                                     ((8, 8, 4), 3), ((2, 3, 3, 5), 3)])
+def test_centered_maximal_refuses_a_non_cubic_block(shape, n):
+    masses = np.ones(shape)
+    with pytest.raises(OperatorError, match="needs a cubic block"):
+        _centered_maximal(masses, n)
+    if masses.ndim == n:
+        with pytest.raises(OperatorError, match="needs a cubic block"):
+            centered_maximal_values(masses)
+        with pytest.raises(OperatorError, match="needs a cubic block"):
+            centered_maximal_measure(masses, 0.25)
 
 
 def test_centered_maximal_kernel_accepts_integer_masses():
     # a bare integer weight array reaches the kernel through A_inf
     masses = np.random.default_rng(5).integers(1, 9, size=(3, 8, 8))
-    assert np.array_equal(_centered_maximal(masses, 2),
-                          reference_centered_maximal(masses, 2))
+    assert_same_bits(_centered_maximal(masses, 2),
+                     reference_centered_maximal(masses, 2))
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(KERNEL_SIZES),
@@ -137,14 +183,16 @@ def test_centered_maximal_kernel_equals_reference_hypothesis(
     n, side = size
     rng = np.random.default_rng(seed)
     masses = rng.lognormal(0.0, 2.0, size=(2,) * lead + (side,) * n)
-    assert np.array_equal(_centered_maximal(masses, n, cell_volume),
-                          reference_centered_maximal(masses, n, cell_volume))
+    assert_same_bits(_centered_maximal(masses, n, cell_volume),
+                     reference_centered_maximal(masses, n, cell_volume))
 
 
 def test_centered_maximal_peak_memory_is_the_padded_image():
     # a 32^3 block: the (3N-1)^n padded image, then per radius the output,
-    # the reused window sums and the window counts, each one input in size,
-    # plus numpy's fixed-size ufunc iteration buffers (64 kB each)
+    # the window sums and the window counts, each one input in size (the
+    # rays after the last radius hold the output, the sums and one gather
+    # of them, with the image and the counts dropped), plus numpy's
+    # fixed-size ufunc iteration buffers (64 kB each)
     masses = np.random.default_rng(8).lognormal(size=(32,) * 3)
     image = 95 ** 3 * masses.itemsize
     tracemalloc.start()
@@ -229,14 +277,6 @@ def test_dyadic_below_three_times_centered_1d():
     vals = rng.uniform(0, 5, 64)
     assert np.all(dyadic_maximal_values(vals) <=
                   3.0 * centered_maximal_values(vals) + 1e-12)
-
-
-def test_powered_maximal_properties():
-    f = GridFunction(UNIT1, 4, np.random.default_rng(5).uniform(0.1, 2, 16))
-    pm = powered_maximal(f, 0.5)
-    assert np.all(pm.values >= f.values - 1e-12)
-    c = GridFunction(UNIT1, 3, np.full(8, 1.7))
-    assert np.allclose(powered_maximal(c, 0.25).values, 1.7)
 
 
 def test_fractional_kernel_symmetric():

@@ -291,6 +291,32 @@ def test_ap_argmax_reproduces_supremum():
     assert blk.mean() * (1.0 / blk).mean() == pytest.approx(ap, rel=1e-12)
 
 
+def _near_one_weight():
+    # lognormal sigma = 1.5 at 1D depth 8: its smallest cells raised to
+    # 1 - p' = -1000 overflow at p = 1.001, but not at p = 1.01
+    return np.random.default_rng(3).lognormal(0.0, 1.5, 256)
+
+
+def test_ap_refuses_an_overflowing_dual_weight():
+    wv = _near_one_weight()
+    with pytest.raises(WeightError, match="not finite"):
+        ap_constant(wv, 1.001, UNIT1, 8)
+    with pytest.raises(WeightError, match="not finite"):
+        two_weight_ap(np.ones(256), wv, 1.001, UNIT1, 8)
+    with pytest.raises(WeightError, match="not finite"):
+        constants_report(wv, 1.001, UNIT1, 8)
+    # u alone overflows nothing: only v is raised to 1 - p'
+    assert np.isfinite(two_weight_ap(wv, np.ones(256), 1.001, UNIT1, 8))
+
+
+def test_ap_near_one_keeps_its_bits_where_finite():
+    wv = _near_one_weight()
+    ap, arg = ap_constant(wv, 1.01, UNIT1, 8, return_argmax=True)
+    assert np.isfinite(ap) and (ap, arg) == ap_reference(wv, 1.01, 8, False)
+    assert two_weight_ap(wv, wv, 1.01, UNIT1, 8) == \
+        two_weight_reference(wv, wv, 1.01, 8, False)
+
+
 def test_two_weight_oracle():
     u = np.array([1.0, 3.0])
     v = np.array([3.0, 1.0])
