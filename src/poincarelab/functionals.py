@@ -100,7 +100,8 @@ class FractionalFunctional(Functional):
     def level_values(self, Q, level):
         ell = self.root.side / (1 << level)
         ratio = self.mu.block(Q, level) / self.w.block(Q, level)
-        return ell ** self.alpha * float_pow(ratio, 1.0 / self.p).astype(float)
+        return ell ** self.alpha \
+            * float_pow(ratio, 1.0 / self.p, FunctionalError)
 
 
 class GradientFunctional(Functional):
@@ -127,7 +128,8 @@ class GradientFunctional(Functional):
     def level_values(self, Q, level):
         ell = self.root.side / (1 << level)
         ratio = self.num.block(Q, level) / self.u.block(Q, level)
-        return ell ** self.m * float_pow(ratio, 1.0 / self.p).astype(float)
+        return ell ** self.m \
+            * float_pow(ratio, 1.0 / self.p, FunctionalError)
 
 
 class LorentzGradientFunctional(Functional):
@@ -399,9 +401,9 @@ def _maxplus(x, y, width):
 
 def _scores(a, w, p, Q, depth):
     """a(P)^p w(P) for the cubes P of each level from Q's to ``depth``,
-    one array per level shaped as ``level_values``; the power is Python's
-    float pow, as in ``dp_ratio``."""
-    return [float_pow(a.level_values(Q, level), p).astype(float)
+    one array per level shaped as ``level_values``; the power is libm pow,
+    which Python's float pow in ``dp_ratio`` calls too."""
+    return [float_pow(a.level_values(Q, level), p, FunctionalError)
             * w.block(Q, level) for level in range(Q.level, depth + 1)]
 
 

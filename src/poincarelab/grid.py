@@ -21,9 +21,21 @@ class GridError(ValueError):
     pass
 
 
-# Python's float pow per element: numpy's vectorized power may round the
-# last bit differently from the scalar definitions of the cube quantities
-float_pow = np.frompyfunc(pow, 2, 1)
+def float_pow(base, exponent, error):
+    """``base ** exponent`` per element through libm ``pow``, the function
+    Python's float pow calls: numpy's vectorized ``power`` may round the
+    last bit differently from the scalar definitions of the cube
+    quantities.  Where Python's pow raises or gives a complex (a finite
+    base whose power overflows, zero to a negative power, a negative base
+    to a fractional power), ``error`` is raised instead of returning inf
+    or nan."""
+    with np.errstate(all="ignore"):
+        out = np.float_power(base, exponent)
+    bad = ~np.isfinite(out)
+    if bad.any() and np.isfinite(np.asarray(base)[bad]).any():
+        raise error(f"a finite value to the power {exponent!r} overflows or "
+                    "is not real")
+    return out
 
 
 def check_cell_cap(n, depth):
@@ -151,11 +163,9 @@ class GridFunction:
         return tuple(slice(c * span, (c + 1) * span) for c in q.coords)
 
     def cell_midpoints(self):
-        """Meshgrid of cell-center coordinates, one array per axis."""
-        h = self.cell_width
-        axes = [self.root.lower[i] + h * (np.arange(self.cells_per_axis) + 0.5)
-                for i in range(self.n)]
-        return np.meshgrid(*axes, indexing="ij")
+        """Meshgrid of cell-center coordinates, one full array per axis."""
+        return np.meshgrid(*midpoint_axes(self.root, self.depth),
+                           indexing="ij")
 
     # -- integrals --------------------------------------------------------
 
@@ -241,6 +251,14 @@ def measure_cell_masses(measure, g: GridFunction):
     if isinstance(measure, GridFunction):
         return _density_values(measure, g.root, g.depth) * g.cell_volume
     return measure.cell_masses(g.root, g.depth)
+
+
+def midpoint_axes(root, depth):
+    """The cell-center coordinates of the depth-``depth`` grid of ``root``,
+    one 1D array per axis."""
+    h = root.side / (1 << depth)
+    return [root.lower[i] + h * (np.arange(1 << depth) + 0.5)
+            for i in range(root.n)]
 
 
 def sample(root, depth, func):
@@ -346,6 +364,8 @@ def _corner_singular_unit_integral(n, gamma):
     Splits the unit cube into 2^n half-side subcubes; the origin subcube is
     a (1/2)^gamma rescaled copy of the whole, the other 2^n - 1 are handled
     by vectorized midpoint subdivision (integrand smooth away from 0).
+    Each subcube's squared radii broadcast from sparse axes into one
+    (2^CORNER_SUBLEVELS)^n array, which is powered in place.
     """
     if gamma <= 0:
         raise GridError("exponent must be positive")
@@ -362,9 +382,11 @@ def _corner_singular_unit_integral(n, gamma):
         if all(o == 0 for o in offs):
             continue
         axes = [mids + 0.5 * o for o in offs]
-        grids = np.meshgrid(*axes, indexing="ij")
-        r2 = sum(g * g for g in grids)
-        shell += float((r2 ** ((gamma - n) / 2.0)).sum()) * side ** n
+        r2 = sum(g * g for g in np.meshgrid(*axes, indexing="ij",
+                                            sparse=True))
+        r2 **= (gamma - n) / 2.0
+        shell += float(r2.sum()) * side ** n
+        r2 = None  # freed before the next subcube's array is built
     out = shell / (1.0 - 2.0 ** (-gamma))
     _CORNER_INTEGRAL_CACHE[key] = out
     return out

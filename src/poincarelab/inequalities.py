@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
-                   level_blocks, measure_cell_masses, sample)
+from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
+                   discrete_gradient, level_blocks, measure_cell_masses,
+                   midpoint_axes)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import (FractionalFunctional, Functional, GradientFunctional,
@@ -283,13 +284,18 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
 
 def plateau_function(root: RootBox, depth, eps):
     """1 on the max-norm ball of radius eps, affine down to 0 at radius
-    2 eps, 0 outside; sampled at cell midpoints."""
-
-    def fn(*coords):
-        m = np.maximum.reduce([np.abs(c) for c in coords])
-        return np.clip((2.0 * eps - m) / eps, 0.0, 1.0)
-
-    return sample(root, depth, fn)
+    2 eps, 0 outside; sampled at cell midpoints.  The max-norm radius
+    broadcasts from the per-axis |midpoints| into the one returned array,
+    which the ramp then updates in place."""
+    check_cell_cap(root.n, depth)
+    m = None
+    for c in np.meshgrid(*midpoint_axes(root, depth), indexing="ij",
+                         sparse=True):
+        m = np.abs(c) if m is None else np.maximum(m, np.abs(c))
+    np.subtract(2.0 * eps, m, out=m)
+    m /= eps
+    np.clip(m, 0.0, 1.0, out=m)
+    return GridFunction(root, depth, m)
 
 
 @dataclass

@@ -48,27 +48,27 @@ def _centered_maximal(masses, n, cell_volume=1.0):
     of ``masses`` are space (side N on every axis, odd sides included);
     leading axes, if any, index a batch of blocks maximized independently.
 
-    The zero-led integral image P (N+1 entries per space axis) is
-    edge-padded by N-1 entries per side, so E[N-1+j] = P[clip(j, 0, N)]:
-    the clipped window corners i-r and i+r+1 of every cell i are then the
-    basic slices E[N-1-r : 2N-1-r] and E[N+r : 2N+r], and each of the 2^n
-    corner terms of a radius is a view.  E is one preallocated array filled
-    by slices: the masses summed in place at [N, 2N) per axis, zeros below
-    N (the lead P[0] and its padding), then each axis's top edge copied
-    outward.
+    Windows are evaluated only for r = 1..h, h = N//2.  The zero-led
+    integral image P (N+1 entries per space axis) is padded by h entries
+    per side, so E[h+j] = P[clip(j, 0, N)]: the clipped window corners i-r
+    and i+r+1 of every cell i are then the basic slices E[h-r : h-r+N] and
+    E[h+1+r : h+1+r+N], and each of the 2^n corner terms of a radius is a
+    view.  E is one preallocated array of (N+1+2h)^n floats per block,
+    every entry of it read, filled by slices: the masses summed in place at
+    [h+1, h+1+N) per axis, zeros below (the lead P[0] and its padding),
+    then each axis's top edge copied outward.
 
-    Windows are evaluated only for r = 1..h, h = N//2.  At radius h every
-    window is clipped on every axis, so the window of cell i at radius h+t
-    is, axis by axis, the radius-h window of the cell t steps nearer the
-    centre, which stops there: at (N-1)//2 from below h, at h from h up.
-    The radius-h values are therefore maximized along these centre-ward
-    rays by doubling, s = max(s, s[toward(step)]) for step = 1, 2, 4, ...
-    up to (N-1)//2, each step one gather over all space axes.  The rays
-    reuse values computed with the same corner terms and counts, and max
-    is exact, so every output equals the per-radius loop over r < N bit
-    for bit.  Per block that is N//2 radii of 2^n window reads of N^n
-    cells each, half of the full loop, plus fewer than log2(N) gathers of
-    N^n cells; E holds (3N-1)^n floats per block.
+    At radius h every window is clipped on every axis, so the window of
+    cell i at radius h+t is, axis by axis, the radius-h window of the cell
+    t steps nearer the centre, which stops there: at (N-1)//2 from below
+    h, at h from h up.  The radius-h values are therefore maximized along
+    these centre-ward rays by doubling, s = max(s, s[toward(step)]) for
+    step = 1, 2, 4, ... up to (N-1)//2, each step one gather over all
+    space axes.  The rays reuse values computed with the same corner terms
+    and counts, and max is exact, so every output equals the per-radius
+    loop over r < N bit for bit.  Per block that is N//2 radii of 2^n
+    window reads of N^n cells each, half of the full loop, plus fewer than
+    log2(N) gathers of N^n cells.
     """
     masses = np.asarray(masses, dtype=float)
     lead = masses.ndim - n
@@ -77,25 +77,25 @@ def _centered_maximal(masses, n, cell_volume=1.0):
         raise OperatorError("centered maximal needs a cubic block, got space "
                             f"shape {space}")
     N = space[0]
+    h = N // 2
     batch = (slice(None),) * lead
-    E = np.empty(masses.shape[:lead] + (3 * N - 1,) * n)
-    core = E[batch + (slice(N, 2 * N),) * n]
+    E = np.empty(masses.shape[:lead] + (N + 1 + 2 * h,) * n)
+    core = E[batch + (slice(h + 1, h + 1 + N),) * n]
     core[...] = masses
     for ax in range(lead, masses.ndim):
         np.cumsum(core, axis=ax, out=core)
     for ax in range(n):
-        E[batch + (slice(None),) * ax + (slice(0, N),)] = 0.0
+        E[batch + (slice(None),) * ax + (slice(0, h + 1),)] = 0.0
     for ax in range(n):
         before = batch + (slice(None),) * ax
         # from a copy of the edge plane: assigning the overlapping view
         # would make numpy buffer the whole broadcast destination
-        top = before + (slice(2 * N, None),)
-        E[top] = E[before + (slice(2 * N - 1, 2 * N),)].copy()
-    J = np.clip(np.arange(-(N - 1), 2 * N, dtype=float), 0, N)
+        top = before + (slice(h + 1 + N, None),)
+        E[top] = E[before + (slice(h + N, h + 1 + N),)].copy()
+    J = np.clip(np.arange(-h, N + h + 1, dtype=float), 0, N)
     best = masses / cell_volume
-    h = N // 2
     for r in range(1, h + 1):
-        ends = (slice(N - 1 - r, 2 * N - 1 - r), slice(N + r, 2 * N + r))
+        ends = (slice(h - r, h - r + N), slice(h + 1 + r, h + 1 + r + N))
         # the last radius's arrays are dropped before these are allocated
         s = cnt = None
         for signs in itertools.product((0, 1), repeat=n):
@@ -152,12 +152,13 @@ def centered_maximal_measure(cell_masses, cell_volume):
 def fractional_kernel(n, alpha, offsets_per_axis, h):
     """Symmetric discrete kernel k(dx) = |dx|^(alpha-n) between midpoints,
     with the zero-offset entry equal to the exact cell self-integral over
-    the cell volume."""
+    the cell volume.  The squared offsets broadcast from sparse axes into
+    the one returned array, which is powered in place."""
     span = np.arange(-(offsets_per_axis - 1), offsets_per_axis) * h
-    grids = np.meshgrid(*([span] * n), indexing="ij")
-    dist2 = sum(g * g for g in grids)
-    with np.errstate(divide="ignore"):
-        K = np.where(dist2 > 0, dist2, 1.0) ** ((alpha - n) / 2.0)
+    K = sum(g * g for g in np.meshgrid(*([span] * n), indexing="ij",
+                                       sparse=True))
+    K[~(K > 0)] = 1.0
+    K **= (alpha - n) / 2.0
     center = tuple([offsets_per_axis - 1] * n)
     self_integral = ((h / 2.0) ** alpha) * (2 ** n) \
         * _corner_singular_unit_integral(n, alpha)
@@ -178,18 +179,28 @@ def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
     sl = g.block(q)
     block = g.values[sl]
     s = block.shape[0]
-    K = fractional_kernel(n, alpha, s, g.cell_width)
     # the full linear convolution has 3s - 2 entries per axis, the s valid
     # ones (K covering the whole block) starting at s - 1; s is a power of
-    # two, so 3s is a fast FFT length
+    # two, so 3s is a fast FFT length.  K's spectrum is taken first, so K
+    # is freed before the block's, and the product block * K is formed in
+    # the block's spectrum
     size = (3 * s,) * n
     axes = tuple(range(n))
-    spec = np.fft.rfftn(block, s=size, axes=axes) \
-        * np.fft.rfftn(K, s=size, axes=axes)
-    full = np.fft.irfftn(spec, s=size, axes=axes)
-    vals = full[(slice(s - 1, 2 * s - 1),) * n] * g.cell_volume
+    kspec = np.fft.rfftn(fractional_kernel(n, alpha, s, g.cell_width),
+                         s=size, axes=axes)
+    spec = np.fft.rfftn(block, s=size, axes=axes)
+    spec *= kspec
+    kspec = None
+    # irfftn's own 1D inverses, axis by axis in its order, each followed
+    # by keeping only the valid rows of that axis
+    valid = slice(s - 1, 2 * s - 1)
+    for ax in range(n - 1):
+        spec = np.fft.ifft(spec, axis=ax)[(slice(None),) * ax + (valid,)]
+    vals = np.fft.irfft(spec, 3 * s, axis=n - 1)[
+        (slice(None),) * (n - 1) + (valid,)]
+    vals *= g.cell_volume
     out = np.zeros_like(g.values)
-    out[sl] = np.maximum(vals, 0.0)
+    np.maximum(vals, 0.0, out=out[sl])
     return g.copy_with(out)
 
 

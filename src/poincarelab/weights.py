@@ -325,7 +325,7 @@ def ap1_constant(w, p, root, depth, shifted=False):
         w_up = np.sort(rows, axis=-1)         # 1/w descending
         cum = np.cumsum(w_up * cellvol / vol, axis=-1)
         wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=-1)
-        return rows.mean(axis=-1) * float_pow(wk, p).astype(float)
+        return rows.mean(axis=-1) * float_pow(wk, p, WeightError)
 
     return _sweep(depth, shifted, per_cube)[0]
 

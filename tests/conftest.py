@@ -21,6 +21,12 @@ OFF_GRID = {
 }
 
 
+def assert_same_bits(a, b):
+    # array_equal counts -0.0 equal to 0.0; signbit tells them apart
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def lognormal_weight(rng, n, depth, sigma=None):
     """Random positive cell values with log-normal fluctuations."""
     if sigma is None:

@@ -257,6 +257,16 @@ def test_unknown_mode_is_rejected():
         sdp_check(a, m, 1.0, CubeIndex.root(1), 3, [2.0], mode="greedy")
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_overflowing_power_of_a_cube_value_is_refused(mode):
+    # a(root) = side^alpha = 1e200, whose square overflows: Python's pow
+    # raised OverflowError there, and libm's inf is refused the same way
+    m = lebesgue_masses(1, 3)
+    a = FractionalFunctional(2.0, 2.0, m, m, RootBox((0.0,), 1e100), 3)
+    with pytest.raises(FunctionalError, match="to the power 2.0 overflows"):
+        sdp_check(a, m, 2.0, CubeIndex.root(1), 3, [2.0], mode=mode)
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_random_mode_needs_a_trial(trials):
     a = unweighted_functional(1.0, 1.0, 1, 3)

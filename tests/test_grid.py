@@ -2,18 +2,21 @@
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import grid
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, all_cubes, block_reduce,
                               check_cell_cap,
-                              discrete_gradient,
-                              level_blocks, measure_cell_masses, resolve,
-                              sample)
+                              discrete_gradient, float_pow,
+                              level_blocks, measure_cell_masses,
+                              midpoint_axes, resolve, sample)
 from poincarelab.decomposition import oscillation
 from poincarelab.weights import (Atomic, GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
@@ -87,6 +90,16 @@ def test_integral_on_a_subcube():
 def test_sample_midpoints_1d():
     f = sample(RootBox.unit(1), 2, lambda x: x)
     assert np.allclose(f.values, [1 / 8, 3 / 8, 5 / 8, 7 / 8])
+
+
+def test_cell_midpoints_are_full_arrays_of_the_midpoint_axes():
+    root = RootBox((-1.0, 0.25, 3.0), 0.75)
+    f = GridFunction(root, 2, np.zeros(64))
+    axes = midpoint_axes(root, 2)
+    for i, (c, a) in enumerate(zip(f.cell_midpoints(), axes)):
+        assert c.shape == (4, 4, 4) and c.flags.c_contiguous
+        assert np.array_equal(np.moveaxis(c, i, 0)[:, 0, 0], a)
+    assert np.array_equal(axes[1], 0.25 + 0.1875 * (np.arange(4) + 0.5))
 
 
 def test_block_reduce_consistent_with_cube_averages():
@@ -316,3 +329,136 @@ def test_measure_cell_masses_contract():
 def test_grid_function_shape_validation():
     with pytest.raises(GridError):
         GridFunction(RootBox.unit(2), 2, np.zeros((4, 8)))
+
+
+# ---------------------------------------------------------------------------
+# float_pow: libm pow per element, as Python's float pow
+# ---------------------------------------------------------------------------
+
+def _python_pows(base, exponent):
+    """Python's ``x ** exponent`` per entry, or None where it raises or
+    gives a complex."""
+    out = []
+    for x in base.tolist():
+        try:
+            y = x ** exponent
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if isinstance(y, complex):
+            return None
+        out.append(y)
+    return np.array(out)
+
+
+def _pow_exponents(p):
+    """The exponents the cube quantities raise to: p, 1/p and p/(p-1)."""
+    return (p, 1.0 / p) + ((p / (p - 1.0),) if p > 1 else ())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.001, 1.5, 2.0, 3.0, 7.25])
+def test_float_pow_equals_python_pow(p):
+    rng = np.random.default_rng(int(1000 * p))
+    for exponent in _pow_exponents(p):
+        # spread so that no power overflows
+        base = rng.lognormal(0.0, 3.0 / max(1.0, exponent), 20000)
+        base[:4] = (0.0, 1.0, 2.0 ** -1074, 2.0 ** -1022)
+        got = float_pow(base, exponent, GridError)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _python_pows(base, exponent))
+
+
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40),
+       st.floats(1.0, 12.0))
+@settings(max_examples=200, deadline=None)
+def test_float_pow_is_python_pow_or_refuses_where_it_raises(values, p):
+    base = np.array(values)
+    for exponent in _pow_exponents(p):
+        want = _python_pows(base, exponent)
+        if want is None:
+            with pytest.raises(GridError, match="to the power"):
+                float_pow(base, exponent, GridError)
+        else:
+            assert np.array_equal(float_pow(base, exponent, GridError), want)
+
+
+@pytest.mark.parametrize("base,exponent", [(1e200, 2.0), (1e300, 1.5),
+                                           (0.0, -1.0), (-2.0, 0.5)])
+def test_float_pow_refuses_where_python_pow_raises(base, exponent):
+    assert _python_pows(np.array([base]), exponent) is None
+    with pytest.raises(GridError, match="to the power"):
+        float_pow(np.array([1.0, base, 2.0]), exponent, GridError)
+
+
+def test_float_pow_keeps_python_pow_at_infinite_bases():
+    # Python's pow gives inf and 0 here without raising
+    base = np.array([math.inf, 4.0])
+    assert np.array_equal(float_pow(base, 2.0, GridError), [math.inf, 16.0])
+    assert np.array_equal(float_pow(base, -0.5, GridError), [0.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the corner integral against its dense-meshgrid form
+# ---------------------------------------------------------------------------
+
+def reference_corner_integral(n, gamma, sublevels):
+    """The corner integral on dense meshgrids: each outer subcube's squared
+    radii summed from full coordinate arrays, then powered into a fresh
+    array."""
+    K = 1 << sublevels
+    side = 0.5 / K
+    mids = side * (np.arange(K) + 0.5)
+    shell = 0.0
+    for offs in itertools.product((0, 1), repeat=n):
+        if all(o == 0 for o in offs):
+            continue
+        grids = np.meshgrid(*[mids + 0.5 * o for o in offs], indexing="ij")
+        r2 = sum(g * g for g in grids)
+        shell += float((r2 ** ((gamma - n) / 2.0)).sum()) * side ** n
+    return shell / (1.0 - 2.0 ** (-gamma))
+
+
+# exponents (gamma - n)/2 of -1, 0, 1/2 and 2 take numpy's fast scalar
+# powers (reciprocal, ones, sqrt, square)
+CORNER_GAMMAS = (0.05, 0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 4.0, 7.0)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("gamma", CORNER_GAMMAS)
+def test_corner_integral_equals_dense_reference(monkeypatch, n, gamma):
+    monkeypatch.setattr(grid, "_CORNER_INTEGRAL_CACHE", {})
+    assert grid._corner_singular_unit_integral(n, gamma) == \
+        reference_corner_integral(n, gamma, grid.CORNER_SUBLEVELS)
+
+
+@pytest.mark.parametrize("gamma", CORNER_GAMMAS)
+def test_corner_integral_equals_dense_reference_4d(monkeypatch, gamma):
+    # three sublevels keep the 15 dense 8^4 subcubes cheap
+    monkeypatch.setattr(grid, "_CORNER_INTEGRAL_CACHE", {})
+    monkeypatch.setattr(grid, "CORNER_SUBLEVELS", 3)
+    assert grid._corner_singular_unit_integral(4, gamma) == \
+        reference_corner_integral(4, gamma, 3)
+
+
+@given(st.sampled_from((2, 3)), st.floats(0.01, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_corner_integral_equals_dense_reference_hypothesis(n, gamma):
+    grid._CORNER_INTEGRAL_CACHE.pop((n, gamma), None)
+    assert grid._corner_singular_unit_integral(n, gamma) == \
+        reference_corner_integral(n, gamma, grid.CORNER_SUBLEVELS)
+
+
+def test_corner_integral_peak_memory_is_one_subcube(monkeypatch):
+    # n = 3: each of the 7 outer subcubes broadcasts its (K, K, 1) partial
+    # sum of squares into one K^3 array, powers it in place and frees it
+    # before the next, plus numpy's fixed-size ufunc iteration buffers
+    # (64 kB each)
+    monkeypatch.setattr(grid, "_CORNER_INTEGRAL_CACHE", {})
+    K = 1 << grid.CORNER_SUBLEVELS
+    subcube = K ** 3 * 8
+    tracemalloc.start()
+    try:
+        grid._corner_singular_unit_integral(3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subcube < peak <= subcube + K * K * 8 + 2 ** 18

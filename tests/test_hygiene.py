@@ -1,8 +1,9 @@
 """Source hygiene: every name a library module imports is used there,
 every module-level private function is referenced by some module, every
 public function, class and method is read by some module or test, every
-defaulted parameter of one is passed by some call, and no function imports
-a package module locally."""
+defaulted parameter of one is passed by some call, no function imports
+a package module locally, and no module builds full-grid coordinate
+temporaries or per-element Python calls."""
 
 import ast
 from pathlib import Path
@@ -245,3 +246,59 @@ def test_detector_flags_unpassed_defaults():
                "c.py": "args = ()\nkw = {}\nK(*args)\nK.make(**kw)\n"}
     assert unpassed_defaults(defining, calling) == [("a.py", "K.run", "u"),
                                                     ("a.py", "f", "j")]
+
+
+def dense_temporaries(source):
+    """(line, what) of each ``frompyfunc`` named in ``source`` (a per-element
+    Python call), and of each ``meshgrid`` call without ``sparse=True`` (a
+    full-grid array per axis) outside ``GridFunction.cell_midpoints``, whose
+    contract returns the full arrays."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            name = child.attr if isinstance(child, ast.Attribute) else \
+                child.id if isinstance(child, ast.Name) else \
+                child.name if isinstance(child, ast.alias) else None
+            if name == "frompyfunc":
+                found.append((child.lineno, "frompyfunc"))
+            if isinstance(child, ast.Call):
+                fn = child.func
+                called = fn.attr if isinstance(fn, ast.Attribute) else \
+                    fn.id if isinstance(fn, ast.Name) else None
+                sparse = any(k.arg == "sparse"
+                             and isinstance(k.value, ast.Constant)
+                             and k.value.value is True
+                             for k in child.keywords)
+                if called == "meshgrid" and not sparse \
+                        and inner != ("GridFunction", "cell_midpoints"):
+                    found.append((child.lineno, "dense meshgrid"))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dense_coordinate_temporaries(path):
+    assert dense_temporaries(path.read_text()) == []
+
+
+def test_detector_flags_dense_temporaries():
+    src = ("import numpy as np\nfrom numpy import frompyfunc, meshgrid\n"
+           "pw = np.frompyfunc(pow, 2, 1)\n\n\n"
+           "class GridFunction:\n    def cell_midpoints(self):\n"
+           "        return np.meshgrid(*self.axes, indexing='ij')\n\n"
+           "    def other(self):\n"
+           "        return np.meshgrid(self.x, self.y, sparse=False)\n\n\n"
+           "def cell_midpoints(axes):\n    return meshgrid(*axes)\n\n\n"
+           "def fine(axes):\n"
+           "    return np.meshgrid(*axes, indexing='ij', sparse=True)\n")
+    assert dense_temporaries(src) == [(2, "frompyfunc"), (3, "frompyfunc"),
+                                      (11, "dense meshgrid"),
+                                      (15, "dense meshgrid")]

@@ -1,6 +1,7 @@
 """Exponent formulas, the inequality catalog, and the sharpness sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from poincarelab.functionals import (ConstantFunctional, CubeSums,
                                      GradientFunctional,
                                      IncreasingFunctional)
 from poincarelab.decomposition import orthonormal_basis, project
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
-                              discrete_gradient, measure_cell_masses, sample)
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              all_cubes, discrete_gradient,
+                              measure_cell_masses, sample)
 from poincarelab.inequalities import (Exponents, InequalityError,
                                       _functional_hypothesis_norm,
                                       check_inequality, plateau_function,
@@ -28,7 +30,7 @@ from poincarelab.operators import (centered_maximal_measure,
                                    orlicz_exp_norm_values, weak_norm_values)
 from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
                                  two_weight_ap)
-from tests.conftest import counting, smooth_field_2d
+from tests.conftest import assert_same_bits, counting, smooth_field_2d
 
 UNIT1 = RootBox.unit(1)
 # an inf or NaN mass or ratio shows up as a RuntimeWarning on the way
@@ -309,6 +311,63 @@ def test_plateau_function_shape():
     f = plateau_function(RootBox.symmetric(2), 5, 0.1)
     assert f.values.max() == 1.0 and f.values.min() == 0.0
     assert np.all((0.0 <= f.values) & (f.values <= 1.0))
+
+
+def reference_plateau_function(root, depth, eps):
+    """The plateau through ``sample``: the max-norm radius reduced over the
+    dense midpoint meshgrids, the ramp a fresh array per step."""
+
+    def fn(*coords):
+        m = np.maximum.reduce([np.abs(c) for c in coords])
+        return np.clip((2.0 * eps - m) / eps, 0.0, 1.0)
+
+    return sample(root, depth, fn)
+
+
+@pytest.mark.parametrize("n,depth", [(1, 0), (1, 3), (1, 10), (2, 1), (2, 5),
+                                     (3, 4), (4, 3)])
+def test_plateau_function_equals_sampled_reference(n, depth):
+    rng = np.random.default_rng(10 * n + depth)
+    roots = [RootBox.symmetric(n), RootBox.unit(n),
+             RootBox(tuple(rng.uniform(-2.0, 0.5, n)), 2.5)]
+    for root in roots:
+        for eps in (0.01, 0.05, 0.3, 0.5, 1.0, 3.0):
+            got = plateau_function(root, depth, eps)
+            assert got.root == root and got.depth == depth
+            assert_same_bits(got.values,
+                             reference_plateau_function(root, depth,
+                                                        eps).values)
+
+
+@given(st.integers(1, 4), st.integers(0, 5),
+       st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       st.floats(1e-3, 10.0), st.floats(1e-4, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_plateau_function_equals_sampled_reference_hypothesis(n, depth, lower,
+                                                              side, eps):
+    root = RootBox(tuple(lower[:n]), side)
+    assert_same_bits(plateau_function(root, depth, eps).values,
+                     reference_plateau_function(root, depth, eps).values)
+
+
+def test_plateau_function_peak_memory_is_the_grid():
+    # 3D depth 6: the one returned array, the per-axis |midpoints| and their
+    # (N, N, 1) partial maximum, then GridFunction's finiteness mask of one
+    # byte per cell, plus numpy's fixed-size ufunc iteration buffers
+    N = 64
+    cells = N ** 3
+    tracemalloc.start()
+    try:
+        plateau_function(RootBox.symmetric(3), 6, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * cells < peak <= 8 * cells + cells + 8 * N * N + 2 ** 16
+
+
+def test_plateau_function_refuses_a_grid_over_the_cap():
+    with pytest.raises(GridError, match="exceeds cap"):
+        plateau_function(RootBox.symmetric(3), 9, 0.3)
 
 
 @RAISE_WARNINGS

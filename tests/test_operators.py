@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarelab.grid import CubeIndex, GridFunction, RootBox, sample
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
+                              _corner_singular_unit_integral, sample)
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    _centered_maximal, centered_maximal_measure,
                                    centered_maximal_values,
@@ -20,6 +21,7 @@ from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    rubio_de_francia,
                                    triple_norm_values, truncate,
                                    weak_norm_values)
+from tests.conftest import assert_same_bits
 
 UNIT1 = RootBox.unit(1)
 
@@ -106,12 +108,6 @@ KERNEL_SIZES = [(1, s) for s in (1, 2, 3, 4, 5, 7, 8, 9, 64)] + \
     [(3, s) for s in (1, 2, 3, 4, 8, 16)]
 
 
-def assert_same_bits(a, b):
-    # array_equal counts -0.0 equal to 0.0; signbit tells them apart
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("n,side", KERNEL_SIZES)
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 @pytest.mark.parametrize("cell_volume", [1.0, 0.37, 2.0 ** -12])
@@ -188,13 +184,14 @@ def test_centered_maximal_kernel_equals_reference_hypothesis(
 
 
 def test_centered_maximal_peak_memory_is_the_padded_image():
-    # a 32^3 block: the (3N-1)^n padded image, then per radius the output,
-    # the window sums and the window counts, each one input in size (the
-    # rays after the last radius hold the output, the sums and one gather
-    # of them, with the image and the counts dropped), plus numpy's
-    # fixed-size ufunc iteration buffers (64 kB each)
+    # a 32^3 block: the (N+1+2*(N//2))^n padded image, every entry of which
+    # the radii up to N//2 read, then per radius the output, the window
+    # sums and the window counts, each one input in size (the rays after
+    # the last radius hold the output, the sums and one gather of them,
+    # with the image and the counts dropped), plus numpy's fixed-size
+    # ufunc iteration buffers (64 kB each)
     masses = np.random.default_rng(8).lognormal(size=(32,) * 3)
-    image = 95 ** 3 * masses.itemsize
+    image = 65 ** 3 * masses.itemsize
     tracemalloc.start()
     try:
         _centered_maximal(masses, 3)
@@ -277,6 +274,116 @@ def test_dyadic_below_three_times_centered_1d():
     vals = rng.uniform(0, 5, 64)
     assert np.all(dyadic_maximal_values(vals) <=
                   3.0 * centered_maximal_values(vals) + 1e-12)
+
+
+def reference_fractional_kernel(n, alpha, offsets_per_axis, h):
+    """The kernel on dense meshgrids: the squared offsets summed from full
+    coordinate arrays, the zero offset set by ``np.where`` and the power
+    taken into a fresh array."""
+    span = np.arange(-(offsets_per_axis - 1), offsets_per_axis) * h
+    grids = np.meshgrid(*([span] * n), indexing="ij")
+    dist2 = sum(g * g for g in grids)
+    with np.errstate(divide="ignore"):
+        K = np.where(dist2 > 0, dist2, 1.0) ** ((alpha - n) / 2.0)
+    center = tuple([offsets_per_axis - 1] * n)
+    self_integral = ((h / 2.0) ** alpha) * (2 ** n) \
+        * _corner_singular_unit_integral(n, alpha)
+    K[center] = self_integral / h ** n
+    return K
+
+
+def reference_fractional_integral(g, alpha, q=None):
+    """I_alpha on Q from the dense kernel: the product of the two whole
+    spectra inverted by one ``irfftn`` over all 3s rows per axis, the
+    valid s rows sliced afterwards."""
+    n = g.n
+    q = q or CubeIndex.root(n)
+    sl = g.block(q)
+    block = g.values[sl]
+    s = block.shape[0]
+    K = reference_fractional_kernel(n, alpha, s, g.cell_width)
+    size = (3 * s,) * n
+    axes = tuple(range(n))
+    spec = np.fft.rfftn(block, s=size, axes=axes) \
+        * np.fft.rfftn(K, s=size, axes=axes)
+    full = np.fft.irfftn(spec, s=size, axes=axes)
+    vals = full[(slice(s - 1, 2 * s - 1),) * n] * g.cell_volume
+    out = np.zeros_like(g.values)
+    out[sl] = np.maximum(vals, 0.0)
+    return out
+
+
+# side 1 has no offset but the centre; alphas of n-2, n-1 and n take
+# numpy's fast scalar powers (reciprocal, sqrt, ones)
+FRACTIONAL_SIZES = [(1, d) for d in (0, 1, 3, 6, 9)] + \
+    [(2, d) for d in (0, 1, 3, 5)] + [(3, d) for d in (1, 2, 3)]
+
+
+def _fractional_alphas(n):
+    return sorted({0.05, 0.5 * n, 0.99 * n} | {a for a in (n - 2, n - 1)
+                                               if 0 < a < n})
+
+
+@pytest.mark.parametrize("n,depth", FRACTIONAL_SIZES)
+def test_fractional_kernel_equals_dense_reference(n, depth):
+    root = RootBox((-0.3,) * n, 1.7)
+    h = root.side / (1 << depth)
+    for alpha in _fractional_alphas(n):
+        for offsets in {1, 2, 1 << depth}:
+            assert_same_bits(fractional_kernel(n, alpha, offsets, h),
+                             reference_fractional_kernel(n, alpha, offsets, h))
+
+
+@pytest.mark.parametrize("n,depth", FRACTIONAL_SIZES)
+def test_fractional_integral_equals_whole_array_reference(n, depth):
+    rng = np.random.default_rng(100 * n + depth)
+    N = 1 << depth
+    vals = rng.lognormal(0.0, 1.5, (N,) * n)
+    vals[rng.random(vals.shape) < 0.3] = 0.0
+    g = GridFunction(RootBox((-0.3,) * n, 1.7), depth, vals)
+    cubes = [None] + [CubeIndex(level, tuple(rng.integers(0, 1 << level, n)))
+                      for level in range(1, depth + 1)]
+    for alpha in _fractional_alphas(n):
+        for q in cubes:
+            assert_same_bits(fractional_integral(g, alpha, q).values,
+                             reference_fractional_integral(g, alpha, q))
+
+
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([(1, 4), (1, 7), (2, 3), (2, 4), (3, 2)]),
+       st.floats(0.01, 0.99), st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_fractional_integral_equals_whole_array_reference_hypothesis(
+        seed, size, share, side):
+    n, depth = size
+    rng = np.random.default_rng(seed)
+    N = 1 << depth
+    g = GridFunction(RootBox((0.0,) * n, side), depth,
+                     rng.exponential(size=(N,) * n))
+    level = int(rng.integers(0, depth + 1))
+    q = CubeIndex(level, tuple(rng.integers(0, 1 << level, n)))
+    assert_same_bits(fractional_integral(g, share * n, q).values,
+                     reference_fractional_integral(g, share * n, q))
+
+
+def test_fractional_integral_peak_memory_is_two_spectra():
+    # 2D 256^2: K's spectrum, then the block's (its last-axis rfft, s rows,
+    # alive while the first axis is transformed), each (3s)^(n-1) by
+    # 3s/2 + 1 complex entries; K and the inverses' row-trimmed arrays are
+    # smaller, plus numpy's fixed-size ufunc iteration buffers
+    s = 256
+    g = GridFunction(RootBox.unit(2), 8,
+                     np.random.default_rng(9).random((s, s)))
+    fractional_integral(g, 1.0)     # the corner integral's cache is filled
+    spectrum = 3 * s * (3 * s // 2 + 1) * 16
+    half = s * (3 * s // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        fractional_integral(g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * spectrum < peak <= 2 * spectrum + half + 2 ** 18
 
 
 def test_fractional_kernel_symmetric():

@@ -372,6 +372,18 @@ def test_ap1_oracles():
     assert ap1_constant(STEP, 2.0, UNIT1, 1) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ap1_refuses_an_overflowing_power(monkeypatch):
+    # the weak norm k of 1/w on a cube has k^p <= 1/min w, finite for a
+    # normal weight, so the overflow Python's pow raised on is made here by
+    # scaling k before the power
+    real = weights.float_pow
+    monkeypatch.setattr(weights, "float_pow",
+                        lambda base, exponent, error:
+                        real(base * 1e300, exponent, error))
+    with pytest.raises(WeightError, match="to the power 3.0 overflows"):
+        ap1_constant(STEP, 3.0, UNIT1, 1)
+
+
 def test_ap1_below_ap(small_weight_corpus):
     for wv, root, depth in small_weight_corpus:
         for p in (1.5, 2.0, 3.0):
