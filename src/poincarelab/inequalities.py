@@ -356,7 +356,8 @@ def _sharpness_point(powers, p, root, delta, depth):
     masses = PowerWeight(delta, root.n, root).cell_masses(root, depth)
     lhs, rhs0 = _sharpness_sides(powers, masses, p, root)
     h = root.side / (1 << depth)
-    return lhs, rhs0, ap_constant(masses / h ** root.n, 1.0, root, depth)
+    masses /= h ** root.n   # the cell values, in place
+    return lhs, rhs0, ap_constant(masses, 1.0, root, depth)
 
 
 def sharpness_point(p, n, eps, delta, depth):

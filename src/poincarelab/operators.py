@@ -181,23 +181,39 @@ def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
     s = block.shape[0]
     # the full linear convolution has 3s - 2 entries per axis, the s valid
     # ones (K covering the whole block) starting at s - 1; s is a power of
-    # two, so 3s is a fast FFT length.  K's spectrum is taken first, so K
-    # is freed before the block's, and the product block * K is formed in
-    # the block's spectrum
-    size = (3 * s,) * n
-    axes = tuple(range(n))
-    kspec = np.fft.rfftn(fractional_kernel(n, alpha, s, g.cell_width),
-                         s=size, axes=axes)
-    spec = np.fft.rfftn(block, s=size, axes=axes)
-    spec *= kspec
-    kspec = None
-    # irfftn's own 1D inverses, axis by axis in its order, each followed
-    # by keeping only the valid rows of that axis
+    # two, so 3s is a fast FFT length.  Only the last-axis spectra (rfftn's
+    # first 1D transform) are held whole, K's first, so K is freed before
+    # the block's is taken
+    L, last = 3 * s, n - 1
     valid = slice(s - 1, 2 * s - 1)
-    for ax in range(n - 1):
-        spec = np.fft.ifft(spec, axis=ax)[(slice(None),) * ax + (valid,)]
-    vals = np.fft.irfft(spec, 3 * s, axis=n - 1)[
-        (slice(None),) * (n - 1) + (valid,)]
+    K = fractional_kernel(n, alpha, s, g.cell_width)
+    freed = K.nbytes
+    kspec = np.fft.rfft(K, L, axis=last)
+    K = None
+    spec = np.fft.rfft(block, L, axis=last)
+    if n == 1:
+        spec *= kspec
+    else:
+        # per strip of frequency columns: rfftn's remaining 1D transforms
+        # (axes n-2 ... 0), the product block * K, and irfftn's 1D inverses
+        # (axes 0 ... n-2), each followed by keeping the valid rows of its
+        # axis.  A strip's two full spectra fit in the bytes K held beyond
+        # the block's spectrum, so the peak stays at K's transform
+        width = max(1, (freed - spec.nbytes)
+                    // (2 * L ** last * spec.itemsize))
+        for j in range(0, spec.shape[last], width):
+            cols = (Ellipsis, slice(j, j + width))
+            bs, ks = spec[cols], kspec[cols]
+            for ax in range(n - 2, -1, -1):
+                bs = np.fft.fft(bs, L, axis=ax)
+                ks = np.fft.fft(ks, L, axis=ax)
+            bs *= ks
+            ks = None
+            for ax in range(last):
+                bs = np.fft.ifft(bs, axis=ax)[(slice(None),) * ax + (valid,)]
+            spec[cols] = bs
+    kspec = None
+    vals = np.fft.irfft(spec, L, axis=last)[(slice(None),) * last + (valid,)]
     vals *= g.cell_volume
     out = np.zeros_like(g.values)
     np.maximum(vals, 0.0, out=out[sl])

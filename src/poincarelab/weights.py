@@ -16,6 +16,7 @@ calculus"); the theorem's constants are not claimed for them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,13 @@ class PowerWeight:
     Cell masses: in 1D the exact integral of the density; for n >= 2 the
     midpoint rule, except on the 2^n cells with a corner at the origin,
     which get the exact integral h^delta * _corner_singular_unit_integral.
-    The masses are evaluated on the positive orthant only and reflected
-    across every axis, so they are exactly symmetric; where the cell edges
-    are exact binary fractions (a side such as 2, the default) the
-    reflected midpoints equal the computed ones bit for bit.  At depth 0
-    the single cell contains the origin and gets its exact mass
+    The masses are evaluated on the positive orthant only and mirrored:
+    each of the 2^n orthants of one preallocated array is assigned the
+    positive orthant reversed along that orthant's negative axes, so the
+    masses are exactly symmetric; where the cell edges are exact binary
+    fractions (a side such as 2, the default) the reflected midpoints
+    equal the computed ones bit for bit.  At depth 0 the single cell
+    contains the origin and gets its exact mass
     2^n (side/2)^delta * _corner_singular_unit_integral.
     """
 
@@ -101,17 +104,24 @@ class PowerWeight:
                              * _corner_singular_unit_integral(n, delta))
         else:
             # the positive orthant, from one 1D array of squared midpoints
-            mids = root.lower[0] + h * np.arange(N // 2, N) + h / 2.0
+            half = N // 2
+            mids = root.lower[0] + h * np.arange(half, N) + h / 2.0
             sq = mids * mids
             r2 = sq
             for _ in range(1, n):
                 r2 = r2[..., None] + sq
-            masses = (np.sqrt(r2) ** (delta - n)) * h ** n
-            masses[(0,) * n] = (h ** delta) * _corner_singular_unit_integral(
+            orthant = (np.sqrt(r2) ** (delta - n)) * h ** n
+            orthant[(0,) * n] = (h ** delta) * _corner_singular_unit_integral(
                 n, delta)
-            for axis in range(n):
-                masses = np.concatenate([np.flip(masses, axis), masses],
-                                        axis=axis)
+            # each of the 2^n orthants is the positive one reversed along
+            # its negative axes: per axis, the upper half as it is or the
+            # lower half from the reversed orthant
+            halves = ((slice(half, None), slice(None)),
+                      (slice(half), slice(None, None, -1)))
+            masses = np.empty((N,) * n)
+            for parts in itertools.product(halves, repeat=n):
+                target, source = zip(*parts)
+                masses[target] = orthant[source]
         return masses
 
     def cell_values(self, root, depth):

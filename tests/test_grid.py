@@ -1,5 +1,6 @@
 """Dyadic cube trees and piecewise-constant grid functions."""
 
+import io
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
 from poincarelab.decomposition import oscillation
 from poincarelab.weights import (Atomic, GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
-from tests.conftest import OFF_GRID
+from tests.conftest import OFF_GRID, assert_same_bits
 
 
 def test_root_box_unit_and_symmetric():
@@ -197,6 +198,40 @@ def test_gradient_oracle_1d():
     assert np.allclose(g.values, [4.0, 0.0, 4.0, 4.0])
 
 
+def reference_discrete_gradient(f, order):
+    """The order-m gradient with a fresh array per step: the difference
+    divided by h into a new array, the last difference concatenated, and
+    the absolute value of each mixed difference taken into a new array."""
+    h = f.cell_width
+
+    def diff_axis(arr, axis):
+        d = np.diff(arr, axis=axis) / h
+        return np.concatenate([d, np.take(d, [-1], axis=axis)], axis=axis)
+
+    total = np.zeros_like(f.values)
+    for sigma in itertools.product(range(order + 1), repeat=f.n):
+        if sum(sigma) != order:
+            continue
+        d = f.values
+        for axis, k in enumerate(sigma):
+            for _ in range(k):
+                d = diff_axis(d, axis)
+        total += np.abs(d)
+    return total
+
+
+@pytest.mark.parametrize("n,depth", [(1, 9), (2, 6), (3, 4)])
+def test_gradient_equals_fresh_array_reference(n, depth):
+    rng = np.random.default_rng(10 * n + depth)
+    N = 1 << depth
+    values = rng.normal(0.0, 1e3, (N,) * n)
+    values[rng.random(values.shape) < 0.2] = -0.0
+    f = GridFunction(RootBox((-0.3,) * n, 1.7), depth, values)
+    for order in (1, 2):
+        assert_same_bits(discrete_gradient(f, order).values,
+                         reference_discrete_gradient(f, order))
+
+
 def test_gradient_annihilates_constants_and_scales_linearly():
     c = GridFunction(RootBox.unit(2), 4, np.full((16, 16), 3.25))
     assert np.all(discrete_gradient(c).values == 0.0)
@@ -219,6 +254,31 @@ def test_json_roundtrip(tmp_path):
     g = GridFunction.load(path)
     assert g.root == f.root and g.depth == f.depth
     assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("block", [7, grid.SAVE_BLOCK])
+def test_save_writes_the_bytes_of_json_dump(monkeypatch, tmp_path, block):
+    # json.dump streams through the pure-Python encoder, save's blocks of
+    # values through the C one: the floats' reprs, signed zeros and
+    # subnormals included, must come out the same, across block boundaries
+    # (4,096 values: whole blocks of 1,024, and blocks of 7 with a last
+    # one of 1)
+    monkeypatch.setattr(grid, "SAVE_BLOCK", block)
+    tiny = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-300,
+              -1e300, 1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+              1.0 / 3.0, -2.5, 123456789.125, 1e16, 1e-5, 0.1]
+    rest = 10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0,
+                                                     4096 - len(values))
+    values += list(rest * np.where(np.arange(rest.size) % 2, 1.0, -1.0))
+    f = GridFunction(RootBox((-0.1, 1e-300), 3e300), 6, values)
+    path = tmp_path / "f.json"
+    f.save(path)
+    streamed = io.StringIO()
+    json.dump(f.to_json_dict(), streamed)
+    assert path.read_bytes() == streamed.getvalue().encode()
+    assert np.array_equal(np.signbit(GridFunction.load(path).values),
+                          np.signbit(f.values))
 
 
 def test_json_rejects_wrong_length(tmp_path):

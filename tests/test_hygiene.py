@@ -3,7 +3,7 @@ every module-level private function is referenced by some module, every
 public function, class and method is read by some module or test, every
 defaulted parameter of one is passed by some call, no function imports
 a package module locally, and no module builds full-grid coordinate
-temporaries or per-element Python calls."""
+temporaries, whole multi-axis spectra or per-element Python calls."""
 
 import ast
 from pathlib import Path
@@ -250,9 +250,11 @@ def test_detector_flags_unpassed_defaults():
 
 def dense_temporaries(source):
     """(line, what) of each ``frompyfunc`` named in ``source`` (a per-element
-    Python call), and of each ``meshgrid`` call without ``sparse=True`` (a
+    Python call), of each ``meshgrid`` call without ``sparse=True`` (a
     full-grid array per axis) outside ``GridFunction.cell_midpoints``, whose
-    contract returns the full arrays."""
+    contract returns the full arrays, and of each ``rfftn`` or ``irfftn``
+    named (a whole multi-axis spectrum, where the fractional integral holds
+    only last-axis spectra and strips)."""
     found = []
 
     def visit(node, scope):
@@ -264,8 +266,8 @@ def dense_temporaries(source):
             name = child.attr if isinstance(child, ast.Attribute) else \
                 child.id if isinstance(child, ast.Name) else \
                 child.name if isinstance(child, ast.alias) else None
-            if name == "frompyfunc":
-                found.append((child.lineno, "frompyfunc"))
+            if name in ("frompyfunc", "rfftn", "irfftn"):
+                found.append((child.lineno, name))
             if isinstance(child, ast.Call):
                 fn = child.func
                 called = fn.attr if isinstance(fn, ast.Attribute) else \
@@ -298,7 +300,12 @@ def test_detector_flags_dense_temporaries():
            "        return np.meshgrid(self.x, self.y, sparse=False)\n\n\n"
            "def cell_midpoints(axes):\n    return meshgrid(*axes)\n\n\n"
            "def fine(axes):\n"
-           "    return np.meshgrid(*axes, indexing='ij', sparse=True)\n")
+           "    return np.meshgrid(*axes, indexing='ij', sparse=True)\n\n\n"
+           "def spectra(a):\n    from numpy.fft import irfftn\n"
+           "    s = np.fft.rfftn(a, axes=(0, 1))\n"
+           "    return irfftn(s), np.fft.rfft(a, axis=1), np.fft.fft(s)\n")
     assert dense_temporaries(src) == [(2, "frompyfunc"), (3, "frompyfunc"),
                                       (11, "dense meshgrid"),
-                                      (15, "dense meshgrid")]
+                                      (15, "dense meshgrid"),
+                                      (23, "irfftn"), (24, "rfftn"),
+                                      (25, "irfftn")]

@@ -365,6 +365,23 @@ def test_plateau_function_peak_memory_is_the_grid():
     assert 8 * cells < peak <= 8 * cells + cells + 8 * N * N + 2 ** 16
 
 
+def test_sharpness_sweep_peak_memory_is_below_five_grids():
+    # 2D depth 8: the plateau's f^{p*} and |grad f|^p are held across the
+    # sweep (building them peaks at four grids: f, grad and the two
+    # powers); each point adds its masses, divided into the cell values in
+    # place, and one grid-sized product or A_1's work at a time.  A copy of
+    # the masses made it 5.6 grids
+    grid = (1 << 8) ** 2 * 8
+    sharpness_sweep(1.0, 2, 0.05, [0.5], 4)  # corner integrals cached
+    tracemalloc.start()
+    try:
+        sharpness_sweep(1.0, 2, 0.05, [0.5, 0.25], 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * grid < peak < 5 * grid
+
+
 def test_plateau_function_refuses_a_grid_over_the_cap():
     with pytest.raises(GridError, match="exceeds cap"):
         plateau_function(RootBox.symmetric(3), 9, 0.3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import grid
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
                               _corner_singular_unit_integral, sample)
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
@@ -314,9 +315,14 @@ def reference_fractional_integral(g, alpha, q=None):
 
 
 # side 1 has no offset but the centre; alphas of n-2, n-1 and n take
-# numpy's fast scalar powers (reciprocal, sqrt, ones)
+# numpy's fast scalar powers (reciprocal, sqrt, ones).  The spectral
+# product runs in strips of frequency columns, one wide up to 2D depth 3,
+# 3D depth 4 and in 4D; 2D depths 5, 6 and 7 and 3D depth 5 take strips of
+# 2, 4, 10 and 4 of their 49, 97, 193 and 49 columns, so the last strip is
+# narrower
 FRACTIONAL_SIZES = [(1, d) for d in (0, 1, 3, 6, 9)] + \
-    [(2, d) for d in (0, 1, 3, 5)] + [(3, d) for d in (1, 2, 3)]
+    [(2, d) for d in (0, 1, 3, 5, 6, 7)] + [(3, d) for d in (1, 2, 3, 5)] + \
+    [(4, 1), (4, 2)]
 
 
 def _fractional_alphas(n):
@@ -324,8 +330,18 @@ def _fractional_alphas(n):
                                                if 0 < a < n})
 
 
+def _cheap_4d_corner(monkeypatch, n):
+    """Three corner sublevels in 4D, with a cache of their own: at the
+    default six the 4D corner integral takes seconds per alpha.  Kernel
+    and reference read the same patched integral."""
+    if n == 4:
+        monkeypatch.setattr(grid, "_CORNER_INTEGRAL_CACHE", {})
+        monkeypatch.setattr(grid, "CORNER_SUBLEVELS", 3)
+
+
 @pytest.mark.parametrize("n,depth", FRACTIONAL_SIZES)
-def test_fractional_kernel_equals_dense_reference(n, depth):
+def test_fractional_kernel_equals_dense_reference(monkeypatch, n, depth):
+    _cheap_4d_corner(monkeypatch, n)
     root = RootBox((-0.3,) * n, 1.7)
     h = root.side / (1 << depth)
     for alpha in _fractional_alphas(n):
@@ -335,7 +351,9 @@ def test_fractional_kernel_equals_dense_reference(n, depth):
 
 
 @pytest.mark.parametrize("n,depth", FRACTIONAL_SIZES)
-def test_fractional_integral_equals_whole_array_reference(n, depth):
+def test_fractional_integral_equals_whole_array_reference(monkeypatch, n,
+                                                          depth):
+    _cheap_4d_corner(monkeypatch, n)
     rng = np.random.default_rng(100 * n + depth)
     N = 1 << depth
     vals = rng.lognormal(0.0, 1.5, (N,) * n)
@@ -367,23 +385,28 @@ def test_fractional_integral_equals_whole_array_reference_hypothesis(
 
 
 def test_fractional_integral_peak_memory_is_two_spectra():
-    # 2D 256^2: K's spectrum, then the block's (its last-axis rfft, s rows,
-    # alive while the first axis is transformed), each (3s)^(n-1) by
-    # 3s/2 + 1 complex entries; K and the inverses' row-trimmed arrays are
-    # smaller, plus numpy's fixed-size ufunc iteration buffers
-    s = 256
-    g = GridFunction(RootBox.unit(2), 8,
-                     np.random.default_rng(9).random((s, s)))
-    fractional_integral(g, 1.0)     # the corner integral's cache is filled
-    spectrum = 3 * s * (3 * s // 2 + 1) * 16
-    half = s * (3 * s // 2 + 1) * 16
-    tracemalloc.start()
-    try:
-        fractional_integral(g, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 2 * spectrum < peak <= 2 * spectrum + half + 2 ** 18
+    # 2D 256^2 and 3D 32^3: K, (2s-1)^n reals, is alive while its last-axis
+    # rfft, (2s-1)^(n-1) rows by 3s/2 + 1 complex columns, is taken; then
+    # the block's last-axis spectrum, s^(n-1) rows, and one strip of
+    # columns at a time, whose spectra fit in K's freed bytes, plus numpy's
+    # fixed-size ufunc iteration buffers
+    for n, depth in ((2, 8), (3, 5)):
+        s = 1 << depth
+        g = GridFunction(RootBox.unit(n), depth,
+                         np.random.default_rng(9).random((s,) * n))
+        fractional_integral(g, 1.0)     # the corner integral is cached
+        cols = 3 * s // 2 + 1
+        kernel = (2 * s - 1) ** n * 8
+        kernel_spectrum = (2 * s - 1) ** (n - 1) * cols * 16
+        block_spectrum = s ** (n - 1) * cols * 16
+        tracemalloc.start()
+        try:
+            fractional_integral(g, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel + kernel_spectrum <= peak \
+            <= kernel + kernel_spectrum + block_spectrum + 2 ** 18
 
 
 def test_fractional_kernel_symmetric():

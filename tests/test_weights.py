@@ -18,6 +18,7 @@ from poincarelab.weights import (Atomic, GridWeight, PowerWeight,
                                  resolve, rh_exponent, rh_exponent_and_check,
                                  rhinf_constant, set_inequality_holds,
                                  two_weight_ap)
+from tests.conftest import assert_same_bits
 
 # an inf or NaN mass or constant shows up as a RuntimeWarning on the way;
 # it fails the test instead of passing silently
@@ -494,6 +495,36 @@ def test_mirrored_power_masses_equal_meshgrid_reference(monkeypatch, n,
         ref = reference_power_masses(delta, n, depth, root)
         assert masses.shape == ref.shape
         assert masses.tobytes() == ref.tobytes()
+
+
+def reference_concatenated_power_masses(delta, n, depth, root):
+    """PowerWeight cell masses for n >= 2 and depth >= 1, the orthant
+    mirrored by n ``np.concatenate`` calls, one per axis."""
+    N = 1 << depth
+    h = root.side / N
+    mids = root.lower[0] + h * np.arange(N // 2, N) + h / 2.0
+    sq = mids * mids
+    r2 = sq
+    for _ in range(1, n):
+        r2 = r2[..., None] + sq
+    masses = (np.sqrt(r2) ** (delta - n)) * h ** n
+    masses[(0,) * n] = (h ** delta) * weights._corner_singular_unit_integral(
+        n, delta)
+    for axis in range(n):
+        masses = np.concatenate([np.flip(masses, axis), masses], axis=axis)
+    return masses
+
+
+@pytest.mark.parametrize("n,depth", [(2, d) for d in (1, 2, 5, 8)]
+                         + [(3, d) for d in (1, 2, 4)] + [(4, 1), (4, 3)])
+def test_mirrored_power_masses_equal_concatenated_reference(monkeypatch, n,
+                                                            depth):
+    _cheap_4d_corner(monkeypatch, n)
+    for root in (RootBox.symmetric(n), RootBox((-0.15,) * n, 0.3)):
+        for delta in MASS_DELTAS:
+            assert_same_bits(
+                PowerWeight(delta, n, root).cell_masses(root, depth),
+                reference_concatenated_power_masses(delta, n, depth, root))
 
 
 def test_mirrored_power_masses_on_a_non_dyadic_side():
