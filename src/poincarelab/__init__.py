@@ -13,19 +13,16 @@ Modules:
 
 from .grid import (CubeIndex, GridFunction, RootBox, discrete_gradient,
                    sample)
-from .weights import (Atomic, GridWeight, PowerWeight, WeightConstantsReport,
+from .weights import (GridWeight, PowerWeight, WeightConstantsReport,
                       ainf_fujii_wilson, ap1_constant, ap_constant,
                       constants_report, rh_exponent, rh_exponent_and_check,
                       rhinf_constant, two_weight_ap)
-from .operators import fractional_integral, rubio_de_francia, truncate
-from .functionals import (ConstantFunctional, DpReport, FractionalFunctional,
-                          GradientFunctional, IncreasingFunctional,
-                          LorentzGradientFunctional, SmallFamily, dp_ratio,
-                          max_dp_ratio, random_small_family, sdp_check)
+from .operators import fractional_integral, rubio_de_francia
+from .functionals import (DpReport, FractionalFunctional, GradientFunctional,
+                          LorentzGradientFunctional, sdp_check)
 from .decomposition import (CZDecomposition, PolyBasis, cz_decompose,
                             orthonormal_basis, oscillation, project)
-from .inequalities import (CheckResult, Exponents, SharpnessSweep,
-                           check_inequality, poincare_sides, sharpness_sweep,
-                           sobolev_exponent, weak_implies_strong_demo)
+from .inequalities import (CheckResult, SharpnessSweep, check_inequality,
+                           poincare_sides, sharpness_sweep, sobolev_exponent)
 
 __version__ = "0.1.0"

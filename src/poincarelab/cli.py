@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
+from .grid import (MAX_DIM, CubeIndex, GridFunction, RootBox, check_cell_cap,
                    measure_cell_masses)
 from .weights import GridWeight, PowerWeight, ap_constant, constants_report
 from .operators import AP_BOUND_CN, rubio_de_francia
@@ -122,12 +122,35 @@ def _cmd_cz(args):
     return 0
 
 
-def _cmd_functional_check(args):
-    with open(args.functional) as fh:
+def _functional_config(path):
+    """The functional config file: a JSON object whose ``n`` is a dimension
+    (checked before a root box is built for it), ``alpha`` a finite number,
+    and ``mu`` and ``w`` each "lebesgue" or the path of a grid function
+    file."""
+    with open(path) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise CliError("the functional config must be a JSON object")
     if config.get("variant", "fractional") != "fractional":
         raise CliError("only the fractional variant is file-configurable")
-    n = int(config.get("n", 1))
+    n, alpha = config.get("n", 1), config.get("alpha", 1.0)
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
+        raise CliError(f"functional config: n must be an integer in "
+                       f"[1, {MAX_DIM}], got {n!r}")
+    if type(alpha) not in (int, float) \
+            or not abs(alpha) <= sys.float_info.max:  # NaN, inf, 10**400
+        raise CliError("functional config: alpha must be a finite number, "
+                       f"got {alpha!r}")
+    for key in ("mu", "w"):
+        if not isinstance(config.get(key, "lebesgue"), str):
+            raise CliError(f'functional config: {key} must be "lebesgue" or '
+                           f"a file path, got {config[key]!r}")
+    return config
+
+
+def _cmd_functional_check(args):
+    config = _functional_config(args.functional)
+    n = config.get("n", 1)
     depth = args.depth
     root = RootBox.unit(n)
     check_cell_cap(n, depth)
@@ -296,6 +319,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CliError(f"--{name.replace('_', '-')} must be finite, "
+                               f"got {value}")
         if args.shifted_grids and args.command not in ("constants", "report"):
             raise CliError("--shifted-grids applies only to constants and "
                            f"report, not {args.command}")

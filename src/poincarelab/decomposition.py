@@ -166,17 +166,6 @@ def project(f: GridFunction, basis: PolyBasis):
     return f.copy_with(out)
 
 
-def projection_sup_bound_margin(f: GridFunction, basis: PolyBasis):
-    """Measured ratio sup|P_Q f| / (N * C^2 * avg|f| on Q) with
-    N = basis size and C = max sup-norm of the basis functions."""
-    sl = f.block(basis.Q)
-    pf = project(f, basis).values[sl]
-    N = basis.phis.shape[0]
-    C = float(np.max(np.abs(basis.phis)))
-    denom = N * C ** 2 * float(np.abs(f.values[sl]).mean())
-    return float(np.max(np.abs(pf))) / denom if denom > 0 else 0.0
-
-
 def _deviation_sum(f: GridFunction, Q: CubeIndex, basis, q_exp, w,
                    weighted_center):
     """(int_Q |f - c|^q dw, w(Q)) with the masses of ``w`` from
@@ -206,10 +195,3 @@ def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
                               weighted_center)
     return float((dev / tot) ** (1.0 / q_exp))
 
-
-def oscillation_inf_constants(f: GridFunction, Q: CubeIndex | None = None):
-    """inf over constants c of avg_Q |f - c| (exact minimizer: the median)."""
-    Q = Q or CubeIndex.root(f.n)
-    block = f.values[f.block(Q)]
-    med = float(np.median(block))
-    return float(np.abs(block - med).mean())

@@ -1,6 +1,8 @@
 """Cube functionals a(Q) and D_p / SD_p^s condition checking.
 
-A functional is a positive rule on the dyadic cubes of a fixed grid.  The
+A functional is a positive rule on the dyadic cubes of a fixed grid: the
+fractional a(Q) = l(Q)^alpha (mu(Q)/w(Q))^(1/p), the gradient functional
+of the Poincare catalog's right sides, or its Lorentz L^{p,1} form.  The
 D_p ratio of a disjoint family compares sum a(Q_i)^p w(Q_i) with
 a(Q)^p w(Q); SD_p^s additionally demands a gain (1/L)^(p/s) on L-small
 families.  Suprema are over dyadic families: exhaustive mode computes the
@@ -14,7 +16,7 @@ raw generator words per sampling call and equal scalar
 generator while a sampling call runs.  Both modes read a(Q)^p w(Q) from one
 array per cube level, built from ``Functional.level_values`` (array
 formulas for the fractional and gradient functionals, ``eval`` per cube for
-the others).
+the Lorentz one).
 """
 
 from __future__ import annotations
@@ -154,69 +156,9 @@ class LorentzGradientFunctional(Functional):
         return ell * lorentz_p1_norm_values(vals, masses, self.p)
 
 
-class IncreasingFunctional(Functional):
-    """Table-driven functional, monotone under inclusion (P in Q =>
-    a(P) <= a(Q)); validated at construction."""
-
-    def __init__(self, table, root, depth):
-        self.table = dict(table)
-        self.root, self.depth = root, depth
-        for q, v in self.table.items():
-            if v <= 0:
-                raise FunctionalError("values must be positive")
-            if q.level > 0:
-                parent = q.parent()
-                if parent in self.table and v > self.table[parent] + 1e-15:
-                    raise FunctionalError("table not monotone under inclusion")
-
-    def eval(self, q):
-        try:
-            return self.table[q]
-        except KeyError:
-            raise FunctionalError(f"no value for cube {q}")
-
-
-class ConstantFunctional(Functional):
-    def __init__(self, value, root=None, depth=None):
-        if value <= 0:
-            raise FunctionalError("value must be positive")
-        self.value = float(value)
-        self.root, self.depth = root, depth
-
-    def eval(self, q):
-        return self.value
-
-
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SmallFamily:
-    parent: CubeIndex
-    members: list
-    L: float
-
-    def validate(self, depth):
-        n = self.parent.n
-        span = 1 << (depth - self.parent.level)
-        mask = np.zeros((span,) * n, dtype=bool)
-        parent_cells = span ** n
-        used = 0
-        for q in self.members:
-            if not self.parent.contains(q):
-                raise FunctionalError("member outside parent")
-            b = 1 << (depth - q.level)
-            rel = tuple(c * b - pc * span for c, pc in zip(q.coords, self.parent.coords))
-            sl = tuple(slice(r, r + b) for r in rel)
-            if mask[sl].any():
-                raise FunctionalError("members overlap")
-            mask[sl] = True
-            used += b ** n
-        if used > parent_cells / self.L + 1e-9:
-            raise FunctionalError("family exceeds the L-small volume budget")
-        return used
-
 
 def subcube_at(parent: CubeIndex, level, rel_coords):
     shift = level - parent.level
@@ -340,29 +282,9 @@ def _draw_family(Q: CubeIndex, L, below, depth):
     return members
 
 
-def random_small_family(Q: CubeIndex, L, rng, depth):
-    """One sampled L-small family of dyadic subcubes of Q (see
-    ``_draw_family``), drawn from a ``_WordStream`` of ``rng``: the
-    family and the state left in ``rng`` equal those of scalar
-    ``rng.integers`` draws."""
-    if L <= 1:
-        raise FunctionalError("L must be > 1")
-    with _WordStream(rng) as stream:
-        members = _draw_family(Q, L, stream.below, depth)
-    return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
-                           in members], float(L))
-
-
 # ---------------------------------------------------------------------------
 # D_p / SD_p^s machinery
 # ---------------------------------------------------------------------------
-
-def dp_ratio(a: Functional, w: CubeSums, p, family, Q: CubeIndex):
-    """(sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p)."""
-    den = a.eval(Q) ** p * w.mass(Q)
-    num = sum(a.eval(qi) ** p * w.mass(qi) for qi in family)
-    return float((num / den) ** (1.0 / p))
-
 
 @dataclass
 class DpReport:
@@ -402,7 +324,7 @@ def _maxplus(x, y, width):
 def _scores(a, w, p, Q, depth):
     """a(P)^p w(P) for the cubes P of each level from Q's to ``depth``,
     one array per level shaped as ``level_values``; the power is libm pow,
-    which Python's float pow in ``dp_ratio`` calls too."""
+    which Python's float pow on a scalar a(P) calls too."""
     return [float_pow(a.level_values(Q, level), p, FunctionalError)
             * w.block(Q, level) for level in range(Q.level, depth + 1)]
 
@@ -489,9 +411,10 @@ def _dp_maxima(scores, p, Q, depth, Ls):
 def _sampled(scores, p, Q, depth, L, trials, rng):
     """D_p ratios of ``trials`` sampled L-small families below Q, their
     maximum and the first family attaining it.  Each ratio is
-    ``dp_ratio``'s: the members' ``_scores`` entries added in member
-    order, then the 1/p power, on Python floats.  The families are drawn
-    from one ``_WordStream`` of ``rng``."""
+    (sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p): the members'
+    ``_scores`` entries added in member order, then the 1/p power, on
+    Python floats.  The families are drawn from one ``_WordStream`` of
+    ``rng``."""
     den = scores[0].item()
     ratios, best, best_fam = [], -math.inf, []
     with _WordStream(rng) as stream:
@@ -504,26 +427,6 @@ def _sampled(scores, p, Q, depth, L, trials, rng):
         if r > best:
             best, best_fam = r, fam
     return ratios, best, [subcube_at(Q, level, rel) for level, rel in best_fam]
-
-
-def max_dp_ratio(a: Functional, w_masses, p, Q: CubeIndex, depth,
-                 mode="exhaustive", trials=1000, seed=0, budget_L=None):
-    """Best D_p ratio over dyadic antichains below Q (optionally volume
-    limited to |Q|/budget_L).  exhaustive: exact tree maximum;
-    random: sampled lower bound."""
-    if mode not in ("exhaustive", "random"):
-        raise FunctionalError(f"unknown mode {mode!r}")
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
-    scores = _scores(a, w, p, Q, depth)
-    if mode == "exhaustive":
-        [(ratio, witness)] = _dp_maxima(scores, p, Q, depth, [budget_L])
-        return DpReport(float(p), ratio, witness, 0, mode)
-    L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
-    _, best, witness = _sampled(scores, p, Q, depth, L, trials,
-                                np.random.default_rng(seed))
-    if not best > 0.0:      # no trial, or no family with a positive ratio
-        best, witness = 0.0, []
-    return DpReport(float(p), best, witness, trials, mode)
 
 
 def _loglog_fit(xs, ys):

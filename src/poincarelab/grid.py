@@ -110,12 +110,6 @@ class CubeIndex:
                                  tuple(2 * c + o for c, o in zip(self.coords, offs))))
         return out
 
-    def contains(self, other):
-        if other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all(oc >> shift == c for c, oc in zip(self.coords, other.coords))
-
 
 class GridFunction:
     """Piecewise-constant function on the depth-``d`` cells of a root box."""
@@ -168,15 +162,10 @@ class GridFunction:
         return np.meshgrid(*midpoint_axes(self.root, self.depth),
                            indexing="ij")
 
-    # -- integrals --------------------------------------------------------
+    # -- averages ---------------------------------------------------------
 
     def average(self, q):
         return float(self.values[self.block(q)].mean())
-
-    def integral(self, q=None):
-        if q is None:
-            return float(self.values.sum() * self.cell_volume)
-        return float(self.values[self.block(q)].sum() * self.cell_volume)
 
     # -- serialization ----------------------------------------------------
 
@@ -325,13 +314,6 @@ def level_blocks(values, level, shifted=False):
     split = _split_levels(values, level, shifted)
     order = tuple(range(0, split.ndim, 2)) + tuple(range(1, split.ndim, 2))
     return np.ascontiguousarray(split.transpose(order))
-
-
-def all_cubes(n, depth, min_level=0):
-    """All dyadic cube indices with min_level <= level <= depth."""
-    for level in range(min_level, depth + 1):
-        for coords in itertools.product(range(1 << level), repeat=n):
-            yield CubeIndex(level, coords)
 
 
 def discrete_gradient(f, order=1):

@@ -1,6 +1,5 @@
 """Sobolev-exponent formulas, left/right-hand-side evaluators for the
-oscillation-inequality catalog, the power-weight sharpness sweep, and the
-weak-to-strong truncation demonstration.
+oscillation-inequality catalog, and the power-weight sharpness sweep.
 
 Unknown dimensional constants are never asserted: every catalog check
 reports its measured constant lhs / (bound * rhs), and ``passed`` compares
@@ -24,8 +23,8 @@ from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import (FractionalFunctional, Functional, GradientFunctional,
                           LorentzGradientFunctional, _loglog_fit)
 from .operators import (centered_maximal_values, centered_maximal_measure,
-                        fractional_integral, lp_norm, orlicz_exp_norm_values,
-                        truncate, weak_norm_values)
+                        fractional_integral, orlicz_exp_norm_values,
+                        weak_norm_values)
 
 
 class InequalityError(ValueError):
@@ -62,24 +61,6 @@ def sobolev_exponent(kind, p, n, q=1.0, apq=1.0, M=None):
     if inv <= 0:
         return math.inf
     return 1.0 / inv
-
-
-@dataclass
-class Exponents:
-    p: float
-    n: int
-
-    @property
-    def p_conjugate(self):
-        return math.inf if self.p == 1 else self.p / (self.p - 1.0)
-
-    @property
-    def n_conjugate(self):
-        return math.inf if self.n == 1 else self.n / (self.n - 1.0)
-
-    @property
-    def p_star(self):
-        return sobolev_exponent("classical", self.p, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +341,6 @@ def _sharpness_point(powers, p, root, delta, depth):
     return lhs, rhs0, ap_constant(masses, 1.0, root, depth)
 
 
-def sharpness_point(p, n, eps, delta, depth):
-    """(lhs, rhs0, a1) for one power-weight/plateau configuration."""
-    root = RootBox.symmetric(n)
-    return _sharpness_point(_plateau_powers(p, root, eps, depth), p, root,
-                            delta, depth)
-
-
 def sharpness_sweep(p, n, eps, deltas, depth):
     """Power-weight sharpness experiment: fit the exponent beta_hat of the
     measured ratio lhs/rhs0 against the A_1 constant over the delta sweep.
@@ -392,64 +366,3 @@ def sharpness_sweep(p, n, eps, deltas, depth):
     beta, resid = _loglog_fit(a1, np.array(lhs) / np.array(rhs0))
     return SharpnessSweep(p, n, eps, deltas, lhs, rhs0, a1, beta, resid)
 
-
-def sharpness_scaling_exponents(p, n, delta, epsilons, depth):
-    """Fitted log-log exponents of lhs and rhs0 against eps at fixed delta
-    (proof-scaling diagnostics), NaN with fewer than two distinct eps.  The
-    weight's masses are resolved once for all eps."""
-    if not epsilons:
-        raise InequalityError("epsilons must not be empty")
-    root = RootBox.symmetric(n)
-    masses = PowerWeight(delta, n, root).cell_masses(root, depth)
-    epsilons = sorted(epsilons)
-    ls, rs = zip(*(_sharpness_sides(_plateau_powers(p, root, eps, depth),
-                                    masses, p, root) for eps in epsilons))
-    return _loglog_fit(epsilons, ls)[0], _loglog_fit(epsilons, rs)[0]
-
-
-# ---------------------------------------------------------------------------
-# weak implies strong
-# ---------------------------------------------------------------------------
-
-def weak_implies_strong_demo(g: GridFunction, mu, nu, p):
-    """Both sides of the truncation argument: the L^p(mu) norm of g versus
-    the total gradient mass against nu, with per-level weak constants of
-    the truncations at lambda = 2^k and the disjointness telescoping sum."""
-    if np.any(g.values < 0):
-        raise InequalityError("g must be nonnegative")
-    mu_mass = measure_cell_masses(mu, g).ravel()
-    nu_mass = measure_cell_masses(nu, g)
-    gmax = float(g.values.max())
-    grad = discrete_gradient(g, 1)
-    report = {
-        "strong": lp_norm(g.values.ravel(), mu_mass, p),
-        "gradient_total": float((grad.values * nu_mass).sum()),
-        "levels": [],
-        "telescoped_gradient": 0.0,
-    }
-    if gmax == 0.0:
-        report["chain_constant"] = 0.0
-        return report
-    kmax = math.ceil(math.log2(gmax))
-    tele = 0.0
-    weak_consts = []
-    for k in range(kmax - 25, kmax + 1):
-        lam = 2.0 ** k
-        Tk = truncate(g, lam)
-        if not np.any(Tk.values > 0):
-            continue
-        wk = weak_norm_values(Tk.values.ravel(), mu_mass, p)
-        gTk = discrete_gradient(Tk, 1)
-        denom = float((gTk.values * nu_mass).sum())
-        level_mask = (g.values > lam) & (g.values <= 2.0 * lam)
-        tele += float((grad.values * nu_mass)[level_mask].sum())
-        weak_consts.append(wk / denom if denom > 0 else math.inf)
-        report["levels"].append({"k": k, "lambda": lam, "weak_norm": wk,
-                                 "gradient": denom})
-    report["telescoped_gradient"] = tele
-    report["weak_constants"] = weak_consts
-    finite = [c for c in weak_consts if np.isfinite(c)]
-    report["max_weak_constant"] = max(finite) if finite else math.inf
-    gt = report["gradient_total"]
-    report["chain_constant"] = report["strong"] / gt if gt > 0 else math.inf
-    return report

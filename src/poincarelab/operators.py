@@ -1,5 +1,5 @@
 """Maximal operators, fractional integrals, the Rubio de Francia iteration,
-truncations, and Lorentz/Orlicz norm calculators.
+and Lorentz/Orlicz norm calculators.
 
 All operators act on cell-value arrays of GridFunctions; the centered
 maximal uses cube windows clipped to the box (comparable to the ball
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, _corner_singular_unit_integral,
-                   block_reduce, measure_cell_masses, upsample)
+                   measure_cell_masses)
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
 PROBE_SEED = 7     # seed of the empirical estimate's probe corpus
@@ -29,18 +29,6 @@ class OperatorError(ValueError):
 # ---------------------------------------------------------------------------
 # maximal operators
 # ---------------------------------------------------------------------------
-
-def dyadic_maximal_values(values):
-    """Local dyadic maximal on a cell block: per cell, the largest average
-    of |values| over dyadic sub-blocks containing it (one top-down pass)."""
-    a = np.abs(values)
-    depth = int(a.shape[0]).bit_length() - 1
-    run = None
-    for lev in range(depth + 1):
-        bm = block_reduce(a, lev, np.mean)
-        run = bm if run is None else np.maximum(upsample(run), bm)
-    return run
-
 
 def _centered_maximal(masses, n, cell_volume=1.0):
     """Per cell center, the max over clipped cube windows of radius
@@ -317,17 +305,8 @@ def orlicz_exp_norm_values(values, masses):
 
 
 # ---------------------------------------------------------------------------
-# truncation and Rubio de Francia
+# Rubio de Francia
 # ---------------------------------------------------------------------------
-
-def truncate(g: GridFunction, lam):
-    """T_lam(g): 0 below lam, g - lam between lam and 2 lam, lam above."""
-    if lam <= 0:
-        raise OperatorError("lambda must be positive")
-    if np.any(g.values < 0):
-        raise OperatorError("g must be nonnegative")
-    return g.copy_with(np.minimum(np.maximum(g.values - lam, 0.0), lam))
-
 
 def rdf_probe_corpus(shape, count, seed):
     """Seeded probe functions for empirical maximal-operator norms, stacked

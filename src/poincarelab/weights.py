@@ -2,9 +2,9 @@
 
 Weights are positive densities on the grid: either sampled cell values
 (GridWeight) or the radial power law |x|^(delta-n) with quasi-closed-form
-cell masses (PowerWeight); a bare GridFunction is a nonnegative density
-and Atomic a measure of point masses.  ``grid.resolve`` and
-``grid.measure_cell_masses`` turn each into cell values or cell masses.
+cell masses (PowerWeight); a bare GridFunction is a nonnegative density.
+``grid.resolve`` and ``grid.measure_cell_masses`` turn each into cell
+values or cell masses.
 All class constants (A_p, A_1, Fujii-Wilson A_inf, reverse-Holder
 exponent, A_{p,1}, RH_inf) are suprema over the finite dyadic family up
 to the working depth, taken by one sweep over that family; reports
@@ -23,8 +23,7 @@ import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox,
                    _corner_singular_unit_integral, block_reduce,
-                   check_cell_cap, float_pow, level_blocks, resolve,
-                   upsample)
+                   check_cell_cap, float_pow, level_blocks, resolve)
 from .operators import _centered_maximal
 
 
@@ -55,9 +54,6 @@ class GridWeight:
 
     def cell_masses(self, root, depth):
         return self.cell_values(root, depth) * self.g.cell_volume
-
-
-SET_INEQUALITY_TOL = 1e-12  # relative slack of set_inequality_holds
 
 
 class PowerWeight:
@@ -128,31 +124,6 @@ class PowerWeight:
         N = 1 << depth
         h = root.side / N
         return self.cell_masses(root, depth) / h ** self._n
-
-
-class Atomic:
-    """Purely atomic measure: point masses inside the root box."""
-
-    def __init__(self, points, masses):
-        self.points = [tuple(float(x) for x in p) for p in points]
-        self.masses = [float(m) for m in masses]
-        if any(m <= 0 for m in self.masses):
-            raise WeightError("atom masses must be positive")
-
-    def cell_masses(self, root, depth):
-        n = root.n
-        N = 1 << depth
-        h = root.side / N
-        out = np.zeros((N,) * n)
-        for p, m in zip(self.points, self.masses):
-            idx = []
-            for i in range(n):
-                k = int((p[i] - root.lower[i]) / h)
-                if not (0 <= k < N) and not (k == N and p[i] == root.lower[i] + root.side):
-                    raise WeightError("atom outside root box")
-                idx.append(min(k, N - 1))
-            out[tuple(idx)] += m
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +358,3 @@ def constants_report(w, p, root, depth, shifted=False):
     return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst, ok, ap1, rhi,
                                  FamilyDescriptor(depth, shifted))
 
-
-def set_inequality_holds(w, p, root, depth):
-    """Check |E|/|Q| <= ap^(1/p) (w(E)/w(Q))^(1/p) for every pair of
-    dyadic cubes E inside Q down to ``depth``, up to a relative
-    SET_INEQUALITY_TOL on its p-th power (|E|/|Q|)^p w(Q) <= ap w(E).
-
-    One pass down the levels, O(depth * cells): ``worst`` holds, per cube
-    E of the level, the max of the left side (|E|/|Q|)^p w(Q) over the
-    cubes Q containing E, which is max(w(E), 2^(-np) worst(parent of E)).
-    """
-    wv = resolve(w, root, depth)
-    ap = ap_constant(wv, p, root, depth)
-    shrink = 2.0 ** (-wv.ndim * p)
-    worst = None
-    for level in range(depth + 1):
-        sums = block_reduce(wv, level, np.sum)
-        worst = sums if worst is None \
-            else np.maximum(sums, shrink * upsample(worst))
-        if np.any(worst > ap * sums * (1.0 + SET_INEQUALITY_TOL)):
-            return False
-    return True

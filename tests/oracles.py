@@ -1,0 +1,94 @@
+"""Plain references the tests compare the library against, and the drivers
+that reach its private D_p kernels directly: a walk over every dyadic cube,
+cube inclusion, the per-family D_p ratio, the overlap and budget check of
+an L-small family, one sampled family, and the D_p maximum of a single
+exhaustive or sampled run."""
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from poincarelab.functionals import (CubeSums, DpReport, FunctionalError,
+                                     _dp_maxima, _draw_family, _sampled,
+                                     _scores, _WordStream, subcube_at)
+from poincarelab.grid import CubeIndex
+
+
+def all_cubes(n, depth, min_level=0):
+    """All dyadic cube indices with min_level <= level <= depth."""
+    for level in range(min_level, depth + 1):
+        for coords in itertools.product(range(1 << level), repeat=n):
+            yield CubeIndex(level, coords)
+
+
+def contains(Q: CubeIndex, other: CubeIndex):
+    """Whether the dyadic cube ``other`` lies inside Q."""
+    if other.level < Q.level:
+        return False
+    shift = other.level - Q.level
+    return all(oc >> shift == c for c, oc in zip(Q.coords, other.coords))
+
+
+@dataclass
+class SmallFamily:
+    parent: CubeIndex
+    members: list
+    L: float
+
+    def validate(self, depth):
+        n = self.parent.n
+        span = 1 << (depth - self.parent.level)
+        mask = np.zeros((span,) * n, dtype=bool)
+        parent_cells = span ** n
+        used = 0
+        for q in self.members:
+            if not contains(self.parent, q):
+                raise FunctionalError("member outside parent")
+            b = 1 << (depth - q.level)
+            rel = tuple(c * b - pc * span for c, pc in zip(q.coords, self.parent.coords))
+            sl = tuple(slice(r, r + b) for r in rel)
+            if mask[sl].any():
+                raise FunctionalError("members overlap")
+            mask[sl] = True
+            used += b ** n
+        if used > parent_cells / self.L + 1e-9:
+            raise FunctionalError("family exceeds the L-small volume budget")
+        return used
+
+
+def random_small_family(Q: CubeIndex, L, rng, depth):
+    """One sampled L-small family of dyadic subcubes of Q, drawn by
+    ``_draw_family`` from a ``_WordStream`` of ``rng``, as ``sdp_check``'s
+    random mode draws each of its families."""
+    with _WordStream(rng) as stream:
+        members = _draw_family(Q, L, stream.below, depth)
+    return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
+                           in members], float(L))
+
+
+def dp_ratio(a, w: CubeSums, p, family, Q: CubeIndex):
+    """(sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p)."""
+    den = a.eval(Q) ** p * w.mass(Q)
+    num = sum(a.eval(qi) ** p * w.mass(qi) for qi in family)
+    return float((num / den) ** (1.0 / p))
+
+
+def max_dp_ratio(a, w_masses, p, Q: CubeIndex, depth,
+                 mode="exhaustive", trials=1000, seed=0, budget_L=None):
+    """Best D_p ratio over dyadic antichains below Q (optionally volume
+    limited to |Q|/budget_L).  exhaustive: exact tree maximum;
+    random: sampled lower bound."""
+    if mode not in ("exhaustive", "random"):
+        raise FunctionalError(f"unknown mode {mode!r}")
+    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    scores = _scores(a, w, p, Q, depth)
+    if mode == "exhaustive":
+        [(ratio, witness)] = _dp_maxima(scores, p, Q, depth, [budget_L])
+        return DpReport(float(p), ratio, witness, 0, mode)
+    L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
+    _, best, witness = _sampled(scores, p, Q, depth, L, trials,
+                                np.random.default_rng(seed))
+    if not best > 0.0:      # no trial, or no family with a positive ratio
+        best, witness = 0.0, []
+    return DpReport(float(p), best, witness, trials, mode)

@@ -190,6 +190,60 @@ def test_functional_check_rejects_nonpositive_trials(tmp_path, capsys,
     assert err == ["error: trials must be >= 1"]
 
 
+# each config, and the words its one error line names it by
+BAD_CONFIGS = {
+    "mu-file-descriptor-0": ({"variant": "fractional", "n": 1, "mu": 0},
+                             "mu must be"),
+    "mu-file-descriptor-5": ({"variant": "fractional", "n": 1, "mu": 5},
+                             "mu must be"),
+    "not-an-object": ([{"variant": "fractional", "n": 1}], "JSON object"),
+    "alpha-string": ({"variant": "fractional", "n": 1, "alpha": "1"},
+                     "alpha must be"),
+    "alpha-null": ({"variant": "fractional", "n": 1, "alpha": None},
+                   "alpha must be"),
+    "alpha-1e400-integer": ({"variant": "fractional", "n": 1,
+                             "alpha": 10 ** 400}, "alpha must be"),
+    "n-list": ({"variant": "fractional", "n": [1]}, "n must be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_functional_check_refuses_a_malformed_config(tmp_path, name):
+    # a grid function the run could read as its measure waits on stdin:
+    # a file descriptor in place of a path must not open it
+    config, words = BAD_CONFIGS[name]
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps(config))
+    stdin = json.dumps(GridFunction(RootBox.unit(1), 4,
+                                    np.ones(16)).to_json_dict())
+    proc = subprocess.run([sys.executable, "-m", "poincarelab.cli",
+                           "functional-check", "--functional", str(fpath),
+                           "--depth", "4", "--Ls", "2,4"],
+                          input=stdin, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert words in lines[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cz", "--input", "{spike}", "--L", "nan"], "--L"),
+    (["constants", "--power-weight", "delta=0.5", "n=1", "--depth", "4",
+      "--p", "inf"], "--p"),
+    (["poincare", "--id", "pp-two-weight", "--input", "{spike}", "--p",
+      "nan"], "--p"),
+], ids=["cz-L-nan", "constants-p-inf", "poincare-p-nan"])
+def test_non_finite_float_flag_gives_one_error_line(spike_file, capsys, argv,
+                                                    flag):
+    rc = main([a.format(spike=spike_file) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be "
+                                               "finite"), err
+
+
 @pytest.mark.parametrize("tokens", [["dleta=0.25", "n=1"], ["0.25"]],
                          ids=["misspelt-key", "bare-value"])
 def test_power_weight_rejects_unknown_tokens(capsys, tokens):

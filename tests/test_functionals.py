@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import functionals
-from poincarelab.functionals import (ConstantFunctional, CubeSums,
-                                     FractionalFunctional, FunctionalError,
-                                     GradientFunctional, IncreasingFunctional,
+from poincarelab.functionals import (CubeSums, FractionalFunctional,
+                                     FunctionalError, GradientFunctional,
                                      LorentzGradientFunctional,
-                                     dp_ratio, enumerate_antichains,
-                                     full_partition, max_dp_ratio,
-                                     random_small_family, sdp_check,
-                                     subcube_at)
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
-                              block_reduce, discrete_gradient)
+                                     enumerate_antichains, full_partition,
+                                     sdp_check, subcube_at)
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
+                              discrete_gradient)
 from tests.conftest import counting
+from tests.oracles import (contains, dp_ratio, max_dp_ratio,
+                           random_small_family)
 
 UNIT1 = RootBox.unit(1)
 
@@ -57,43 +56,24 @@ def test_dp_ratio_oracles():
         pytest.approx(1 / 16)
 
 
-def test_dp_ratio_full_partition_of_constant_functional():
-    depth = 3
-    w = CubeSums(lebesgue_masses(1, depth), depth)
-    a = ConstantFunctional(2.5)
-    root = CubeIndex.root(1)
-    fam = full_partition(root, 2)
-    # constant functional over a partition: mass cancellation gives 1
-    assert dp_ratio(a, w, 2.0, fam, root) == pytest.approx(1.0)
-
-
 def test_subcube_at_and_full_partition():
     q = CubeIndex(1, (1, 0))
     sub = subcube_at(q, 3, (2, 1))
     assert sub == CubeIndex(3, (6, 1))
     part = full_partition(q, 3)
     assert len(part) == 16
-    assert all(q.contains(c) for c in part)
-
-
-def test_increasing_functional_validation():
-    root = CubeIndex.root(1)
-    ok = {root: 2.0, CubeIndex(1, (0,)): 1.0, CubeIndex(1, (1,)): 2.0}
-    IncreasingFunctional(ok, UNIT1, 1)
-    bad = {root: 1.0, CubeIndex(1, (0,)): 3.0}
-    with pytest.raises(FunctionalError):
-        IncreasingFunctional(bad, UNIT1, 1)
+    assert all(contains(q, c) for c in part)
 
 
 def test_increasing_functional_dp_below_one():
-    # a(Q) = mu(Q)^(1/p) is monotone; the packing ratio never exceeds 1
+    # a(Q) = l(Q)^(1/p) (mu(Q)/|Q|)^(1/p) = mu(Q)^(1/p) is monotone; the
+    # packing ratio never exceeds 1
     depth = 3
     rng = np.random.default_rng(0)
     masses = rng.uniform(0.1, 1.0, 8)
-    cs = CubeSums(masses, depth)
     for p in (1.0, 2.0):
-        table = {q: cs.mass(q) ** (1.0 / p) for q in all_cubes(1, depth)}
-        a = IncreasingFunctional(table, UNIT1, depth)
+        a = FractionalFunctional(1.0 / p, p, masses, np.full(8, 1 / 8),
+                                 UNIT1, depth)
         rep = max_dp_ratio(a, np.full(8, 1 / 8), p, CubeIndex.root(1), depth)
         assert rep.worst_ratio <= 1.0 + 1e-9
 
@@ -252,8 +232,6 @@ def test_unknown_mode_is_rejected():
     a = unweighted_functional(1.0, 1.0, 1, 3)
     m = lebesgue_masses(1, 3)
     with pytest.raises(FunctionalError):
-        max_dp_ratio(a, m, 1.0, CubeIndex.root(1), 3, mode="greedy")
-    with pytest.raises(FunctionalError):
         sdp_check(a, m, 1.0, CubeIndex.root(1), 3, [2.0], mode="greedy")
 
 
@@ -380,20 +358,16 @@ def reference_max_dp_ratio(a, w_masses, p, Q, depth, budget_L=None):
     return (max(num, 0.0) / den) ** (1.0 / p), witness
 
 
-def five_functionals(rng, n, depth, p):
+def three_functionals(rng, n, depth, p):
     """One functional of each class on a seeded depth-``depth`` grid."""
     root = RootBox.unit(n)
     shape = (1 << depth,) * n
     mu, wm = rng.uniform(0.1, 1.0, shape), rng.uniform(0.1, 1.0, shape)
     grad = discrete_gradient(GridFunction(root, depth,
                                           rng.normal(size=shape)))
-    cs = CubeSums(mu, depth)
-    table = {q: cs.mass(q) ** (1.0 / p) for q in all_cubes(n, depth)}
     return [FractionalFunctional(0.7, p, mu, wm, root, depth),
             GradientFunctional(1, p, grad, wm, mu),
-            LorentzGradientFunctional(p, grad, wm),
-            IncreasingFunctional(table, root, depth),
-            ConstantFunctional(1.7, root, depth)], wm
+            LorentzGradientFunctional(p, grad, wm)], wm
 
 
 def cubes_to_check(n, depth):
@@ -405,7 +379,7 @@ def cubes_to_check(n, depth):
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_level_dp_equals_per_node_dp(n, depth, p):
     rng = np.random.default_rng(40 + 10 * n + int(p))
-    functionals, wm = five_functionals(rng, n, depth, p)
+    functionals, wm = three_functionals(rng, n, depth, p)
     for a in functionals:
         for Q in cubes_to_check(n, depth):
             cells = (1 << (depth - Q.level)) ** n
@@ -440,7 +414,7 @@ def test_level_dp_equals_per_node_dp_hypothesis(n, seed, p, L):
                                         (3, 2, [8.0, 2.0])])
 def test_exhaustive_sdp_check_equals_per_L_max_dp_ratio(n, depth, Ls):
     rng = np.random.default_rng(n)
-    functionals, wm = five_functionals(rng, n, depth, 1.0)
+    functionals, wm = three_functionals(rng, n, depth, 1.0)
     for a in functionals:
         for Q in cubes_to_check(n, depth):
             rep = sdp_check(a, wm, 1.0, Q, depth, Ls, mode="exhaustive")
@@ -464,7 +438,7 @@ def test_sdp_check_without_budgets(mode):
 def test_report_fields_are_python_floats(mode):
     rng = np.random.default_rng(9)
     depth = 4
-    functionals, wm = five_functionals(rng, 1, depth, 2.0)
+    functionals, wm = three_functionals(rng, 1, depth, 2.0)
     for a in functionals:
         reports = [sdp_check(a, wm, 2, CubeIndex.root(1), depth, [2, 4.0],
                              trials=20, mode=mode),
@@ -490,7 +464,7 @@ def reference_smallness_fit(per_L):
                                 [4.0, 2.0, 4.0]])
 def test_smallness_fit_equals_inline_formula(mode, Ls):
     rng = np.random.default_rng(21)
-    functionals, wm = five_functionals(rng, 1, 5, 1.5)
+    functionals, wm = three_functionals(rng, 1, 5, 1.5)
     for a in functionals:
         rep = sdp_check(a, wm, 1.5, CubeIndex.root(1), 5, Ls, trials=30,
                         mode=mode)
@@ -522,7 +496,7 @@ def assert_level_values_equal_eval(a, Q, depth):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_level_values_equal_eval_per_cube(n, depth, p):
     rng = np.random.default_rng(70 + 10 * n + int(2 * p))
-    functionals, _ = five_functionals(rng, n, depth, p)
+    functionals, _ = three_functionals(rng, n, depth, p)
     for a in functionals:
         for Q in cubes_to_check(n, depth):
             assert_level_values_equal_eval(a, Q, depth)
@@ -541,14 +515,9 @@ def test_level_values_equal_eval_per_cube_hypothesis(n, seed, p, sigma,
     mu = rng.lognormal(0.0, sigma, shape)
     wm = rng.lognormal(0.0, sigma, shape)
     grad = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
-    cs = CubeSums(mu, depth)
     functionals = [FractionalFunctional(alpha, p, mu, wm, root, depth),
                    GradientFunctional(m, p, grad, wm, mu),
-                   LorentzGradientFunctional(p, grad, wm),
-                   IncreasingFunctional({q: cs.mass(q) ** (1.0 / p)
-                                         for q in all_cubes(n, depth)},
-                                        root, depth),
-                   ConstantFunctional(alpha, root, depth)]
+                   LorentzGradientFunctional(p, grad, wm)]
     coords = tuple(int(c) for c in rng.integers(0, 2, n))
     for a in functionals:
         for Q in (CubeIndex.root(n), CubeIndex(1, coords)):
@@ -622,7 +591,7 @@ def reference_max_dp_ratio_random(a, w_masses, p, Q, depth, trials, seed,
 def test_sampled_mode_equals_per_family_reference(n, depth, seed):
     rng = np.random.default_rng(90 + seed)
     p = (1.0, 1.5, 2.0)[seed % 3]
-    functionals, wm = five_functionals(rng, n, depth, p)
+    functionals, wm = three_functionals(rng, n, depth, p)
     Ls = [3.0, 5.5, 2.0]
     for a in functionals:
         for Q in cubes_to_check(n, depth)[:2]:
@@ -665,7 +634,7 @@ def assert_same_state(rng, ref_rng):
 def test_random_small_family_equals_reference_sampler(seed, L, n):
     depth = {1: 6, 2: 3, 3: 2}[n]
     Q = CubeIndex(1, (1,) * n)
-    for name in ("PCG64", "MT19937", "Philox"):
+    for name in BIT_GENERATORS:
         rng, ref_rng = generators(name, seed)
         for _ in range(3):
             fam = random_small_family(Q, L, rng, depth)

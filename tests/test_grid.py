@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 
 from poincarelab import grid
 from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
-                              GridFunction, RootBox, all_cubes, block_reduce,
+                              GridFunction, RootBox, block_reduce,
                               check_cell_cap,
                               discrete_gradient, float_pow,
                               level_blocks, measure_cell_masses,
                               midpoint_axes, resolve, sample)
 from poincarelab.decomposition import oscillation
-from poincarelab.weights import (Atomic, GridWeight, PowerWeight, ap_constant,
+from poincarelab.weights import (GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
 from tests.conftest import OFF_GRID, assert_same_bits
+from tests.oracles import all_cubes
 
 
 def test_root_box_unit_and_symmetric():
@@ -41,16 +42,7 @@ def test_cube_children_partition_volume():
     kids = q.children()
     assert len(kids) == 4
     assert all(k.parent() == q for k in kids)
-    assert all(q.contains(k) for k in kids)
     assert len({k.coords for k in kids}) == 4
-
-
-def test_cube_contains_is_partial_order():
-    q = CubeIndex(1, (1,))
-    below = [c for c in all_cubes(1, 3) if q.contains(c)]
-    # the subtree of a level-1 cube down to depth 3: 1 + 2 + 4 cubes
-    assert len(below) == 7
-    assert not q.contains(CubeIndex(1, (0,)))
 
 
 def test_cell_count_cap():
@@ -70,22 +62,11 @@ def test_cell_cap_is_checked_before_allocation():
         sample(RootBox.unit(2), 30, lambda x, y: x + y)
 
 
-def test_average_and_integral_oracle():
+def test_average_oracle():
     f = GridFunction(RootBox.unit(1), 2, np.array([4.0, 0.0, 0.0, 0.0]))
     assert f.average(CubeIndex.root(1)) == 1.0
     assert f.average(CubeIndex(1, (0,))) == 2.0
     assert f.average(CubeIndex(2, (0,))) == 4.0
-    assert f.integral() == 1.0
-
-
-def test_integral_on_a_subcube():
-    f = GridFunction(RootBox((0.0, 0.0), 2.0), 2, np.arange(16.0))
-    # cells of side 1/2, so area 1/4 each
-    assert f.integral(CubeIndex(1, (1, 0))) == \
-        (8.0 + 9.0 + 12.0 + 13.0) * 0.25
-    assert f.integral(CubeIndex(2, (3, 3))) == 15.0 * 0.25
-    assert sum(f.integral(q) for q in CubeIndex.root(2).children()) == \
-        f.integral()
 
 
 def test_sample_midpoints_1d():
@@ -376,7 +357,6 @@ def test_measure_cell_masses_contract():
         (masses, g, masses),
         (g, g, g.values * h),
         (GridWeight(g), g, g.values * h),
-        (Atomic([(0.1,), (0.6,)], [2.0, 5.0]), g, [2.0, 0.0, 5.0, 0.0]),
         (pw, gs, pw.cell_masses(sym, 2)),
     ]
     for measure, on, expected in table:

@@ -8,21 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarelab.functionals import (ConstantFunctional, CubeSums,
-                                     FractionalFunctional, FunctionalError,
-                                     GradientFunctional,
-                                     IncreasingFunctional)
+from poincarelab.functionals import (FractionalFunctional, FunctionalError,
+                                     GradientFunctional)
 from poincarelab.decomposition import orthonormal_basis, project
 from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
-                              all_cubes, discrete_gradient,
-                              measure_cell_masses, sample)
-from poincarelab.inequalities import (Exponents, InequalityError,
+                              discrete_gradient, measure_cell_masses, sample)
+from poincarelab.inequalities import (InequalityError,
                                       _functional_hypothesis_norm,
                                       check_inequality, plateau_function,
-                                      poincare_sides, sharpness_point,
-                                      sharpness_scaling_exponents,
-                                      sharpness_sweep, sobolev_exponent,
-                                      weak_implies_strong_demo)
+                                      poincare_sides, sharpness_sweep,
+                                      sobolev_exponent)
 from poincarelab.operators import (centered_maximal_measure,
                                    centered_maximal_values,
                                    fractional_integral,
@@ -31,6 +26,7 @@ from poincarelab.operators import (centered_maximal_measure,
 from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
                                  two_weight_ap)
 from tests.conftest import assert_same_bits, counting, smooth_field_2d
+from tests.oracles import all_cubes, contains
 
 UNIT1 = RootBox.unit(1)
 # an inf or NaN mass or ratio shows up as a RuntimeWarning on the way
@@ -71,14 +67,6 @@ def test_weighted_exponent_decreases_in_constant():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # and stays below the constant-free variant once the constant exceeds 1
     assert vals[1] < sobolev_exponent("B", 1.5, 3, q=1.5)
-
-
-def test_exponents_dataclass():
-    e = Exponents(p=2.0, n=3)
-    assert e.p_conjugate == pytest.approx(2.0)
-    assert e.n_conjugate == pytest.approx(1.5)
-    assert e.p_star == pytest.approx(6.0)
-    assert Exponents(p=1.0, n=1).p_conjugate == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +156,9 @@ def test_check_exp_jn_two_valued():
     vals = np.ones(32)
     vals[:16] = -1.0
     f = GridFunction(UNIT1, 5, vals)
-    res = check_inequality("exp-JN", f, p=1.0,
-                           a_functional=ConstantFunctional(1.0))
+    m = np.full(32, 1 / 32)
+    a = FractionalFunctional(1.0, 1.0, m, m, UNIT1, 5)    # a(Q) = l(Q)
+    res = check_inequality("exp-JN", f, p=1.0, a_functional=a)
     # |f - mean| = 1, and the exponential norm of the constant 1 is 1/ln 2
     assert res.lhs == pytest.approx(1.0 / math.log(2), rel=1e-9)
     assert np.isfinite(res.measured_constant)
@@ -179,7 +168,7 @@ def reference_hypothesis_norm(f, a_eval, Q):
     """max over dyadic P inside Q of avg_P |f - f_P| / a(P), cube by cube."""
     best = 0.0
     for P in all_cubes(f.n, f.depth, Q.level):
-        if Q.contains(P):
+        if contains(Q, P):
             block = f.values[f.block(P)]
             osc = float(np.abs(block - block.mean()).mean())
             best = max(best, osc / a_eval(P))
@@ -194,9 +183,7 @@ def test_hypothesis_norm_equals_per_cube_walk(n, depth):
     f = GridFunction(root, depth, rng.lognormal(0.0, 1.0, shape))
     mu = rng.uniform(0.1, 1.0, shape)
     um = rng.uniform(0.1, 1.0, shape)
-    cs = CubeSums(mu, depth)
-    inc = IncreasingFunctional({q: cs.mass(q) for q in all_cubes(n, depth)},
-                               root, depth)
+    inc = FractionalFunctional(0.5, 1.0, mu, mu, root, depth)   # l(Q)^0.5
     for Q in (CubeIndex.root(n), CubeIndex(1, (1,) * n),
               CubeIndex(2, (1,) * n)):
         for a in (FractionalFunctional(0.8, 1.5, mu, um, root, depth), inc):
@@ -389,8 +376,7 @@ def test_plateau_function_refuses_a_grid_over_the_cap():
 
 @RAISE_WARNINGS
 def test_sharpness_point_monotone_weight_constant():
-    a1s = [sharpness_point(1.0, 2, 0.05, d, 5)[2]
-           for d in (0.5, 0.25, 0.125)]
+    a1s = sharpness_sweep(1.0, 2, 0.05, [0.5, 0.25, 0.125], 5).a1
     assert a1s[0] < a1s[1] < a1s[2]
 
 
@@ -412,44 +398,6 @@ def test_sharpness_sweep_structure():
     assert len(sweep.ratios()) == 2
     assert len(sweep.normalized_constants(1.0)) == 2
     assert np.isfinite(sweep.beta_hat)
-
-
-@RAISE_WARNINGS
-def test_sharpness_scaling_exponents_match_plateau_calculus():
-    # shrinking the plateau: the numerator scales like eps^(delta/p*) and
-    # the gradient side like eps^(delta/p - 1)
-    lhs_exp, rhs_exp = sharpness_scaling_exponents(1.0, 2, 0.5,
-                                                   [0.1, 0.05, 0.025], 8)
-    assert lhs_exp == pytest.approx(0.25, rel=0.05)
-    assert rhs_exp == pytest.approx(-0.5, rel=0.05)
-
-
-# ---------------------------------------------------------------------------
-# weak implies strong
-# ---------------------------------------------------------------------------
-
-def test_weak_implies_strong_zero_function():
-    g = GridFunction(UNIT1, 4, np.zeros(16))
-    rep = weak_implies_strong_demo(g, None, None, 2.0)
-    assert rep["chain_constant"] == 0.0
-    assert rep["strong"] == 0.0
-
-
-def test_weak_implies_strong_invariants():
-    rng = np.random.default_rng(4)
-    g = GridFunction(UNIT1, 6, rng.uniform(0.0, 4.0, 64))
-    rep = weak_implies_strong_demo(g, None, None, 2.0)
-    assert rep["levels"]
-    # the level pieces are disjoint, so telescoping cannot exceed the total
-    assert rep["telescoped_gradient"] <= rep["gradient_total"] + 1e-12
-    assert rep["max_weak_constant"] > 0
-    assert np.isfinite(rep["chain_constant"])
-
-
-def test_weak_implies_strong_rejects_signed_input():
-    g = GridFunction(UNIT1, 3, np.array([1.0, -1, 0, 0, 0, 0, 0, 0]))
-    with pytest.raises(InequalityError):
-        weak_implies_strong_demo(g, None, None, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +547,8 @@ def test_catalog_equals_reference_sides(iid, n, depth, side, weighted):
             else (None, None))
     mu = rng.uniform(0.1, 1.0, shape) * vol
     p, m = CATALOG_PARAMS.get(iid, (1.5 if n == 2 else 1.0, 1))
-    cs = CubeSums(rng.uniform(0.1, 1.0, shape), depth)
-    inc = IncreasingFunctional({c: cs.mass(c) for c in all_cubes(n, depth)},
-                               root, depth)
+    masses = rng.uniform(0.1, 1.0, shape)
+    inc = FractionalFunctional(0.5, 1.0, masses, masses, root, depth)
     kw = dict(u=u, v=v, mu=mu, p=p, q=1.5, m=m, p0=3.0, alpha=0.8,
               a_functional=inc)
     res = check_inequality(iid, f, **kw)
@@ -634,9 +581,10 @@ def test_sharpness_point_equals_reference(p, n, depth, delta):
     if depth == 3:
         # every depth-3 cell midpoint lies outside the eps = 0.05 plateau
         with pytest.raises(InequalityError, match="does not resolve"):
-            sharpness_point(p, n, eps, delta, depth)
+            sharpness_sweep(p, n, eps, [delta], depth)
         eps = 0.1
-    assert sharpness_point(p, n, eps, delta, depth) == \
+    sweep = sharpness_sweep(p, n, eps, [delta], depth)
+    assert (sweep.lhs[0], sweep.rhs0[0], sweep.a1[0]) == \
         reference_sharpness_point(p, n, eps, delta, depth)
 
 
@@ -662,26 +610,6 @@ def test_sharpness_sweep_equals_reference_points(p, n, depth, deltas):
         reference_sharpness_sweep(p, n, 0.05, deltas, depth)
 
 
-def reference_scaling_exponents(p, n, delta, epsilons, depth):
-    """The eps exponents from one full sharpness point per eps."""
-    ls, rs = [], []
-    for eps in sorted(epsilons):
-        lhs, rhs0, _ = reference_sharpness_point(p, n, eps, delta, depth)
-        ls.append(lhs)
-        rs.append(rhs0)
-    xs = np.log(sorted(epsilons))
-    return (float(np.polyfit(xs, np.log(ls), 1)[0]),
-            float(np.polyfit(xs, np.log(rs), 1)[0]))
-
-
-@RAISE_WARNINGS
-@pytest.mark.parametrize("p,n,depth", [(1.0, 2, 6), (1.5, 3, 5)])
-def test_scaling_exponents_equal_reference_points(p, n, depth):
-    for delta, epsilons in ((0.5, [0.1, 0.05, 0.025]), (0.125, [0.2, 0.1])):
-        assert sharpness_scaling_exponents(p, n, delta, epsilons, depth) == \
-            reference_scaling_exponents(p, n, delta, epsilons, depth)
-
-
 @RAISE_WARNINGS
 def test_sharpness_fit_needs_two_distinct_values():
     # through one point a fitted slope is meaningless
@@ -690,10 +618,5 @@ def test_sharpness_fit_needs_two_distinct_values():
         assert len(sweep.lhs) == len(deltas)
         assert np.all(np.isfinite(sweep.lhs + sweep.rhs0 + sweep.a1))
         assert math.isnan(sweep.beta_hat) and math.isnan(sweep.fit_residual)
-    for epsilons in ([0.1], [0.1, 0.1]):
-        assert all(math.isnan(x) for x in
-                   sharpness_scaling_exponents(1.0, 2, 0.5, epsilons, 5))
     with pytest.raises(InequalityError):
         sharpness_sweep(1.0, 2, 0.1, [], 5)
-    with pytest.raises(InequalityError):
-        sharpness_scaling_exponents(1.0, 2, 0.5, [], 5)

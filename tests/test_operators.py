@@ -14,13 +14,12 @@ from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    _centered_maximal, centered_maximal_measure,
                                    centered_maximal_values,
-                                   dyadic_maximal_values,
                                    fractional_integral, fractional_kernel,
                                    lorentz_p1_norm_values, lp_norm,
                                    maximal_opnorm, orlicz_exp_norm_values,
                                    rdf_probe_corpus,
                                    rubio_de_francia,
-                                   triple_norm_values, truncate,
+                                   triple_norm_values,
                                    weak_norm_values)
 from tests.conftest import assert_same_bits
 
@@ -37,25 +36,6 @@ def brute_centered_maximal_1d(vals):
             best = max(best, np.abs(vals[lo:hi + 1]).mean())
         out[j] = best
     return out
-
-
-def test_dyadic_maximal_oracle():
-    assert np.allclose(dyadic_maximal_values(np.array([4.0, 0, 0, 0])),
-                       [4.0, 2.0, 1.0, 1.0])
-
-
-def test_dyadic_maximal_constant_fixed_point():
-    vals = np.full((8, 8), 2.5)
-    assert np.allclose(dyadic_maximal_values(vals), 2.5)
-
-
-def test_dyadic_maximal_dominates_averages():
-    rng = np.random.default_rng(0)
-    f = GridFunction(UNIT1, 4, rng.uniform(0, 5, 16))
-    M = dyadic_maximal_values(f.values)
-    for q in [CubeIndex(2, (1,)), CubeIndex(3, (5,))]:
-        blk = M[f.block(q)]
-        assert np.all(blk >= f.average(q) - 1e-12)
 
 
 def test_centered_maximal_matches_bruteforce():
@@ -265,16 +245,10 @@ def test_maximal_dominates_and_sublinear():
     rng = np.random.default_rng(3)
     a = rng.uniform(0, 2, 32)
     b = rng.uniform(0, 2, 32)
-    for M in (centered_maximal_values, dyadic_maximal_values):
-        assert np.all(M(a) >= a - 1e-12)
-        assert np.all(M(a + b) <= M(a) + M(b) + 1e-12)
-
-
-def test_dyadic_below_three_times_centered_1d():
-    rng = np.random.default_rng(4)
-    vals = rng.uniform(0, 5, 64)
-    assert np.all(dyadic_maximal_values(vals) <=
-                  3.0 * centered_maximal_values(vals) + 1e-12)
+    Ma = centered_maximal_values(a)
+    assert np.all(Ma >= a - 1e-12)
+    assert np.all(centered_maximal_values(a + b)
+                  <= Ma + centered_maximal_values(b) + 1e-12)
 
 
 def reference_fractional_kernel(n, alpha, offsets_per_axis, h):
@@ -460,21 +434,6 @@ def test_fractional_integral_constant_1d_continuum_value():
     g = GridFunction(UNIT1, 13, np.ones(2 ** 13))
     out = fractional_integral(g, 0.5)
     assert out.values[0] == pytest.approx(2.0, rel=0.01)
-
-
-def test_truncate_clamps():
-    g = GridFunction(UNIT1, 2, np.array([0.0, 0.5, 1.5, 5.0]))
-    t = truncate(g, 1.0)
-    assert np.allclose(t.values, [0.0, 0.0, 0.5, 1.0])
-
-
-def test_truncations_resum_to_function():
-    rng = np.random.default_rng(8)
-    g = GridFunction(UNIT1, 5, rng.uniform(0, 10, 32))
-    acc = np.zeros(32)
-    for k in range(-25, 25):
-        acc += truncate(g, 2.0 ** k).values
-    assert np.allclose(acc, g.values, atol=1e-6)
 
 
 def test_weak_and_lorentz_indicator():

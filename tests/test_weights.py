@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import weights
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox, all_cubes,
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
                               block_reduce, measure_cell_masses)
 from poincarelab.operators import centered_maximal_values, weak_norm_values
-from poincarelab.weights import (Atomic, GridWeight, PowerWeight,
+from poincarelab.weights import (GridWeight, PowerWeight,
                                  WeightError, _corner_singular_unit_integral,
                                  _extremum_levels, ainf_fujii_wilson,
                                  ap1_constant, ap_constant, constants_report,
                                  resolve, rh_exponent, rh_exponent_and_check,
-                                 rhinf_constant, set_inequality_holds,
-                                 two_weight_ap)
+                                 rhinf_constant, two_weight_ap)
 from tests.conftest import assert_same_bits
 
 # an inf or NaN mass or constant shows up as a RuntimeWarning on the way;
@@ -392,56 +391,6 @@ def test_ap1_below_ap(small_weight_corpus):
                 ap_constant(wv, p, root, depth) * (1 + 1e-9)
 
 
-def test_set_inequality(small_weight_corpus):
-    for wv, root, depth in small_weight_corpus[:6]:
-        assert set_inequality_holds(wv, 2.0, root, depth)
-
-
-def set_inequality_worst(wv, p):
-    """(max over all dyadic pairs E inside Q, max over E inside the root)
-    of (|E|/|Q|)^p w(Q)/w(E), pair by pair."""
-    n, depth = wv.ndim, wv.shape[0].bit_length() - 1
-    g = GridFunction(RootBox.unit(n), depth, wv)
-    cubes = list(all_cubes(n, depth))
-    mass = {q: float(wv[g.block(q)].sum()) for q in cubes}
-    worst, root_worst = 0.0, 0.0
-    for Q in cubes:
-        for E in cubes:
-            if Q.contains(E):
-                val = (2.0 ** (-n * (E.level - Q.level))) ** p \
-                    * mass[Q] / mass[E]
-                worst = max(worst, val)
-                if Q.level == 0:
-                    root_worst = max(root_worst, val)
-    return worst, root_worst
-
-
-@pytest.mark.parametrize("n,depth", [(1, 4), (1, 6), (2, 2), (2, 3)])
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_set_inequality_checks_every_dyadic_pair(monkeypatch, n, depth, p):
-    # the inequality follows from the A_p bound, so only an A_p value below
-    # the true constant (patched in) can make it fail; the check must agree
-    # with the all-pairs oracle on either side of the worst pair
-    root = RootBox.unit(n)
-    missed_by_root_only = 0
-    for seed in range(4):
-        rng = np.random.default_rng(100 * n + 10 * depth + seed)
-        wv = rng.lognormal(0.0, 1.0, (1 << depth,) * n)
-        assert set_inequality_holds(wv, p, root, depth)
-        worst, root_worst = set_inequality_worst(wv, p)
-        assert worst <= ap_constant(wv, p, root, depth) * (1 + 1e-12)
-        cases = [(worst * (1 + 1e-6), True), (worst * (1 - 1e-6), False)]
-        if root_worst < worst * (1 - 1e-6):
-            missed_by_root_only += 1
-            cases.append(((root_worst + worst) / 2, False))
-        for ap, holds in cases:
-            monkeypatch.setattr(weights, "ap_constant", lambda *a, v=ap: v)
-            assert set_inequality_holds(wv, p, root, depth) is holds
-            monkeypatch.undo()
-    # a pair below the root is the worst on some of these weights
-    assert missed_by_root_only > 0
-
-
 def test_corner_integral_1d_closed_form():
     for delta in (0.5, 0.25, 1.0):
         assert _corner_singular_unit_integral(1, delta) == \
@@ -638,22 +587,6 @@ def test_power_weight_refinement_stability():
     m1 = w.cell_masses(root, 5)[:16, :16].sum()
     m2 = w.cell_masses(root, 7)[:64, :64].sum()
     assert m1 == pytest.approx(m2, rel=1e-2)
-
-
-def test_density_and_atomic_masses():
-    g = GridFunction(UNIT1, 2, np.array([1.0, 2.0, 3.0, 4.0]))
-    # a GridFunction is the density
-    assert np.allclose(measure_cell_masses(g, g), g.values * 0.25)
-    a = Atomic([(0.1,), (0.6,)], [2.0, 5.0])
-    masses = a.cell_masses(UNIT1, 2)
-    assert masses.sum() == pytest.approx(7.0)
-    assert masses[0] == 2.0 and masses[2] == 5.0
-
-
-def test_atomic_outside_box_rejected():
-    a = Atomic([(1.5,)], [1.0])
-    with pytest.raises(WeightError):
-        a.cell_masses(UNIT1, 2)
 
 
 def test_resolve_accepts_arrays_and_objects():
