@@ -1,13 +1,14 @@
-"""Level-L stopping-time (Calderon-Zygmund) decomposition and polynomial
-projections on cubes.
+"""Level-L stopping-time (Calderon-Zygmund) decomposition, polynomial
+projections on cubes, and the oscillation on the root cube of a grid.
 
-The decomposition consumes a nonnegative grid function h directly (in the
-typical use h is a normalized oscillation |f - f_Q|/a(Q)), so the same
-engine serves plain oscillations, polynomial oscillations, and good-lambda
-style experiments.  Stopping descends to single cells, so every almost-
-everywhere statement is an exact cell statement here.  One top-down pass
-over the per-level means finds the stopping cubes and the good part; each
-bad part (h - good on its stopping cube) is built only when read.
+The decomposition consumes a nonnegative grid function h on its root
+cube (in the typical use h is a normalized oscillation |f - f_Q|/a(Q)),
+so the same engine serves plain oscillations, polynomial oscillations,
+and good-lambda style experiments.  Stopping descends to single cells,
+so every almost-everywhere statement is an exact cell statement here.
+One top-down pass over the per-level means finds the stopping cubes and
+the good part; each bad part (h - good on its stopping cube) is built
+only when read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class DecompositionError(ValueError):
 
 @dataclass
 class CZDecomposition:
-    Q: CubeIndex
     L: float
     stopping: list                  # by level, then row-major by coords
     omega_mask: np.ndarray          # bool over all cells (true on Omega_L)
@@ -47,50 +47,40 @@ class CZDecomposition:
         return out
 
     def omega_volume_fraction(self):
-        return float(self.omega_mask[self.h.block(self.Q)].mean())
+        return float(self.omega_mask.mean())
 
     def reconstruction_error(self):
         """One pass: the bad parts sum to h - good on Omega_L, 0 off it."""
-        sl = self.h.block(self.Q)
-        h, g = self.h.values[sl], self.good.values[sl]
-        total = np.where(self.omega_mask[sl], g + (h - g), g)
+        h, g = self.h.values, self.good.values
+        total = np.where(self.omega_mask, g + (h - g), g)
         return float(np.max(np.abs(total - h)))
 
 
-def cz_decompose(h: GridFunction, Q: CubeIndex | None = None, L: float = 2.0):
-    """Stopping cubes = maximal dyadic subcubes of Q with average of h
+def cz_decompose(h: GridFunction, L: float = 2.0):
+    """Stopping cubes = maximal dyadic cubes of the grid with average of h
     above L, by level, then row-major by coords; good part equals h off
     their union and the cube average on each stopping cube; bad parts are
-    the mean-zero remainders.  Per level, ``free`` marks the cubes of Q with
-    no stopped ancestor, ``avg`` the stopped ancestor's mean."""
-    Q = Q or CubeIndex.root(h.n)
+    the mean-zero remainders.  Per level, ``free`` marks the cubes with no
+    stopped ancestor, ``avg`` the stopped ancestor's mean.  A sub-cube is
+    decomposed by making it the input grid."""
     if L <= 1:
         raise DecompositionError("L must be > 1")
     if np.any(h.values < 0):
         raise DecompositionError("h must be nonnegative")
-    sl = h.block(Q)
-    if block_reduce(h.values, Q.level, np.mean)[Q.coords] > L:
+    if block_reduce(h.values, 0, np.mean).item() > L:
         raise DecompositionError("average of h over Q exceeds L")
 
     free, avg = np.ones((1,) * h.n, dtype=bool), np.zeros((1,) * h.n)
     stopping = []
-    for level in range(Q.level + 1, h.depth + 1):
-        r = level - Q.level
-        means = block_reduce(h.values, level, np.mean)[
-            tuple(slice(c << r, (c + 1) << r) for c in Q.coords)]
+    for level in range(1, h.depth + 1):
+        means = block_reduce(h.values, level, np.mean)
         free, avg = upsample(free), upsample(avg)
         stop = free & (means > L)
-        stopping += [CubeIndex(level, [(c << r) + i for c, i in zip(Q.coords, idx)])
-                     for idx in np.argwhere(stop)]
+        stopping += [CubeIndex(level, idx) for idx in np.argwhere(stop)]
         avg[stop] = means[stop]
         free &= ~stop
-
-    # outside Q the split is not defined; zero it for tidiness
-    omega = np.zeros(h.values.shape, dtype=bool)
-    omega[sl] = ~free
-    good = np.zeros_like(h.values)
-    good[sl] = np.where(free, h.values[sl], avg)
-    return CZDecomposition(Q, float(L), stopping, omega, h.copy_with(good), h)
+    good = np.where(free, h.values, avg)
+    return CZDecomposition(float(L), stopping, ~free, h.copy_with(good), h)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +156,13 @@ def project(f: GridFunction, basis: PolyBasis):
     return f.copy_with(out)
 
 
-def _deviation_sum(f: GridFunction, Q: CubeIndex, basis, q_exp, w,
-                   weighted_center):
-    """(int_Q |f - c|^q dw, w(Q)) with the masses of ``w`` from
-    ``measure_cell_masses`` (Lebesgue when None) and the center c of
-    ``oscillation``."""
-    sl = f.block(Q)
-    block = f.values[sl]
-    masses = measure_cell_masses(w, f)[sl]
+def _deviation_sum(f: GridFunction, basis, q_exp, masses, weighted_center):
+    """(int |f - c|^q dw, w(box)) from the cell ``masses`` of w and the
+    center c of ``oscillation``."""
+    block = f.values
     tot = masses.sum()
     if basis is not None:
-        center = project(f, basis).values[sl]
+        center = project(f, basis).values
     elif weighted_center:
         center = float((block * masses).sum() / tot)
     else:
@@ -184,14 +170,14 @@ def _deviation_sum(f: GridFunction, Q: CubeIndex, basis, q_exp, w,
     return (np.abs(block - center) ** q_exp * masses).sum(), tot
 
 
-def oscillation(f: GridFunction, Q: CubeIndex | None = None, basis=None,
-                q_exp=1.0, w=None, weighted_center=False):
-    """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) with center
-    c = P_Q f (basis given), f_{Q,w} (weighted_center) or f_Q, and w
-    Lebesgue when None.  The integral is summed against the cell masses
-    and then divided by w(Q); this is the left side of every Poincare
-    inequality in the catalog."""
-    dev, tot = _deviation_sum(f, Q or CubeIndex.root(f.n), basis, q_exp, w,
+def oscillation(f: GridFunction, basis=None, q_exp=1.0, w=None,
+                weighted_center=False):
+    """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) over the root
+    cube Q of f's grid, with center c = P_Q f (basis given), f_{Q,w}
+    (weighted_center) or f_Q, and w Lebesgue when None.  The integral is
+    summed against the cell masses of ``measure_cell_masses`` and then
+    divided by w(Q); this is the left side of every Poincare inequality in
+    the catalog."""
+    dev, tot = _deviation_sum(f, basis, q_exp, measure_cell_masses(w, f),
                               weighted_center)
     return float((dev / tot) ** (1.0 / q_exp))
-

@@ -15,8 +15,8 @@ raw generator words per sampling call and equal scalar
 ``Generator.integers`` draws bit for bit, so nothing else may draw from the
 generator while a sampling call runs.  Both modes read a(Q)^p w(Q) from one
 array per cube level, built from ``Functional.level_values`` (array
-formulas for the fractional and gradient functionals, ``eval`` per cube for
-the Lorentz one).
+formulas for the fractional and gradient functionals, whose ``eval`` reads
+the same formula for one cube, and ``eval`` per cube for the Lorentz one).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .operators import lorentz_p1_norm_values
 
 
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
+ANTICHAIN_CAP = 10 ** 6  # partial families enumerate_antichains builds
 _WORDS_FIRST, _WORDS_CAP = 16, 4096  # raw words per refill, doubled to the cap
 
 
@@ -96,8 +97,7 @@ class FractionalFunctional(Functional):
         self.w = CubeSums(np.asarray(w_masses, dtype=float), depth)
 
     def eval(self, q):
-        ell = self.root.side / (1 << q.level)
-        return ell ** self.alpha * (self.mu.mass(q) / self.w.mass(q)) ** (1.0 / self.p)
+        return self.level_values(q, q.level).item()
 
     def level_values(self, Q, level):
         ell = self.root.side / (1 << level)
@@ -123,9 +123,7 @@ class GradientFunctional(Functional):
         self.num = CubeSums(g ** self.p * v, self.depth)
 
     def eval(self, q):
-        ell = self.root.side / (1 << q.level)
-        return ell ** self.m \
-            * (self.num.mass(q) / self.u.mass(q)) ** (1.0 / self.p)
+        return self.level_values(q, q.level).item()
 
     def level_values(self, Q, level):
         ell = self.root.side / (1 << level)
@@ -486,9 +484,10 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
                     per_L, violations)
 
 
-def enumerate_antichains(Q: CubeIndex, depth, cap=10 ** 6):
+def enumerate_antichains(Q: CubeIndex, depth):
     """All antichains (families of pairwise-disjoint dyadic cubes) in the
-    subtree of Q, as lists; brute-force oracle for the DP maxima."""
+    subtree of Q, as lists; brute-force oracle for the DP maxima.  Refused
+    once more than ANTICHAIN_CAP partial families have been built."""
     count = [0]
 
     def rec(q):
@@ -499,7 +498,7 @@ def enumerate_antichains(Q: CubeIndex, depth, cap=10 ** 6):
             sub = rec(ch)
             fams = [f + g for f in fams for g in sub]
             count[0] += len(fams)
-            if count[0] > cap:
+            if count[0] > ANTICHAIN_CAP:
                 raise FunctionalError("antichain count exceeds cap")
         fams.append([q])
         return fams

@@ -97,11 +97,6 @@ class CubeIndex:
     def root(cls, n):
         return cls(0, (0,) * n)
 
-    def parent(self):
-        if self.level == 0:
-            raise GridError("root cube has no parent")
-        return CubeIndex(self.level - 1, tuple(c // 2 for c in self.coords))
-
     def children(self):
         """The 2**n dyadic children, partitioning this cube."""
         out = []

@@ -1,11 +1,13 @@
 """Sobolev-exponent formulas, left/right-hand-side evaluators for the
 oscillation-inequality catalog, and the power-weight sharpness sweep.
 
-Unknown dimensional constants are never asserted: every catalog check
-reports its measured constant lhs / (bound * rhs), and ``passed`` compares
-lhs with bound * rhs only where the bound is finite; no check verifies a
-bound.  Sweeps track measured constants for boundedness, which is the
-falsifiable content.
+Each catalog check is on the cube Q that is the root box of its input
+grid; a sub-cube is checked by making it the input grid, which takes the
+A_p-type bounds over that grid's cubes only.  Unknown dimensional
+constants are never asserted: every catalog check reports its measured
+constant lhs / (bound * rhs), and ``passed`` compares lhs with bound * rhs
+only where the bound is finite; no check verifies a bound.  Sweeps track
+measured constants for boundedness, which is the falsifiable content.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ class InequalityError(ValueError):
 # exponent algebra
 # ---------------------------------------------------------------------------
 
-def sobolev_exponent(kind, p, n, q=1.0, apq=1.0, M=None):
+def sobolev_exponent(kind, p, n, q=1.0, apq=1.0):
     """Solve 1/p - 1/p* = gap for p*, where gap is 1/n (classical),
-    1/(n(q + log apq)) (weighted, natural log), 1/(nq) (weighted, constant
-    aware), or 1/(nqM)."""
+    1/(n(q + log apq)) (weighted, natural log) or 1/(nq) (weighted,
+    constant aware)."""
     if not (1 <= p < n):
         raise InequalityError("requires 1 <= p < n")
     if kind == "classical":
@@ -51,10 +53,6 @@ def sobolev_exponent(kind, p, n, q=1.0, apq=1.0, M=None):
         if q < 1:
             raise InequalityError("need q >= 1")
         gap = 1.0 / (n * q)
-    elif kind == "M":
-        if M is None or M <= 1 or q < 1:
-            raise InequalityError("need M > 1 and q >= 1")
-        gap = 1.0 / (n * q * M)
     else:
         raise InequalityError(f"unknown kind {kind!r}")
     inv = 1.0 / p - gap
@@ -67,21 +65,23 @@ def sobolev_exponent(kind, p, n, q=1.0, apq=1.0, M=None):
 # sides
 # ---------------------------------------------------------------------------
 
-def poincare_sides(f: GridFunction, Q=None, u=None, v=None, lhs_exponent=1.0,
-                   p=1.0, m=1, center="mean"):
-    """(lhs, rhs) of an oscillation inequality on Q.
+def poincare_sides(f: GridFunction, u=None, v=None, lhs_exponent=1.0, p=1.0,
+                   m=1, center="mean"):
+    """(lhs, rhs) of an oscillation inequality on the root cube Q of f's
+    grid.
 
     lhs is ``decomposition.oscillation`` against u with exponent
     lhs_exponent and center c in {"mean", "weighted_mean", "projection"
     (polynomial projection of order m)}.  rhs is the two-weight gradient
-    functional a(Q) (v inside, u outside; ``GradientFunctional``).
+    functional a(Q) (v inside, u outside; ``GradientFunctional``).  Each
+    weight is converted to cell masses once.
     """
-    Q = Q or CubeIndex.root(f.n)
-    vmass = None if v is None else measure_cell_masses(v, f)
-    rhs = GradientFunctional(m, p, discrete_gradient(f, m),
-                             measure_cell_masses(u, f), vmass).eval(Q)
+    Q = CubeIndex.root(f.n)
+    um = measure_cell_masses(u, f)
+    vm = None if v is None else measure_cell_masses(v, f)
+    rhs = GradientFunctional(m, p, discrete_gradient(f, m), um, vm).eval(Q)
     basis = orthonormal_basis(f, Q, m) if center == "projection" else None
-    return oscillation(f, Q, basis, lhs_exponent, u,
+    return oscillation(f, basis, lhs_exponent, um,
                        center == "weighted_mean"), rhs
 
 
@@ -124,55 +124,55 @@ def _result(iid, lhs, rhs, bound, inputs):
                        passed, float(measured), inputs)
 
 
-def _functional_hypothesis_norm(f: GridFunction, a: Functional, Q):
-    """max over dyadic P inside Q of avg_P |f - f_P| / a(P), one level of
-    cubes at a time, a(P) read from ``a.level_values``."""
+def _functional_hypothesis_norm(f: GridFunction, a: Functional):
+    """max over the dyadic cubes P of f's grid of avg_P |f - f_P| / a(P),
+    one level of cubes at a time, a(P) read from ``a.level_values``."""
     best, axes = 0.0, tuple(range(f.n, 2 * f.n))
-    for level in range(Q.level, f.depth + 1):
-        blocks = level_blocks(f.values[f.block(Q)], level - Q.level)
+    Q = CubeIndex.root(f.n)
+    for level in range(f.depth + 1):
+        blocks = level_blocks(f.values, level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
         best = max(best, float(np.max(osc / a.level_values(Q, level))))
     return best
 
 
-def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
-                     p0=None, mu=None, alpha=1.0, a_functional=None):
-    """Evaluate one catalog inequality; see the module docstring for what
-    is reported."""
-    Q = Q or CubeIndex.root(f.n)
-    n = f.n
-    root, depth = f.root, f.depth
+def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
+                     mu=None, alpha=1.0, a_functional=None):
+    """Evaluate one catalog inequality on the root cube Q of f's grid; see
+    the module docstring for what is reported.  u and v are converted to
+    cell masses once, and the sides and bounds read those arrays."""
+    n, root, depth = f.n, f.root, f.depth
+    Q = CubeIndex.root(n)
     inputs = {"id": iid, "p": p, "q": q, "m": m}
-
-    def cell_values(w):
-        return measure_cell_masses(w, f) / f.cell_volume
+    um = measure_cell_masses(u, f)
+    vm = None if v is None else measure_cell_masses(v, f)
 
     if iid in ("pp-two-weight", "higher-order"):
         higher = iid == "higher-order"
-        lhs, rhs = poincare_sides(f, Q, u=u, v=v, lhs_exponent=p, p=p,
+        lhs, rhs = poincare_sides(f, u=um, v=vm, lhs_exponent=p, p=p,
                                   m=m if higher else 1,
                                   center="projection" if higher else "mean")
-        uv = cell_values(u)
-        vv = uv if v is None else cell_values(v)
+        uv = um / f.cell_volume
+        vv = uv if vm is None else vm / f.cell_volume
         bound = two_weight_ap(uv, vv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "pp-measure":
-        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f),
-                                 measure_cell_masses(u, f), root, depth)
-        anorm = _functional_hypothesis_norm(f, a, Q)
-        lhs = oscillation(f, Q, q_exp=p, w=u)
+        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), um,
+                                 root, depth)
+        anorm = _functional_hypothesis_norm(f, a)
+        lhs = oscillation(f, q_exp=p, w=um)
         rhs = a.eval(Q)
         bound = (n / alpha) * anorm
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid in ("sobolev-A", "sobolev-B"):
-        uv = cell_values(u)
+        uv = um / f.cell_volume
         apq = ap_constant(uv, q, root, depth)
         app = ap_constant(uv, p, root, depth)
         kind = "A" if iid == "sobolev-A" else "B"
         pstar = sobolev_exponent(kind, p, n, q=q, apq=apq)
-        lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p, m=1)
+        lhs, rhs = poincare_sides(f, u=um, lhs_exponent=pstar, p=p, m=1)
         bound = app ** (1.0 / p) if kind == "A" \
             else apq ** (1.0 / (n * q)) * app ** (2.0 / p)
         inputs["p_star"] = pstar
@@ -180,49 +180,47 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
 
     if iid == "a1-linear":
         pstar = sobolev_exponent("classical", p, n)
-        lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=pstar, p=p,
+        lhs, rhs = poincare_sides(f, u=um, lhs_exponent=pstar, p=p,
                                   center="weighted_mean")
-        bound = ap_constant(cell_values(u), 1.0, root, depth)
+        bound = ap_constant(um / f.cell_volume, 1.0, root, depth)
         inputs["p_star"] = pstar
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "mixed":
-        # unnormalized, against the weight (M(u chi_Q))^{p/n'} / u^{p-1}
+        # unnormalized, against the weight (M u)^{p/n'} / u^{p-1}
         pstar = sobolev_exponent("classical", p, n)
-        sl = f.block(Q)
-        uvals = cell_values(u)[sl]
+        uvals = um / f.cell_volume
         if uvals.sum() <= 0:
             raise InequalityError("degenerate outer weight mass")
         mix = centered_maximal_values(uvals) ** (p / (n / (n - 1.0)))
-        rhs = float((discrete_gradient(f, 1).values[sl] ** p * mix
+        rhs = float((discrete_gradient(f, 1).values ** p * mix
                      / uvals ** (p - 1.0) * f.cell_volume).sum() ** (1.0 / p))
-        dev, _ = _deviation_sum(f, Q, None, pstar, u, True)
+        dev, _ = _deviation_sum(f, None, pstar, um, True)
         lhs = dev ** (1.0 / pstar)
         inputs["p_star"] = pstar
         return _result(iid, lhs, rhs, math.nan, inputs)
 
     if iid == "lorentz":
         rhs = LorentzGradientFunctional(p, discrete_gradient(f, 1),
-                                        measure_cell_masses(u, f)).eval(Q)
-        lhs = oscillation(f, Q, q_exp=p, w=u)
-        bound = ap1_constant(cell_values(u), p, root, depth) ** (1.0 / p)
+                                        um).eval(Q)
+        lhs = oscillation(f, q_exp=p, w=um)
+        bound = ap1_constant(um / f.cell_volume, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "exp-JN":
         if a_functional is None:
             raise InequalityError("exp-JN needs an increasing functional")
-        hyp = _functional_hypothesis_norm(f, a_functional, Q)
-        block = f.values[f.block(Q)]
-        lhs = orlicz_exp_norm_values(np.abs(block - block.mean()),
-                                     np.full(block.shape, f.cell_volume))
+        hyp = _functional_hypothesis_norm(f, a_functional)
+        lhs = orlicz_exp_norm_values(np.abs(f.values - f.values.mean()),
+                                     np.full(f.values.shape, f.cell_volume))
         rhs = a_functional.eval(Q)
         return _result(iid, lhs, rhs, max(hyp, 1e-300), inputs)
 
     if iid == "kz-downward":
         if p0 is None or p0 <= p:
             raise InequalityError("kz-downward needs p0 > p")
-        lhs, rhs = poincare_sides(f, Q, u=u, lhs_exponent=p, p=p)
-        app = ap_constant(cell_values(u), p, root, depth)
+        lhs, rhs = poincare_sides(f, u=um, lhs_exponent=p, p=p)
+        app = ap_constant(um / f.cell_volume, p, root, depth)
         bound = app ** ((p0 - 1.0) / (p - 1.0)) if p > 1 else math.nan
         inputs["p0"] = p0
         return _result(iid, lhs, rhs, bound, inputs)
@@ -231,13 +229,12 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
         if n < 2:
             raise InequalityError(f"{iid} needs n >= 2 (alpha = 1 < n)")
         grad = discrete_gradient(f, 1)
-        i1 = fractional_integral(grad, 1.0, Q)
-        sl = f.block(Q)
+        i1 = fractional_integral(grad, 1.0).values
         if iid == "pointwise-i1":
-            num, denom = np.abs(f.values[sl] - f.values[sl].mean()), i1.values[sl]
+            num, denom = np.abs(f.values - f.values.mean()), i1
         else:
-            num = i1.values[sl]
-            denom = f.sidelength(Q) * centered_maximal_values(grad.values)[sl]
+            num = i1
+            denom = root.side * centered_maximal_values(grad.values)
         mask = denom > 0
         sup = float(np.max(num[mask] / denom[mask])) if mask.any() else 0.0
         return _result(iid, sup, 1.0, math.nan, inputs)
@@ -247,12 +244,11 @@ def check_inequality(iid, f, Q=None, u=None, v=None, p=1.0, q=1.0, m=1,
             raise InequalityError("weak-1n' needs n >= 2")
         mu_mass = measure_cell_masses(mu, f)
         nprime = n / (n - 1.0)
-        sl = f.block(Q)
-        dev = np.abs(f.values[sl] - f.values[sl].mean())
-        lhs = weak_norm_values(dev.ravel(), mu_mass[sl].ravel(), nprime)
-        Mmu = centered_maximal_measure(mu_mass, f.cell_volume)[sl]
+        dev = np.abs(f.values - f.values.mean())
+        lhs = weak_norm_values(dev.ravel(), mu_mass.ravel(), nprime)
+        Mmu = centered_maximal_measure(mu_mass, f.cell_volume)
         grad = discrete_gradient(f, 1)
-        rhs = float((grad.values[sl] * Mmu ** (1.0 / nprime)).sum()
+        rhs = float((grad.values * Mmu ** (1.0 / nprime)).sum()
                     * f.cell_volume)
         return _result(iid, lhs, rhs, math.nan, inputs)
 

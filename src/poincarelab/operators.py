@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, _corner_singular_unit_integral,
+from .grid import (GridFunction, _corner_singular_unit_integral,
                    measure_cell_masses)
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
@@ -154,18 +154,17 @@ def fractional_kernel(n, alpha, offsets_per_axis, h):
     return K
 
 
-def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
-    """I_alpha(g)(x) = sum over cells y in Q of g(y)|x-y|^(alpha-n) vol,
-    midpoint kernel with exact self-cell integral; evaluated at all cell
-    centers of Q (zero outside Q)."""
+def fractional_integral(g: GridFunction, alpha):
+    """I_alpha(g)(x) = sum over cells y of g(y)|x-y|^(alpha-n) vol,
+    midpoint kernel with exact self-cell integral; evaluated at every cell
+    center.  On a sub-cube it is the integral of g restricted to that cube,
+    made the input grid."""
     n = g.n
     if not (0 < alpha < n):
         raise OperatorError("alpha must lie in (0, n)")
     if np.any(g.values < 0):
         raise OperatorError("g must be nonnegative")
-    q = q or CubeIndex.root(n)
-    sl = g.block(q)
-    block = g.values[sl]
+    block = g.values
     s = block.shape[0]
     # the full linear convolution has 3s - 2 entries per axis, the s valid
     # ones (K covering the whole block) starting at s - 1; s is a power of
@@ -203,9 +202,9 @@ def fractional_integral(g: GridFunction, alpha, q: CubeIndex | None = None):
     kspec = None
     vals = np.fft.irfft(spec, L, axis=last)[(slice(None),) * last + (valid,)]
     vals *= g.cell_volume
-    out = np.zeros_like(g.values)
-    np.maximum(vals, 0.0, out=out[sl])
-    return g.copy_with(out)
+    # a fresh array: in place, the result would be a view pinning all 3s
+    # columns of the inverse transform
+    return g.copy_with(np.maximum(vals, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ All class constants (A_p, A_1, Fujii-Wilson A_inf, reverse-Holder
 exponent, A_{p,1}, RH_inf) are suprema over the finite dyadic family up
 to the working depth, taken by one sweep over that family; reports
 record the family used.  ``shifted=True`` adds the half-shifted cubes to
-every constant.  They are a grid stand-in for the one-third-shifted
-lattices of Lerner-Nazarov's three-lattice theorem ("Intuitive dyadic
-calculus"); the theorem's constants are not claimed for them.
+every constant but the two-weight A_p.  They are a grid stand-in for the
+one-third-shifted lattices of Lerner-Nazarov's three-lattice theorem
+("Intuitive dyadic calculus"); the theorem's constants are not claimed.
 """
 
 from __future__ import annotations
@@ -227,13 +227,13 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     return found if return_argmax else found[0]
 
 
-def two_weight_ap(u, v, p, root, depth, shifted=False):
+def two_weight_ap(u, v, p, root, depth):
     """Two-weight A_p constant sup (avg u)(avg v^(1-p'))^(p-1) for p > 1,
-    sup (avg u) * max(1/v) for p = 1."""
+    sup (avg u) * max(1/v) for p = 1, over the aligned dyadic cubes."""
     if p < 1:
         raise WeightError("p must be >= 1")
     uv = resolve(u, root, depth)
-    return _sweep(depth, shifted, _ap_cubes(uv, resolve(v, root, depth), p))[0]
+    return _sweep(depth, False, _ap_cubes(uv, resolve(v, root, depth), p))[0]
 
 
 def rhinf_constant(w, root, depth, shifted=False):

@@ -1,18 +1,20 @@
 """Plain references the tests compare the library against, and the drivers
 that reach its private D_p kernels directly: a walk over every dyadic cube,
-cube inclusion, the per-family D_p ratio, the overlap and budget check of
-an L-small family, one sampled family, and the D_p maximum of a single
-exhaustive or sampled run."""
+cube inclusion, a sub-cube made its own grid, the scalar formulas of the
+fractional and gradient functionals, the per-family D_p ratio, the overlap
+and budget check of an L-small family, one sampled family, and the D_p
+maximum of a single exhaustive or sampled run."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from poincarelab.functionals import (CubeSums, DpReport, FunctionalError,
+from poincarelab.functionals import (CubeSums, DpReport, FractionalFunctional,
+                                     FunctionalError, GradientFunctional,
                                      _dp_maxima, _draw_family, _sampled,
                                      _scores, _WordStream, subcube_at)
-from poincarelab.grid import CubeIndex
+from poincarelab.grid import CubeIndex, GridFunction, RootBox
 
 
 def all_cubes(n, depth, min_level=0):
@@ -28,6 +30,34 @@ def contains(Q: CubeIndex, other: CubeIndex):
         return False
     shift = other.level - Q.level
     return all(oc >> shift == c for c, oc in zip(Q.coords, other.coords))
+
+
+def restrict(f: GridFunction, Q: CubeIndex):
+    """f on the cells of Q, as a grid whose root box is Q: the input that
+    checks Q with the library's root-cube functions."""
+    side = f.sidelength(Q)
+    lower = tuple(lo + side * c for lo, c in zip(f.root.lower, Q.coords))
+    return GridFunction(RootBox(lower, side), f.depth - Q.level,
+                        f.values[f.block(Q)])
+
+
+def relative_cube(Q: CubeIndex, q: CubeIndex):
+    """The cube q inside Q, indexed on the grid that ``restrict`` makes."""
+    shift = q.level - Q.level
+    return CubeIndex(shift, tuple(c - (qc << shift)
+                                  for c, qc in zip(q.coords, Q.coords)))
+
+
+def reference_eval(a, q: CubeIndex):
+    """a(q) by the scalar formula, on Python floats: l(q)^alpha
+    (mu(q)/w(q))^(1/p) for a fractional functional, l(q)^m (int_q |grad|^p
+    v / u(q))^(1/p) for a gradient one; ``eval`` for any other."""
+    ell = a.root.side / (1 << q.level)
+    if isinstance(a, FractionalFunctional):
+        return ell ** a.alpha * (a.mu.mass(q) / a.w.mass(q)) ** (1.0 / a.p)
+    if isinstance(a, GradientFunctional):
+        return ell ** a.m * (a.num.mass(q) / a.u.mass(q)) ** (1.0 / a.p)
+    return a.eval(q)
 
 
 @dataclass

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from poincarelab.decomposition import (DecompositionError, cz_decompose,
                                        orthonormal_basis, oscillation, project)
-from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
-                              block_reduce, sample)
-from tests.oracles import contains
+from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
+                              sample)
+from tests.oracles import contains, relative_cube, restrict
 
 UNIT1 = RootBox.unit(1)
 
@@ -56,9 +56,6 @@ def test_cz_input_validation():
     with pytest.raises(DecompositionError):
         cz_decompose(GridFunction(UNIT1, 2, np.array([1.0, -1, 1, 1])),
                      L=2.0)
-    with pytest.raises(GridError):      # Q finer than the grid
-        cz_decompose(GridFunction(UNIT1, 2, np.ones(4)),
-                     Q=CubeIndex(3, (0,)), L=2.0)
 
 
 def test_cz_invariants_fuzz():
@@ -97,12 +94,12 @@ def test_cz_stopping_cubes_nest_as_L_grows():
 
 
 def test_cz_on_subcube_only():
+    # the spike lies outside Q; Q made the input grid never sees it
     h = GridFunction(UNIT1, 3, np.array([8.0, 0, 0, 0, 1, 1, 1, 1.0]))
-    Q = CubeIndex(1, (1,))
-    dec = cz_decompose(h, Q=Q, L=2.0)
+    assert cz_decompose(h, L=2.0).stopping == [CubeIndex(2, (0,))]
+    dec = cz_decompose(restrict(h, CubeIndex(1, (1,))), L=2.0)
     assert dec.stopping == []
-    # the split is only defined inside Q
-    assert np.all(dec.good.values[:4] == 0.0)
+    assert np.array_equal(dec.good.values, np.ones(4))
 
 
 def reference_cz_decompose(h, Q=None, L=2.0):
@@ -157,15 +154,19 @@ def random_cz_input(rng, n, depth, root_q, L):
 
 
 def assert_matches_reference(h, Q, L):
+    """Q made the input grid decomposes as the oracle splits h on Q, with
+    cubes indexed relative to Q."""
     stopping, omega, good, bad, err = reference_cz_decompose(h, Q, L)
-    dec = cz_decompose(h, Q=Q, L=L)
+    sl = h.block(Q)
+    stopping = [relative_cube(Q, q) for q in stopping]
+    dec = cz_decompose(restrict(h, Q), L=L)
     assert set(dec.stopping) == set(stopping)
     assert dec.stopping == sorted(stopping, key=lambda q: (q.level, q.coords))
-    assert np.array_equal(dec.omega_mask, omega)
-    assert np.array_equal(dec.good.values, good)
+    assert np.array_equal(dec.omega_mask, omega[sl])
+    assert np.array_equal(dec.good.values, good[sl])
     parts = dec.bad
     assert [q for q, _ in parts] == dec.stopping
-    ref_parts = dict(bad)
+    ref_parts = {relative_cube(Q, q): b[sl] for q, b in bad}
     for q, b in parts:
         assert np.array_equal(b.values, ref_parts[q])
     assert dec.reconstruction_error() == err
@@ -340,7 +341,7 @@ def test_median_minimizes_l1_oscillation_on_a_subcube():
     best = median_oscillation(block)
     grid = np.linspace(block.min(), block.max(), 2001)
     assert best <= min(np.abs(block - c).mean() for c in grid) + 1e-9
-    assert oscillation(f, Q) <= 2.0 * best + 1e-12
+    assert oscillation(restrict(f, Q)) <= 2.0 * best + 1e-12
 
 
 def test_weighted_oscillation_center():

@@ -15,7 +15,7 @@ from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
                               discrete_gradient)
 from tests.conftest import counting
 from tests.oracles import (contains, dp_ratio, max_dp_ratio,
-                           random_small_family)
+                           random_small_family, reference_eval)
 
 UNIT1 = RootBox.unit(1)
 
@@ -99,12 +99,13 @@ def test_cube_sums_sum_only_the_levels_read(monkeypatch):
     assert summed == [0, 2]
 
 
-def test_enumerate_antichains_refuses_beyond_its_cap():
+def test_enumerate_antichains_refuses_beyond_its_cap(monkeypatch):
     # a(d) = a(d - 1)^2 + 1 antichains below a 1D cube d levels up
+    monkeypatch.setattr(functionals, "ANTICHAIN_CAP", 100)
     root = CubeIndex.root(1)
-    assert len(enumerate_antichains(root, 2, cap=100)) == 26
+    assert len(enumerate_antichains(root, 2)) == 26
     with pytest.raises(FunctionalError, match="cap"):
-        enumerate_antichains(root, 3, cap=100)
+        enumerate_antichains(root, 3)
 
 
 def test_gradient_functional_eval():
@@ -485,11 +486,13 @@ def test_smallness_fit_is_nan_for_one_L(Ls):
 # ---------------------------------------------------------------------------
 
 def assert_level_values_equal_eval(a, Q, depth):
+    """level_values and eval both equal the scalar formula, bit for bit."""
     for level in range(Q.level, depth + 1):
         got = a.level_values(Q, level)
         assert got.shape == (1 << (level - Q.level),) * Q.n
-        assert np.array_equal(got.ravel(),
-                              [a.eval(P) for P in full_partition(Q, level)])
+        ref = [reference_eval(a, P) for P in full_partition(Q, level)]
+        assert np.array_equal(got.ravel(), ref)
+        assert [a.eval(P) for P in full_partition(Q, level)] == ref
 
 
 @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])

@@ -206,10 +206,12 @@ def test_family_constants_equal_per_cube_reference(n, depth, shifted):
                     report.rh_pass) == rh_check_reference(wv, depth, shifted)
             assert rh_exponent_and_check(wv, root, depth) == \
                 rh_check_reference(wv, depth)
+        if shifted:     # two_weight_ap takes the aligned cubes only
+            continue
         (uv, root), (vv, _) = weights
         for p in (1.5, 2.0, 3.0):
-            assert two_weight_ap(uv, vv, p, root, depth, shifted) == \
-                two_weight_reference(uv, vv, p, depth, shifted)
+            assert two_weight_ap(uv, vv, p, root, depth) == \
+                two_weight_reference(uv, vv, p, depth, False)
 
 
 def test_shifted_argmax_names_a_shifted_cube():
