@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .grid import (MAX_DIM, CubeIndex, GridFunction, RootBox, check_cell_cap,
-                   measure_cell_masses)
+                   lebesgue_masses)
 from .weights import GridWeight, PowerWeight, ap_constant, constants_report
 from .operators import AP_BOUND_CN, rubio_de_francia
 from .functionals import FractionalFunctional, sdp_check
@@ -83,7 +83,8 @@ def _load_weight(args, depth):
 
 def _constants(args, command):
     w, root, depth = _load_weight(args, args.depth)
-    rep = constants_report(w, args.p, root, depth, shifted=args.shifted_grids)
+    rep = constants_report(w.cell_values(root, depth), args.p, root, depth,
+                           shifted=args.shifted_grids)
     return rep.to_dict(), {"command": command, "p": args.p, "depth": depth,
                            "shifted": args.shifted_grids, "seed": args.seed}
 
@@ -154,12 +155,12 @@ def _cmd_functional_check(args):
     depth = args.depth
     root = RootBox.unit(n)
     check_cell_cap(n, depth)
-    grid = GridFunction(root, depth, np.zeros((1 << depth) ** n))
 
     def load_masses(key):
         src = config.get(key, "lebesgue")
-        return measure_cell_masses(
-            None if src == "lebesgue" else GridFunction.load(src), grid)
+        if src == "lebesgue":
+            return lebesgue_masses(root, depth)
+        return GridWeight(GridFunction.load(src)).cell_masses(root, depth)
 
     mu = load_masses("mu")
     wm = load_masses("w")
@@ -179,8 +180,8 @@ def _cmd_poincare(args):
     f = GridFunction.load(args.input)
     w = None
     if args.weight or args.power_weight:
-        wobj, root, depth = _load_weight(args, f.depth)
-        w = measure_cell_masses(wobj, f)
+        wobj, _, _ = _load_weight(args, f.depth)
+        w = wobj.cell_masses(f.root, f.depth)
     res = check_inequality(args.id, f, u=w, p=args.p, q=args.q, m=args.m,
                            p0=args.p0, mu=w)
     d = res.to_dict()
@@ -212,10 +213,11 @@ def _cmd_rdf(args):
     wobj, _, _ = _load_weight(args, h.depth)
     p, opnorm = args.p, args.opnorm_value
     if args.opnorm == "ap-bound" and p > 1:  # rubio_de_francia refuses p <= 1
-        ap = ap_constant(wobj, p, h.root, h.depth)
+        ap = ap_constant(wobj.cell_values(h.root, h.depth), p, h.root,
+                         h.depth)
         opnorm = AP_BOUND_CN * (p / (p - 1.0)) * ap ** (1.0 / (p - 1.0))
-    R, rep = rubio_de_francia(h, measure_cell_masses(wobj, h), p, args.terms,
-                              opnorm)
+    R, rep = rubio_de_francia(h, wobj.cell_masses(h.root, h.depth), p,
+                              args.terms, opnorm)
     rep["opnorm_mode"] = args.opnorm  # ap-bound arrives as a supplied number
     rep["config"] = {"command": "rdf", "p": args.p, "terms": args.terms,
                      "opnorm_mode": args.opnorm, "seed": args.seed}

@@ -174,10 +174,10 @@ def oscillation(f: GridFunction, basis=None, q_exp=1.0, w=None,
                 weighted_center=False):
     """Normalized oscillation (1/w(Q) int_Q |f - c|^q w)^(1/q) over the root
     cube Q of f's grid, with center c = P_Q f (basis given), f_{Q,w}
-    (weighted_center) or f_Q, and w Lebesgue when None.  The integral is
-    summed against the cell masses of ``measure_cell_masses`` and then
-    divided by w(Q); this is the left side of every Poincare inequality in
-    the catalog."""
+    (weighted_center) or f_Q, and w given by its cell masses (Lebesgue
+    when None), checked by ``measure_cell_masses``.  The integral is summed
+    against those masses and then divided by w(Q); this is the left side of
+    every Poincare inequality in the catalog."""
     dev, tot = _deviation_sum(f, basis, q_exp, measure_cell_masses(w, f),
                               weighted_center)
     return float((dev / tot) ** (1.0 / q_exp))

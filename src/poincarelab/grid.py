@@ -208,44 +208,38 @@ class GridFunction:
             return cls.from_json_dict(json.load(fh))
 
 
-def _density_values(g: GridFunction, root, depth):
-    """The values of ``g`` as a density on the depth-``depth`` grid of
-    ``root``: refused unless ``g`` lies on that grid and is nonnegative."""
-    if g.root != root:
-        raise GridError(f"density on root box {g.root} resolved on {root}")
-    if g.depth != depth:
-        raise GridError(f"density on a depth-{g.depth} grid resolved at "
-                        f"depth {depth}")
-    if np.any(g.values < 0):
-        raise GridError("density must be nonnegative")
-    return g.values
+def _check_cells(arr, shape, what):
+    """Refuse ``arr`` unless it is an array of the grid's ``shape``."""
+    if not isinstance(arr, np.ndarray) or arr.shape != shape:
+        raise GridError(f"{what} must be an array of shape {shape}, got "
+                        f"{getattr(arr, 'shape', type(arr).__name__)}")
 
 
 def resolve(w, root, depth):
-    """Cell values of a weight on the given grid: a bare array is taken as
-    values, a GridFunction is a density on that grid; anything else
-    supplies ``cell_values``.  A weight is refused unless every cell value
-    is positive."""
-    if isinstance(w, GridFunction):
-        w = _density_values(w, root, depth)
-    elif not isinstance(w, np.ndarray):
-        w = w.cell_values(root, depth)
+    """The cell values ``w`` of a weight on the depth-``depth`` grid of
+    ``root``, refused unless of shape ``(2**depth,) * n`` and positive."""
+    _check_cells(w, (1 << depth,) * root.n, "weight cell values")
     if np.any(w <= 0):
         raise GridError("weight cell values must be positive")
     return w
 
 
+def lebesgue_masses(root, depth):
+    """Lebesgue cell masses on the depth-``depth`` grid of ``root``."""
+    N = 1 << depth
+    return np.full((N,) * root.n, (root.side / N) ** root.n)
+
+
 def measure_cell_masses(measure, g: GridFunction):
     """Cell masses of a measure on the grid of ``g``: ``None`` is Lebesgue
-    measure, a bare array is taken as masses, a GridFunction is a density
-    on that grid; anything else supplies ``cell_masses``."""
+    measure, and an array is taken as the masses, refused unless it has
+    the shape of ``g.values`` and no negative mass."""
     if measure is None:
-        return np.full(g.values.shape, g.cell_volume)
-    if isinstance(measure, np.ndarray):
-        return measure
-    if isinstance(measure, GridFunction):
-        return _density_values(measure, g.root, g.depth) * g.cell_volume
-    return measure.cell_masses(g.root, g.depth)
+        return lebesgue_masses(g.root, g.depth)
+    _check_cells(measure, g.values.shape, "cell masses")
+    if np.any(measure < 0):
+        raise GridError("cell masses must be nonnegative")
+    return measure
 
 
 def midpoint_axes(root, depth):

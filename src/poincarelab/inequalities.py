@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
-                   discrete_gradient, level_blocks, measure_cell_masses,
-                   midpoint_axes)
+                   discrete_gradient, lebesgue_masses, level_blocks,
+                   measure_cell_masses, midpoint_axes)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import (FractionalFunctional, Functional, GradientFunctional,
@@ -73,8 +73,8 @@ def poincare_sides(f: GridFunction, u=None, v=None, lhs_exponent=1.0, p=1.0,
     lhs is ``decomposition.oscillation`` against u with exponent
     lhs_exponent and center c in {"mean", "weighted_mean", "projection"
     (polynomial projection of order m)}.  rhs is the two-weight gradient
-    functional a(Q) (v inside, u outside; ``GradientFunctional``).  Each
-    weight is converted to cell masses once.
+    functional a(Q) (v inside, u outside; ``GradientFunctional``).  u and
+    v are cell masses, u Lebesgue and v = u when None, each checked once.
     """
     Q = CubeIndex.root(f.n)
     um = measure_cell_masses(u, f)
@@ -139,20 +139,22 @@ def _functional_hypothesis_norm(f: GridFunction, a: Functional):
 def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
                      mu=None, alpha=1.0, a_functional=None):
     """Evaluate one catalog inequality on the root cube Q of f's grid; see
-    the module docstring for what is reported.  u and v are converted to
-    cell masses once, and the sides and bounds read those arrays."""
+    the module docstring for what is reported.  u, v and mu are cell
+    masses (Lebesgue when None, v = u), each checked once; u's cell values
+    ``uv`` are taken from its masses once, and the sides and bounds read
+    those arrays."""
     n, root, depth = f.n, f.root, f.depth
     Q = CubeIndex.root(n)
     inputs = {"id": iid, "p": p, "q": q, "m": m}
     um = measure_cell_masses(u, f)
     vm = None if v is None else measure_cell_masses(v, f)
+    uv = um / f.cell_volume
 
     if iid in ("pp-two-weight", "higher-order"):
         higher = iid == "higher-order"
         lhs, rhs = poincare_sides(f, u=um, v=vm, lhs_exponent=p, p=p,
                                   m=m if higher else 1,
                                   center="projection" if higher else "mean")
-        uv = um / f.cell_volume
         vv = uv if vm is None else vm / f.cell_volume
         bound = two_weight_ap(uv, vv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
@@ -167,7 +169,6 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid in ("sobolev-A", "sobolev-B"):
-        uv = um / f.cell_volume
         apq = ap_constant(uv, q, root, depth)
         app = ap_constant(uv, p, root, depth)
         kind = "A" if iid == "sobolev-A" else "B"
@@ -182,19 +183,18 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         pstar = sobolev_exponent("classical", p, n)
         lhs, rhs = poincare_sides(f, u=um, lhs_exponent=pstar, p=p,
                                   center="weighted_mean")
-        bound = ap_constant(um / f.cell_volume, 1.0, root, depth)
+        bound = ap_constant(uv, 1.0, root, depth)
         inputs["p_star"] = pstar
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "mixed":
         # unnormalized, against the weight (M u)^{p/n'} / u^{p-1}
         pstar = sobolev_exponent("classical", p, n)
-        uvals = um / f.cell_volume
-        if uvals.sum() <= 0:
+        if uv.sum() <= 0:
             raise InequalityError("degenerate outer weight mass")
-        mix = centered_maximal_values(uvals) ** (p / (n / (n - 1.0)))
+        mix = centered_maximal_values(uv) ** (p / (n / (n - 1.0)))
         rhs = float((discrete_gradient(f, 1).values ** p * mix
-                     / uvals ** (p - 1.0) * f.cell_volume).sum() ** (1.0 / p))
+                     / uv ** (p - 1.0) * f.cell_volume).sum() ** (1.0 / p))
         dev, _ = _deviation_sum(f, None, pstar, um, True)
         lhs = dev ** (1.0 / pstar)
         inputs["p_star"] = pstar
@@ -204,7 +204,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         rhs = LorentzGradientFunctional(p, discrete_gradient(f, 1),
                                         um).eval(Q)
         lhs = oscillation(f, q_exp=p, w=um)
-        bound = ap1_constant(um / f.cell_volume, p, root, depth) ** (1.0 / p)
+        bound = ap1_constant(uv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "exp-JN":
@@ -212,7 +212,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
             raise InequalityError("exp-JN needs an increasing functional")
         hyp = _functional_hypothesis_norm(f, a_functional)
         lhs = orlicz_exp_norm_values(np.abs(f.values - f.values.mean()),
-                                     np.full(f.values.shape, f.cell_volume))
+                                     lebesgue_masses(root, depth))
         rhs = a_functional.eval(Q)
         return _result(iid, lhs, rhs, max(hyp, 1e-300), inputs)
 
@@ -220,7 +220,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         if p0 is None or p0 <= p:
             raise InequalityError("kz-downward needs p0 > p")
         lhs, rhs = poincare_sides(f, u=um, lhs_exponent=p, p=p)
-        app = ap_constant(um / f.cell_volume, p, root, depth)
+        app = ap_constant(uv, p, root, depth)
         bound = app ** ((p0 - 1.0) / (p - 1.0)) if p > 1 else math.nan
         inputs["p0"] = p0
         return _result(iid, lhs, rhs, bound, inputs)

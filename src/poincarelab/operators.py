@@ -336,7 +336,8 @@ def maximal_opnorm(w_masses, p, shape):
 
 
 def rubio_de_francia(h: GridFunction, w, p, terms=20, opnorm=None):
-    """Truncated majorant series R(h) = sum_k M^k h / (2 ||M||)^k, k <= terms.
+    """Truncated majorant series R(h) = sum_k M^k h / (2 ||M||)^k, k <= terms,
+    against the weight of cell masses ``w`` (Lebesgue when None).
 
     ||M|| is ``opnorm`` when given ("supplied") and the ``maximal_opnorm``
     estimate otherwise ("empirical").  Returns (R, report) where report

@@ -2,9 +2,9 @@
 
 Weights are positive densities on the grid: either sampled cell values
 (GridWeight) or the radial power law |x|^(delta-n) with quasi-closed-form
-cell masses (PowerWeight); a bare GridFunction is a nonnegative density.
-``grid.resolve`` and ``grid.measure_cell_masses`` turn each into cell
-values or cell masses.
+cell masses (PowerWeight).  Each class turns itself into the cell values
+or cell masses of a grid; every function below takes those arrays, and
+``grid.resolve`` checks each against its grid once.
 All class constants (A_p, A_1, Fujii-Wilson A_inf, reverse-Holder
 exponent, A_{p,1}, RH_inf) are suprema over the finite dyadic family up
 to the working depth, taken by one sweep over that family; reports
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, RootBox,
+from .grid import (CubeIndex, GridError, GridFunction, RootBox,
                    _corner_singular_unit_integral, block_reduce,
                    check_cell_cap, float_pow, level_blocks, resolve)
 from .operators import _centered_maximal
@@ -36,7 +36,7 @@ class WeightError(ValueError):
 # ---------------------------------------------------------------------------
 
 class GridWeight:
-    """Weight given by the cell values of a GridFunction."""
+    """Weight given by the cell values of a GridFunction on its grid."""
 
     def __init__(self, g: GridFunction):
         self.g = g
@@ -45,12 +45,18 @@ class GridWeight:
     def root(self):
         return self.g.root
 
-    @property
-    def n(self):
-        return self.g.n
-
     def cell_values(self, root, depth):
-        return resolve(self.g, root, depth)
+        """The values, refused unless (root, depth) is the GridFunction's
+        grid and, as for every weight, each value is positive."""
+        g = self.g
+        if g.root != root:
+            raise GridError(f"density on root box {g.root} resolved on {root}")
+        if g.depth != depth:
+            raise GridError(f"density on a depth-{g.depth} grid resolved at "
+                            f"depth {depth}")
+        if np.any(g.values < 0):
+            raise GridError("density must be nonnegative")
+        return resolve(g.values, root, depth)
 
     def cell_masses(self, root, depth):
         return self.cell_values(root, depth) * self.g.cell_volume
@@ -80,10 +86,6 @@ class PowerWeight:
         self.root = root if root is not None else RootBox.symmetric(n)
         if any(lo + self.root.side / 2.0 != 0.0 for lo in self.root.lower):
             raise WeightError("PowerWeight root box must be centered at the origin")
-
-    @property
-    def n(self):
-        return self._n
 
     def cell_masses(self, root, depth):
         if root != self.root:

@@ -181,6 +181,19 @@ def test_functional_check_names_the_off_grid_mismatch(tmp_path, capsys,
     assert words in err[0]
 
 
+@pytest.mark.parametrize("key", ["mu", "w"])
+def test_functional_check_refuses_a_file_with_a_zero_cell(tmp_path, capsys,
+                                                          key):
+    # the weight check refuses it when the file is loaded, before the
+    # functional would find the zero mass
+    wpath = tmp_path / "w.json"
+    GridFunction(RootBox.unit(1), 4, np.linspace(0.0, 1.0, 16)).save(wpath)
+    rc, err = _functional_check_errors(tmp_path, capsys, {key: str(wpath)},
+                                       "--mode", "exhaustive")
+    assert rc == 1
+    assert err == ["error: weight cell values must be positive"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_functional_check_rejects_nonpositive_trials(tmp_path, capsys,
                                                      trials):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from poincarelab.decomposition import (DecompositionError, cz_decompose,
                                        orthonormal_basis, oscillation, project)
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
-                              sample)
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              block_reduce, sample)
 from tests.oracles import contains, relative_cube, restrict
 
 UNIT1 = RootBox.unit(1)
@@ -350,3 +350,10 @@ def test_weighted_oscillation_center():
     # weighted mean = 1/4; avg |f - 1/4| under w/|w| = 2*(3/8)*(1/4)+...
     val = oscillation(f, w=w, weighted_center=True)
     assert val == pytest.approx(0.375, abs=1e-12)
+
+
+def test_oscillation_refuses_masses_off_the_grid():
+    # a (16,) mass array on a 16x16 grid would broadcast along one axis
+    f = GridFunction(RootBox.unit(2), 4, np.arange(256.0) % 7)
+    with pytest.raises(GridError, match=r"shape \(16, 16\), got \(16,\)"):
+        oscillation(f, w=np.full(16, 1.0 / 256))

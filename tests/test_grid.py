@@ -16,8 +16,9 @@ from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               GridFunction, RootBox, block_reduce,
                               check_cell_cap,
                               discrete_gradient, float_pow,
-                              level_blocks, measure_cell_masses,
-                              midpoint_axes, resolve, sample)
+                              lebesgue_masses, level_blocks,
+                              measure_cell_masses, midpoint_axes, resolve,
+                              sample)
 from poincarelab.decomposition import oscillation
 from poincarelab.weights import (GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
@@ -313,9 +314,12 @@ def test_resolve_takes_arrays_as_values():
     pw = PowerWeight(0.5, 1, root)
     assert weights_resolve is resolve
     assert resolve(g.values, root, 2) is g.values
-    assert resolve(g, root, 2) is g.values
-    assert resolve(GridWeight(g), root, 2) is g.values
-    assert np.array_equal(resolve(pw, root, 2), pw.cell_values(root, 2))
+    assert GridWeight(g).cell_values(root, 2) is g.values
+    # a density or a weight object is turned into cell values by its
+    # class, never by the library functions that take a weight
+    for obj in (g, GridWeight(g), pw, list(g.values)):
+        with pytest.raises(GridError, match="must be an array of shape"):
+            resolve(obj, root, 2)
 
 
 @pytest.mark.parametrize("case", sorted(OFF_GRID))
@@ -323,48 +327,69 @@ def test_weight_off_the_grid_is_refused_on_every_path(case):
     make, words = OFF_GRID[case]
     w = make()
     f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
-    calls = {
-        "resolve": lambda: resolve(w, f.root, f.depth),
-        "measure_cell_masses": lambda: measure_cell_masses(w, f),
-        "oscillation": lambda: oscillation(f, w=w),
-        "ap_constant": lambda: ap_constant(w, 2.0, f.root, f.depth),
+    density = {
         "GridWeight.cell_values":
             lambda: GridWeight(w).cell_values(f.root, f.depth),
+        "GridWeight.cell_masses":
+            lambda: GridWeight(w).cell_masses(f.root, f.depth),
     }
-    for call in calls.values():
+    for call in density.values():
         with pytest.raises(GridError, match=words):
+            call()
+    if case == "other-root":
+        return  # bare values carry their shape and sign, not their box
+    values = w.values
+    arrays = {
+        "resolve": lambda: resolve(values, f.root, f.depth),
+        "measure_cell_masses": lambda: measure_cell_masses(values, f),
+        "oscillation": lambda: oscillation(f, w=values),
+        "ap_constant": lambda: ap_constant(values, 2.0, f.root, f.depth),
+    }
+    for call in arrays.values():
+        with pytest.raises(GridError):
             call()
 
 
 def test_weight_on_the_grid_passes_every_path():
     f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
-    w = f.copy_with(np.linspace(0.0, 1.0, 16))  # zero is a valid density
-    with pytest.raises(GridError, match="positive"):    # but not a weight
-        resolve(w, f.root, f.depth)
-    assert np.array_equal(measure_cell_masses(w, f), w.values / 16)
-    assert oscillation(f, w=w) == oscillation(f, w=w.values / 16)
+    w = f.copy_with(np.linspace(0.0, 1.0, 16))
+    masses = w.values / 16          # a zero mass is a valid measure
+    assert measure_cell_masses(masses, f) is masses
+    c = f.values.mean()
+    assert oscillation(f, w=masses) == pytest.approx(
+        (np.abs(f.values - c) * masses).sum() / masses.sum(), rel=1e-14)
+    for call in (lambda: resolve(w.values, f.root, f.depth),  # not a weight
+                 lambda: GridWeight(w).cell_values(f.root, f.depth),
+                 lambda: GridWeight(w).cell_masses(f.root, f.depth)):
+        with pytest.raises(GridError, match="positive"):
+            call()
+    pos = f.copy_with(w.values + 1.0)
+    gw = GridWeight(pos)
+    assert gw.cell_values(f.root, f.depth) is pos.values
+    assert_same_bits(gw.cell_masses(f.root, f.depth), pos.values / 16)
+    assert ap_constant(gw.cell_values(f.root, f.depth), 2.0, f.root,
+                       f.depth) >= 1.0
 
 
 def test_measure_cell_masses_contract():
     root = RootBox.unit(1)
     g = GridFunction(root, 2, np.array([1.0, 2.0, 3.0, 4.0]))
-    h = 0.25
-    masses = np.array([0.5, 0.25, 0.125, 1.0])
-    sym = RootBox.symmetric(1)
-    gs = GridFunction(sym, 2, np.ones(4))
-    pw = PowerWeight(0.5, 1, sym)
-    table = [
-        (None, g, np.full(4, h)),
-        (masses, g, masses),
-        (g, g, g.values * h),
-        (GridWeight(g), g, g.values * h),
-        (pw, gs, pw.cell_masses(sym, 2)),
-    ]
-    for measure, on, expected in table:
-        got = measure_cell_masses(measure, on)
-        assert got.shape == on.values.shape
-        assert np.array_equal(got, expected)
+    masses = np.array([0.5, 0.25, 0.125, 0.0])
+    assert_same_bits(measure_cell_masses(None, g), np.full(4, g.cell_volume))
     assert measure_cell_masses(masses, g) is masses
+    sym = RootBox.symmetric(2)
+    for depth in (0, 3):
+        h = GridFunction(sym, depth, np.ones(4 ** depth))
+        assert_same_bits(lebesgue_masses(sym, depth),
+                         np.full(h.values.shape, h.cell_volume))
+    refused = [(np.ones(8), r"got \(8,\)"),
+               (np.ones((4, 4)), r"got \(4, 4\)"),
+               (np.array([0.5, -0.25, 0.125, 1.0]), "nonnegative"),
+               (g, "got GridFunction"), (GridWeight(g), "got GridWeight"),
+               (PowerWeight(0.5, 1), "got PowerWeight")]
+    for measure, words in refused:
+        with pytest.raises(GridError, match=words):
+            measure_cell_masses(measure, g)
 
 
 def test_grid_function_shape_validation():

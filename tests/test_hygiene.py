@@ -1,11 +1,11 @@
-"""Source hygiene: every name a library module imports is used there,
-every module-level private function is referenced by some module, every
-public function, class and method is read by the package, the acceptance
-criteria or the benchmark, every defaulted parameter of one is passed by
-a call there, every method the benchmark traces is defined in its class's
-own body, no function imports a package module locally, and no module
-builds full-grid coordinate temporaries, whole multi-axis spectra or
-per-element Python calls."""
+"""Source hygiene: every name a library module or a test file imports is
+used there, every module-level private function is referenced by some
+module, every public function, class and method is read by the package,
+the acceptance criteria or the benchmark, every defaulted parameter of
+one is passed by a call there, every method the benchmark traces is
+defined in its class's own body, no function imports a package module
+locally, and no module builds full-grid coordinate temporaries, whole
+multi-axis spectra or per-element Python calls."""
 
 import ast
 import importlib
@@ -17,6 +17,8 @@ import poincarelab
 
 SRC = Path(poincarelab.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -36,7 +38,9 @@ def unused_imports(source):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -113,10 +117,6 @@ def unread_public_names(defining, reading):
                            and not item.name.startswith("_")
                            and item.name not in attrs]
     return sorted(unread)
-
-
-TESTS = Path(__file__).parent
-PERFBENCH = TESTS.parent / "perfbench"
 
 
 def counts_as_reader(path):

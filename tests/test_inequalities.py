@@ -617,3 +617,12 @@ def test_sharpness_fit_needs_two_distinct_values():
         assert math.isnan(sweep.beta_hat) and math.isnan(sweep.fit_residual)
     with pytest.raises(InequalityError):
         sharpness_sweep(1.0, 2, 0.1, [], 5)
+
+
+@pytest.mark.parametrize("iid", ["pp-measure", "a1-linear", "lorentz"])
+def test_catalog_refuses_masses_off_the_grid(iid):
+    # a (16,) mass array on a 16x16 grid, as u and as mu
+    f = GridFunction(RootBox.unit(2), 4, np.arange(256.0) % 7)
+    m = np.full(16, 1.0 / 256)
+    with pytest.raises(GridError, match=r"shape \(16, 16\), got \(16,\)"):
+        check_inequality(iid, f, u=m, mu=m, p=1.5)

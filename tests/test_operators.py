@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import grid
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
-                              _corner_singular_unit_integral, sample)
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              _corner_singular_unit_integral)
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
                                    _centered_maximal, centered_maximal_measure,
                                    centered_maximal_values,
@@ -574,3 +574,10 @@ def test_empirical_opnorm_equals_per_probe_loop(shape):
                       w_masses.ravel(), p)
         best = max(best, num / lp_norm(vals.ravel(), w_masses.ravel(), p))
     assert maximal_opnorm(w_masses, p, shape) == max(best, 1.0)
+
+
+def test_rdf_refuses_masses_off_the_grid():
+    # a (16,) mass array on a 16x16 grid would broadcast along one axis
+    h = GridFunction(RootBox.unit(2), 4, np.ones(256))
+    with pytest.raises(GridError, match=r"shape \(16, 16\), got \(16,\)"):
+        rubio_de_francia(h, np.full(16, 1.0 / 256), 2.0)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import weights
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox,
-                              block_reduce, measure_cell_masses)
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              block_reduce)
 from poincarelab.operators import centered_maximal_values, weak_norm_values
 from poincarelab.weights import (GridWeight, PowerWeight,
                                  WeightError, _corner_singular_unit_integral,
@@ -591,11 +591,28 @@ def test_power_weight_refinement_stability():
     assert m1 == pytest.approx(m2, rel=1e-2)
 
 
-def test_resolve_accepts_arrays_and_objects():
-    wv = resolve(STEP, UNIT1, 1)
-    assert np.array_equal(wv, STEP)
+def test_resolve_accepts_arrays_refuses_objects():
+    assert resolve(STEP, UNIT1, 1) is STEP
     gw = GridWeight(GridFunction(UNIT1, 1, STEP))
-    assert np.array_equal(resolve(gw, UNIT1, 1), STEP)
+    assert np.array_equal(gw.cell_values(UNIT1, 1), STEP)
+    for obj in (gw, gw.g, PowerWeight(0.5, 1)):
+        with pytest.raises(GridError, match="must be an array"):
+            resolve(obj, UNIT1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, root, depth: ap_constant(w, 2.0, root, depth),
+    lambda w, root, depth: constants_report(w, 2.0, root, depth),
+], ids=["ap_constant", "constants_report"])
+@pytest.mark.parametrize("root, depth", [(UNIT1, 3), (RootBox.unit(2), 6)],
+                         ids=["shallower", "2d-root"])
+def test_weight_array_off_its_grid_is_refused(call, root, depth):
+    # read at depth 3, a depth-6 1D array would give a supremum over its
+    # four coarsest levels only
+    w = np.exp(np.random.default_rng(23).normal(0.0, 1.0, 64))
+    with pytest.raises(GridError, match=r"got \(64,\)"):
+        call(w, root, depth)
+    assert ap_constant(w, 2.0, UNIT1, 6) > 1.0
 
 
 def test_shifted_family_only_increases_sup():
