@@ -1,5 +1,6 @@
-"""Level-L stopping-time (Calderon-Zygmund) decomposition, polynomial
-projections on cubes, and the oscillation on the root cube of a grid.
+"""Level-L stopping-time (Calderon-Zygmund) decomposition, the polynomial
+projection P_Q f and the oscillation, all on the root cube Q of a grid; a
+sub-cube is handled by making it the input grid.
 
 The decomposition consumes a nonnegative grid function h on its root
 cube (in the typical use h is a normalized oscillation |f - f_Q|/a(Q)),
@@ -95,30 +96,28 @@ def _monomial_exponents(n, max_total_degree):
 
 @dataclass
 class PolyBasis:
-    """Orthonormal polynomial basis on a cube w.r.t. <f,g> = avg of f*g."""
+    """Orthonormal polynomial basis on the root cube of a grid w.r.t.
+    <f,g> = avg of f*g."""
 
-    Q: CubeIndex
     m: int
     root: object
     depth: int
     exponents: list
-    phis: np.ndarray                # (num_basis, *block shape)
+    phis: np.ndarray                # (num_basis, *grid shape)
 
 
-def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int):
+def orthonormal_basis(f_template: GridFunction, m: int):
     """Gram-Schmidt (via QR) on monomials of total degree <= m-1 in
-    coordinates centered and scaled to Q, sampled at cell midpoints; inner
-    product is the grid average over Q."""
+    coordinates centered and scaled to the root cube, sampled at cell
+    midpoints; inner product is the grid average."""
     if not (1 <= m <= 4):
         raise DecompositionError("m must be in 1..4")
-    n = f_template.n
-    sl = f_template.block(Q)
+    root = f_template.root
     mids = f_template.cell_midpoints()
-    ell = f_template.sidelength(Q)
-    centers = [f_template.root.lower[i] + ell * (Q.coords[i] + 0.5)
-               for i in range(n)]
-    scaled = [(mids[i][sl] - centers[i]) / (ell / 2.0) for i in range(n)]
-    exps = _monomial_exponents(n, m - 1)
+    ell = root.side
+    scaled = [(mids[i] - (root.lower[i] + ell * 0.5)) / (ell / 2.0)
+              for i in range(root.n)]
+    exps = _monomial_exponents(root.n, m - 1)
     ncells = scaled[0].size
     if ncells < len(exps):
         raise DecompositionError("grid too coarse for the requested degree")
@@ -138,22 +137,18 @@ def orthonormal_basis(f_template: GridFunction, Q: CubeIndex, m: int):
     signs[signs == 0] = 1.0
     Qmat = Qmat * signs
     phis = (Qmat.T * np.sqrt(ncells)).reshape((len(exps),) + scaled[0].shape)
-    return PolyBasis(Q, m, f_template.root, f_template.depth, exps, phis)
+    return PolyBasis(m, root, f_template.depth, exps, phis)
 
 
 def project(f: GridFunction, basis: PolyBasis):
-    """P_Q f = sum_r <f, phi_r>_Q phi_r, as a GridFunction supported on Q."""
+    """P_Q f = sum_r <f, phi_r>_Q phi_r on the root cube Q of f's grid."""
     if basis.root != f.root or basis.depth != f.depth:
         raise DecompositionError("basis built on a different grid")
-    sl = f.block(basis.Q)
-    block = f.values[sl]
-    out = np.zeros_like(f.values)
-    proj = np.zeros_like(block)
+    proj = np.zeros_like(f.values)
     for phi in basis.phis:
-        coeff = float((block * phi).mean())
+        coeff = float((f.values * phi).mean())
         proj = proj + coeff * phi
-    out[sl] = proj
-    return f.copy_with(out)
+    return f.copy_with(proj)
 
 
 def _deviation_sum(f: GridFunction, basis, q_exp, masses, weighted_center):

@@ -16,7 +16,10 @@ raw generator words per sampling call and equal scalar
 generator while a sampling call runs.  Both modes read a(Q)^p w(Q) from one
 array per cube level, built from ``Functional.level_values`` (array
 formulas for the fractional and gradient functionals, whose ``eval`` reads
-the same formula for one cube, and ``eval`` per cube for the Lorentz one).
+the same arrays, and ``eval`` per cube for the Lorentz one).
+
+Everything runs on the root cube of the grid: the families are those below
+it, and a sub-cube is checked by making it the input grid.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .operators import lorentz_p1_norm_values
 
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
 ANTICHAIN_CAP = 10 ** 6  # partial families enumerate_antichains builds
+WITNESS_TOL = 1e-9  # relative slack of a DP value a witness must attain
 _WORDS_FIRST, _WORDS_CAP = 16, 4096  # raw words per refill, doubled to the cap
 
 
@@ -57,13 +61,6 @@ class CubeSums:
     def mass(self, q: CubeIndex):
         return float(self.level(q.level)[q.coords])
 
-    def block(self, Q: CubeIndex, level):
-        """Masses of the level-``level`` cubes of Q, shaped as
-        ``Functional.level_values``."""
-        span = 1 << (level - Q.level)
-        return self.level(level)[tuple(slice(c * span, (c + 1) * span)
-                                        for c in Q.coords)]
-
 
 # ---------------------------------------------------------------------------
 # functional variants
@@ -76,11 +73,12 @@ class Functional:
     def eval(self, q: CubeIndex) -> float:
         raise NotImplementedError
 
-    def level_values(self, Q: CubeIndex, level):
-        """a(P) for every level-``level`` cube P of Q, shaped
-        ``(2^(level - Q.level),) * n`` in ``full_partition`` order."""
-        return np.array([self.eval(P) for P in full_partition(Q, level)],
-                        dtype=float).reshape((1 << (level - Q.level),) * Q.n)
+    def level_values(self, level):
+        """a(P) for every level-``level`` cube P of the grid, shaped
+        ``(2^level,) * n`` and indexed by P's coordinates."""
+        cubes = itertools.product(range(1 << level), repeat=self.root.n)
+        return np.array([self.eval(CubeIndex(level, c)) for c in cubes],
+                        dtype=float).reshape((1 << level,) * self.root.n)
 
 
 class FractionalFunctional(Functional):
@@ -97,11 +95,11 @@ class FractionalFunctional(Functional):
         self.w = CubeSums(np.asarray(w_masses, dtype=float), depth)
 
     def eval(self, q):
-        return self.level_values(q, q.level).item()
+        return self.level_values(q.level)[q.coords].item()
 
-    def level_values(self, Q, level):
+    def level_values(self, level):
         ell = self.root.side / (1 << level)
-        ratio = self.mu.block(Q, level) / self.w.block(Q, level)
+        ratio = self.mu.level(level) / self.w.level(level)
         return ell ** self.alpha \
             * float_pow(ratio, 1.0 / self.p, FunctionalError)
 
@@ -123,11 +121,11 @@ class GradientFunctional(Functional):
         self.num = CubeSums(g ** self.p * v, self.depth)
 
     def eval(self, q):
-        return self.level_values(q, q.level).item()
+        return self.level_values(q.level)[q.coords].item()
 
-    def level_values(self, Q, level):
+    def level_values(self, level):
         ell = self.root.side / (1 << level)
-        ratio = self.num.block(Q, level) / self.u.block(Q, level)
+        ratio = self.num.level(level) / self.u.level(level)
         return ell ** self.m \
             * float_pow(ratio, 1.0 / self.p, FunctionalError)
 
@@ -157,18 +155,6 @@ class LorentzGradientFunctional(Functional):
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
-
-def subcube_at(parent: CubeIndex, level, rel_coords):
-    shift = level - parent.level
-    return CubeIndex(level, tuple((pc << shift) + rc
-                                  for pc, rc in zip(parent.coords, rel_coords)))
-
-
-def full_partition(parent: CubeIndex, level):
-    shift = level - parent.level
-    return [subcube_at(parent, level, rc)
-            for rc in itertools.product(range(1 << shift), repeat=parent.n)]
-
 
 @functools.lru_cache(maxsize=None)
 def _z_spread(n, bits):
@@ -246,36 +232,35 @@ class _WordStream:
             bitgen.state = state
 
 
-def _draw_family(Q: CubeIndex, L, below, depth):
-    """Greedy rejection sampler for L-small families of dyadic subcubes of
-    Q: uniformly random cubes, overlaps rejected, until the remaining
-    volume budget is below one finest cell (or FAMILY_MAX_TRIES tries run
-    out).  Members are ``(level, rel)`` pairs, rel the coordinates relative
-    to Q; each try draws its level with ``below`` (a ``_WordStream``'s),
+def _draw_family(n, L, below, depth):
+    """Greedy rejection sampler for L-small families of dyadic cubes of the
+    depth-``depth`` grid in dimension n: uniformly random cubes, overlaps
+    rejected, until the remaining volume budget is below one finest cell
+    (or FAMILY_MAX_TRIES tries run out).  Members are ``(level, coords)``
+    pairs; each try draws its level with ``below`` (a ``_WordStream``'s),
     and n more draws its position when the level fits the budget left.
-    The finest cells of Q are marked in Z order, where each dyadic subcube
-    of Q is one run: the cells of the level-k cube with Z index z are
-    [z * c, (z + 1) * c) for c cells per cube."""
-    n, D = Q.n, depth - Q.level
-    budget = (1 << D) ** n / L
-    spread = _z_spread(n, D)
-    taken = bytearray((1 << D) ** n)
+    The finest cells are marked in Z order, where each dyadic cube is one
+    run: the cells of the level-k cube with Z index z are [z * c,
+    (z + 1) * c) for c cells per cube."""
+    budget = (1 << depth) ** n / L
+    spread = _z_spread(n, depth)
+    taken = bytearray((1 << depth) ** n)
     members, used, tries = [], 0, 0
     while budget - used >= 1.0 and tries < FAMILY_MAX_TRIES:
         tries += 1
-        level = Q.level + below(D + 1)
+        level = below(depth + 1)
         cells = 1 << (n * (depth - level))
         if cells > budget - used:
             continue
-        rel = tuple(below(1 << (level - Q.level)) for _ in range(n))
+        coords = tuple(below(1 << level) for _ in range(n))
         z = 0
-        for r in rel:
-            z = (z << 1) | spread[r]
+        for c in coords:
+            z = (z << 1) | spread[c]
         start = z * cells
         if taken.find(1, start, start + cells) >= 0:
             continue
         taken[start:start + cells] = b"\x01" * cells
-        members.append((level, rel))
+        members.append((level, coords))
         used += cells
     return members
 
@@ -319,27 +304,27 @@ def _maxplus(x, y, width):
     return out
 
 
-def _scores(a, w, p, Q, depth):
-    """a(P)^p w(P) for the cubes P of each level from Q's to ``depth``,
-    one array per level shaped as ``level_values``; the power is libm pow,
-    which Python's float pow on a scalar a(P) calls too."""
-    return [float_pow(a.level_values(Q, level), p, FunctionalError)
-            * w.block(Q, level) for level in range(Q.level, depth + 1)]
+def _scores(a, w, p, depth):
+    """a(P)^p w(P) for the cubes P of each level from the root's to
+    ``depth``, one array per level shaped as ``level_values``; the power is
+    libm pow, which Python's float pow on a scalar a(P) calls too."""
+    return [float_pow(a.level_values(level), p, FunctionalError)
+            * w.level(level) for level in range(depth + 1)]
 
 
-def _level_dp(scores, n, top):
-    """Budgeted max-plus DP over the cube tree below Q, bottom-up by level,
-    from the ``_scores`` of Q.
+def _level_dp(scores, top):
+    """Budgeted max-plus DP over the cube tree, bottom-up by level, from
+    its ``_scores``.
 
-    Row i of relative level r is the i-th cube of full_partition(Q,
-    Q.level + r).  arrs[r][i, c] is the best sum of a^p w over antichains
+    Row i of level r is the i-th level-r cube in row-major order of its
+    coordinates.  arrs[r][i, c] is the best sum of a^p w over antichains
     below it using exactly c <= top finest cells; kids[r][i, j] is the row
     of its j-th child (``CubeIndex.children()`` order) and convs[r][j][i]
     its fold over the first j children, kept for witness backtracking.  One
     _maxplus call per child slot serves a whole level.  The root step costs
     O(top^2): the DP is quadratic in the finest cells of the largest budget.
     """
-    D = len(scores) - 1
+    n, D = scores[0].ndim, len(scores) - 1
     scores = [s.ravel() for s in scores]
     leaves = np.stack([np.zeros_like(scores[D]), scores[D]], axis=1)
     arrs = [None] * D + [leaves[:, :top + 1]]
@@ -358,16 +343,17 @@ def _level_dp(scores, n, top):
     return arrs, convs, scores, kids
 
 
-def _witness(dp, q, r, i, count, tol=1e-9):
-    """Antichain below q (row i of relative level r) attaining the DP value
-    at exactly ``count`` finest cells; children are scanned last first."""
+def _witness(dp, q, r, i, count):
+    """Antichain below q (row i of level r) attaining the DP value at
+    exactly ``count`` finest cells, within WITNESS_TOL relative; children
+    are scanned last first."""
     arrs, convs, scores, kids = dp
     arr = arrs[r][i]
     if count <= 0 or not np.isfinite(arr[count]) or arr[count] <= 0:
         return []
-    scale = 1.0 + abs(arr[count])
+    slack = WITNESS_TOL * (1.0 + abs(arr[count]))
     if count == 1 << (q.n * (len(arrs) - 1 - r)) \
-            and scores[r][i] >= arr[count] - tol * scale:
+            and scores[r][i] >= arr[count] - slack:
         return [q]
     out = []
     children = q.children()
@@ -379,22 +365,23 @@ def _witness(dp, q, r, i, count, tol=1e-9):
         for c in range(min(rem, carr.size - 1) + 1):
             if rem - c < prev.size and np.isfinite(prev[rem - c]) \
                     and np.isfinite(carr[c]) \
-                    and prev[rem - c] + carr[c] >= val - tol * scale:
+                    and prev[rem - c] + carr[c] >= val - slack:
                 pick = c
                 break
-        out.extend(_witness(dp, children[j], r + 1, kids[r][i, j], pick, tol))
+        out.extend(_witness(dp, children[j], r + 1, kids[r][i, j], pick))
         val = val - (carr[pick] if pick else 0.0)
         rem -= pick
     return out
 
 
-def _dp_maxima(scores, p, Q, depth, Ls):
-    """(ratio, witness) of the best antichain below Q within |Q|/L (no
-    limit for L None) for each L, all read from one level DP."""
-    cells = 1 << (Q.n * (depth - Q.level))
+def _dp_maxima(scores, p, Ls):
+    """(ratio, witness) of the best antichain below the root within |root|/L
+    (no limit for L None) for each L, all read from one level DP."""
+    n, depth = scores[0].ndim, len(scores) - 1
+    cells = 1 << (n * depth)
     tops = [cells if L is None else min(math.floor(cells / L + 1e-9), cells)
             for L in Ls]
-    dp = _level_dp(scores, Q.n, max(tops, default=0))
+    dp = _level_dp(scores, max(tops, default=0))
     root = dp[0][0][0]
     den = scores[0].item()
     out = []
@@ -402,29 +389,31 @@ def _dp_maxima(scores, p, Q, depth, Ls):
         finite = np.where(np.isfinite(root[:top + 1]), root[:top + 1], -np.inf)
         use = int(np.argmax(finite))
         ratio = float((max(float(finite[use]), 0.0) / den) ** (1.0 / p))
-        out.append((ratio, _witness(dp, Q, 0, 0, use)))
+        out.append((ratio, _witness(dp, CubeIndex.root(n), 0, 0, use)))
     return out
 
 
-def _sampled(scores, p, Q, depth, L, trials, rng):
-    """D_p ratios of ``trials`` sampled L-small families below Q, their
-    maximum and the first family attaining it.  Each ratio is
+def _sampled(scores, p, L, trials, rng):
+    """D_p ratios of ``trials`` sampled L-small families below the root,
+    their maximum and the first family attaining it.  Each ratio is
     (sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p): the members'
     ``_scores`` entries added in member order, then the 1/p power, on
     Python floats.  The families are drawn from one ``_WordStream`` of
     ``rng``."""
+    n, depth = scores[0].ndim, len(scores) - 1
     den = scores[0].item()
     ratios, best, best_fam = [], -math.inf, []
     with _WordStream(rng) as stream:
-        fams = [_draw_family(Q, L, stream.below, depth)
+        fams = [_draw_family(n, L, stream.below, depth)
                 for _ in range(trials)]
     for fam in fams:
-        num = sum(scores[level - Q.level].item(rel) for level, rel in fam)
+        num = sum(scores[level].item(coords) for level, coords in fam)
         r = float((num / den) ** (1.0 / p))
         ratios.append(r)
         if r > best:
             best, best_fam = r, fam
-    return ratios, best, [subcube_at(Q, level, rel) for level, rel in best_fam]
+    return ratios, best, [CubeIndex(level, coords)
+                          for level, coords in best_fam]
 
 
 def _loglog_fit(xs, ys):
@@ -441,7 +430,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
               trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L) (NaN, with its
-    residual, for a single L).
+    residual, for a single L).  Q must be the root cube of the grid: a
+    sub-cube is checked by making it the input grid.
 
     Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``).
     Random mode draws its families from a buffered stream of raw
@@ -451,6 +441,10 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     ratio <= (1/L)^(alpha/n) is checked per family; violations beyond
     1e-12 are counted in the report.
     """
+    n = a.root.n
+    if Q != CubeIndex.root(n):
+        raise FunctionalError(f"sdp_check runs on the root cube of the "
+                              f"grid, got {Q}; make a sub-cube the input grid")
     if any(L <= 1 for L in Ls):
         raise FunctionalError("each L must be > 1")
     if mode not in ("exhaustive", "random"):
@@ -458,16 +452,15 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     if mode == "random" and trials < 1:
         raise FunctionalError("trials must be >= 1")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
-    scores = _scores(a, w, p, Q, depth)
-    alpha_over_n = (a.alpha / Q.n if isinstance(a, FractionalFunctional)
+    scores = _scores(a, w, p, depth)
+    alpha_over_n = (a.alpha / n if isinstance(a, FractionalFunctional)
                     else None)
     Ls = sorted(Ls)
     if mode == "exhaustive":
-        found = [([r], r, wit)
-                 for r, wit in _dp_maxima(scores, p, Q, depth, Ls)]
+        found = [([r], r, wit) for r, wit in _dp_maxima(scores, p, Ls)]
     else:
         rng = np.random.default_rng(seed)
-        found = [_sampled(scores, p, Q, depth, L, trials, rng) for L in Ls]
+        found = [_sampled(scores, p, L, trials, rng) for L in Ls]
     per_L, violations = {}, 0
     worst, witness = 0.0, []
     for L, (ratios, best_r, best_w) in zip(Ls, found):
@@ -484,10 +477,11 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
                     per_L, violations)
 
 
-def enumerate_antichains(Q: CubeIndex, depth):
-    """All antichains (families of pairwise-disjoint dyadic cubes) in the
-    subtree of Q, as lists; brute-force oracle for the DP maxima.  Refused
-    once more than ANTICHAIN_CAP partial families have been built."""
+def enumerate_antichains(n, depth):
+    """All antichains (families of pairwise-disjoint dyadic cubes) of the
+    depth-``depth`` grid in dimension n, as lists; brute-force oracle for
+    the DP maxima.  Refused once more than ANTICHAIN_CAP partial families
+    have been built."""
     count = [0]
 
     def rec(q):
@@ -503,4 +497,4 @@ def enumerate_antichains(Q: CubeIndex, depth):
         fams.append([q])
         return fams
 
-    return rec(Q)
+    return rec(CubeIndex.root(n))

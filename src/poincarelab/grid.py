@@ -142,9 +142,6 @@ class GridFunction:
 
     # -- cube geometry ----------------------------------------------------
 
-    def sidelength(self, q):
-        return self.root.side / (1 << q.level)
-
     def block(self, q):
         """Slice tuple selecting the cells of cube ``q``."""
         if q.level > self.depth:

@@ -76,11 +76,11 @@ def poincare_sides(f: GridFunction, u=None, v=None, lhs_exponent=1.0, p=1.0,
     functional a(Q) (v inside, u outside; ``GradientFunctional``).  u and
     v are cell masses, u Lebesgue and v = u when None, each checked once.
     """
-    Q = CubeIndex.root(f.n)
     um = measure_cell_masses(u, f)
     vm = None if v is None else measure_cell_masses(v, f)
-    rhs = GradientFunctional(m, p, discrete_gradient(f, m), um, vm).eval(Q)
-    basis = orthonormal_basis(f, Q, m) if center == "projection" else None
+    rhs = GradientFunctional(m, p, discrete_gradient(f, m), um,
+                             vm).eval(CubeIndex.root(f.n))
+    basis = orthonormal_basis(f, m) if center == "projection" else None
     return oscillation(f, basis, lhs_exponent, um,
                        center == "weighted_mean"), rhs
 
@@ -128,11 +128,10 @@ def _functional_hypothesis_norm(f: GridFunction, a: Functional):
     """max over the dyadic cubes P of f's grid of avg_P |f - f_P| / a(P),
     one level of cubes at a time, a(P) read from ``a.level_values``."""
     best, axes = 0.0, tuple(range(f.n, 2 * f.n))
-    Q = CubeIndex.root(f.n)
     for level in range(f.depth + 1):
         blocks = level_blocks(f.values, level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
-        best = max(best, float(np.max(osc / a.level_values(Q, level))))
+        best = max(best, float(np.max(osc / a.level_values(level))))
     return best
 
 

@@ -84,6 +84,9 @@ class PowerWeight:
         self.delta = float(delta)
         self._n = int(n)
         self.root = root if root is not None else RootBox.symmetric(n)
+        if self.root.n != self._n:
+            raise WeightError(f"PowerWeight of dimension n={self._n} on a "
+                              f"root box of dimension {self.root.n}")
         if any(lo + self.root.side / 2.0 != 0.0 for lo in self.root.lower):
             raise WeightError("PowerWeight root box must be centered at the origin")
 

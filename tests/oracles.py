@@ -1,9 +1,9 @@
 """Plain references the tests compare the library against, and the drivers
 that reach its private D_p kernels directly: a walk over every dyadic cube,
-cube inclusion, a sub-cube made its own grid, the scalar formulas of the
-fractional and gradient functionals, the per-family D_p ratio, the overlap
-and budget check of an L-small family, one sampled family, and the D_p
-maximum of a single exhaustive or sampled run."""
+cube inclusion, the subcubes of a cube, a sub-cube made its own grid, the
+scalar formulas of the fractional and gradient functionals, the per-family
+D_p ratio, the overlap and budget check of an L-small family, one sampled
+family, and the D_p maximum of a single exhaustive or sampled run."""
 
 import itertools
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ import numpy as np
 from poincarelab.functionals import (CubeSums, DpReport, FractionalFunctional,
                                      FunctionalError, GradientFunctional,
                                      _dp_maxima, _draw_family, _sampled,
-                                     _scores, _WordStream, subcube_at)
+                                     _scores, _WordStream)
 from poincarelab.grid import CubeIndex, GridFunction, RootBox
 
 
@@ -32,10 +32,26 @@ def contains(Q: CubeIndex, other: CubeIndex):
     return all(oc >> shift == c for c, oc in zip(Q.coords, other.coords))
 
 
+def subcube_at(parent: CubeIndex, level, rel_coords):
+    """The level-``level`` cube of ``parent`` at coordinates ``rel_coords``
+    relative to it."""
+    shift = level - parent.level
+    return CubeIndex(level, tuple((pc << shift) + rc
+                                  for pc, rc in zip(parent.coords, rel_coords)))
+
+
+def full_partition(parent: CubeIndex, level):
+    """The level-``level`` cubes of ``parent``, row-major in their
+    relative coordinates."""
+    shift = level - parent.level
+    return [subcube_at(parent, level, rc)
+            for rc in itertools.product(range(1 << shift), repeat=parent.n)]
+
+
 def restrict(f: GridFunction, Q: CubeIndex):
     """f on the cells of Q, as a grid whose root box is Q: the input that
     checks Q with the library's root-cube functions."""
-    side = f.sidelength(Q)
+    side = f.root.side / (1 << Q.level)
     lower = tuple(lo + side * c for lo, c in zip(f.root.lower, Q.coords))
     return GridFunction(RootBox(lower, side), f.depth - Q.level,
                         f.values[f.block(Q)])
@@ -87,14 +103,16 @@ class SmallFamily:
         return used
 
 
-def random_small_family(Q: CubeIndex, L, rng, depth):
-    """One sampled L-small family of dyadic subcubes of Q, drawn by
-    ``_draw_family`` from a ``_WordStream`` of ``rng``, as ``sdp_check``'s
-    random mode draws each of its families."""
+def random_small_family(n, L, rng, depth):
+    """One sampled L-small family of dyadic cubes of the depth-``depth``
+    grid in dimension n, drawn by ``_draw_family`` from a ``_WordStream``
+    of ``rng``, as ``sdp_check``'s random mode draws each of its
+    families."""
     with _WordStream(rng) as stream:
-        members = _draw_family(Q, L, stream.below, depth)
-    return SmallFamily(Q, [subcube_at(Q, level, rel) for level, rel
-                           in members], float(L))
+        members = _draw_family(n, L, stream.below, depth)
+    return SmallFamily(CubeIndex.root(n), [CubeIndex(level, coords)
+                                           for level, coords in members],
+                       float(L))
 
 
 def dp_ratio(a, w: CubeSums, p, family, Q: CubeIndex):
@@ -104,20 +122,20 @@ def dp_ratio(a, w: CubeSums, p, family, Q: CubeIndex):
     return float((num / den) ** (1.0 / p))
 
 
-def max_dp_ratio(a, w_masses, p, Q: CubeIndex, depth,
-                 mode="exhaustive", trials=1000, seed=0, budget_L=None):
-    """Best D_p ratio over dyadic antichains below Q (optionally volume
-    limited to |Q|/budget_L).  exhaustive: exact tree maximum;
-    random: sampled lower bound."""
+def max_dp_ratio(a, w_masses, p, depth, mode="exhaustive", trials=1000,
+                 seed=0, budget_L=None):
+    """Best D_p ratio over dyadic antichains below the root cube Q of a's
+    grid (optionally volume limited to |Q|/budget_L).  exhaustive: exact
+    tree maximum; random: sampled lower bound."""
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
     w = CubeSums(np.asarray(w_masses, dtype=float), depth)
-    scores = _scores(a, w, p, Q, depth)
+    scores = _scores(a, w, p, depth)
     if mode == "exhaustive":
-        [(ratio, witness)] = _dp_maxima(scores, p, Q, depth, [budget_L])
+        [(ratio, witness)] = _dp_maxima(scores, p, [budget_L])
         return DpReport(float(p), ratio, witness, 0, mode)
     L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
-    _, best, witness = _sampled(scores, p, Q, depth, L, trials,
+    _, best, witness = _sampled(scores, p, L, trials,
                                 np.random.default_rng(seed))
     if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []

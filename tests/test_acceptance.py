@@ -41,7 +41,7 @@ def report(num, ok, detail, started, limit):
 
 @pytest.fixture(scope="module")
 def antichains_1d_depth4():
-    return enumerate_antichains(CubeIndex.root(1), 4)
+    return enumerate_antichains(1, 4)
 
 
 def test_criterion_01_identity_weight_calibration():
@@ -188,7 +188,7 @@ def test_criterion_06_classical_exponent_smallness(antichains_1d_depth4):
     # gain 1/s = 1/q
     run(1, 4, antichains_1d_depth4, [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5)])
     # 2D analogue for both p values, with the genuine target exponent
-    fams_2d = enumerate_antichains(CubeIndex.root(2), 2)
+    fams_2d = enumerate_antichains(2, 2)
     for p in (1.0, 1.5):
         ps = sobolev_exponent("classical", p, 2)
         combos = [(p, q_exp, 1.0 / q_exp - 1.0 / ps)
@@ -305,7 +305,7 @@ def test_criterion_10_projection_fixtures():
         f = GridFunction(root, depth, rng.normal(size=(2 ** depth,) * n))
         mids = f.cell_midpoints()
         for m in (1, 2, 3, 4):
-            basis = orthonormal_basis(f, CubeIndex.root(n), m)
+            basis = orthonormal_basis(f, m)
             pf = project(f, basis)
             ok &= bool(np.allclose(project(pf, basis).values, pf.values,
                                    atol=1e-9))
@@ -320,7 +320,7 @@ def test_criterion_10_projection_fixtures():
     edges = np.linspace(0.0, 1.0, N + 1)
     vals = (edges[1:] ** 3 - edges[:-1] ** 3) / (3.0 / N)
     f = GridFunction(RootBox.unit(1), 8, vals)
-    basis = orthonormal_basis(f, CubeIndex.root(1), 2)
+    basis = orthonormal_basis(f, 2)
     pf = project(f, basis)
     mids = f.cell_midpoints()[0]
     fixture_err = float(np.max(np.abs(pf.values - (mids - 1.0 / 6.0))))

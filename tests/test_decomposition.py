@@ -1,5 +1,6 @@
 """Stopping-time decomposition and polynomial projections."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_cz_peak_memory_is_a_small_multiple_of_the_grid():
 def test_projection_order_one_is_mean():
     rng = np.random.default_rng(2)
     f = GridFunction(UNIT1, 4, rng.normal(size=16))
-    basis = orthonormal_basis(f, CubeIndex.root(1), 1)
+    basis = orthonormal_basis(f, 1)
     pf = project(f, basis)
     assert np.allclose(pf.values, f.values.mean(), atol=1e-12)
 
@@ -244,7 +245,7 @@ def test_basis_orthonormal_up_to_order_four():
         f = GridFunction(RootBox.unit(n), depth,
                          np.zeros((2 ** depth,) * n))
         for m in (1, 2, 3, 4):
-            basis = orthonormal_basis(f, CubeIndex.root(n), m)
+            basis = orthonormal_basis(f, m)
             flat = basis.phis.reshape(basis.phis.shape[0], -1)
             gram = flat @ flat.T / flat.shape[1]
             assert np.allclose(gram, np.eye(flat.shape[0]), atol=1e-9)
@@ -254,7 +255,7 @@ def test_basis_orthonormal_up_to_order_four():
 def test_basis_rejects_too_coarse_grid():
     f = GridFunction(UNIT1, 1, np.zeros(2))
     with pytest.raises(DecompositionError):
-        orthonormal_basis(f, CubeIndex.root(1), 4)
+        orthonormal_basis(f, 4)
 
 
 def test_projection_reproduces_low_degree():
@@ -266,7 +267,7 @@ def test_projection_reproduces_low_degree():
         else:
             f = sample(root, depth, lambda x, y: 1.0 + 2 * x - y
                        + (x * y if m >= 3 else 0.0))
-        basis = orthonormal_basis(f, CubeIndex.root(n), m)
+        basis = orthonormal_basis(f, m)
         pf = project(f, basis)
         assert np.allclose(pf.values, f.values, atol=1e-9)
 
@@ -275,7 +276,7 @@ def test_projection_idempotent_linear_selfadjoint():
     rng = np.random.default_rng(3)
     f = GridFunction(UNIT1, 5, rng.normal(size=32))
     g = GridFunction(UNIT1, 5, rng.normal(size=32))
-    basis = orthonormal_basis(f, CubeIndex.root(1), 3)
+    basis = orthonormal_basis(f, 3)
     pf = project(f, basis)
     ppf = project(pf, basis)
     assert np.allclose(ppf.values, pf.values, atol=1e-9)
@@ -289,10 +290,29 @@ def test_projection_idempotent_linear_selfadjoint():
 
 def test_projection_of_cell_averaged_square_fixture():
     f = cell_averaged_square(6)
-    basis = orthonormal_basis(f, CubeIndex.root(1), 2)
+    basis = orthonormal_basis(f, 2)
     pf = project(f, basis)
     mids = f.cell_midpoints()[0]
     assert np.max(np.abs(pf.values - (mids - 1 / 6))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,depth,m", [(1, 6, 3), (2, 4, 2), (2, 4, 3)])
+def test_projection_on_a_subcube_is_the_least_squares_fit(n, depth, m):
+    # P_Q f for a sub-cube Q, made the input grid, against the least-squares
+    # fit of polynomials of degree < m to f's cells in Q, in the
+    # coordinates of the whole grid
+    rng = np.random.default_rng(7 + n + m)
+    f = GridFunction(RootBox.unit(n), depth,
+                     rng.normal(size=(1 << depth,) * n))
+    Q = CubeIndex(2, (1,) * n)
+    g = restrict(f, Q)
+    got = project(g, orthonormal_basis(g, m)).values
+    mids = [x[f.block(Q)].ravel() for x in f.cell_midpoints()]
+    A = np.stack([np.prod([x ** k for x, k in zip(mids, e)], axis=0)
+                  for e in itertools.product(range(m), repeat=n)
+                  if sum(e) < m], axis=1)
+    coef = np.linalg.lstsq(A, g.values.ravel(), rcond=None)[0]
+    assert np.allclose(got.ravel(), A @ coef, rtol=0.0, atol=1e-10)
 
 
 def test_projection_sup_bound_margin_finite():
@@ -300,7 +320,7 @@ def test_projection_sup_bound_margin_finite():
     # size and C the largest sup norm of a basis function
     rng = np.random.default_rng(4)
     f = GridFunction(UNIT1, 5, rng.normal(size=32))
-    basis = orthonormal_basis(f, CubeIndex.root(1), 3)
+    basis = orthonormal_basis(f, 3)
     N, C = basis.phis.shape[0], float(np.max(np.abs(basis.phis)))
     margin = float(np.max(np.abs(project(f, basis).values))) \
         / (N * C ** 2 * float(np.abs(f.values).mean()))

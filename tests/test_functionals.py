@@ -9,13 +9,13 @@ from poincarelab import functionals
 from poincarelab.functionals import (CubeSums, FractionalFunctional,
                                      FunctionalError, GradientFunctional,
                                      LorentzGradientFunctional,
-                                     enumerate_antichains, full_partition,
-                                     sdp_check, subcube_at)
+                                     enumerate_antichains, sdp_check)
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
                               discrete_gradient)
 from tests.conftest import counting
-from tests.oracles import (contains, dp_ratio, max_dp_ratio,
-                           random_small_family, reference_eval)
+from tests.oracles import (contains, dp_ratio, full_partition, max_dp_ratio,
+                           random_small_family, reference_eval,
+                           relative_cube, restrict, subcube_at)
 
 UNIT1 = RootBox.unit(1)
 
@@ -74,7 +74,7 @@ def test_increasing_functional_dp_below_one():
     for p in (1.0, 2.0):
         a = FractionalFunctional(1.0 / p, p, masses, np.full(8, 1 / 8),
                                  UNIT1, depth)
-        rep = max_dp_ratio(a, np.full(8, 1 / 8), p, CubeIndex.root(1), depth)
+        rep = max_dp_ratio(a, np.full(8, 1 / 8), p, depth)
         assert rep.worst_ratio <= 1.0 + 1e-9
 
 
@@ -93,8 +93,7 @@ def test_cube_sums_sum_only_the_levels_read(monkeypatch):
     assert cs.mass(CubeIndex.root(2)) == masses.sum()
     assert cs.mass(CubeIndex.root(2)) == masses.sum()
     assert summed == [0]
-    assert np.array_equal(cs.block(CubeIndex(1, (1, 0)), 2),
-                          block_reduce(masses, 2, np.sum)[2:4, 0:2])
+    assert np.array_equal(cs.level(2), block_reduce(masses, 2, np.sum))
     assert cs.mass(CubeIndex(2, (3, 1))) == masses[6:8, 2:4].sum()
     assert summed == [0, 2]
 
@@ -102,10 +101,9 @@ def test_cube_sums_sum_only_the_levels_read(monkeypatch):
 def test_enumerate_antichains_refuses_beyond_its_cap(monkeypatch):
     # a(d) = a(d - 1)^2 + 1 antichains below a 1D cube d levels up
     monkeypatch.setattr(functionals, "ANTICHAIN_CAP", 100)
-    root = CubeIndex.root(1)
-    assert len(enumerate_antichains(root, 2)) == 26
+    assert len(enumerate_antichains(1, 2)) == 26
     with pytest.raises(FunctionalError, match="cap"):
-        enumerate_antichains(root, 3)
+        enumerate_antichains(1, 3)
 
 
 def test_gradient_functional_eval():
@@ -136,8 +134,8 @@ def test_exhaustive_dp_matches_bruteforce_enumeration():
             a = FractionalFunctional(0.7, p, mu, wm, RootBox.unit(n), depth)
             w = CubeSums(wm, depth)
             best = max(dp_ratio(a, w, p, fam, root)
-                       for fam in enumerate_antichains(root, depth))
-            rep = max_dp_ratio(a, wm, p, root, depth, mode="exhaustive")
+                       for fam in enumerate_antichains(n, depth))
+            rep = max_dp_ratio(a, wm, p, depth, mode="exhaustive")
             assert rep.worst_ratio == pytest.approx(best, rel=1e-9)
             assert dp_ratio(a, w, p, rep.witness, root) == \
                 pytest.approx(best, rel=1e-9)
@@ -153,11 +151,11 @@ def test_budgeted_dp_matches_restricted_enumeration():
     root = CubeIndex.root(1)
     L = 4.0
     best = 0.0
-    for fam in enumerate_antichains(root, depth):
+    for fam in enumerate_antichains(1, depth):
         used = sum(2 ** (depth - q.level) for q in fam)
         if used <= 8 / L:
             best = max(best, dp_ratio(a, w, 1.0, fam, root))
-    rep = max_dp_ratio(a, wm, 1.0, root, depth, mode="exhaustive", budget_L=L)
+    rep = max_dp_ratio(a, wm, 1.0, depth, mode="exhaustive", budget_L=L)
     assert rep.worst_ratio == pytest.approx(best, rel=1e-9)
 
 
@@ -167,10 +165,9 @@ def test_random_mode_is_lower_bound():
     mu = rng.uniform(0.1, 1.0, 16)
     wm = rng.uniform(0.1, 1.0, 16)
     a = FractionalFunctional(0.5, 2.0, mu, wm, UNIT1, depth)
-    root = CubeIndex.root(1)
-    exact = max_dp_ratio(a, wm, 2.0, root, depth, mode="exhaustive",
+    exact = max_dp_ratio(a, wm, 2.0, depth, mode="exhaustive",
                          budget_L=2.0)
-    rnd = max_dp_ratio(a, wm, 2.0, root, depth, mode="random", trials=200,
+    rnd = max_dp_ratio(a, wm, 2.0, depth, mode="random", trials=200,
                        seed=0, budget_L=2.0)
     assert rnd.worst_ratio <= exact.worst_ratio + 1e-12
     assert rnd.trials == 200
@@ -179,10 +176,10 @@ def test_random_mode_is_lower_bound():
 @given(st.integers(0, 2 ** 31 - 1), st.floats(1.01, 16.0))
 @settings(max_examples=80, deadline=None)
 def test_random_small_family_invariants(seed, L):
+    # the families of the 1D cube (1,) at depth 5, made the input grid
     rng = np.random.default_rng(seed)
-    Q = CubeIndex(1, (1,))
-    depth = 5
-    fam = random_small_family(Q, L, rng, depth)
+    depth = 4
+    fam = random_small_family(1, L, rng, depth)
     used = fam.validate(depth)  # raises on overlap/outside/budget breach
     assert used <= 16 / L + 1e-9
 
@@ -191,7 +188,7 @@ def test_random_small_family_fills_budget_when_L_near_one():
     rng = np.random.default_rng(4)
     best = 0.0
     for _ in range(20):
-        fam = random_small_family(CubeIndex.root(1), 1.01, rng, 6)
+        fam = random_small_family(1, 1.01, rng, 6)
         best = max(best, fam.validate(6) / 64.0)
     assert best >= 0.9
 
@@ -225,6 +222,18 @@ def test_sdp_check_rejects_bad_L():
     a = unweighted_functional(1.0, 1.0, 1, 3)
     with pytest.raises(FunctionalError):
         sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [1.0])
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_sdp_check_refuses_a_cube_other_than_the_root(mode):
+    # a sub-cube is checked by making it the input grid
+    a = unweighted_functional(1.0, 1.0, 1, 3)
+    m = lebesgue_masses(1, 3)
+    for Q in (CubeIndex(1, (1,)), CubeIndex(2, (0,)), CubeIndex.root(2)):
+        with pytest.raises(FunctionalError, match="runs on the root cube"):
+            sdp_check(a, m, 1.0, Q, 3, [2.0], mode=mode)
+    assert sdp_check(a, m, 1.0, CubeIndex.root(1), 3, [2.0],
+                     mode=mode).worst_ratio > 0.0
 
 
 def test_unknown_mode_is_rejected():
@@ -270,8 +279,8 @@ def test_dp_ratio_monotone_under_family_growth():
 def test_report_to_dict_roundtrips_witness():
     depth = 3
     a = unweighted_functional(1.0, 1.0, 1, depth)
-    rep = max_dp_ratio(a, lebesgue_masses(1, depth), 1.0, CubeIndex.root(1),
-                       depth, mode="exhaustive", budget_L=2.0)
+    rep = max_dp_ratio(a, lebesgue_masses(1, depth), 1.0, depth,
+                       mode="exhaustive", budget_L=2.0)
     d = rep.to_dict()
     assert d["worst_ratio"] == pytest.approx(rep.worst_ratio)
     assert all(isinstance(wit, list) and len(wit) == 2 for wit in d["witness"])
@@ -360,15 +369,24 @@ def reference_max_dp_ratio(a, w_masses, p, Q, depth, budget_L=None):
 
 
 def three_functionals(rng, n, depth, p):
-    """One functional of each class on a seeded depth-``depth`` grid."""
-    root = RootBox.unit(n)
+    """One functional of each class on a seeded depth-``depth`` grid, the
+    masses of w, and ``on(Q)``: the same functionals and masses on the grid
+    ``restrict`` makes of the cube Q."""
     shape = (1 << depth,) * n
     mu, wm = rng.uniform(0.1, 1.0, shape), rng.uniform(0.1, 1.0, shape)
-    grad = discrete_gradient(GridFunction(root, depth,
+    grad = discrete_gradient(GridFunction(RootBox.unit(n), depth,
                                           rng.normal(size=shape)))
-    return [FractionalFunctional(0.7, p, mu, wm, root, depth),
-            GradientFunctional(1, p, grad, wm, mu),
-            LorentzGradientFunctional(p, grad, wm)], wm
+
+    def build(mu, wm, grad):
+        return [FractionalFunctional(0.7, p, mu, wm, grad.root, grad.depth),
+                GradientFunctional(1, p, grad, wm, mu),
+                LorentzGradientFunctional(p, grad, wm)]
+
+    def on(Q):
+        sl = grad.block(Q)
+        return build(mu[sl], wm[sl], restrict(grad, Q)), wm[sl]
+
+    return build(mu, wm, grad), wm, on
 
 
 def cubes_to_check(n, depth):
@@ -376,20 +394,34 @@ def cubes_to_check(n, depth):
     return [root, root.children()[-1], CubeIndex(2, (1,) * n)][:depth]
 
 
+def near(ref):
+    """A value computed on the grid ``restrict`` makes of Q against a
+    reference on Q: the sub-grid sums the masses of Q's cubes from the same
+    cells in another order, which moves the last bits in 2D and 3D."""
+    return pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_level_dp_equals_per_node_dp(n, depth, p):
+    # the level DP on the grid made of Q against the per-node DP there,
+    # bit for bit, and against the per-node DP on Q
     rng = np.random.default_rng(40 + 10 * n + int(p))
-    functionals, wm = three_functionals(rng, n, depth, p)
-    for a in functionals:
-        for Q in cubes_to_check(n, depth):
-            cells = (1 << (depth - Q.level)) ** n
+    functionals, wm, on = three_functionals(rng, n, depth, p)
+    for Q in cubes_to_check(n, depth):
+        subs, wQ = on(Q)
+        D = depth - Q.level
+        cells = (1 << D) ** n
+        for a, aQ in zip(functionals, subs):
             for L in (None, 1.5, 2.0, 3.0, float(cells), 2.0 * cells):
-                rep = max_dp_ratio(a, wm, p, Q, depth, budget_L=L)
+                rep = max_dp_ratio(aQ, wQ, p, D, budget_L=L)
+                assert (rep.worst_ratio, rep.witness) == \
+                    reference_max_dp_ratio(aQ, wQ, p, CubeIndex.root(n), D,
+                                           budget_L=L)
                 ratio, witness = reference_max_dp_ratio(a, wm, p, Q, depth,
                                                         budget_L=L)
-                assert rep.worst_ratio == ratio
-                assert rep.witness == witness
+                assert rep.worst_ratio == near(ratio)
+                assert rep.witness == [relative_cube(Q, q) for q in witness]
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1), st.sampled_from(
@@ -405,7 +437,7 @@ def test_level_dp_equals_per_node_dp_hypothesis(n, seed, p, L):
                              RootBox.unit(n), depth)
     Q = CubeIndex.root(n)
     for budget_L in (None, L):
-        rep = max_dp_ratio(a, wm, p, Q, depth, budget_L=budget_L)
+        rep = max_dp_ratio(a, wm, p, depth, budget_L=budget_L)
         assert (rep.worst_ratio, rep.witness) == \
             reference_max_dp_ratio(a, wm, p, Q, depth, budget_L=budget_L)
 
@@ -414,17 +446,25 @@ def test_level_dp_equals_per_node_dp_hypothesis(n, seed, p, L):
                                         (2, 3, [4.0, 16.0, 5.0]),
                                         (3, 2, [8.0, 2.0])])
 def test_exhaustive_sdp_check_equals_per_L_max_dp_ratio(n, depth, Ls):
+    # each Q made the input grid; the worst L's ratio and witness also
+    # against the per-node DP on Q
     rng = np.random.default_rng(n)
-    functionals, wm = three_functionals(rng, n, depth, 1.0)
-    for a in functionals:
-        for Q in cubes_to_check(n, depth):
-            rep = sdp_check(a, wm, 1.0, Q, depth, Ls, mode="exhaustive")
-            per_L = {L: max_dp_ratio(a, wm, 1.0, Q, depth, budget_L=L)
-                     for L in Ls}
+    functionals, wm, on = three_functionals(rng, n, depth, 1.0)
+    for Q in cubes_to_check(n, depth):
+        subs, wQ = on(Q)
+        D = depth - Q.level
+        for a, aQ in zip(functionals, subs):
+            rep = sdp_check(aQ, wQ, 1.0, CubeIndex.root(n), D, Ls,
+                            mode="exhaustive")
+            per_L = {L: max_dp_ratio(aQ, wQ, 1.0, D, budget_L=L) for L in Ls}
             assert rep.per_L == {L: r.worst_ratio for L, r in per_L.items()}
             worst = max(sorted(Ls), key=lambda L: per_L[L].worst_ratio)
             assert rep.worst_ratio == per_L[worst].worst_ratio
             assert rep.witness == per_L[worst].witness
+            ratio, witness = reference_max_dp_ratio(a, wm, 1.0, Q, depth,
+                                                    budget_L=worst)
+            assert rep.worst_ratio == near(ratio)
+            assert rep.witness == [relative_cube(Q, q) for q in witness]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -439,11 +479,11 @@ def test_sdp_check_without_budgets(mode):
 def test_report_fields_are_python_floats(mode):
     rng = np.random.default_rng(9)
     depth = 4
-    functionals, wm = three_functionals(rng, 1, depth, 2.0)
+    functionals, wm, _ = three_functionals(rng, 1, depth, 2.0)
     for a in functionals:
         reports = [sdp_check(a, wm, 2, CubeIndex.root(1), depth, [2, 4.0],
                              trials=20, mode=mode),
-                   max_dp_ratio(a, wm, 2, CubeIndex.root(1), depth,
+                   max_dp_ratio(a, wm, 2, depth,
                                 mode=mode, trials=20, budget_L=2.0)]
         for rep in reports:
             d = rep.to_dict()
@@ -465,7 +505,7 @@ def reference_smallness_fit(per_L):
                                 [4.0, 2.0, 4.0]])
 def test_smallness_fit_equals_inline_formula(mode, Ls):
     rng = np.random.default_rng(21)
-    functionals, wm = three_functionals(rng, 1, 5, 1.5)
+    functionals, wm, _ = three_functionals(rng, 1, 5, 1.5)
     for a in functionals:
         rep = sdp_check(a, wm, 1.5, CubeIndex.root(1), 5, Ls, trials=30,
                         mode=mode)
@@ -485,24 +525,38 @@ def test_smallness_fit_is_nan_for_one_L(Ls):
 # per-level a(Q) arrays and the sampled mode against per-cube references
 # ---------------------------------------------------------------------------
 
-def assert_level_values_equal_eval(a, Q, depth):
-    """level_values and eval both equal the scalar formula, bit for bit."""
-    for level in range(Q.level, depth + 1):
-        got = a.level_values(Q, level)
-        assert got.shape == (1 << (level - Q.level),) * Q.n
-        ref = [reference_eval(a, P) for P in full_partition(Q, level)]
+def assert_level_values_equal_eval(a, depth):
+    """level_values and eval both equal the scalar formula on every cube,
+    bit for bit."""
+    root = CubeIndex.root(a.root.n)
+    for level in range(depth + 1):
+        got = a.level_values(level)
+        assert got.shape == (1 << level,) * root.n
+        cubes = full_partition(root, level)
+        ref = [reference_eval(a, P) for P in cubes]
         assert np.array_equal(got.ravel(), ref)
-        assert [a.eval(P) for P in full_partition(Q, level)] == ref
+        assert [a.eval(P) for P in cubes] == ref
+
+
+def assert_subcube_values_equal_eval(a, aQ, Q, depth):
+    """aQ, a on the grid ``restrict`` makes of Q, equals the scalar formula
+    there bit for bit, and a's on the cubes of Q up to ``near``."""
+    assert_level_values_equal_eval(aQ, depth - Q.level)
+    for level in range(Q.level, depth + 1):
+        ref = [reference_eval(a, P) for P in full_partition(Q, level)]
+        assert list(aQ.level_values(level - Q.level).ravel()) == near(ref)
 
 
 @pytest.mark.parametrize("n,depth", [(1, 5), (2, 3), (3, 2)])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_level_values_equal_eval_per_cube(n, depth, p):
     rng = np.random.default_rng(70 + 10 * n + int(2 * p))
-    functionals, _ = three_functionals(rng, n, depth, p)
+    functionals, _, on = three_functionals(rng, n, depth, p)
     for a in functionals:
-        for Q in cubes_to_check(n, depth):
-            assert_level_values_equal_eval(a, Q, depth)
+        assert_level_values_equal_eval(a, depth)
+    for Q in cubes_to_check(n, depth)[1:]:
+        for a, aQ in zip(functionals, on(Q)[0]):
+            assert_subcube_values_equal_eval(a, aQ, Q, depth)
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
@@ -518,13 +572,19 @@ def test_level_values_equal_eval_per_cube_hypothesis(n, seed, p, sigma,
     mu = rng.lognormal(0.0, sigma, shape)
     wm = rng.lognormal(0.0, sigma, shape)
     grad = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
-    functionals = [FractionalFunctional(alpha, p, mu, wm, root, depth),
-                   GradientFunctional(m, p, grad, wm, mu),
-                   LorentzGradientFunctional(p, grad, wm)]
+
+    def build(mu, wm, grad):
+        return [FractionalFunctional(alpha, p, mu, wm, grad.root, grad.depth),
+                GradientFunctional(m, p, grad, wm, mu),
+                LorentzGradientFunctional(p, grad, wm)]
+
     coords = tuple(int(c) for c in rng.integers(0, 2, n))
-    for a in functionals:
-        for Q in (CubeIndex.root(n), CubeIndex(1, coords)):
-            assert_level_values_equal_eval(a, Q, depth)
+    Q = CubeIndex(1, coords)
+    sl = grad.block(Q)
+    for a, aQ in zip(build(mu, wm, grad),
+                     build(mu[sl], wm[sl], restrict(grad, Q))):
+        assert_level_values_equal_eval(a, depth)
+        assert_subcube_values_equal_eval(a, aQ, Q, depth)
 
 
 def reference_random_small_family(Q, L, rng, depth, max_tries=400):
@@ -594,20 +654,33 @@ def reference_max_dp_ratio_random(a, w_masses, p, Q, depth, trials, seed,
 def test_sampled_mode_equals_per_family_reference(n, depth, seed):
     rng = np.random.default_rng(90 + seed)
     p = (1.0, 1.5, 2.0)[seed % 3]
-    functionals, wm = three_functionals(rng, n, depth, p)
+    # the library on the grid made of Q against the references there, bit
+    # for bit, and against the references on Q
+    functionals, wm, on = three_functionals(rng, n, depth, p)
     Ls = [3.0, 5.5, 2.0]
-    for a in functionals:
-        for Q in cubes_to_check(n, depth)[:2]:
-            rep = sdp_check(a, wm, p, Q, depth, Ls, trials=12, seed=seed)
+    for Q in cubes_to_check(n, depth)[:2]:
+        subs, wQ = on(Q)
+        D, root = depth - Q.level, CubeIndex.root(n)
+        for a, aQ in zip(functionals, subs):
+            rep = sdp_check(aQ, wQ, p, root, D, Ls, trials=12, seed=seed)
             assert (rep.worst_ratio, rep.per_L, rep.witness, rep.violations,
                     rep.trials) == reference_sdp_check_random(
-                        a, wm, p, Q, depth, Ls, 12, seed)
+                        aQ, wQ, p, root, D, Ls, 12, seed)
+            worst, per_L, witness, violations, trials = \
+                reference_sdp_check_random(a, wm, p, Q, depth, Ls, 12, seed)
+            assert (rep.worst_ratio, rep.per_L) == (near(worst), near(per_L))
+            assert (rep.witness, rep.violations, rep.trials) == \
+                ([relative_cube(Q, q) for q in witness], violations, trials)
             for budget_L in (None, 3.0, 5.5):
-                rep = max_dp_ratio(a, wm, p, Q, depth, mode="random",
-                                   trials=12, seed=seed, budget_L=budget_L)
+                rep = max_dp_ratio(aQ, wQ, p, D, mode="random", trials=12,
+                                   seed=seed, budget_L=budget_L)
                 assert (rep.worst_ratio, rep.witness, rep.trials) == \
-                    reference_max_dp_ratio_random(a, wm, p, Q, depth, 12,
+                    reference_max_dp_ratio_random(aQ, wQ, p, root, D, 12,
                                                   seed, budget_L) + (12,)
+                best, witness = reference_max_dp_ratio_random(
+                    a, wm, p, Q, depth, 12, seed, budget_L)
+                assert rep.worst_ratio == near(best)
+                assert rep.witness == [relative_cube(Q, q) for q in witness]
 
 
 BIT_GENERATORS = ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
@@ -640,9 +713,9 @@ def test_random_small_family_equals_reference_sampler(seed, L, n):
     for name in BIT_GENERATORS:
         rng, ref_rng = generators(name, seed)
         for _ in range(3):
-            fam = random_small_family(Q, L, rng, depth)
-            assert fam.members == reference_random_small_family(
-                Q, L, ref_rng, depth)
+            fam = random_small_family(n, L, rng, depth - Q.level)
+            ref = reference_random_small_family(Q, L, ref_rng, depth)
+            assert fam.members == [relative_cube(Q, q) for q in ref]
         assert_same_state(rng, ref_rng)
 
 
@@ -692,7 +765,7 @@ def test_exception_mid_family_leaves_the_draws_made(name, monkeypatch):
     monkeypatch.setattr(functionals._WordStream, "below", failing_below)
     rng, ref_rng = generators(name, 8)
     with pytest.raises(KeyboardInterrupt):
-        random_small_family(CubeIndex.root(2), 1.5, rng, 5)
+        random_small_family(2, 1.5, rng, 5)
     for R in ranges:
         ref_rng.integers(0, R)
     assert_same_state(rng, ref_rng)
@@ -709,7 +782,7 @@ def test_sdp_check_reads_level_arrays_not_eval_per_cube(mode):
               counting(GradientFunctional)(1, 1.5, grad, wm, mu)):
         sdp_check(a, wm, 1.5, CubeIndex.root(1), depth, [2.0, 3.0, 8.0],
                   trials=50, mode=mode)
-        max_dp_ratio(a, wm, 1.5, CubeIndex.root(1), depth, mode=mode,
+        max_dp_ratio(a, wm, 1.5, depth, mode=mode,
                      trials=50, budget_L=2.0)
         # 127 cubes and 100 sampled families per call: none is evaluated
         # one by one

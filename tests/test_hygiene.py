@@ -4,8 +4,9 @@ module, every public function, class and method is read by the package,
 the acceptance criteria or the benchmark, every defaulted parameter of
 one is passed by a call there, every method the benchmark traces is
 defined in its class's own body, no function imports a package module
-locally, and no module builds full-grid coordinate temporaries, whole
-multi-axis spectra or per-element Python calls."""
+locally, no function takes the cube it runs on, and no module builds
+full-grid coordinate temporaries, whole multi-axis spectra or per-element
+Python calls."""
 
 import ast
 import importlib
@@ -299,6 +300,71 @@ def test_detector_flags_unpassed_defaults():
     assert unpassed_defaults(defining, calling) == [("a.py", "K.run", "u"),
                                                     ("a.py", "f", "j"),
                                                     ("a.py", "h", "unit")]
+
+
+def cube_parameters(sources):
+    """(module, name) of each function or method in ``sources`` (module
+    name -> source text), nested ones included and named ``outer.inner``,
+    that has a parameter named ``Q``: the cube its computation runs on,
+    where the library runs on the root cube of its input grid and a
+    sub-cube is made the input grid."""
+    found = []
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs \
+                    + [x for x in (a.vararg, a.kwarg) if x is not None]
+                if any(x.arg == "Q" for x in params):
+                    found.append((module, prefix + child.name))
+                inner = prefix + child.name + "."
+            elif isinstance(child, ast.ClassDef):
+                inner = prefix + child.name + "."
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return sorted(found)
+
+
+def cube_argument_report(sources, kept):
+    """(flagged, stale): the ``cube_parameters`` whose name ``kept`` does
+    not exempt, and the names in ``kept`` that no function needs."""
+    found = cube_parameters(sources)
+    names = {name for _, name in found}
+    return ([(m, name) for m, name in found if name not in kept],
+            sorted(kept - names))
+
+
+# sdp_check keeps its cube argument, and refuses any cube but the root,
+# because the benchmark passes it by position and binds it by name
+# (ROADMAP item 1)
+CUBE_ARGUMENT_KEPT = {"sdp_check"}
+
+
+def test_no_function_takes_the_cube_it_runs_on():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert cube_argument_report(sources, CUBE_ARGUMENT_KEPT) == ([], [])
+
+
+def test_detector_flags_cube_parameters():
+    sources = {"a.py": "def f(x, Q):\n    def inner(*, Q=None):\n"
+                       "        pass\n\n\ndef g(q, level):\n    pass\n\n\n"
+                       "class K:\n    def level_values(self, Q, level):\n"
+                       "        pass\n\n    def eval(self, q):\n"
+                       "        pass\n",
+               "b.py": "def sdp_check(a, Q, depth):\n    pass\n\n\n"
+                       "def run(*Q):\n    pass\n"}
+    assert cube_parameters(sources) == [("a.py", "K.level_values"),
+                                        ("a.py", "f"), ("a.py", "f.inner"),
+                                        ("b.py", "run"),
+                                        ("b.py", "sdp_check")]
+    # an exempt name is not flagged; an exemption nothing needs is stale
+    assert cube_argument_report(sources, {"sdp_check", "gone"}) == (
+        [("a.py", "K.level_values"), ("a.py", "f"), ("a.py", "f.inner"),
+         ("b.py", "run")], ["gone"])
 
 
 def test_traced_methods_are_defined_in_their_class_body():

@@ -416,7 +416,7 @@ def reference_sides(f, u=None, v=None, lhs_exponent=1.0, p=1.0, m=1,
     gblock = discrete_gradient(f, m).values
     ell = f.root.side
     if center == "projection":
-        c = project(f, orthonormal_basis(f, CubeIndex.root(f.n), m)).values
+        c = project(f, orthonormal_basis(f, m)).values
     elif center == "weighted_mean":
         c = float((block * umass).sum() / utot)
     else:

@@ -561,6 +561,13 @@ def test_power_weight_total_mass_1d():
         assert masses.sum() == pytest.approx(2.0 / delta, rel=1e-10)
 
 
+def test_power_weight_refuses_a_root_of_another_dimension():
+    for delta, n, box_n in ((0.5, 2, 1), (0.5, 3, 2), (0.25, 1, 2)):
+        with pytest.raises(WeightError, match=f"dimension n={n} on a root "
+                                              f"box of dimension {box_n}"):
+            PowerWeight(delta, n, RootBox.symmetric(box_n))
+
+
 def test_power_weight_reduces_to_lebesgue():
     # delta = n = 1 gives the constant weight 1
     root = RootBox.symmetric(1)
