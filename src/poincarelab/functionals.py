@@ -10,13 +10,13 @@ exact maximum over all antichains (with a volume budget for L-small
 families) by one max-plus dynamic program, run level by level up the cube
 tree and read for every L; it agrees with brute-force enumeration, and its
 root step costs O(top^2) in the finest cells of the largest budget.  Random
-mode gives a sampled lower bound; its draws come from one buffered stream of
-raw generator words per sampling call and equal scalar
-``Generator.integers`` draws bit for bit, so nothing else may draw from the
-generator while a sampling call runs.  Both modes read a(Q)^p w(Q) from one
-array per cube level, built from ``Functional.level_values`` (array
-formulas for the fractional and gradient functionals, whose ``eval`` reads
-the same arrays, and ``eval`` per cube for the Lorentz one).
+mode gives a sampled lower bound; its draws come from a private stream of
+raw generator words seeded by ``seed`` and equal scalar
+``Generator.integers`` draws on ``default_rng(seed)`` bit for bit.  Both
+modes read a(Q)^p w(Q) from one array per cube level, built from
+``Functional.level_values`` (array formulas for the fractional and
+gradient functionals, whose ``eval`` reads the same arrays, and ``eval``
+per cube for the Lorentz one).
 
 Everything runs on the root cube of the grid: the families are those below
 it, and a sub-cube is checked by making it the input grid.
@@ -39,7 +39,7 @@ from .operators import lorentz_p1_norm_values
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
 ANTICHAIN_CAP = 10 ** 6  # partial families enumerate_antichains builds
 WITNESS_TOL = 1e-9  # relative slack of a DP value a witness must attain
-_WORDS_FIRST, _WORDS_CAP = 16, 4096  # raw words per refill, doubled to the cap
+_RAW_WORDS = 1024  # 64-bit words per read of the sampler's generator
 
 
 class FunctionalError(ValueError):
@@ -49,8 +49,8 @@ class FunctionalError(ValueError):
 class CubeSums:
     """Per-level block sums of a cell-mass array, each summed on first read."""
 
-    def __init__(self, masses, depth):
-        self.masses, self.depth = masses, depth
+    def __init__(self, masses):
+        self.masses = masses
         self._levels = {}
 
     def level(self, k):
@@ -91,8 +91,8 @@ class FractionalFunctional(Functional):
             raise FunctionalError("degenerate functional: zero mass on some cube")
         self.alpha, self.p = float(alpha), float(p)
         self.root, self.depth = root, depth
-        self.mu = CubeSums(np.asarray(mu_masses, dtype=float), depth)
-        self.w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+        self.mu = CubeSums(np.asarray(mu_masses, dtype=float))
+        self.w = CubeSums(np.asarray(w_masses, dtype=float))
 
     def eval(self, q):
         return self.level_values(q.level)[q.coords].item()
@@ -116,9 +116,9 @@ class GradientFunctional(Functional):
         v = u if v_masses is None else np.asarray(v_masses, dtype=float)
         if np.any(u <= 0):
             raise FunctionalError("degenerate outer weight")
-        self.u = CubeSums(u, self.depth)
+        self.u = CubeSums(u)
         g = np.abs(grad.values)  # inline, numpy powers it in place: slower
-        self.num = CubeSums(g ** self.p * v, self.depth)
+        self.num = CubeSums(g ** self.p * v)
 
     def eval(self, q):
         return self.level_values(q.level)[q.coords].item()
@@ -167,69 +167,35 @@ def _z_spread(n, bits):
                  for r in range(1 << bits))
 
 
-class _WordStream:
-    """The 32-bit words scalar ``Generator.integers`` calls read, pulled
-    from ``bit_generator.random_raw`` in chunks of _WORDS_FIRST words
-    doubling up to _WORDS_CAP.  A generator whose state has ``has_uint32``
-    gives 64-bit raw words, read as their low then high 32-bit halves, and
-    a half pending at entry is read first; MT19937's raw words are its
-    32-bit words.  ``below(R)`` is numpy's bounded draw for ranges up to
-    2^32 (Lemire, ACM TOMACS 2019), so a sequence of ``below`` calls equals
-    ``int(rng.integers(0, R))`` calls bit for bit.  On exit from the
-    ``with`` block, however it is left, the saved state is restored and
-    exactly the words read are drawn again, so the generator is where those
-    scalar calls would have left it.  Nothing else may draw from the
-    generator while the stream is open."""
+def _uniform_draws(seed):
+    """``below(R)``: a uniform integer in [0, R) for R <= 2^32, so that a
+    sequence of ``below`` calls equals ``int(rng.integers(0, R))`` calls on
+    ``rng = np.random.default_rng(seed)`` bit for bit.  It is numpy's
+    bounded draw (Lemire, ACM TOMACS 2019) on the 32-bit words of a private
+    PCG64, read from ``bit_generator.random_raw`` _RAW_WORDS at a time,
+    each 64-bit raw word low half first."""
+    bitgen = np.random.default_rng(seed).bit_generator
 
-    def __init__(self, rng):
-        self._bitgen = rng.bit_generator
-        self._saved = self._bitgen.state
-        self._halves = "has_uint32" in self._saved
-        self._pending = self._halves and bool(self._saved["has_uint32"])
-        self._words = [self._saved["uinteger"]] if self._pending else []
-        self._pos = self._before = 0    # read in, and before, self._words
-        self._chunk = _WORDS_FIRST
+    def halves():
+        while True:
+            raw = bitgen.random_raw(_RAW_WORDS)
+            yield from np.stack((raw & 0xFFFFFFFF, raw >> 32),
+                                axis=1).ravel().tolist()
 
-    def __enter__(self):
-        return self
+    words = halves()
 
-    def _refill(self):
-        raw = self._bitgen.random_raw(self._chunk)
-        if self._halves:
-            raw = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel()
-        self._before += len(self._words)
-        self._words, self._pos = raw.tolist(), 0
-        self._chunk = min(2 * self._chunk, _WORDS_CAP)
-
-    def below(self, R):
-        """A uniform integer in [0, R), as ``int(rng.integers(0, R))``."""
+    def below(R):
         if R == 1:
             return 0
         if R > 1 << 32:
             raise FunctionalError("ranges above 2^32 are not drawn here")
         while True:
-            if self._pos == len(self._words):
-                self._refill()
-            m = self._words[self._pos] * R
-            self._pos += 1
+            m = next(words) * R
             low = m & 0xFFFFFFFF
             if low >= R or low >= ((1 << 32) - R) % R:
                 return m >> 32
 
-    def __exit__(self, *exc):
-        read = self._before + self._pos
-        fresh = max(read - self._pending, 0)    # words past the pending half
-        bitgen = self._bitgen
-        bitgen.state = self._saved
-        if not self._halves:
-            bitgen.random_raw(fresh)
-        elif read:
-            raw = bitgen.random_raw((fresh + 1) // 2)
-            state = bitgen.state
-            state["has_uint32"] = fresh % 2
-            if fresh:
-                state["uinteger"] = int(raw[-1]) >> 32
-            bitgen.state = state
+    return below
 
 
 def _draw_family(n, L, below, depth):
@@ -237,11 +203,12 @@ def _draw_family(n, L, below, depth):
     depth-``depth`` grid in dimension n: uniformly random cubes, overlaps
     rejected, until the remaining volume budget is below one finest cell
     (or FAMILY_MAX_TRIES tries run out).  Members are ``(level, coords)``
-    pairs; each try draws its level with ``below`` (a ``_WordStream``'s),
-    and n more draws its position when the level fits the budget left.
-    The finest cells are marked in Z order, where each dyadic cube is one
-    run: the cells of the level-k cube with Z index z are [z * c,
-    (z + 1) * c) for c cells per cube."""
+    pairs; each try draws its level with ``below``, and n more draws its
+    position when the level fits the budget left.  In ``sdp_check``,
+    ``below`` reads the private stream that ``_uniform_draws`` seeds with
+    its ``seed``.  The finest cells are marked in Z order, where each
+    dyadic cube is one run: the cells of the level-k cube with Z index z
+    are [z * c, (z + 1) * c) for c cells per cube."""
     budget = (1 << depth) ** n / L
     spread = _z_spread(n, depth)
     taken = bytearray((1 << depth) ** n)
@@ -393,20 +360,17 @@ def _dp_maxima(scores, p, Ls):
     return out
 
 
-def _sampled(scores, p, L, trials, rng):
+def _sampled(scores, p, L, trials, below):
     """D_p ratios of ``trials`` sampled L-small families below the root,
     their maximum and the first family attaining it.  Each ratio is
     (sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p): the members'
     ``_scores`` entries added in member order, then the 1/p power, on
-    Python floats.  The families are drawn from one ``_WordStream`` of
-    ``rng``."""
+    Python floats.  The families are drawn in turn with ``below``."""
     n, depth = scores[0].ndim, len(scores) - 1
     den = scores[0].item()
     ratios, best, best_fam = [], -math.inf, []
-    with _WordStream(rng) as stream:
-        fams = [_draw_family(n, L, stream.below, depth)
-                for _ in range(trials)]
-    for fam in fams:
+    for _ in range(trials):
+        fam = _draw_family(n, L, below, depth)
         num = sum(scores[level].item(coords) for level, coords in fam)
         r = float((num / den) ** (1.0 / p))
         ratios.append(r)
@@ -433,25 +397,27 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     residual, for a single L).  Q must be the root cube of the grid: a
     sub-cube is checked by making it the input grid.
 
-    Both modes read a(Q)^p w(Q) from per-level arrays (``_scores``).
-    Random mode draws its families from a buffered stream of raw
-    generator words, equal bit for bit to scalar ``Generator.integers``
-    draws; nothing else may draw from the generator while it runs.
-    For FractionalFunctional inputs the exact bound
-    ratio <= (1/L)^(alpha/n) is checked per family; violations beyond
-    1e-12 are counted in the report.
+    Each L satisfies 1 < L < inf and is given once.  Both modes read
+    a(Q)^p w(Q) from per-level arrays (``_scores``).  Random mode draws the
+    families of every L, in increasing L, from one private stream seeded by
+    ``seed`` (``_uniform_draws``).  For FractionalFunctional inputs the
+    exact bound ratio <= (1/L)^(alpha/n) is checked per family; violations
+    beyond 1e-12 are counted in the report.
     """
     n = a.root.n
     if Q != CubeIndex.root(n):
         raise FunctionalError(f"sdp_check runs on the root cube of the "
                               f"grid, got {Q}; make a sub-cube the input grid")
-    if any(L <= 1 for L in Ls):
-        raise FunctionalError("each L must be > 1")
+    given = ", ".join(map(str, Ls))
+    if not all(1 < L < math.inf for L in Ls):
+        raise FunctionalError(f"each L must satisfy 1 < L < inf, got {given}")
+    if len(set(Ls)) < len(Ls):
+        raise FunctionalError(f"each L may be given once, got {given}")
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
     if mode == "random" and trials < 1:
         raise FunctionalError("trials must be >= 1")
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    w = CubeSums(np.asarray(w_masses, dtype=float))
     scores = _scores(a, w, p, depth)
     alpha_over_n = (a.alpha / n if isinstance(a, FractionalFunctional)
                     else None)
@@ -459,8 +425,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     if mode == "exhaustive":
         found = [([r], r, wit) for r, wit in _dp_maxima(scores, p, Ls)]
     else:
-        rng = np.random.default_rng(seed)
-        found = [_sampled(scores, p, L, trials, rng) for L in Ls]
+        below = _uniform_draws(seed)
+        found = [_sampled(scores, p, L, trials, below) for L in Ls]
     per_L, violations = {}, 0
     worst, witness = 0.0, []
     for L, (ratios, best_r, best_w) in zip(Ls, found):

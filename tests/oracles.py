@@ -13,7 +13,7 @@ import numpy as np
 from poincarelab.functionals import (CubeSums, DpReport, FractionalFunctional,
                                      FunctionalError, GradientFunctional,
                                      _dp_maxima, _draw_family, _sampled,
-                                     _scores, _WordStream)
+                                     _scores, _uniform_draws)
 from poincarelab.grid import CubeIndex, GridFunction, RootBox
 
 
@@ -103,13 +103,12 @@ class SmallFamily:
         return used
 
 
-def random_small_family(n, L, rng, depth):
+def random_small_family(n, L, below, depth):
     """One sampled L-small family of dyadic cubes of the depth-``depth``
-    grid in dimension n, drawn by ``_draw_family`` from a ``_WordStream``
-    of ``rng``, as ``sdp_check``'s random mode draws each of its
-    families."""
-    with _WordStream(rng) as stream:
-        members = _draw_family(n, L, stream.below, depth)
+    grid in dimension n, drawn by ``_draw_family`` with ``below`` (one
+    ``_uniform_draws`` stream), as ``sdp_check``'s random mode draws each
+    of its families."""
+    members = _draw_family(n, L, below, depth)
     return SmallFamily(CubeIndex.root(n), [CubeIndex(level, coords)
                                            for level, coords in members],
                        float(L))
@@ -129,14 +128,13 @@ def max_dp_ratio(a, w_masses, p, depth, mode="exhaustive", trials=1000,
     tree maximum; random: sampled lower bound."""
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    w = CubeSums(np.asarray(w_masses, dtype=float))
     scores = _scores(a, w, p, depth)
     if mode == "exhaustive":
         [(ratio, witness)] = _dp_maxima(scores, p, [budget_L])
         return DpReport(float(p), ratio, witness, 0, mode)
     L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
-    _, best, witness = _sampled(scores, p, L, trials,
-                                np.random.default_rng(seed))
+    _, best, witness = _sampled(scores, p, L, trials, _uniform_draws(seed))
     if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []
     return DpReport(float(p), best, witness, trials, mode)

@@ -135,7 +135,7 @@ def test_criterion_05_small_family_exactness(antichains_1d_depth4):
     wm = lognormal_weight(rng, 1, depth) / 16
     for alpha, p in ((0.5, 1.0), (1.0, 2.0)):
         a = FractionalFunctional(alpha, p, mu, wm, RootBox.unit(1), depth)
-        ws = CubeSums(wm, depth)
+        ws = CubeSums(wm)
         score, width = {}, {}
         for lev in range(depth + 1):
             for i in range(2 ** lev):

@@ -240,6 +240,38 @@ def test_functional_check_refuses_a_malformed_config(tmp_path, name):
     assert words in lines[0]
 
 
+# --Ls values functional-check refuses, with the words of the one error
+# line: an infinite L (1e400 reads as one) or a NaN L made LAPACK write to
+# stdout before the smallness fit failed, a NaN L in exhaustive mode failed
+# in the budget floor, and a repeated L was folded into one per_L entry.
+# The run is a separate process, so that anything written to the stdout
+# file descriptor shows.
+BAD_LS_RUNS = {"inf-random": ("2,inf", "random", "1 < L < inf"),
+               "1e400-random": ("2,1e400", "random", "1 < L < inf"),
+               "nan-exhaustive": ("2,nan", "exhaustive", "1 < L < inf"),
+               "nan-random": ("2,nan", "random", "1 < L < inf"),
+               "repeated-exhaustive": ("2,2.0", "exhaustive", "given once"),
+               "repeated-random": ("4,2,4", "random", "given once")}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LS_RUNS))
+def test_functional_check_refuses_an_L_not_finite_or_repeated(tmp_path,
+                                                              case):
+    Ls, mode, words = BAD_LS_RUNS[case]
+    fpath = tmp_path / "a.json"
+    fpath.write_text(json.dumps({"variant": "fractional", "n": 1}))
+    proc = subprocess.run([sys.executable, "-m", "poincarelab.cli",
+                           "functional-check", "--functional", str(fpath),
+                           "--depth", "4", "--p", "1", "--Ls", Ls,
+                           "--mode", mode],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert words in lines[0]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["cz", "--input", "{spike}", "--L", "nan"], "--L"),
     (["constants", "--power-weight", "delta=0.5", "n=1", "--depth", "4",

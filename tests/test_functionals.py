@@ -46,7 +46,7 @@ def test_fractional_rejects_degenerate_masses():
 def test_dp_ratio_oracles():
     depth = 4
     a = unweighted_functional(1.0, 1.0, 1, depth)
-    w = CubeSums(lebesgue_masses(1, depth), depth)
+    w = CubeSums(lebesgue_masses(1, depth))
     root = CubeIndex.root(1)
     assert dp_ratio(a, w, 1.0, [], root) == 0.0
     # both children: 2 * (1/2 * 1/2) = 1/2
@@ -88,7 +88,7 @@ def test_cube_sums_sum_only_the_levels_read(monkeypatch):
     monkeypatch.setattr("poincarelab.functionals.block_reduce",
                         counting_block_reduce)
     masses = np.arange(64.0).reshape(8, 8)
-    cs = CubeSums(masses, 3)
+    cs = CubeSums(masses)
     assert summed == []
     assert cs.mass(CubeIndex.root(2)) == masses.sum()
     assert cs.mass(CubeIndex.root(2)) == masses.sum()
@@ -132,7 +132,7 @@ def test_exhaustive_dp_matches_bruteforce_enumeration():
         root = CubeIndex.root(n)
         for p in (1.0, 2.0):
             a = FractionalFunctional(0.7, p, mu, wm, RootBox.unit(n), depth)
-            w = CubeSums(wm, depth)
+            w = CubeSums(wm)
             best = max(dp_ratio(a, w, p, fam, root)
                        for fam in enumerate_antichains(n, depth))
             rep = max_dp_ratio(a, wm, p, depth, mode="exhaustive")
@@ -147,7 +147,7 @@ def test_budgeted_dp_matches_restricted_enumeration():
     mu = rng.uniform(0.1, 1.0, 8)
     wm = rng.uniform(0.1, 1.0, 8)
     a = FractionalFunctional(1.0, 1.0, mu, wm, UNIT1, depth)
-    w = CubeSums(wm, depth)
+    w = CubeSums(wm)
     root = CubeIndex.root(1)
     L = 4.0
     best = 0.0
@@ -177,18 +177,17 @@ def test_random_mode_is_lower_bound():
 @settings(max_examples=80, deadline=None)
 def test_random_small_family_invariants(seed, L):
     # the families of the 1D cube (1,) at depth 5, made the input grid
-    rng = np.random.default_rng(seed)
     depth = 4
-    fam = random_small_family(1, L, rng, depth)
+    fam = random_small_family(1, L, functionals._uniform_draws(seed), depth)
     used = fam.validate(depth)  # raises on overlap/outside/budget breach
     assert used <= 16 / L + 1e-9
 
 
 def test_random_small_family_fills_budget_when_L_near_one():
-    rng = np.random.default_rng(4)
+    below = functionals._uniform_draws(4)
     best = 0.0
     for _ in range(20):
-        fam = random_small_family(1, 1.01, rng, 6)
+        fam = random_small_family(1, 1.01, below, 6)
         best = max(best, fam.validate(6) / 64.0)
     assert best >= 0.9
 
@@ -222,6 +221,28 @@ def test_sdp_check_rejects_bad_L():
     a = unweighted_functional(1.0, 1.0, 1, 3)
     with pytest.raises(FunctionalError):
         sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [1.0])
+
+
+# Ls each refused, and the words its error names it by: an infinite or NaN
+# L made the smallness fit's least squares fail (a NaN one failed earlier,
+# in the budget floor, in exhaustive mode), and a repeated L was folded
+# into one per_L entry while its trials were counted twice
+BAD_LS = {"inf": ([2.0, float("inf")], "1 < L < inf"),
+          "nan": ([2.0, float("nan")], "1 < L < inf"),
+          "repeated": ([2.0, 2.0], "given once"),
+          "repeated-unsorted": ([3.0, 2.0, 3], "given once")}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("case", sorted(BAD_LS))
+def test_sdp_check_refuses_an_L_not_finite_or_repeated(case, mode):
+    Ls, words = BAD_LS[case]
+    rng = np.random.default_rng(5)
+    wm = np.exp(rng.normal(0.0, 1.0, 32)) / 32
+    a = FractionalFunctional(1.0, 1.0, wm, wm, UNIT1, 5)
+    with pytest.raises(FunctionalError, match=words):
+        sdp_check(a, wm, 1.0, CubeIndex.root(1), 5, Ls, trials=5, seed=0,
+                  mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -269,7 +290,7 @@ def test_random_mode_needs_a_trial(trials):
 def test_dp_ratio_monotone_under_family_growth():
     depth = 3
     a = unweighted_functional(1.0, 1.0, 1, depth)
-    w = CubeSums(lebesgue_masses(1, depth), depth)
+    w = CubeSums(lebesgue_masses(1, depth))
     root = CubeIndex.root(1)
     fam = [CubeIndex(2, (0,))]
     grown = fam + [CubeIndex(2, (3,))]
@@ -353,7 +374,7 @@ def reference_witness(a, w, p, Q, depth, cache, count, tol=1e-9):
 
 def reference_max_dp_ratio(a, w_masses, p, Q, depth, budget_L=None):
     """The exhaustive branch of max_dp_ratio before the level DP."""
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    w = CubeSums(np.asarray(w_masses, dtype=float))
     den = a.eval(Q) ** p * w.mass(Q)
     cells = (1 << (depth - Q.level)) ** Q.n
     budget = cells if budget_L is None \
@@ -502,7 +523,7 @@ def reference_smallness_fit(per_L):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 @pytest.mark.parametrize("Ls", [[2.0, 4.0], [8.0, 2.0, 3.0, 4.0],
-                                [4.0, 2.0, 4.0]])
+                                [5.5, 2.0, 3.0]])
 def test_smallness_fit_equals_inline_formula(mode, Ls):
     rng = np.random.default_rng(21)
     functionals, wm, _ = three_functionals(rng, 1, 5, 1.5)
@@ -513,7 +534,7 @@ def test_smallness_fit_equals_inline_formula(mode, Ls):
             reference_smallness_fit(rep.per_L)
 
 
-@pytest.mark.parametrize("Ls", [[4.0], [4.0, 4.0]])
+@pytest.mark.parametrize("Ls", [[4.0], [2.0]])
 def test_smallness_fit_is_nan_for_one_L(Ls):
     a = unweighted_functional(1.0, 1.0, 1, 4)
     rep = sdp_check(a, lebesgue_masses(1, 4), 1.0, CubeIndex.root(1), 4, Ls,
@@ -614,7 +635,7 @@ def reference_random_small_family(Q, L, rng, depth, max_tries=400):
 
 def reference_sdp_check_random(a, w_masses, p, Q, depth, Ls, trials, seed):
     """sdp_check(mode="random") as it was: one dp_ratio per family."""
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    w = CubeSums(np.asarray(w_masses, dtype=float))
     alpha_over_n = a.alpha / Q.n if isinstance(a, FractionalFunctional) \
         else None
     rng = np.random.default_rng(seed)
@@ -637,7 +658,7 @@ def reference_sdp_check_random(a, w_masses, p, Q, depth, Ls, trials, seed):
 def reference_max_dp_ratio_random(a, w_masses, p, Q, depth, trials, seed,
                                   budget_L):
     """max_dp_ratio(mode="random") as it was."""
-    w = CubeSums(np.asarray(w_masses, dtype=float), depth)
+    w = CubeSums(np.asarray(w_masses, dtype=float))
     rng = np.random.default_rng(seed)
     L = budget_L if budget_L is not None else 1.0 + 1e-9
     best, witness = 0.0, []
@@ -683,25 +704,31 @@ def test_sampled_mode_equals_per_family_reference(n, depth, seed):
                 assert rep.witness == [relative_cube(Q, q) for q in witness]
 
 
-BIT_GENERATORS = ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
+def first_L_reads_odd_halves(Q, L, depth, trials, seed):
+    """Whether the reference sampler's ``trials`` families for L, drawn
+    first from ``default_rng(seed)``, read an odd number of 32-bit words:
+    the generator then holds the spare half of its last 64-bit word."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        reference_random_small_family(Q, L, rng, depth)
+    return bool(rng.bit_generator.state["has_uint32"])
 
 
-def generators(name, seed):
-    """Two generators on the same seeded ``name`` BitGenerator."""
-    return [np.random.Generator(getattr(np.random, name)(seed))
-            for _ in range(2)]
-
-
-def assert_same_state(rng, ref_rng):
-    """Equal ``bit_generator.state`` dicts, arrays (Philox's counter, key
-    and buffer, MT19937's key) compared element-wise."""
-    def same(x, y):
-        if isinstance(x, dict):
-            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
-        if isinstance(x, np.ndarray):
-            return x.dtype == y.dtype and np.array_equal(x, y)
-        return type(x) is type(y) and x == y
-    assert same(rng.bit_generator.state, ref_rng.bit_generator.state)
+@pytest.mark.parametrize("seed,odd", [(0, True), (1, False)],
+                         ids=["odd-first-L", "even-first-L"])
+def test_one_stream_serves_every_L(seed, odd):
+    # the second L reads on from the first's spare half, when there is one,
+    # as one generator drawn scalar by scalar does
+    rng = np.random.default_rng(40)
+    depth, p, Ls = 5, 1.5, [4.0, 2.0, 3.0, 5.5]
+    funcs, wm, _ = three_functionals(rng, 1, depth, p)
+    root = CubeIndex.root(1)
+    assert first_L_reads_odd_halves(root, 2.0, depth, 9, seed) == odd
+    for a in funcs:
+        rep = sdp_check(a, wm, p, root, depth, Ls, trials=9, seed=seed)
+        assert (rep.worst_ratio, rep.per_L, rep.witness, rep.violations,
+                rep.trials) == reference_sdp_check_random(
+                    a, wm, p, root, depth, Ls, 9, seed)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(1.01, 16.0),
@@ -710,13 +737,12 @@ def assert_same_state(rng, ref_rng):
 def test_random_small_family_equals_reference_sampler(seed, L, n):
     depth = {1: 6, 2: 3, 3: 2}[n]
     Q = CubeIndex(1, (1,) * n)
-    for name in BIT_GENERATORS:
-        rng, ref_rng = generators(name, seed)
-        for _ in range(3):
-            fam = random_small_family(n, L, rng, depth - Q.level)
-            ref = reference_random_small_family(Q, L, ref_rng, depth)
-            assert fam.members == [relative_cube(Q, q) for q in ref]
-        assert_same_state(rng, ref_rng)
+    below, ref_rng = functionals._uniform_draws(seed), \
+        np.random.default_rng(seed)
+    for _ in range(3):
+        fam = random_small_family(n, L, below, depth - Q.level)
+        ref = reference_random_small_family(Q, L, ref_rng, depth)
+        assert fam.members == [relative_cube(Q, q) for q in ref]
 
 
 # ranges of one below() call each: R = 1 draws nothing, powers of two are
@@ -726,50 +752,23 @@ STREAM_RANGES = [1, 2, 8, 1 << 16, 1 << 32, 11, 1000,
 
 
 @pytest.mark.parametrize("draws", [0, 1, 2, 9, 40, 3000])
-@pytest.mark.parametrize("pending", [False, True],
-                         ids=["no-pending-half", "pending-half"])
-@pytest.mark.parametrize("name", BIT_GENERATORS)
-def test_word_stream_equals_scalar_integers(name, pending, draws):
-    rng, ref_rng = generators(name, 50 + draws)
-    if pending:     # a 64-bit generator now holds a spare 32-bit half
-        assert int(rng.integers(0, 7)) == int(ref_rng.integers(0, 7))
+def test_word_stream_equals_scalar_integers(draws):
+    below = functionals._uniform_draws(50 + draws)
+    ref_rng = np.random.default_rng(50 + draws)
     ranges = [STREAM_RANGES[(3 * i + draws) % len(STREAM_RANGES)]
               for i in range(draws)]
-    with functionals._WordStream(rng) as stream:
-        got = [stream.below(R) for R in ranges]
-    assert got == [int(ref_rng.integers(0, R)) for R in ranges]
-    assert_same_state(rng, ref_rng)
-    assert np.array_equal(rng.random(3), ref_rng.random(3))
+    assert [below(R) for R in ranges] == \
+        [int(ref_rng.integers(0, R)) for R in ranges]
 
 
-@pytest.mark.parametrize("name", BIT_GENERATORS)
-def test_word_stream_refuses_ranges_above_2_32(name):
-    rng, ref_rng = generators(name, 3)
-    with functionals._WordStream(rng) as stream:
-        assert stream.below(1 << 32) == int(ref_rng.integers(0, 1 << 32))
-        with pytest.raises(FunctionalError):
-            stream.below((1 << 32) + 1)
-    assert_same_state(rng, ref_rng)
-
-
-@pytest.mark.parametrize("name", BIT_GENERATORS)
-def test_exception_mid_family_leaves_the_draws_made(name, monkeypatch):
-    below, ranges = functionals._WordStream.below, []
-
-    def failing_below(stream, R):
-        if len(ranges) == 25:
-            raise KeyboardInterrupt
-        ranges.append(R)
-        return below(stream, R)
-
-    monkeypatch.setattr(functionals._WordStream, "below", failing_below)
-    rng, ref_rng = generators(name, 8)
-    with pytest.raises(KeyboardInterrupt):
-        random_small_family(2, 1.5, rng, 5)
-    for R in ranges:
-        ref_rng.integers(0, R)
-    assert_same_state(rng, ref_rng)
-    assert np.array_equal(rng.random(3), ref_rng.random(3))
+def test_word_stream_refuses_ranges_above_2_32():
+    below = functionals._uniform_draws(3)
+    ref_rng = np.random.default_rng(3)
+    assert below(1 << 32) == int(ref_rng.integers(0, 1 << 32))
+    with pytest.raises(FunctionalError):
+        below((1 << 32) + 1)
+    # the refusal read no word
+    assert below(1000) == int(ref_rng.integers(0, 1000))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])

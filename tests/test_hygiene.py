@@ -4,9 +4,9 @@ module, every public function, class and method is read by the package,
 the acceptance criteria or the benchmark, every defaulted parameter of
 one is passed by a call there, every method the benchmark traces is
 defined in its class's own body, no function imports a package module
-locally, no function takes the cube it runs on, and no module builds
-full-grid coordinate temporaries, whole multi-axis spectra or per-element
-Python calls."""
+locally, no function takes the cube it runs on or a random generator, and
+no module builds full-grid coordinate temporaries, whole multi-axis
+spectra or per-element Python calls."""
 
 import ast
 import importlib
@@ -302,12 +302,10 @@ def test_detector_flags_unpassed_defaults():
                                                     ("a.py", "h", "unit")]
 
 
-def cube_parameters(sources):
+def functions_taking(sources, param):
     """(module, name) of each function or method in ``sources`` (module
     name -> source text), nested ones included and named ``outer.inner``,
-    that has a parameter named ``Q``: the cube its computation runs on,
-    where the library runs on the root cube of its input grid and a
-    sub-cube is made the input grid."""
+    that has a parameter named ``param``."""
     found = []
 
     def visit(node, module, prefix):
@@ -317,7 +315,7 @@ def cube_parameters(sources):
                 a = child.args
                 params = a.posonlyargs + a.args + a.kwonlyargs \
                     + [x for x in (a.vararg, a.kwarg) if x is not None]
-                if any(x.arg == "Q" for x in params):
+                if any(x.arg == param for x in params):
                     found.append((module, prefix + child.name))
                 inner = prefix + child.name + "."
             elif isinstance(child, ast.ClassDef):
@@ -330,9 +328,12 @@ def cube_parameters(sources):
 
 
 def cube_argument_report(sources, kept):
-    """(flagged, stale): the ``cube_parameters`` whose name ``kept`` does
-    not exempt, and the names in ``kept`` that no function needs."""
-    found = cube_parameters(sources)
+    """(flagged, stale): the functions taking a parameter ``Q`` (the cube
+    their computation runs on, where the library runs on the root cube of
+    its input grid and a sub-cube is made the input grid) whose name
+    ``kept`` does not exempt, and the names in ``kept`` that no function
+    needs."""
+    found = functions_taking(sources, "Q")
     names = {name for _, name in found}
     return ([(m, name) for m, name in found if name not in kept],
             sorted(kept - names))
@@ -357,7 +358,7 @@ def test_detector_flags_cube_parameters():
                        "        pass\n",
                "b.py": "def sdp_check(a, Q, depth):\n    pass\n\n\n"
                        "def run(*Q):\n    pass\n"}
-    assert cube_parameters(sources) == [("a.py", "K.level_values"),
+    assert functions_taking(sources, "Q") == [("a.py", "K.level_values"),
                                         ("a.py", "f"), ("a.py", "f.inner"),
                                         ("b.py", "run"),
                                         ("b.py", "sdp_check")]
@@ -365,6 +366,28 @@ def test_detector_flags_cube_parameters():
     assert cube_argument_report(sources, {"sdp_check", "gone"}) == (
         [("a.py", "K.level_values"), ("a.py", "f"), ("a.py", "f.inner"),
          ("b.py", "run")], ["gone"])
+
+
+def test_no_function_takes_a_generator():
+    # each seeded draw builds its generator from an integer seed, so no
+    # caller shares a generator with the library
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert functions_taking(sources, "rng") == []
+
+
+def test_detector_flags_generator_parameters():
+    sources = {"a.py": "class _Stream:\n    def __init__(self, rng):\n"
+                       "        pass\n\n\n"
+                       "def _sampled(scores, trials, rng):\n    pass\n\n\n"
+                       "def draws(seed):\n    rng = default_rng(seed)\n\n"
+                       "    def below(R, *, rng=rng):\n        pass\n"
+                       "    return below, rng\n",
+               "b.py": "def probe(seed, rngs, **rng):\n    pass\n"}
+    # a local variable ``rng`` is not a parameter; one of a nested
+    # function, keyword-only or ``**rng``, is
+    assert functions_taking(sources, "rng") == [
+        ("a.py", "_Stream.__init__"), ("a.py", "_sampled"),
+        ("a.py", "draws.below"), ("b.py", "probe")]
 
 
 def test_traced_methods_are_defined_in_their_class_body():
