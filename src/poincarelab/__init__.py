@@ -5,7 +5,7 @@ Modules:
   grid           dyadic cube trees and piecewise-constant grid functions
   weights        weight/measure representations and class constants
   operators      maximal operators, fractional integrals, norms, majorants
-  functionals    cube functionals and D_p / SD_p^s condition checking
+  functionals    the cube functional a(Q) and D_p / SD_p^s condition checking
   decomposition  stopping-time decomposition and polynomial projections
   inequalities   exponent formulas, inequality catalog, sharpness sweep
   cli            command-line entry point
@@ -18,8 +18,7 @@ from .weights import (GridWeight, PowerWeight, WeightConstantsReport,
                       constants_report, rh_exponent, rh_exponent_and_check,
                       rhinf_constant, two_weight_ap)
 from .operators import fractional_integral, rubio_de_francia
-from .functionals import (DpReport, FractionalFunctional, GradientFunctional,
-                          LorentzGradientFunctional, sdp_check)
+from .functionals import DpReport, FractionalFunctional, sdp_check
 from .decomposition import (CZDecomposition, PolyBasis, cz_decompose,
                             orthonormal_basis, oscillation, project)
 from .inequalities import (CheckResult, SharpnessSweep, check_inequality,

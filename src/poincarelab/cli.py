@@ -336,6 +336,8 @@ def main(argv=None):
         elif getattr(args, "weight", None):
             raise CliError(f"--depth does not apply to {args.command} "
                            "--weight: the grid comes from the weight file")
+        elif args.depth < 0:
+            raise CliError(f"--depth must be >= 0, got {args.depth}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,22 +1,22 @@
-"""Cube functionals a(Q) and D_p / SD_p^s condition checking.
+"""The cube functional a(Q) and D_p / SD_p^s condition checking.
 
-A functional is a positive rule on the dyadic cubes of a fixed grid: the
-fractional a(Q) = l(Q)^alpha (mu(Q)/w(Q))^(1/p), the gradient functional
-of the Poincare catalog's right sides, or its Lorentz L^{p,1} form.  The
-D_p ratio of a disjoint family compares sum a(Q_i)^p w(Q_i) with
-a(Q)^p w(Q); SD_p^s additionally demands a gain (1/L)^(p/s) on L-small
-families.  Suprema are over dyadic families: exhaustive mode computes the
-exact maximum over all antichains (with a volume budget for L-small
-families) by one max-plus dynamic program, run level by level up the cube
-tree and read for every L; it agrees with brute-force enumeration, and its
-root step costs O(top^2) in the finest cells of the largest budget.  Random
-mode gives a sampled lower bound; its draws come from a private stream of
-raw generator words seeded by ``seed`` and equal scalar
-``Generator.integers`` draws on ``default_rng(seed)`` bit for bit.  Both
-modes read a(Q)^p w(Q) from one array per cube level, built from
-``Functional.level_values`` (array formulas for the fractional and
-gradient functionals, whose ``eval`` reads the same arrays, and ``eval``
-per cube for the Lorentz one).
+The lab has one functional, a positive rule on the dyadic cubes of a fixed
+grid: the fractional a(Q) = l(Q)^alpha (mu(Q)/w(Q))^(1/p) of a measure mu
+and a weight w, both given as cell masses.  The Poincare catalog's
+gradient right side l(Q)^m ((1/u(Q)) int_Q |grad^m f|^p v)^(1/p) is the
+case alpha = m, mu = |grad^m f|^p v dx, w = u, so mu may vanish on cells
+where f is flat.  The D_p ratio of a disjoint family compares
+sum a(Q_i)^p w(Q_i) with a(Q)^p w(Q); SD_p^s additionally demands a gain
+(1/L)^(p/s) on L-small families.  Suprema are over dyadic families:
+exhaustive mode computes the exact maximum over all antichains (with a
+volume budget for L-small families) by one max-plus dynamic program, run
+level by level up the cube tree and read for every L; it agrees with
+brute-force enumeration, and its root step costs O(top^2) in the finest
+cells of the largest budget.  Random mode gives a sampled lower bound; its
+draws come from a private stream of raw generator words seeded by ``seed``
+and equal scalar ``Generator.integers`` draws on ``default_rng(seed)`` bit
+for bit.  Both modes read a(Q)^p w(Q) from one array per cube level,
+``FractionalFunctional.level_values``, whose entries ``eval`` reads too.
 
 Everything runs on the root cube of the grid: the families are those below
 it, and a sub-cube is checked by making it the input grid.
@@ -25,15 +25,12 @@ it, and a sub-cube is checked by making it the input grid.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (CubeIndex, GridFunction, block_reduce, float_pow,
-                   level_blocks)
-from .operators import lorentz_p1_norm_values
+from .grid import CubeIndex, block_reduce, float_pow, level_blocks
 
 
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
@@ -63,32 +60,20 @@ class CubeSums:
 
 
 # ---------------------------------------------------------------------------
-# functional variants
+# the functional
 # ---------------------------------------------------------------------------
 
-class Functional:
-    """Base: bound to (root, depth); subclasses implement eval(q), and may
-    give level_values an array formula whose entries equal eval."""
-
-    def eval(self, q: CubeIndex) -> float:
-        raise NotImplementedError
-
-    def level_values(self, level):
-        """a(P) for every level-``level`` cube P of the grid, shaped
-        ``(2^level,) * n`` and indexed by P's coordinates."""
-        cubes = itertools.product(range(1 << level), repeat=self.root.n)
-        return np.array([self.eval(CubeIndex(level, c)) for c in cubes],
-                        dtype=float).reshape((1 << level,) * self.root.n)
-
-
-class FractionalFunctional(Functional):
-    """a(Q) = l(Q)^alpha * (mu(Q)/w(Q))^(1/p)."""
+class FractionalFunctional:
+    """a(Q) = l(Q)^alpha * (mu(Q)/w(Q))^(1/p); a mu cell of 0 is allowed, a
+    negative mu mass and a w mass <= 0 are refused."""
 
     def __init__(self, alpha, p, mu_masses, w_masses, root, depth):
         if alpha <= 0 or p < 1:
             raise FunctionalError("need alpha > 0 and p >= 1")
-        if np.any(np.asarray(mu_masses) <= 0) or np.any(np.asarray(w_masses) <= 0):
-            raise FunctionalError("degenerate functional: zero mass on some cube")
+        if np.any(np.asarray(mu_masses) < 0):
+            raise FunctionalError("degenerate functional: negative mu mass")
+        if np.any(np.asarray(w_masses) <= 0):
+            raise FunctionalError("degenerate functional: a w mass <= 0")
         self.alpha, self.p = float(alpha), float(p)
         self.root, self.depth = root, depth
         self.mu = CubeSums(np.asarray(mu_masses, dtype=float))
@@ -98,58 +83,12 @@ class FractionalFunctional(Functional):
         return self.level_values(q.level)[q.coords].item()
 
     def level_values(self, level):
+        """a(P) for every level-``level`` cube P of the grid, shaped
+        ``(2^level,) * n`` and indexed by P's coordinates."""
         ell = self.root.side / (1 << level)
         ratio = self.mu.level(level) / self.w.level(level)
         return ell ** self.alpha \
             * float_pow(ratio, 1.0 / self.p, FunctionalError)
-
-
-class GradientFunctional(Functional):
-    """a(Q) = l(Q)^m * (1/u(Q) * int_Q |grad|^p v)^(1/p), v = u when None."""
-
-    def __init__(self, m, p, grad: GridFunction, u_masses, v_masses=None):
-        if m < 1 or p < 1:
-            raise FunctionalError("need m >= 1 and p >= 1")
-        self.m, self.p = int(m), float(p)
-        self.root, self.depth = grad.root, grad.depth
-        u = np.asarray(u_masses, dtype=float)
-        v = u if v_masses is None else np.asarray(v_masses, dtype=float)
-        if np.any(u <= 0):
-            raise FunctionalError("degenerate outer weight")
-        self.u = CubeSums(u)
-        g = np.abs(grad.values)  # inline, numpy powers it in place: slower
-        self.num = CubeSums(g ** self.p * v)
-
-    def eval(self, q):
-        return self.level_values(q.level)[q.coords].item()
-
-    def level_values(self, level):
-        ell = self.root.side / (1 << level)
-        ratio = self.num.level(level) / self.u.level(level)
-        return ell ** self.m \
-            * float_pow(ratio, 1.0 / self.p, FunctionalError)
-
-
-class LorentzGradientFunctional(Functional):
-    """a(Q) = l(Q) * ||grad||_{L^{p,1}(Q, w dx / w(Q))}."""
-
-    def __init__(self, p, grad: GridFunction, w_masses):
-        if p < 1:
-            raise FunctionalError("need p >= 1")
-        self.p = float(p)
-        self.grad = grad
-        self.root, self.depth = grad.root, grad.depth
-        self.w_masses = np.asarray(w_masses, dtype=float)
-        if np.any(self.w_masses <= 0):
-            raise FunctionalError("degenerate weight")
-
-    def eval(self, q):
-        sl = self.grad.block(q)
-        vals = self.grad.values[sl].ravel()
-        masses = self.w_masses[sl].ravel()
-        masses = masses / masses.sum()
-        ell = self.root.side / (1 << q.level)
-        return ell * lorentz_p1_norm_values(vals, masses, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +329,7 @@ def _loglog_fit(xs, ys):
     return float(coef[0]), float(res[0]) if len(res) else 0.0
 
 
-def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
+def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
               trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L) (NaN, with its
@@ -400,9 +339,10 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
     Each L satisfies 1 < L < inf and is given once.  Both modes read
     a(Q)^p w(Q) from per-level arrays (``_scores``).  Random mode draws the
     families of every L, in increasing L, from one private stream seeded by
-    ``seed`` (``_uniform_draws``).  For FractionalFunctional inputs the
-    exact bound ratio <= (1/L)^(alpha/n) is checked per family; violations
-    beyond 1e-12 are counted in the report.
+    ``seed`` (``_uniform_draws``).  The exact bound ratio <= (1/L)^(alpha/n),
+    which holds for every mu >= 0, is checked per family; violations beyond
+    1e-12 are counted in the report.  A zero a(Q)^p w(Q) at the root, the
+    denominator of every ratio, is refused.
     """
     n = a.root.n
     if Q != CubeIndex.root(n):
@@ -419,8 +359,9 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         raise FunctionalError("trials must be >= 1")
     w = CubeSums(np.asarray(w_masses, dtype=float))
     scores = _scores(a, w, p, depth)
-    alpha_over_n = (a.alpha / n if isinstance(a, FractionalFunctional)
-                    else None)
+    if scores[0].item() == 0:
+        raise FunctionalError("a(Q)^p w(Q) is 0 at the root cube Q")
+    alpha_over_n = a.alpha / n
     Ls = sorted(Ls)
     if mode == "exhaustive":
         found = [([r], r, wit) for r, wit in _dp_maxima(scores, p, Ls)]
@@ -433,9 +374,8 @@ def sdp_check(a: Functional, w_masses, p, Q: CubeIndex, depth, Ls,
         per_L[L] = best_r
         if best_r > worst:
             worst, witness = best_r, best_w
-        if alpha_over_n is not None:
-            bound = (1.0 / L) ** alpha_over_n
-            violations += sum(1 for r in ratios if r > bound + 1e-12)
+        bound = (1.0 / L) ** alpha_over_n
+        violations += sum(1 for r in ratios if r > bound + 1e-12)
     slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
                                [max(per_L[L], 1e-300) for L in sorted(per_L)])
     total_trials = trials * len(Ls) if mode == "random" else 0

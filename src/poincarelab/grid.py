@@ -186,15 +186,27 @@ class GridFunction:
     @classmethod
     def from_json_dict(cls, d):
         """Read ``{"root": {"lower" | "corner": [...], "side": s}, "depth",
-        "values"}`` with an optional ``"n"`` checked against the corner."""
+        "values"}`` with an optional ``"n"`` checked against the corner.
+        depth and n are JSON integers; side, the corner and the flat list
+        of values hold numbers."""
         try:
             box = d["root"]
             corner = box["lower"] if "lower" in box else box["corner"]
-            root = RootBox(tuple(corner), float(box["side"]))
-            if "n" in d and root.n != int(d["n"]):
+            side, depth, values = box["side"], d["depth"], d["values"]
+            for key, x in (("depth", depth), ("n", d.get("n", 1))):
+                if type(x) is not int:
+                    raise GridError(f"{key} must be an integer, got {x!r}")
+            for key, x in (("corner", corner), ("values", values)):
+                # a JSON number is an int or a float, not a bool
+                if type(x) is not list or set(map(type, x)) - {int, float}:
+                    raise GridError(f"{key} must be a list of numbers")
+            if type(side) not in (int, float):
+                raise GridError(f"side must be a number, got {side!r}")
+            root = RootBox(tuple(corner), float(side))
+            if "n" in d and root.n != d["n"]:
                 raise GridError("dimension mismatch between 'n' and root corner")
-            return cls(root, int(d["depth"]), d["values"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(root, depth, values)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, GridError):
                 raise
             raise GridError(f"malformed grid function JSON: {exc!r}") from None

@@ -22,11 +22,10 @@ from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
                    measure_cell_masses, midpoint_axes)
 from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
-from .functionals import (FractionalFunctional, Functional, GradientFunctional,
-                          LorentzGradientFunctional, _loglog_fit)
+from .functionals import FractionalFunctional, FunctionalError, _loglog_fit
 from .operators import (centered_maximal_values, centered_maximal_measure,
-                        fractional_integral, orlicz_exp_norm_values,
-                        weak_norm_values)
+                        fractional_integral, lorentz_p1_norm_values,
+                        orlicz_exp_norm_values, weak_norm_values)
 
 
 class InequalityError(ValueError):
@@ -73,13 +72,17 @@ def poincare_sides(f: GridFunction, u=None, v=None, lhs_exponent=1.0, p=1.0,
     lhs is ``decomposition.oscillation`` against u with exponent
     lhs_exponent and center c in {"mean", "weighted_mean", "projection"
     (polynomial projection of order m)}.  rhs is the two-weight gradient
-    functional a(Q) (v inside, u outside; ``GradientFunctional``).  u and
-    v are cell masses, u Lebesgue and v = u when None, each checked once.
+    side l(Q)^m ((1/u(Q)) int_Q |grad^m f|^p v)^(1/p): the fractional a(Q)
+    with alpha = m, mu = |grad^m f|^p v dx and w = u.  u and v are cell
+    masses, u Lebesgue and v = u when None, each checked once.
     """
     um = measure_cell_masses(u, f)
-    vm = None if v is None else measure_cell_masses(v, f)
-    rhs = GradientFunctional(m, p, discrete_gradient(f, m), um,
-                             vm).eval(CubeIndex.root(f.n))
+    vm = um if v is None else measure_cell_masses(v, f)
+    grad = discrete_gradient(f, m).values
+    if p < 1:       # refused before a negative power of a zero gradient
+        raise FunctionalError("need p >= 1")
+    rhs = FractionalFunctional(m, p, grad ** float(p) * vm, um, f.root,
+                               f.depth).eval(CubeIndex.root(f.n))
     basis = orthonormal_basis(f, m) if center == "projection" else None
     return oscillation(f, basis, lhs_exponent, um,
                        center == "weighted_mean"), rhs
@@ -124,14 +127,18 @@ def _result(iid, lhs, rhs, bound, inputs):
                        passed, float(measured), inputs)
 
 
-def _functional_hypothesis_norm(f: GridFunction, a: Functional):
+def _functional_hypothesis_norm(f: GridFunction, a: FractionalFunctional):
     """max over the dyadic cubes P of f's grid of avg_P |f - f_P| / a(P),
-    one level of cubes at a time, a(P) read from ``a.level_values``."""
+    one level of cubes at a time, a(P) read from ``a.level_values``; an
+    a(P) of 0 is refused."""
     best, axes = 0.0, tuple(range(f.n, 2 * f.n))
     for level in range(f.depth + 1):
         blocks = level_blocks(f.values, level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
-        best = max(best, float(np.max(osc / a.level_values(level))))
+        values = a.level_values(level)
+        if not values.all():
+            raise FunctionalError(f"a(P) is 0 on a level-{level} cube P")
+        best = max(best, float(np.max(osc / values)))
     return best
 
 
@@ -200,8 +207,14 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         return _result(iid, lhs, rhs, math.nan, inputs)
 
     if iid == "lorentz":
-        rhs = LorentzGradientFunctional(p, discrete_gradient(f, 1),
-                                        um).eval(Q)
+        # l(Q) ||grad f||_{L^{p,1}(Q, u dx / u(Q))}
+        if p < 1:
+            raise FunctionalError("need p >= 1")
+        if np.any(um <= 0):
+            raise FunctionalError("degenerate weight")
+        masses = um.ravel()
+        rhs = root.side * lorentz_p1_norm_values(
+            discrete_gradient(f, 1).values.ravel(), masses / masses.sum(), p)
         lhs = oscillation(f, q_exp=p, w=um)
         bound = ap1_constant(uv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)

@@ -1,20 +1,21 @@
 """Plain references the tests compare the library against, and the drivers
 that reach its private D_p kernels directly: a walk over every dyadic cube,
 cube inclusion, the subcubes of a cube, a sub-cube made its own grid, the
-scalar formulas of the fractional and gradient functionals, the per-family
-D_p ratio, the overlap and budget check of an L-small family, one sampled
-family, and the D_p maximum of a single exhaustive or sampled run."""
+scalar formula of the fractional functional, the catalog's gradient and
+Lorentz right sides by their plain formulas, the per-family D_p ratio, the
+overlap and budget check of an L-small family, one sampled family, and the
+D_p maximum of a single exhaustive or sampled run."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from poincarelab.functionals import (CubeSums, DpReport, FractionalFunctional,
-                                     FunctionalError, GradientFunctional,
+from poincarelab.functionals import (CubeSums, DpReport, FunctionalError,
                                      _dp_maxima, _draw_family, _sampled,
                                      _scores, _uniform_draws)
-from poincarelab.grid import CubeIndex, GridFunction, RootBox
+from poincarelab.grid import CubeIndex, GridFunction, RootBox, discrete_gradient
+from poincarelab.operators import lorentz_p1_norm_values
 
 
 def all_cubes(n, depth, min_level=0):
@@ -65,15 +66,30 @@ def relative_cube(Q: CubeIndex, q: CubeIndex):
 
 
 def reference_eval(a, q: CubeIndex):
-    """a(q) by the scalar formula, on Python floats: l(q)^alpha
-    (mu(q)/w(q))^(1/p) for a fractional functional, l(q)^m (int_q |grad|^p
-    v / u(q))^(1/p) for a gradient one; ``eval`` for any other."""
+    """a(q) = l(q)^alpha (mu(q)/w(q))^(1/p) of a fractional functional by
+    the scalar formula, on Python floats."""
     ell = a.root.side / (1 << q.level)
-    if isinstance(a, FractionalFunctional):
-        return ell ** a.alpha * (a.mu.mass(q) / a.w.mass(q)) ** (1.0 / a.p)
-    if isinstance(a, GradientFunctional):
-        return ell ** a.m * (a.num.mass(q) / a.u.mass(q)) ** (1.0 / a.p)
-    return a.eval(q)
+    return ell ** a.alpha * (a.mu.mass(q) / a.w.mass(q)) ** (1.0 / a.p)
+
+
+def reference_gradient_side(f: GridFunction, u, v, p, m):
+    """l(Q)^m ((1/u(Q)) int_Q |grad^m f|^p v)^(1/p) on the root cube Q of
+    f's grid, for cell masses u and v (v = u when None), by the plain
+    formula on Python floats."""
+    v = u if v is None else v
+    num = float((np.abs(discrete_gradient(f, m).values) ** float(p) * v).sum())
+    return f.root.side ** m * (num / float(u.sum())) ** (1.0 / p)
+
+
+def reference_lorentz_side(f: GridFunction, u, p):
+    """l(Q) ||grad f||_{L^{p,1}(Q, u dx / u(Q))} on the root cube Q of f's
+    grid, for the cell masses u, by the plain formula; a zero u cell is
+    refused."""
+    u = u.ravel()
+    if np.any(u <= 0):
+        raise FunctionalError("degenerate weight")
+    return f.root.side * lorentz_p1_norm_values(
+        discrete_gradient(f, 1).values.ravel(), u / u.sum(), float(p))
 
 
 @dataclass

@@ -475,6 +475,55 @@ SAMPLED_DIGESTS = {
 }
 
 
+# sha256 of the stdout of poincare --id on the seeded input of
+# ``poincare_argv`` per id and flags, recorded with the same numpy build as
+# README_DIGESTS: how the gradient and Lorentz right sides are computed
+# must leave these bytes alone
+POINCARE_DIGESTS = {
+    "pp-two-weight --p 2":
+        "d848034eb9f50f6e548821cb736e4f9de697ee35a54522a2b17b391ef9b291f2",
+    "higher-order --p 1.5 --m 2":
+        "f98cedeb0dd304ed6f49b092db5743798bd65bed7c0125df8c6b7fcde603bef4",
+    "sobolev-A --p 1.5 --q 1.5":
+        "25e8475f28c68be5aabfb589aeb65b2dba5b9f92fc06d2e255ab680a0975e757",
+    "sobolev-B --p 1.5 --q 1.5":
+        "ceef350c6b5f520bc7902d392f054a6fa381a25407bea3ec1e973cc460f47b23",
+    "a1-linear --p 1.5":
+        "f7c3be9206ac6486047bc7fe343069379dee942deae9a281b22cef800a391973",
+    "kz-downward --p 1.5 --p0 3":
+        "125c69704ce60abf26c483582af1ffd8eecbc7b82e737acbf49d578919edc865",
+    "lorentz --p 1.5":
+        "61864e2021b95b777534faaafbca505a6112e852e3cfd725cea3b158feb8b0b3",
+    "pp-measure --p 1.5":
+        "dbbf7cda9cc2bff44fb4efd8ed64ddcbe8bed0d496736a379937423d20d8eeaa",
+}
+
+
+def poincare_argv(tmp_path, args):
+    """poincare on a seeded 2D depth-4 f, flat on a corner block so that
+    its gradients have zero cells, with a seeded lognormal --weight file
+    as u (and as mu for pp-measure)."""
+    rng = np.random.default_rng(26)
+    f = rng.normal(size=(16, 16))
+    f[:6, :6] = 0.5
+    paths = [tmp_path / "f.json", tmp_path / "w.json"]
+    GridFunction(RootBox.unit(2), 4, f).save(paths[0])
+    GridFunction(RootBox.unit(2), 4,
+                 rng.lognormal(0.0, 0.5, (16, 16))).save(paths[1])
+    iid, *flags = args.split()
+    return ["poincare", "--id", iid, "--input", str(paths[0]),
+            "--weight", str(paths[1]), *flags]
+
+
+@pytest.mark.parametrize("args", sorted(POINCARE_DIGESTS))
+def test_poincare_output_bytes_are_pinned(tmp_path, capsys, args):
+    assert main(poincare_argv(tmp_path, args)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == POINCARE_DIGESTS[args], (
+        f"digest recorded with numpy {DIGESTS_NUMPY}, run with numpy "
+        f"{np.__version__}: on another build a difference may be rounding")
+
+
 @pytest.mark.parametrize("n,depth", sorted(SAMPLED_DIGESTS))
 def test_sampled_functional_check_bytes_are_pinned(tmp_path, capsys, n,
                                                    depth):
@@ -544,6 +593,17 @@ MALFORMED = {
     "non-positive": dict(GOOD, values=[1.0, 0.0]),
     "not-an-object": [1.0, 3.0],
     "not-json": "{",
+    # ill-typed fields: depth and n are JSON integers, side, corner and
+    # values JSON numbers that fit a float, values a flat list
+    "depth-float": dict(GOOD, depth=1.5),
+    "depth-text": dict(GOOD, depth="1"),
+    "depth-bool": dict(GOOD, depth=True),
+    "n-float": dict(GOOD, n=1.9),
+    "side-text": dict(GOOD, root={"lower": [0.0], "side": "1"}),
+    "corner-text": dict(GOOD, root={"lower": ["0"], "side": 1.0}),
+    "values-text": dict(GOOD, values=["1", "2"]),
+    "values-nested": dict(GOOD, values=[[1.0], [2.0]]),
+    "values-overflow": dict(GOOD, values=[1, 10 ** 400]),
 }
 
 
@@ -559,23 +619,37 @@ def test_malformed_weight_file_gives_one_error_line(tmp_path, name):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
+# the commands whose grid --depth sets
+DEPTH_ARGVS = [
     ["constants", "--power-weight", "delta=0.25", "n=2"],
     ["report", "--power-weight", "delta=0.25", "n=2"],
     ["sharpness", "--p", "1", "--n", "2"],
     ["functional-check", "--functional", "{functional}"],
-], ids=lambda a: a[0])
-def test_depth_over_cell_cap_gives_one_error_line(tmp_path, argv):
-    # depth 30 fails fast only through the guard: without it the first
-    # allocation asks for 2^60 cells
+]
+
+
+def _run_with_depth(tmp_path, argv, depth):
     fpath = tmp_path / "a.json"
     fpath.write_text(json.dumps({"variant": "fractional", "n": 2}))
     argv = [a.format(functional=fpath) for a in argv]
-    proc = _run_cli(*argv, "--depth", "30")
+    proc = _run_cli(*argv, "--depth", depth)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert lines == ["error: n*depth exceeds cap 24"], proc.stderr
+    return proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("argv", DEPTH_ARGVS, ids=lambda a: a[0])
+def test_depth_over_cell_cap_gives_one_error_line(tmp_path, argv):
+    # depth 30 fails fast only through the guard: without it the first
+    # allocation asks for 2^60 cells
+    lines = _run_with_depth(tmp_path, argv, "30")
+    assert lines == ["error: n*depth exceeds cap 24"], lines
+
+
+@pytest.mark.parametrize("argv", DEPTH_ARGVS, ids=lambda a: a[0])
+def test_negative_depth_gives_one_error_line_naming_the_flag(tmp_path, argv):
+    lines = _run_with_depth(tmp_path, argv, "-1")
+    assert lines == ["error: --depth must be >= 0, got -1"], lines
 
 
 def _reject_constant(token):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from poincarelab import functionals
 from poincarelab.functionals import (CubeSums, FractionalFunctional,
-                                     FunctionalError, GradientFunctional,
-                                     LorentzGradientFunctional,
-                                     enumerate_antichains, sdp_check)
+                                     FunctionalError, enumerate_antichains,
+                                     sdp_check)
 from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
                               discrete_gradient)
 from tests.conftest import counting
@@ -36,11 +35,17 @@ def test_fractional_eval_unweighted_is_sidelength_power():
 
 
 def test_fractional_rejects_degenerate_masses():
+    # a w mass <= 0 and a negative mu mass are refused; a mu cell of 0,
+    # as a gradient measure has where f is flat, is not
     m = lebesgue_masses(1, 3)
-    bad = m.copy()
-    bad[0] = 0.0
-    with pytest.raises(FunctionalError):
-        FractionalFunctional(1.0, 1.0, bad, m, UNIT1, 3)
+    zero, negative = m.copy(), m.copy()
+    zero[0], negative[0] = 0.0, -1e-300
+    for mu, w in ((m, zero), (m, negative), (negative, m)):
+        with pytest.raises(FunctionalError, match="degenerate"):
+            FractionalFunctional(1.0, 1.0, mu, w, UNIT1, 3)
+    a = FractionalFunctional(1.0, 1.0, zero, m, UNIT1, 3)
+    assert a.eval(CubeIndex(3, (0,))) == 0.0
+    assert a.eval(CubeIndex.root(1)) == pytest.approx(0.875)
 
 
 def test_dp_ratio_oracles():
@@ -106,21 +111,14 @@ def test_enumerate_antichains_refuses_beyond_its_cap(monkeypatch):
         enumerate_antichains(1, 3)
 
 
-def test_gradient_functional_eval():
-    f = GridFunction(UNIT1, 2, np.array([1.0, 1.0, 2.0, 2.0]))
-    grad = GridFunction(UNIT1, 2, np.array([0.0, 4.0, 0.0, 0.0]))
+def test_gradient_measure_functional_eval():
+    # the gradient side: alpha = m = 1, mu = |grad|^2 u, w = u
+    grad = np.array([0.0, 4.0, 0.0, 0.0])
     u = lebesgue_masses(1, 2)
-    a = GradientFunctional(1, 2.0, grad, u)
+    a = FractionalFunctional(1, 2.0, grad ** 2 * u, u, UNIT1, 2)
     # l(Q) * (avg of grad^2)^(1/2) = 1 * (16/4)^(1/2)
     assert a.eval(CubeIndex.root(1)) == pytest.approx(2.0)
-
-
-def test_lorentz_gradient_functional_constant_gradient():
-    grad = GridFunction(UNIT1, 3, np.full(8, 3.0))
-    a = LorentzGradientFunctional(2.0, grad, lebesgue_masses(1, 3))
-    # constant gradient: the L^{p,1} norm of 3 on a probability space is 3
-    assert a.eval(CubeIndex.root(1)) == pytest.approx(3.0)
-    assert a.eval(CubeIndex(1, (0,))) == pytest.approx(1.5)
+    assert a.eval(CubeIndex(1, (1,))) == 0.0
 
 
 def test_exhaustive_dp_matches_bruteforce_enumeration():
@@ -221,6 +219,28 @@ def test_sdp_check_rejects_bad_L():
     a = unweighted_functional(1.0, 1.0, 1, 3)
     with pytest.raises(FunctionalError):
         sdp_check(a, lebesgue_masses(1, 3), 1.0, CubeIndex.root(1), 3, [1.0])
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_sdp_check_refuses_a_zero_root_denominator(mode):
+    # the gradient side of a flat f: mu is 0 on every cell, and so is
+    # a(Q)^p w(Q), which every D_p ratio divides by
+    m = lebesgue_masses(1, 3)
+    a = FractionalFunctional(1, 2.0, np.zeros(8), m, UNIT1, 3)
+    assert a.eval(CubeIndex.root(1)) == 0.0
+    with pytest.raises(FunctionalError, match="0 at the root cube"):
+        sdp_check(a, m, 2.0, CubeIndex.root(1), 3, [2.0], mode=mode)
+    # so is a w of total mass 0 given to sdp_check
+    a = FractionalFunctional(1, 2.0, m, m, UNIT1, 3)
+    with pytest.raises(FunctionalError, match="0 at the root cube"):
+        sdp_check(a, np.zeros(8), 2.0, CubeIndex.root(1), 3, [2.0],
+                  mode=mode)
+    # zero mu cells below a positive root are no bar
+    mu = m.copy()
+    mu[:4] = 0.0
+    a = FractionalFunctional(1, 2.0, mu, m, UNIT1, 3)
+    rep = sdp_check(a, m, 2.0, CubeIndex.root(1), 3, [2.0], mode=mode)
+    assert 0.0 < rep.worst_ratio <= 0.5 and rep.violations == 0
 
 
 # Ls each refused, and the words its error names it by: an infinite or NaN
@@ -389,25 +409,37 @@ def reference_max_dp_ratio(a, w_masses, p, Q, depth, budget_L=None):
     return (max(num, 0.0) / den) ** (1.0 / p), witness
 
 
-def three_functionals(rng, n, depth, p):
-    """One functional of each class on a seeded depth-``depth`` grid, the
-    masses of w, and ``on(Q)``: the same functionals and masses on the grid
-    ``restrict`` makes of the cube Q."""
+def gradient_measure(rng, n, depth, p, v):
+    """|grad f|^p v for a seeded f that is flat on the first quarter of
+    the grid along each axis, so that the measure has zero cells there."""
+    shape = (1 << depth,) * n
+    f = rng.normal(size=shape)
+    f[(slice(0, shape[0] // 4 + 1),) * n] = 0.25
+    grad = discrete_gradient(GridFunction(RootBox.unit(n), depth, f)).values
+    assert not grad.all()
+    return grad ** p * v
+
+
+def two_functionals(rng, n, depth, p):
+    """Two functionals on a seeded depth-``depth`` grid, the masses of w,
+    and ``on(Q)``: the same functionals and masses on the grid ``restrict``
+    makes of the cube Q.  The first has a positive mu, the second is the
+    gradient side's a(Q): alpha = 1, mu = |grad f|^p mu with zero cells."""
     shape = (1 << depth,) * n
     mu, wm = rng.uniform(0.1, 1.0, shape), rng.uniform(0.1, 1.0, shape)
-    grad = discrete_gradient(GridFunction(RootBox.unit(n), depth,
-                                          rng.normal(size=shape)))
+    gmu = gradient_measure(rng, n, depth, p, mu)
+    unit = GridFunction(RootBox.unit(n), depth, wm)
 
-    def build(mu, wm, grad):
-        return [FractionalFunctional(0.7, p, mu, wm, grad.root, grad.depth),
-                GradientFunctional(1, p, grad, wm, mu),
-                LorentzGradientFunctional(p, grad, wm)]
+    def build(mu, gmu, wm, root, depth):
+        return [FractionalFunctional(0.7, p, mu, wm, root, depth),
+                FractionalFunctional(1, p, gmu, wm, root, depth)]
 
     def on(Q):
-        sl = grad.block(Q)
-        return build(mu[sl], wm[sl], restrict(grad, Q)), wm[sl]
+        sl = unit.block(Q)
+        sub = restrict(unit, Q)
+        return build(mu[sl], gmu[sl], wm[sl], sub.root, sub.depth), wm[sl]
 
-    return build(mu, wm, grad), wm, on
+    return build(mu, gmu, wm, unit.root, depth), wm, on
 
 
 def cubes_to_check(n, depth):
@@ -428,7 +460,7 @@ def test_level_dp_equals_per_node_dp(n, depth, p):
     # the level DP on the grid made of Q against the per-node DP there,
     # bit for bit, and against the per-node DP on Q
     rng = np.random.default_rng(40 + 10 * n + int(p))
-    functionals, wm, on = three_functionals(rng, n, depth, p)
+    functionals, wm, on = two_functionals(rng, n, depth, p)
     for Q in cubes_to_check(n, depth):
         subs, wQ = on(Q)
         D = depth - Q.level
@@ -470,7 +502,7 @@ def test_exhaustive_sdp_check_equals_per_L_max_dp_ratio(n, depth, Ls):
     # each Q made the input grid; the worst L's ratio and witness also
     # against the per-node DP on Q
     rng = np.random.default_rng(n)
-    functionals, wm, on = three_functionals(rng, n, depth, 1.0)
+    functionals, wm, on = two_functionals(rng, n, depth, 1.0)
     for Q in cubes_to_check(n, depth):
         subs, wQ = on(Q)
         D = depth - Q.level
@@ -500,7 +532,7 @@ def test_sdp_check_without_budgets(mode):
 def test_report_fields_are_python_floats(mode):
     rng = np.random.default_rng(9)
     depth = 4
-    functionals, wm, _ = three_functionals(rng, 1, depth, 2.0)
+    functionals, wm, _ = two_functionals(rng, 1, depth, 2.0)
     for a in functionals:
         reports = [sdp_check(a, wm, 2, CubeIndex.root(1), depth, [2, 4.0],
                              trials=20, mode=mode),
@@ -526,7 +558,7 @@ def reference_smallness_fit(per_L):
                                 [5.5, 2.0, 3.0]])
 def test_smallness_fit_equals_inline_formula(mode, Ls):
     rng = np.random.default_rng(21)
-    functionals, wm, _ = three_functionals(rng, 1, 5, 1.5)
+    functionals, wm, _ = two_functionals(rng, 1, 5, 1.5)
     for a in functionals:
         rep = sdp_check(a, wm, 1.5, CubeIndex.root(1), 5, Ls, trials=30,
                         mode=mode)
@@ -572,7 +604,7 @@ def assert_subcube_values_equal_eval(a, aQ, Q, depth):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_level_values_equal_eval_per_cube(n, depth, p):
     rng = np.random.default_rng(70 + 10 * n + int(2 * p))
-    functionals, _, on = three_functionals(rng, n, depth, p)
+    functionals, _, on = two_functionals(rng, n, depth, p)
     for a in functionals:
         assert_level_values_equal_eval(a, depth)
     for Q in cubes_to_check(n, depth)[1:]:
@@ -592,18 +624,20 @@ def test_level_values_equal_eval_per_cube_hypothesis(n, seed, p, sigma,
     shape = (1 << depth,) * n
     mu = rng.lognormal(0.0, sigma, shape)
     wm = rng.lognormal(0.0, sigma, shape)
-    grad = GridFunction(root, depth, rng.lognormal(0.0, sigma, shape))
+    grad = rng.lognormal(0.0, sigma, shape)
+    grad[rng.uniform(size=shape) < 0.3] = 0.0
+    gmu = grad ** p * mu        # the gradient side's mu, with zero cells
+    g = GridFunction(root, depth, grad)
 
-    def build(mu, wm, grad):
-        return [FractionalFunctional(alpha, p, mu, wm, grad.root, grad.depth),
-                GradientFunctional(m, p, grad, wm, mu),
-                LorentzGradientFunctional(p, grad, wm)]
+    def build(mu, gmu, wm, g):
+        return [FractionalFunctional(alpha, p, mu, wm, g.root, g.depth),
+                FractionalFunctional(m, p, gmu, wm, g.root, g.depth)]
 
     coords = tuple(int(c) for c in rng.integers(0, 2, n))
     Q = CubeIndex(1, coords)
-    sl = grad.block(Q)
-    for a, aQ in zip(build(mu, wm, grad),
-                     build(mu[sl], wm[sl], restrict(grad, Q))):
+    sl = g.block(Q)
+    for a, aQ in zip(build(mu, gmu, wm, g),
+                     build(mu[sl], gmu[sl], wm[sl], restrict(g, Q))):
         assert_level_values_equal_eval(a, depth)
         assert_subcube_values_equal_eval(a, aQ, Q, depth)
 
@@ -636,8 +670,7 @@ def reference_random_small_family(Q, L, rng, depth, max_tries=400):
 def reference_sdp_check_random(a, w_masses, p, Q, depth, Ls, trials, seed):
     """sdp_check(mode="random") as it was: one dp_ratio per family."""
     w = CubeSums(np.asarray(w_masses, dtype=float))
-    alpha_over_n = a.alpha / Q.n if isinstance(a, FractionalFunctional) \
-        else None
+    alpha_over_n = a.alpha / Q.n
     rng = np.random.default_rng(seed)
     per_L, violations, worst, witness = {}, 0, 0.0, []
     for L in sorted(Ls):
@@ -649,9 +682,8 @@ def reference_sdp_check_random(a, w_masses, p, Q, depth, Ls, trials, seed):
         per_L[L] = best_r
         if best_r > worst:
             worst, witness = best_r, best_w
-        if alpha_over_n is not None:
-            bound = (1.0 / L) ** alpha_over_n
-            violations += sum(1 for r, _ in ratios if r > bound + 1e-12)
+        bound = (1.0 / L) ** alpha_over_n
+        violations += sum(1 for r, _ in ratios if r > bound + 1e-12)
     return worst, per_L, witness, violations, trials * len(Ls)
 
 
@@ -677,7 +709,7 @@ def test_sampled_mode_equals_per_family_reference(n, depth, seed):
     p = (1.0, 1.5, 2.0)[seed % 3]
     # the library on the grid made of Q against the references there, bit
     # for bit, and against the references on Q
-    functionals, wm, on = three_functionals(rng, n, depth, p)
+    functionals, wm, on = two_functionals(rng, n, depth, p)
     Ls = [3.0, 5.5, 2.0]
     for Q in cubes_to_check(n, depth)[:2]:
         subs, wQ = on(Q)
@@ -721,7 +753,7 @@ def test_one_stream_serves_every_L(seed, odd):
     # as one generator drawn scalar by scalar does
     rng = np.random.default_rng(40)
     depth, p, Ls = 5, 1.5, [4.0, 2.0, 3.0, 5.5]
-    funcs, wm, _ = three_functionals(rng, 1, depth, p)
+    funcs, wm, _ = two_functionals(rng, 1, depth, p)
     root = CubeIndex.root(1)
     assert first_L_reads_odd_halves(root, 2.0, depth, 9, seed) == odd
     for a in funcs:
@@ -776,9 +808,9 @@ def test_sdp_check_reads_level_arrays_not_eval_per_cube(mode):
     depth = 6
     rng = np.random.default_rng(12)
     mu, wm = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
-    grad = GridFunction(UNIT1, depth, rng.uniform(0.1, 1.0, 64))
+    gmu = gradient_measure(rng, 1, depth, 1.5, mu)
     for a in (counting(FractionalFunctional)(0.7, 1.5, mu, wm, UNIT1, depth),
-              counting(GradientFunctional)(1, 1.5, grad, wm, mu)):
+              counting(FractionalFunctional)(1, 1.5, gmu, wm, UNIT1, depth)):
         sdp_check(a, wm, 1.5, CubeIndex.root(1), depth, [2.0, 3.0, 8.0],
                   trials=50, mode=mode)
         max_dp_ratio(a, wm, 1.5, depth, mode=mode,

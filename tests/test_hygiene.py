@@ -4,9 +4,10 @@ module, every public function, class and method is read by the package,
 the acceptance criteria or the benchmark, every defaulted parameter of
 one is passed by a call there, every method the benchmark traces is
 defined in its class's own body, no function imports a package module
-locally, no function takes the cube it runs on or a random generator, and
-no module builds full-grid coordinate temporaries, whole multi-axis
-spectra or per-element Python calls."""
+locally, no function takes the cube it runs on or a random generator or
+is only ``raise NotImplementedError``, and no module builds full-grid
+coordinate temporaries, whole multi-axis spectra or per-element Python
+calls."""
 
 import ast
 import importlib
@@ -302,20 +303,17 @@ def test_detector_flags_unpassed_defaults():
                                                     ("a.py", "h", "unit")]
 
 
-def functions_taking(sources, param):
+def functions_where(sources, test):
     """(module, name) of each function or method in ``sources`` (module
     name -> source text), nested ones included and named ``outer.inner``,
-    that has a parameter named ``param``."""
+    whose definition node passes ``test``."""
     found = []
 
     def visit(node, module, prefix):
         for child in ast.iter_child_nodes(node):
             inner = prefix
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = child.args
-                params = a.posonlyargs + a.args + a.kwonlyargs \
-                    + [x for x in (a.vararg, a.kwarg) if x is not None]
-                if any(x.arg == param for x in params):
+                if test(child):
                     found.append((module, prefix + child.name))
                 inner = prefix + child.name + "."
             elif isinstance(child, ast.ClassDef):
@@ -325,6 +323,19 @@ def functions_taking(sources, param):
     for module, source in sources.items():
         visit(ast.parse(source), module, "")
     return sorted(found)
+
+
+def functions_taking(sources, param):
+    """The functions of ``sources`` (as in ``functions_where``) that have
+    a parameter named ``param``."""
+
+    def takes(fn):
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs \
+            + [x for x in (a.vararg, a.kwarg) if x is not None]
+        return any(x.arg == param for x in params)
+
+    return functions_where(sources, takes)
 
 
 def cube_argument_report(sources, kept):
@@ -388,6 +399,54 @@ def test_detector_flags_generator_parameters():
     assert functions_taking(sources, "rng") == [
         ("a.py", "_Stream.__init__"), ("a.py", "_sampled"),
         ("a.py", "draws.below"), ("b.py", "probe")]
+
+
+def stub_functions(sources):
+    """The functions of ``sources`` (as in ``functions_where``) whose body,
+    past a docstring, is only ``raise NotImplementedError``, called or not:
+    an abstract hook, where one class should do the work."""
+
+    def stub(fn):
+        body = fn.body
+        if body and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Raise):
+            return False
+        exc = body[0].exc
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+    return functions_where(sources, stub)
+
+
+def test_no_function_is_only_raise_not_implemented():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert stub_functions(sources) == []
+
+
+def test_detector_flags_not_implemented_stubs():
+    sources = {"a.py": "class Base:\n    def eval(self, q):\n"
+                       "        raise NotImplementedError\n\n"
+                       "    def level(self, k):\n        \"\"\"Doc.\"\"\"\n"
+                       "        raise NotImplementedError(\"level\")\n\n"
+                       "    def mass(self, q):\n        if q:\n"
+                       "            raise NotImplementedError\n"
+                       "        return 0.0\n\n\n"
+                       "def outer():\n    def inner():\n"
+                       "        raise NotImplementedError()\n"
+                       "    return inner\n",
+               "b.py": "def f(x):\n    raise ValueError(x)\n\n\n"
+                       "def g():\n    \"\"\"Only a docstring.\"\"\"\n\n\n"
+                       "def h():\n    raise NotImplementedError\n"
+                       "    return 1\n"}
+    # a raise under a condition, another exception, or a raise followed by
+    # more statements is not a stub
+    assert stub_functions(sources) == [("a.py", "Base.eval"),
+                                       ("a.py", "Base.level"),
+                                       ("a.py", "outer.inner")]
 
 
 def test_traced_methods_are_defined_in_their_class_body():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarelab.functionals import (FractionalFunctional, FunctionalError,
-                                     GradientFunctional)
+from poincarelab.functionals import FractionalFunctional, FunctionalError
 from poincarelab.decomposition import orthonormal_basis, project
 from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
-                              discrete_gradient, measure_cell_masses, sample)
+                              discrete_gradient, lebesgue_masses,
+                              measure_cell_masses, sample)
 from poincarelab.inequalities import (InequalityError,
                                       _functional_hypothesis_norm,
                                       check_inequality, plateau_function,
@@ -21,12 +21,12 @@ from poincarelab.inequalities import (InequalityError,
 from poincarelab.operators import (centered_maximal_measure,
                                    centered_maximal_values,
                                    fractional_integral,
-                                   lorentz_p1_norm_values,
                                    orlicz_exp_norm_values, weak_norm_values)
 from poincarelab.weights import (PowerWeight, ap1_constant, ap_constant,
                                  two_weight_ap)
 from tests.conftest import assert_same_bits, counting, smooth_field_2d
-from tests.oracles import all_cubes, restrict
+from tests.oracles import (all_cubes, reference_gradient_side,
+                           reference_lorentz_side, restrict)
 
 UNIT1 = RootBox.unit(1)
 # an inf or NaN mass or ratio shows up as a RuntimeWarning on the way
@@ -102,6 +102,81 @@ def test_poincare_sides_center_options():
                           center="weighted_mean")[0]
     l2mean = poincare_sides(f, u=w, lhs_exponent=2.0, p=1.0)[0]
     assert l2wm <= l2mean + 1e-12
+
+
+def flat_in_places(rng, n, depth, side):
+    """A seeded f on a depth-``depth`` grid of side ``side`` that is
+    constant on a corner block a quarter of the grid and two cells wide
+    along each axis, and on a random third of its other cells, so that its
+    first and second gradients have zero cells."""
+    shape = (1 << depth,) * n
+    f = rng.normal(size=shape)
+    f[rng.uniform(size=shape) < 0.3] = 0.5
+    f[(slice(0, shape[0] // 4 + 2),) * n] = 0.5
+    return GridFunction(RootBox((-0.2,) * n, side), depth, f)
+
+
+def gradient_side_case(rng, n, m, p, with_v):
+    depth = {1: 5, 2: 3, 3: 3}[n]
+    f = flat_in_places(rng, n, depth, rng.uniform(0.1, 3.0))
+    u = rng.lognormal(0.0, 0.7, f.values.shape) * f.cell_volume
+    v = rng.lognormal(0.0, 0.7, f.values.shape) * f.cell_volume \
+        if with_v else None
+    assert not discrete_gradient(f, m).values.all()
+    return f, u, v
+
+
+@pytest.mark.parametrize("with_v", [False, True], ids=["v=u", "v"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_side_equals_reference(n, m, with_v):
+    for seed in range(8):
+        p = (1.0, 1.5, 2.0, 3.7)[seed % 4]
+        f, u, v = gradient_side_case(np.random.default_rng([n, m, seed]), n,
+                                     m, p, with_v)
+        rhs = poincare_sides(f, u=u, v=v, p=p, m=m)[1]
+        assert rhs == reference_gradient_side(f, u, v, p, m)
+        ref = reference_gradient_side(f, lebesgue_masses(f.root, f.depth),
+                                      None, p, m)
+        assert poincare_sides(f, p=p, m=m)[1] == ref
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.booleans(),
+       st.sampled_from([1.0, 1.5, 2.0, 3.7]), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gradient_side_equals_reference_hypothesis(n, m, with_v, p, seed):
+    f, u, v = gradient_side_case(np.random.default_rng(seed), n, m, p, with_v)
+    assert poincare_sides(f, u=u, v=v, p=p, m=m)[1] == \
+        reference_gradient_side(f, u, v, p, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lorentz_side_equals_reference(n):
+    for seed in range(8):
+        p = (1.5, 2.0, 3.7)[seed % 3]
+        f, u, _ = gradient_side_case(np.random.default_rng([n, seed]), n, 1,
+                                     p, False)
+        assert check_inequality("lorentz", f, u=u, p=p).rhs == \
+            reference_lorentz_side(f, u, p)
+
+
+@given(st.integers(1, 3), st.sampled_from([1.5, 2.0, 3.7]),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_lorentz_side_equals_reference_hypothesis(n, p, seed):
+    f, u, _ = gradient_side_case(np.random.default_rng(seed), n, 1, p, False)
+    assert check_inequality("lorentz", f, u=u, p=p).rhs == \
+        reference_lorentz_side(f, u, p)
+
+
+def test_lorentz_side_constant_gradient():
+    # constant gradient 3: the L^{p,1} norm of 3 on a probability space is
+    # 3, times l(Q); a half of the grid, made the input grid, has l = 1/2
+    f = sample(UNIT1, 3, lambda x: 3.0 * x)
+    assert check_inequality("lorentz", f, p=2.0).rhs == pytest.approx(3.0)
+    half = restrict(f, CubeIndex(1, (0,)))
+    assert check_inequality("lorentz", half, p=2.0).rhs == \
+        pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +295,9 @@ def test_hypothesis_norm_reads_level_arrays_not_eval_per_cube():
     depth = 6
     f = GridFunction(UNIT1, depth, rng.lognormal(0.0, 1.0, 64))
     mu, um = rng.uniform(0.1, 1.0, 64), rng.uniform(0.1, 1.0, 64)
-    grad = GridFunction(UNIT1, depth, rng.uniform(0.1, 1.0, 64))
+    gmu = rng.uniform(0.1, 1.0, 64) ** 1.5 * mu
     for a in (counting(FractionalFunctional)(0.8, 1.5, mu, um, UNIT1, depth),
-              counting(GradientFunctional)(1, 1.5, grad, um, mu)):
+              counting(FractionalFunctional)(1, 1.5, gmu, um, UNIT1, depth)):
         # 127 cubes below the root, none evaluated one by one
         _functional_hypothesis_norm(f, a)
         assert a.calls == 0
@@ -273,6 +348,37 @@ def test_gradient_sides_refuse_a_zero_outer_cell(iid):
     u[0, 0] = 0.0
     with pytest.raises(FunctionalError, match="degenerate"):
         check_inequality(iid, f, u=u, p=1.5)
+
+
+@RAISE_WARNINGS
+@pytest.mark.parametrize("iid", ["pp-two-weight", "higher-order", "lorentz",
+                                 "kz-downward"])
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+def test_gradient_sides_refuse_p_below_one(iid, p):
+    # refused before |grad f|^p is taken: a negative power of a zero
+    # gradient cell would warn on the way
+    f = flat_in_places(np.random.default_rng(6), 2, 3, 1.0)
+    with pytest.raises(FunctionalError, match="p >= 1"):
+        check_inequality(iid, f, p=p, m=2, p0=3.0)
+
+
+@RAISE_WARNINGS
+@pytest.mark.parametrize("n", [1, 2])
+def test_hypothesis_norm_refuses_a_zero_a_of_P(n):
+    # pp-measure and exp-JN divide by a(P) on every cube P, so a mu cell
+    # of 0 is refused there
+    rng = np.random.default_rng(7 + n)
+    f = GridFunction(RootBox.unit(n), 6 // n,
+                     rng.normal(size=(1 << (6 // n),) * n))
+    mu = rng.uniform(0.1, 1.0, f.values.shape)
+    mu.flat[5] = 0.0
+    a = FractionalFunctional(0.5, 1.0, mu, np.ones_like(mu), f.root, f.depth)
+    with pytest.raises(FunctionalError, match=r"a\(P\) is 0"):
+        _functional_hypothesis_norm(f, a)
+    with pytest.raises(FunctionalError, match=r"a\(P\) is 0"):
+        check_inequality("exp-JN", f, p=1.0, a_functional=a)
+    with pytest.raises(FunctionalError, match=r"a\(P\) is 0"):
+        check_inequality("pp-measure", f, mu=mu * f.cell_volume, p=1.5)
 
 
 def test_mixed_refuses_a_zero_outer_mass():
@@ -414,7 +520,6 @@ def reference_sides(f, u=None, v=None, lhs_exponent=1.0, p=1.0, m=1,
     block = f.values
     utot = umass.sum()
     gblock = discrete_gradient(f, m).values
-    ell = f.root.side
     if center == "projection":
         c = project(f, orthonormal_basis(f, m)).values
     elif center == "weighted_mean":
@@ -425,10 +530,9 @@ def reference_sides(f, u=None, v=None, lhs_exponent=1.0, p=1.0, m=1,
     lhs = (osc / utot) ** (1.0 / lhs_exponent) if normalized \
         else osc ** (1.0 / lhs_exponent)
     if rhs_kind == "gradient":
-        rhs = ell ** m * (((gblock ** p * vmass).sum() / utot) ** (1.0 / p))
+        rhs = reference_gradient_side(f, umass, vmass, p, m)
     elif rhs_kind == "lorentz":
-        rhs = ell * lorentz_p1_norm_values(gblock.ravel(),
-                                           (umass / utot).ravel(), p)
+        rhs = reference_lorentz_side(f, umass, p)
     else:
         uvals = umass / f.cell_volume
         nprime = math.inf if f.n == 1 else f.n / (f.n - 1.0)
