@@ -63,15 +63,20 @@ def _dump(obj, out, fmt, csv_rows=None, csv_header=None):
 
 
 def _load_weight(args, depth):
-    if getattr(args, "weight", None):
+    if args.weight and args.power_weight:
+        raise CliError("give --weight FILE or --power-weight, not both")
+    if args.weight:
         g = GridFunction.load(args.weight)
         return GridWeight(g), g.root, g.depth
-    if getattr(args, "power_weight", None):
+    if args.power_weight:
         kv = {}
         for tok in args.power_weight:
             k, eq, v = tok.partition("=")
             if not eq or k not in ("delta", "n"):
                 raise CliError(f"--power-weight takes delta=... n=..., got {tok!r}")
+            if k in kv:
+                raise CliError(f"--power-weight takes {k}= once, got {tok!r} "
+                               f"after {k}={kv[k]}")
             kv[k] = v
         delta = float(kv.get("delta", 0.5))
         n = int(kv.get("n", 1))
@@ -86,7 +91,7 @@ def _constants(args, command):
     rep = constants_report(w.cell_values(root, depth), args.p, root, depth,
                            shifted=args.shifted_grids)
     return rep.to_dict(), {"command": command, "p": args.p, "depth": depth,
-                           "shifted": args.shifted_grids, "seed": args.seed}
+                           "shifted": args.shifted_grids}
 
 
 def _cmd_constants(args):
@@ -107,8 +112,7 @@ def _cmd_cz(args):
               [(lv, json.dumps(c)) for lv, c in stopping], ("level", "coords"))
         return 0
     report = {
-        "config": {"command": "cz", "L": args.L, "depth": h.depth,
-                   "seed": args.seed},
+        "config": {"command": "cz", "L": args.L, "depth": h.depth},
         "stopping": stopping,
         "omega_fraction": dec.omega_volume_fraction(),
         "reconstruction_error": dec.reconstruction_error(),
@@ -186,8 +190,7 @@ def _cmd_poincare(args):
                            p0=args.p0, mu=w)
     d = res.to_dict()
     d["config"] = {"command": "poincare", "id": args.id, "p": args.p,
-                   "q": args.q, "m": args.m, "depth": f.depth,
-                   "seed": args.seed}
+                   "q": args.q, "m": args.m, "depth": f.depth}
     _dump(d, args.out, args.format)
     return 0
 
@@ -198,7 +201,7 @@ def _cmd_sharpness(args):
     sweep = sharpness_sweep(args.p, args.n, args.eps, deltas, args.depth)
     d = sweep.to_dict()
     d["config"] = {"command": "sharpness", "p": args.p, "n": args.n,
-                   "eps": args.eps, "depth": args.depth, "seed": args.seed}
+                   "eps": args.eps, "depth": args.depth}
     rows = [(dl, l, r, a) for dl, l, r, a in
             zip(sweep.deltas, sweep.lhs, sweep.rhs0, sweep.a1)]
     _dump(d, args.out, args.format, rows, ("delta", "lhs", "rhs0", "a1"))
@@ -219,8 +222,7 @@ def _cmd_rdf(args):
     R, rep = rubio_de_francia(h, wobj.cell_masses(h.root, h.depth), p,
                               args.terms, opnorm)
     rep["opnorm_mode"] = args.opnorm  # ap-bound arrives as a supplied number
-    rep["config"] = {"command": "rdf", "p": args.p, "terms": args.terms,
-                     "opnorm_mode": args.opnorm, "seed": args.seed}
+    rep["config"] = {"command": "rdf", "p": args.p, "terms": args.terms}
     rep["majorant"] = R.to_json_dict()
     _dump(rep, args.out, args.format)
     return 0
@@ -232,13 +234,18 @@ def _cmd_report(args):
     return 0
 
 
+# the global flags that only some commands read: (those commands, default)
+READ_BY_SOME = {"--seed": (("functional-check",), 0),
+                "--shifted-grids": (("constants", "report"), False)}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="poincarelab")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None)  # 6 where it is read
     ap.add_argument("--out", default=None)
     ap.add_argument("--format", choices=("json", "csv"), default="json")
-    ap.add_argument("--shifted-grids", action="store_true")
+    ap.add_argument("--shifted-grids", action="store_true", default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_weight_flags(sp):
@@ -325,9 +332,13 @@ def main(argv=None):
             if isinstance(value, float) and not math.isfinite(value):
                 raise CliError(f"--{name.replace('_', '-')} must be finite, "
                                f"got {value}")
-        if args.shifted_grids and args.command not in ("constants", "report"):
-            raise CliError("--shifted-grids applies only to constants and "
-                           f"report, not {args.command}")
+        for flag, (readers, default) in READ_BY_SOME.items():
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif args.command not in readers:
+                raise CliError(f"{flag} applies only to "
+                               f"{' and '.join(readers)}, not {args.command}")
         if args.depth is None:
             args.depth = 6
         elif args.command in ("cz", "poincare", "rdf"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -177,7 +177,6 @@ def _draw_family(n, L, below, depth):
 
 @dataclass
 class DpReport:
-    exponent: float
     worst_ratio: float
     witness: list
     trials: int
@@ -188,17 +187,10 @@ class DpReport:
     violations: int = 0
 
     def to_dict(self):
-        return {
-            "exponent": self.exponent,
-            "worst_ratio": self.worst_ratio,
-            "witness": [[q.level, list(q.coords)] for q in self.witness],
-            "trials": self.trials,
-            "mode": self.mode,
-            "smallness_slope": self.smallness_slope,
-            "fit_residual": self.fit_residual,
-            "per_L": {str(k): v for k, v in self.per_L.items()},
-            "violations": self.violations,
-        }
+        # string keys: sort_keys would order float keys numerically
+        return dict(asdict(self),
+                    witness=[[q.level, list(q.coords)] for q in self.witness],
+                    per_L={str(k): v for k, v in self.per_L.items()})
 
 
 def _maxplus(x, y, width):
@@ -379,7 +371,7 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
     slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
                                [max(per_L[L], 1e-300) for L in sorted(per_L)])
     total_trials = trials * len(Ls) if mode == "random" else 0
-    return DpReport(float(p), worst, witness, total_trials, mode, slope, resid,
+    return DpReport(worst, witness, total_trials, mode, slope, resid,
                     per_L, violations)
 
 

@@ -56,9 +56,12 @@ class RootBox:
     def __post_init__(self):
         if not (1 <= len(self.lower) <= MAX_DIM):
             raise GridError(f"dimension must be in [1, {MAX_DIM}]")
-        if not self.side > 0:
-            raise GridError("side must be positive")
+        if not 0 < self.side < np.inf:
+            raise GridError(f"side must be positive and finite, got "
+                            f"{self.side!r}")
         object.__setattr__(self, "lower", tuple(float(x) for x in self.lower))
+        if not np.all(np.isfinite(self.lower)):
+            raise GridError(f"corner must be finite, got {list(self.lower)}")
 
     @property
     def n(self):

@@ -13,14 +13,15 @@ measured constants for boundedness, which is the falsifiable content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
                    discrete_gradient, lebesgue_masses, level_blocks,
                    measure_cell_masses, midpoint_axes)
-from .weights import PowerWeight, ap_constant, two_weight_ap, ap1_constant
+from .weights import (PowerWeight, _sweep, ap_constant, ap1_constant,
+                      two_weight_ap)
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import FractionalFunctional, FunctionalError, _loglog_fit
 from .operators import (centered_maximal_values, centered_maximal_measure,
@@ -102,20 +103,11 @@ class CheckResult:
     passed: bool | None
     measured_constant: float
     inputs: dict = field(default_factory=dict)
-    status = "reported"              # every id reports; none verifies
 
     def to_dict(self):
-        return {
-            "id": self.inequality_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "status": self.status,
-            "measured_constant": self.measured_constant,
-            "inputs": self.inputs,
-        }
+        d = asdict(self)
+        d["id"] = d.pop("inequality_id")
+        return d
 
 
 def _result(iid, lhs, rhs, bound, inputs):
@@ -131,15 +123,17 @@ def _functional_hypothesis_norm(f: GridFunction, a: FractionalFunctional):
     """max over the dyadic cubes P of f's grid of avg_P |f - f_P| / a(P),
     one level of cubes at a time, a(P) read from ``a.level_values``; an
     a(P) of 0 is refused."""
-    best, axes = 0.0, tuple(range(f.n, 2 * f.n))
-    for level in range(f.depth + 1):
+    axes = tuple(range(f.n, 2 * f.n))
+
+    def per_cube(level, sh):
         blocks = level_blocks(f.values, level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
         values = a.level_values(level)
         if not values.all():
             raise FunctionalError(f"a(P) is 0 on a level-{level} cube P")
-        best = max(best, float(np.max(osc / values)))
-    return best
+        return osc / values
+
+    return _sweep(f.depth, False, per_cube)[0]
 
 
 def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
@@ -151,7 +145,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
     those arrays."""
     n, root, depth = f.n, f.root, f.depth
     Q = CubeIndex.root(n)
-    inputs = {"id": iid, "p": p, "q": q, "m": m}
+    inputs = {"p": p, "q": q, "m": m}
     um = measure_cell_masses(u, f)
     vm = None if v is None else measure_cell_masses(v, f)
     uv = um / f.cell_volume
@@ -307,17 +301,7 @@ class SharpnessSweep:
         return [r / a ** beta for r, a in zip(self.ratios(), self.a1)]
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "deltas": list(self.deltas),
-            "lhs": list(self.lhs),
-            "rhs0": list(self.rhs0),
-            "a1": list(self.a1),
-            "beta_hat": self.beta_hat,
-            "fit_residual": self.fit_residual,
-        }
+        return asdict(self)
 
 
 def _plateau_powers(p, root, eps, depth):

@@ -17,7 +17,7 @@ one-third-shifted lattices of Lerner-Nazarov's three-lattice theorem
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -331,24 +331,12 @@ class WeightConstantsReport:
     family: FamilyDescriptor
 
     def to_dict(self):
-        arg = self.ap_argmax
-        if isinstance(arg, CubeIndex):
-            arg = {"level": arg.level, "coords": list(arg.coords)}
-        elif isinstance(arg, tuple):
-            arg = {"family": arg[0], "level": arg[1], "coords": list(arg[2])}
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "ap_argmax": arg,
-            "a1": self.a1,
-            "ainf_fw": self.ainf_fw,
-            "rh_exponent": self.rh_exponent,
-            "rh_worst_ratio": self.rh_worst_ratio,
-            "rh_pass": bool(self.rh_pass),
-            "ap1": self.ap1,
-            "rhinf": self.rhinf,
-            "family": {"depth": self.family.depth, "shifted": self.family.shifted},
-        }
+        d = asdict(self)
+        if isinstance(self.ap_argmax, tuple):   # a half-shifted cube
+            family, level, coords = self.ap_argmax
+            d["ap_argmax"] = {"family": family, "level": level,
+                              "coords": list(coords)}
+        return d
 
 
 def constants_report(w, p, root, depth, shifted=False):

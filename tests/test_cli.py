@@ -299,6 +299,36 @@ def test_power_weight_rejects_unknown_tokens(capsys, tokens):
     assert len(err) == 1 and err[0].startswith("error: --power-weight"), err
 
 
+# the weight flags of one run, and the words of its one error line: two
+# weight sources, or a --power-weight key given twice
+BAD_WEIGHT_SOURCES = {
+    "file-then-power": (["--weight", "{w}", "--power-weight", "delta=0.5",
+                         "n=1"], "not both"),
+    "power-then-file": (["--power-weight", "delta=0.5", "n=1", "--weight",
+                         "{w}"], "not both"),
+    "delta-twice": (["--power-weight", "delta=0.5", "delta=0.9", "n=1"],
+                    "delta= once"),
+    "n-twice": (["--power-weight", "n=1", "delta=0.5", "n=1"], "n= once"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHT_SOURCES))
+@pytest.mark.parametrize("command", [
+    ["constants"], ["report"], ["rdf", "--input", "{h}"],
+    ["poincare", "--id", "pp-two-weight", "--input", "{h}"]],
+    ids=lambda c: c[0])
+def test_one_weight_source_with_each_key_once(command, case, capsys,
+                                              step_weight_file, spike_file):
+    flags, words = BAD_WEIGHT_SOURCES[case]
+    rc = main([a.format(w=step_weight_file, h=spike_file)
+               for a in command + flags])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert words in err[0]
+
+
 def test_poincare_check(tmp_path):
     x = np.linspace(0, 1, 17)[:-1] + 1 / 32
     g = GridFunction(RootBox.unit(1), 4, x)
@@ -445,9 +475,9 @@ def _run_cli(*args):
 DIGESTS_NUMPY = "2.4.6"
 README_DIGESTS = {
     "constants --power-weight delta=0.25 n=1 --depth 8 --p 2":
-        "124b33c54c278c68927d00f626b10ca7332b643b53e360923fb80f053a7d2724",
+        "35c618f63ba09d21a7c14eba2ea5ab8c09705212c593ceb79966a3b64d5a7515",
     "report --power-weight delta=0.5 n=2 --depth 5":
-        "5572a39c036e7a9b986fb583aa5ac23bfa7e91dd74615e353f8371843e5498ad",
+        "0190a14e15ebde2638d57c0013a529a2c360a7b96f616589419f269aaf8c3f9a",
 }
 
 
@@ -455,11 +485,11 @@ README_DIGESTS = {
 # with the same numpy build as README_DIGESTS
 RDF_DIGESTS = {
     "empirical":
-        "9cae7a94d657df823f22483326aee2b79692ca68ee304b4a816bd0650f0f5bd9",
+        "db770a56bf8f8f5b82de093d087e119c2867fb6fc7d02a3bbfe52143eae99101",
     "ap-bound":
-        "4eff9f70347d1bc62f07cb388e90dad7eee2e6982e3150e33be6c6b2f5d179d6",
+        "a448e8bdf638db91f2a03bb0e31731d6a74a56a82881c91dc1d6dbfe22e4843a",
     "supplied --opnorm-value 3":
-        "418bd399cb358a7993afe7ed8f75806195e76d7f2fb4b85e35ab7ba5a5da44ec",
+        "ae696fb7bb811b1a0039de7441150c245185c5b3bfdd418c2acd5bb81382a57e",
 }
 
 
@@ -469,9 +499,9 @@ RDF_DIGESTS = {
 # their bits.  Recorded with the same numpy build as README_DIGESTS.
 SAMPLED_DIGESTS = {
     (1, 10):
-        "8d03f519e0be19d54cd1aad87485ee7b515d0f37a0277162b1df06ac3992e255",
+        "e9b9432cfcc14ac5a12e922052290748a1eb34c35c4178ebab259a4b3292f569",
     (2, 5):
-        "1824e08f9d8efe9cc3c05559b5102c3288aa4fbdeab3361b1a5b66f7680505a7",
+        "7e97f8b7420b5a3a3e77a0a31a938b20dbeea7c8c996a3e247e134cf462cc980",
 }
 
 
@@ -481,21 +511,21 @@ SAMPLED_DIGESTS = {
 # must leave these bytes alone
 POINCARE_DIGESTS = {
     "pp-two-weight --p 2":
-        "d848034eb9f50f6e548821cb736e4f9de697ee35a54522a2b17b391ef9b291f2",
+        "1520526d207cd759d3eb4fbedc62fbca156f4faba27dde31e902c259f597edc9",
     "higher-order --p 1.5 --m 2":
-        "f98cedeb0dd304ed6f49b092db5743798bd65bed7c0125df8c6b7fcde603bef4",
+        "7159b35d3655e3b6a93641120c8066b1ccea9bf39a81d1f71a6f8a378146e31e",
     "sobolev-A --p 1.5 --q 1.5":
-        "25e8475f28c68be5aabfb589aeb65b2dba5b9f92fc06d2e255ab680a0975e757",
+        "d6dd1ecd29727757431e0d7ac5d4928945dc0b40917857163928dc1f97274526",
     "sobolev-B --p 1.5 --q 1.5":
-        "ceef350c6b5f520bc7902d392f054a6fa381a25407bea3ec1e973cc460f47b23",
+        "8481681594814036ced08c78434ea2ae1e4f29f8242a6f417d71ce4863c0b45b",
     "a1-linear --p 1.5":
-        "f7c3be9206ac6486047bc7fe343069379dee942deae9a281b22cef800a391973",
+        "4e597fd01711154c049147e5926c035f2d2bccc4af2711aeaaf73bad0dbb11eb",
     "kz-downward --p 1.5 --p0 3":
-        "125c69704ce60abf26c483582af1ffd8eecbc7b82e737acbf49d578919edc865",
+        "dcbd609c6b601dcbd67e0adf838c0bc333e50fa8d3ad30f1541d92d514258f37",
     "lorentz --p 1.5":
-        "61864e2021b95b777534faaafbca505a6112e852e3cfd725cea3b158feb8b0b3",
+        "a31b5ab62f96165a723770f5234bb1f3466af6ee66e64f7b4f199b443e156a34",
     "pp-measure --p 1.5":
-        "dbbf7cda9cc2bff44fb4efd8ed64ddcbe8bed0d496736a379937423d20d8eeaa",
+        "0b313f3162f2aab9f5bbdadb880d2c75f2afabd336842e5a31419baa3fb42171",
 }
 
 
@@ -604,6 +634,11 @@ MALFORMED = {
     "values-text": dict(GOOD, values=["1", "2"]),
     "values-nested": dict(GOOD, values=[[1.0], [2.0]]),
     "values-overflow": dict(GOOD, values=[1, 10 ** 400]),
+    # json.load reads Infinity, NaN and 1e999; a root box refuses them
+    "side-infinity": dict(GOOD, root={"lower": [0.0], "side": float("inf")}),
+    "side-1e999": '{"root": {"lower": [0.0], "side": 1e999}, "depth": 1, '
+                  '"values": [1.0, 3.0]}',
+    "corner-nan": dict(GOOD, root={"lower": [float("nan")], "side": 1.0}),
 }
 
 
@@ -766,6 +801,25 @@ def test_shifted_grids_only_for_constants_and_report(name, flag_first,
         assert rc == 1 and captured.out == ""
         assert err == ["error: --shifted-grids applies only to constants "
                        f"and report, not {args[0]}"], err
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_seed_only_for_functional_check(name, flag_first, tmp_path, capsys,
+                                        step_weight_file, spike_file):
+    # rdf's probes come from operators.PROBE_SEED whatever --seed says
+    args = _case_args(name, tmp_path, step_weight_file, spike_file)
+    flag = ["--seed", "5"]
+    rc = main(flag + args if flag_first else args + flag)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if name == "functional-check":
+        assert rc == 0 and err == []
+        assert json.loads(captured.out)["config"]["seed"] == 5
+    else:
+        assert rc == 1 and captured.out == ""
+        assert err == ["error: --seed applies only to functional-check, "
+                       f"not {args[0]}"], err
 
 
 @pytest.mark.parametrize("flag_first", [True, False])

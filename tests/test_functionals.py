@@ -540,7 +540,7 @@ def test_report_fields_are_python_floats(mode):
                                 mode=mode, trials=20, budget_L=2.0)]
         for rep in reports:
             d = rep.to_dict()
-            floats = [d["exponent"], d["worst_ratio"], *d["per_L"].values(),
+            floats = [d["worst_ratio"], *d["per_L"].values(),
                       d["smallness_slope"], d["fit_residual"]]
             assert all(type(v) is float for v in floats), d
 

@@ -38,6 +38,15 @@ def test_root_box_dimension_cap():
         RootBox.unit(5)
 
 
+@pytest.mark.parametrize("lower, side", [
+    ((0.0,), math.inf), ((0.0,), math.nan), ((0.0,), 0.0),
+    ((math.nan,), 1.0), ((0.0, -math.inf), 1.0)],
+    ids=["side-inf", "side-nan", "side-0", "corner-nan", "corner-inf"])
+def test_root_box_refuses_a_non_finite_side_or_corner(lower, side):
+    with pytest.raises(GridError):
+        RootBox(lower, side)
+
+
 def test_cube_children_partition_volume():
     q = CubeIndex.root(2)
     kids = q.children()

@@ -5,9 +5,9 @@ the acceptance criteria or the benchmark, every defaulted parameter of
 one is passed by a call there, every method the benchmark traces is
 defined in its class's own body, no function imports a package module
 locally, no function takes the cube it runs on or a random generator or
-is only ``raise NotImplementedError``, and no module builds full-grid
-coordinate temporaries, whole multi-axis spectra or per-element Python
-calls."""
+is only ``raise NotImplementedError``, every dataclass ``to_dict`` is
+built from ``asdict(self)``, and no module builds full-grid coordinate
+temporaries, whole multi-axis spectra or per-element Python calls."""
 
 import ast
 import importlib
@@ -461,6 +461,64 @@ def test_traced_methods_are_defined_in_their_class_body():
     for module, cls, method in methods:
         owner = getattr(importlib.import_module(f"poincarelab.{module}"), cls)
         assert method in owner.__dict__, (module, cls, method)
+
+
+def _called_name(node):
+    """The name a decorator or call node calls or names: ``f`` for ``f``,
+    ``f(...)``, ``m.f`` and ``m.f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else \
+        node.id if isinstance(node, ast.Name) else None
+
+
+def to_dicts_not_from_fields(sources):
+    """(module, class) of each dataclass in ``sources`` (module name ->
+    source text) whose ``to_dict`` does not call ``asdict(self)``: one
+    that lists the fields by hand states each of them a second time."""
+    found = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                    _called_name(d) == "dataclass"
+                    for d in cls.decorator_list):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "to_dict" \
+                        and not any(isinstance(c, ast.Call)
+                                    and _called_name(c) == "asdict"
+                                    and [getattr(a, "id", None)
+                                         for a in c.args] == ["self"]
+                                    for c in ast.walk(fn)):
+                    found.append((module, cls.name))
+    return sorted(found)
+
+
+def test_every_to_dict_is_built_from_the_dataclass_fields():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert to_dicts_not_from_fields(sources) == []
+
+
+def test_detector_flags_to_dicts_listing_fields_by_hand():
+    sources = {"a.py": "@dataclass\nclass Hand:\n    x: float\n\n"
+                       "    def to_dict(self):\n"
+                       "        return {\"x\": self.x}\n\n\n"
+                       "@dataclass(frozen=True)\nclass Other:\n"
+                       "    x: float\n\n    def to_dict(self):\n"
+                       "        return asdict(self.x)\n\n\n"
+                       "@dataclass\nclass Fields:\n    x: float\n\n"
+                       "    def to_dict(self):\n"
+                       "        return dict(asdict(self), x=str(self.x))\n",
+               "b.py": "@dataclasses.dataclass(frozen=True)\nclass Dotted:\n"
+                       "    x: float\n\n    def to_dict(self):\n"
+                       "        d = dataclasses.asdict(self)\n"
+                       "        return d\n\n\n"
+                       "class Plain:\n    def to_dict(self):\n"
+                       "        return {\"x\": self.x}\n"}
+    # a plain class is not a dataclass; asdict of anything but self lists
+    # no fields of its own
+    assert to_dicts_not_from_fields(sources) == [("a.py", "Hand"),
+                                                 ("a.py", "Other")]
 
 
 def dense_temporaries(source):
