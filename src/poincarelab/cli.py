@@ -154,6 +154,15 @@ def _functional_config(path):
 
 
 def _cmd_functional_check(args):
+    # the sampler's flags: the exhaustive DP draws nothing, so it refuses
+    # them rather than echo a value that changes nothing
+    sampled = args.mode == "random"
+    for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+        if value is not None and not sampled:
+            raise CliError(f"{flag} applies only to functional-check --mode "
+                           "random: the exhaustive DP draws nothing")
+    seed = 0 if args.seed is None else args.seed
+    trials = 200 if args.trials is None else args.trials
     config = _functional_config(args.functional)
     n = config.get("n", 1)
     depth = args.depth
@@ -171,11 +180,12 @@ def _cmd_functional_check(args):
     a = FractionalFunctional(config.get("alpha", 1.0), args.p, mu, wm, root, depth)
     rep = sdp_check(a, wm, args.p, CubeIndex.root(n), depth,
                     [float(x) for x in args.Ls.split(",")],
-                    trials=args.trials, seed=args.seed, mode=args.mode)
+                    trials=trials, seed=seed, mode=args.mode)
     d = rep.to_dict()
     d["config"] = {"command": "functional-check", "p": args.p, "depth": depth,
-                   "Ls": args.Ls, "trials": args.trials, "seed": args.seed,
-                   "mode": args.mode}
+                   "Ls": args.Ls, "mode": args.mode}
+    if sampled:
+        d["config"].update(trials=trials, seed=seed)
     _dump(d, args.out, args.format)
     return 0
 
@@ -234,8 +244,9 @@ def _cmd_report(args):
     return 0
 
 
-# the global flags that only some commands read: (those commands, default)
-READ_BY_SOME = {"--seed": (("functional-check",), 0),
+# the global flags that only some commands read: (those commands, default);
+# functional-check reads --seed in random mode only, 0 by default
+READ_BY_SOME = {"--seed": (("functional-check",), None),
                 "--shifted-grids": (("constants", "report"), False)}
 
 
@@ -281,7 +292,7 @@ def build_parser():
     sp.add_argument("--functional", required=True)
     sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--Ls", default="2,4,8")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--mode", choices=("exhaustive", "random"),
                     default="random")
     sp.set_defaults(func=_cmd_functional_check)

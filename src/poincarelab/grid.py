@@ -301,6 +301,15 @@ def block_reduce(values, level, op, shifted=False):
               axis=tuple(range(1, 2 * values.ndim, 2)))
 
 
+def _cumsum_planes(arr, axis):
+    """Running sum along ``axis`` in place, one add per plane: the same
+    sequential sums as ``np.cumsum``, which would instead run one loop per
+    line and so pays per line when the axis is short and the lines many."""
+    before = (slice(None),) * axis
+    for k in range(1, arr.shape[axis]):
+        arr[before + (k,)] += arr[before + (k - 1,)]
+
+
 def upsample(arr):
     """A per-cube array of one level laid out on the next finer level."""
     for ax in range(arr.ndim):

@@ -8,18 +8,21 @@ version up to a dimensional factor, which is reported where relevant).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .grid import (GridFunction, _corner_singular_unit_integral,
-                   measure_cell_masses)
+                   _cumsum_planes, measure_cell_masses)
 
 AP_BOUND_CN = 1.0  # C_n of the ap-bound estimate C_n p' [w]_{A_p}^(1/(p-1))
 PROBE_SEED = 7     # seed of the empirical estimate's probe corpus
 PROBE_COUNT = 20   # size of that corpus
 EXP_NORM_REL_TOL = 1e-12  # relative bracket width of the exp-L bisection
+STRIP_BYTES = 1 << 18  # a fractional strip's spectra may always take this
+SHARED_PASS_MAX = 1 << 12  # maximal radii share a pass when one radius's
+#                            windows hold at most this many cells,
+SHARED_PASS_CELLS = 1 << 14  # and so many cells in all
 
 
 class OperatorError(ValueError):
@@ -36,15 +39,29 @@ def _centered_maximal(masses, n, cell_volume=1.0):
     of ``masses`` are space (side N on every axis, odd sides included);
     leading axes, if any, index a batch of blocks maximized independently.
 
-    Windows are evaluated only for r = 1..h, h = N//2.  The zero-led
-    integral image P (N+1 entries per space axis) is padded by h entries
-    per side, so E[h+j] = P[clip(j, 0, N)]: the clipped window corners i-r
-    and i+r+1 of every cell i are then the basic slices E[h-r : h-r+N] and
-    E[h+1+r : h+1+r+N], and each of the 2^n corner terms of a radius is a
-    view.  E is one preallocated array of (N+1+2h)^n floats per block,
+    Layout: when the blocks outnumber the block side, the batch axes move
+    behind the space axes (one contiguous copy in, one out), so the inner
+    loops run across blocks instead of along a row of a few cells, and the
+    running sums below are taken one plane at a time.  Otherwise the array
+    is used as given.
+
+    The zero-led integral image P (N+1 entries per space axis) is padded
+    by h = N//2 entries per side, so E[h+j] = P[clip(j, 0, N)]: the clipped
+    window corners i-r and i+r+1 of every cell i are E[h-r+i] and
+    E[h+1+r+i], and each of the 2^n corner terms of a radius is a strided
+    view of E.  E is one preallocated array of (N+1+2h)^n floats per block,
     every entry of it read, filled by slices: the masses summed in place at
     [h+1, h+1+N) per axis, zeros below (the lead P[0] and its padding),
     then each axis's top edge copied outward.
+
+    Radii r = 1..h are evaluated in passes.  When one radius's windows
+    hold at most SHARED_PASS_MAX cells, consecutive radii share a pass of
+    SHARED_PASS_CELLS cells: each corner term is then one view with a
+    leading radius axis, whose stride is the sum of the space strides, each
+    signed by the corner's side, and the widths come from J the same way;
+    the counts are formed per radius as before, and the pass's maximum
+    over its radii goes into the output in one reduction.  Larger blocks
+    take one radius per pass.
 
     At radius h every window is clipped on every axis, so the window of
     cell i at radius h+t is, axis by axis, the radius-h window of the cell
@@ -52,11 +69,18 @@ def _centered_maximal(masses, n, cell_volume=1.0):
     h, at h from h up.  The radius-h values are therefore maximized along
     these centre-ward rays by doubling, s = max(s, s[toward(step)]) for
     step = 1, 2, 4, ... up to (N-1)//2, each step one gather over all
-    space axes.  The rays reuse values computed with the same corner terms
-    and counts, and max is exact, so every output equals the per-radius
-    loop over r < N bit for bit.  Per block that is N//2 radii of 2^n
-    window reads of N^n cells each, half of the full loop, plus fewer than
-    log2(N) gathers of N^n cells.
+    space axes.  In 1D the passes take instead only the windows clipped at
+    neither end, radius r at cells r+1..N-2-r for r up to (N-3)//2, and
+    ``_clipped_1d`` folds in the prefixes and suffixes.
+
+    Every window value is formed with the same corner terms and counts as
+    the per-radius loop over r < N, and max is exact, so for masses >= 0
+    (zeros of either sign) every output equals that loop's bit for bit.
+    Per block, in n >= 2: h radii of 2^n window reads of N^n cells each,
+    half of the full loop, plus fewer than log2(N) gathers of N^n cells;
+    in 1D about N^2/4 cell reads plus two running maxima over N entries.
+    Memory: the image, the output, and per pass the window sums and counts
+    (one block, or SHARED_PASS_CELLS cells), plus the two layout copies.
     """
     masses = np.asarray(masses, dtype=float)
     lead = masses.ndim - n
@@ -65,13 +89,26 @@ def _centered_maximal(masses, n, cell_volume=1.0):
         raise OperatorError("centered maximal needs a cubic block, got space "
                             f"shape {space}")
     N = space[0]
+    if N == 1:   # the one window is the cell
+        return masses / cell_volume
     h = N // 2
-    batch = (slice(None),) * lead
-    E = np.empty(masses.shape[:lead] + (N + 1 + 2 * h,) * n)
+    S = N + 1 + 2 * h
+    inner = math.prod(masses.shape[:lead]) > N
+    if inner:
+        masses = masses.transpose(
+            tuple(range(lead, lead + n)) + tuple(range(lead))).copy()
+        batch, axes = (), range(n)
+        E = np.empty((S,) * n + masses.shape[n:])
+    else:
+        batch, axes = (slice(None),) * lead, range(lead, lead + n)
+        E = np.empty(masses.shape[:lead] + (S,) * n)
     core = E[batch + (slice(h + 1, h + 1 + N),) * n]
     core[...] = masses
-    for ax in range(lead, masses.ndim):
-        np.cumsum(core, axis=ax, out=core)
+    for ax in axes:
+        if inner:   # the lines along a space axis are short and many
+            _cumsum_planes(core, ax)
+        else:
+            np.cumsum(core, axis=ax, out=core)
     for ax in range(n):
         E[batch + (slice(None),) * ax + (slice(0, h + 1),)] = 0.0
     for ax in range(n):
@@ -81,42 +118,132 @@ def _centered_maximal(masses, n, cell_volume=1.0):
         top = before + (slice(h + 1 + N, None),)
         E[top] = E[before + (slice(h + N, h + 1 + N),)].copy()
     J = np.clip(np.arange(-h, N + h + 1, dtype=float), 0, N)
-    best = masses / cell_volume
-    for r in range(1, h + 1):
-        ends = (slice(h - r, h - r + N), slice(h + 1 + r, h + 1 + r + N))
-        # the last radius's arrays are dropped before these are allocated
+    unit = J.strides[0]
+    # per corner term: its sign, and where its view of E starts at radius
+    # 0 and cell 0 and moves per radius.  On every space axis the window
+    # corner i-r (b = 0) or i+r+1 (b = 1) of cell i is E index h-r+i or
+    # h+1+r+i
+    corners = [(False, 0, 0)]
+    for ax in axes:
+        st = E.strides[ax]
+        corners = [(negative ^ (b == 0), start + (h + b) * st,
+                    step + (st if b else -st))
+                   for negative, start, step in corners for b in (0, 1)]
+    diagonal = sum(E.strides[ax] for ax in axes)
+
+    def on_cells(L):   # the shape of L cells per space axis, and of counts
+        return (tuple(L if ax in axes else c
+                      for ax, c in enumerate(masses.shape)),
+                tuple(L if ax in axes else 1 for ax in range(masses.ndim)))
+
+    # the output: in the innermost layout the private copy, divided in place
+    best = (np.divide(masses, cell_volume, out=masses) if inner
+            else masses / cell_volume)
+    chunk = (SHARED_PASS_CELLS // masses.size
+             if masses.size <= SHARED_PASS_MAX else 1)
+    # in 1D the passes take only windows clipped on neither side, radius r
+    # at cells r+1..N-2-r; the clipped ones are maximized after them
+    last = h if n > 1 else (N - 3) // 2
+    shape, counts = on_cells(N)
+    i0 = 0
+    for r in range(1, last + 1, chunk):
+        R = min(chunk, last + 1 - r)
+        if n == 1:
+            i0 = r + 1
+            shape, counts = on_cells(N - 2 - 2 * r)
+        L = shape[axes[0]]
+        # the last pass's arrays are dropped before these are allocated
         s = cnt = None
-        for signs in itertools.product((0, 1), repeat=n):
-            t = E[batch + tuple(ends[b] for b in signs)]
-            negative = (n - sum(signs)) % 2 == 1
+        for negative, start, step in corners:
+            t = np.ndarray((R,) + shape, float, E,
+                           start + r * step + i0 * diagonal,
+                           (step,) + E.strides)
             if s is None:
                 s = -t if negative else t.copy()
             elif negative:
                 s -= t
             else:
                 s += t
-        width = J[ends[1]] - J[ends[0]]
+        width = (np.ndarray((R, L), float, J, (h + 1 + r + i0) * unit,
+                            (unit, unit))
+                 - np.ndarray((R, L), float, J, (h - r + i0) * unit,
+                              (-unit, unit)))
         cnt = width
         for ax in range(1, n):
-            cnt = np.multiply.outer(cnt, width)
+            cnt = cnt[..., None] * width.reshape((R,) + (1,) * ax + (L,))
+        cnt = cnt.reshape((R,) + counts)
         if cell_volume != 1.0:
             cnt *= cell_volume
         s /= cnt
-        np.maximum(best, s, out=best)
-    # radii h+1..N-1: the radius-h values maximized along centre-ward rays;
-    # the image and the last counts are not read again, so each gather
-    # allocates into what they held
-    E = core = t = cnt = None
-    idx = np.arange(N)
-    step = 1
-    while step <= (N - 1) // 2:
-        toward = np.where(idx < h, np.minimum(idx + step, (N - 1) // 2),
-                          np.maximum(idx - step, h))
-        np.maximum(s, s[batch + np.ix_(*(toward,) * n)], out=s)
-        step *= 2
-    if step > 1:
-        np.maximum(best, s, out=best)
+        cells = best[batch + (slice(i0, i0 + L),) * n]
+        np.maximum(cells, s[0] if R == 1 else s.max(axis=0), out=cells)
+    if n == 1:
+        _clipped_1d(best, E, batch, h, cell_volume, inner)
+    else:
+        # radii h+1..N-1: the radius-h values maximized along centre-ward
+        # rays; the image and the last counts are not read again, so each
+        # gather allocates into what they held
+        s = s[-1]
+        E = core = t = cnt = None
+        idx = np.arange(N)
+        step = 1
+        while step <= (N - 1) // 2:
+            toward = np.where(idx < h, np.minimum(idx + step, (N - 1) // 2),
+                              np.maximum(idx - step, h))
+            np.maximum(s, s[batch + np.ix_(*(toward,) * n)], out=s)
+            step *= 2
+        if step > 1:
+            np.maximum(best, s, out=best)
+    if inner:
+        best = np.ascontiguousarray(best.transpose(
+            tuple(range(n, n + lead)) + tuple(range(n))))
     return best
+
+
+def _clipped_1d(best, E, batch, h, cell_volume, inner):
+    """Fold into the 1D kernel's ``best`` the windows that meet an end of
+    the block, from the padded integral image ``E`` (P[k] = E[h+k]).
+
+    A window clipped at 0 is a prefix [0, k), average A_k = (-P[0] + P[k])
+    / k; one clipped at N is a suffix [j, N), B_j = (-P[j] + P[N]) / (N-j),
+    each formed with the operations and widths of the radius passes.  Cell
+    i meets the prefixes k = min(i + max(i, 1) + 1, N) .. N and the
+    suffixes j = 1 .. i - max(N-1-i, 1), so its maxima are a running max of
+    A from the top and of B from j = 1, each read at one index.  The whole
+    block, A_N, is taken last: where every window of a cell holds 0, the
+    output is its zero, as the last radius of the per-radius loop leaves it.
+    """
+    axis = 0 if inner else -1
+    N = best.shape[axis]
+
+    def cells(a, b):
+        return batch + (slice(a, b),)
+
+    def along(v):   # a vector along the space axis
+        return v.reshape(v.shape + (1,) * (best.ndim - 1)) if inner else v
+
+    k = np.arange(1, N + 1, dtype=float)
+    if cell_volume != 1.0:
+        k *= cell_volume
+    P = E[cells(h, h + N + 1)]
+    A = (-P[cells(0, 1)] + P[cells(1, N + 1)]) / along(k)   # A_k at k-1
+    i = np.arange(N)
+    top = batch + (slice(None, None, -1),)
+    high = np.maximum.accumulate(A[top], axis=axis)[top]
+    np.maximum(best, np.take(high, np.minimum(i + np.maximum(i, 1), N - 1),
+                             axis=axis), out=best)
+    first = max(2, (N + 1) // 2)   # the first cell that meets a suffix
+    if first < N:
+        width = N - np.arange(1, N, dtype=float)
+        if cell_volume != 1.0:
+            width *= cell_volume
+        B = (-P[cells(1, N)] + P[cells(N, N + 1)]) / along(width)   # j-1
+        low = np.maximum.accumulate(B, axis=axis)
+        i = i[first:]
+        part = best[cells(first, N)]
+        np.maximum(part, np.take(low, i - np.maximum(N - 1 - i, 1) - 1,
+                                 axis=axis), out=part)
+    np.maximum(best, A[cells(N - 1, N)], out=best)
 
 
 def centered_maximal_values(values):
@@ -185,9 +312,13 @@ def fractional_integral(g: GridFunction, alpha):
         # (axes n-2 ... 0), the product block * K, and irfftn's 1D inverses
         # (axes 0 ... n-2), each followed by keeping the valid rows of its
         # axis.  A strip's two full spectra fit in the bytes K held beyond
-        # the block's spectrum, so the peak stays at K's transform
-        width = max(1, (freed - spec.nbytes)
-                    // (2 * L ** last * spec.itemsize))
+        # the block's spectrum, so the peak stays at K's transform.  Where
+        # that margin is only a few columns (a small block), a strip may
+        # take the bytes K held, up to STRIP_BYTES, so that the block
+        # still runs in a few strips
+        column = 2 * L ** last * spec.itemsize
+        width = max(1, (freed - spec.nbytes) // column,
+                    min(freed, STRIP_BYTES) // column)
         for j in range(0, spec.shape[last], width):
             cols = (Ellipsis, slice(j, j + width))
             bs, ks = spec[cols], kspec[cols]

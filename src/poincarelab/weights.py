@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import (CubeIndex, GridError, GridFunction, RootBox,
-                   _corner_singular_unit_integral, block_reduce,
-                   check_cell_cap, float_pow, level_blocks, resolve)
+                   _corner_singular_unit_integral, _cumsum_planes,
+                   block_reduce, check_cell_cap, float_pow, level_blocks,
+                   resolve)
 from .operators import _centered_maximal
 
 
@@ -141,26 +142,65 @@ class FamilyDescriptor:
     shifted: bool = False
 
 
-def _sweep(depth, shifted, per_cube):
-    """Supremum over the cube family and the first cube attaining it.
+def _sweeps(depth, shifted, per_member):
+    """Suprema over the cube family of several per-cube expressions, in one
+    walk, each with the first cube attaining it.
 
     The walk takes each level's aligned cubes, then with ``shifted`` its
-    half-shifted cubes (0 < level < depth).  ``per_cube(level, sh)`` gives
-    one value per cube of that member, shaped as ``block_reduce`` returns
-    it; the cube is named as a CubeIndex, or as ``("shifted", level,
-    coords)``.
+    half-shifted cubes (0 < level < depth).  ``per_member(level, sh)``
+    gives, per expression, one value per cube of that member, shaped as
+    ``block_reduce`` returns it; the cube is named as a CubeIndex, or as
+    ``("shifted", level, coords)``.
     """
-    best, best_cube = -np.inf, None
+    found = None
     for level in range(depth + 1):
         for sh in (False, True) if shifted and 0 < level < depth else (False,):
-            vals = per_cube(level, sh)
-            i = int(np.argmax(vals))
-            if vals.flat[i] > best:
-                best = float(vals.flat[i])
-                coords = tuple(int(c) for c in np.unravel_index(i, vals.shape))
-                best_cube = (("shifted", level, coords) if sh
-                             else CubeIndex(level, coords))
-    return best, best_cube
+            members = per_member(level, sh)
+            if found is None:
+                found = [(-np.inf, None)] * len(members)
+            for k, vals in enumerate(members):
+                i = int(np.argmax(vals))
+                if vals.flat[i] > found[k][0]:
+                    coords = tuple(int(c)
+                                   for c in np.unravel_index(i, vals.shape))
+                    found[k] = (float(vals.flat[i]),
+                                ("shifted", level, coords) if sh
+                                else CubeIndex(level, coords))
+    return found
+
+
+def _sweep(depth, shifted, per_cube):
+    """Supremum of one per-cube expression over the cube family and the
+    first cube attaining it, walked as in ``_sweeps``."""
+    return _sweeps(depth, shifted, lambda level, sh: (per_cube(level, sh),))[0]
+
+
+def _on_means(wv, *exprs):
+    """``per_member`` for ``_sweeps``: each ``expr(level, sh, mean, out)``
+    of the member's per-cube mean of ``wv``, which is reduced once.  The
+    last expression gets the mean as ``out`` too, and writes its values
+    over it, so a single expression holds no more than the one array it
+    returns; the others get None."""
+    last = len(exprs) - 1
+
+    def per_member(level, sh):
+        mean = block_reduce(wv, level, np.mean, sh)
+        return [expr(level, sh, mean, mean if k == last else None)
+                for k, expr in enumerate(exprs)]
+    return per_member
+
+
+def _on_blocks(wv, *exprs):
+    """``per_member`` for ``_sweeps``: each ``expr(blocks, mean)`` of the
+    member's cubes as ``level_blocks`` lays them out, built once, and of
+    their per-cube mean."""
+    space = tuple(range(wv.ndim, 2 * wv.ndim))
+
+    def per_member(level, sh):
+        blocks = level_blocks(wv, level, sh)
+        mean = blocks.mean(axis=space)
+        return [expr(blocks, mean) for expr in exprs]
+    return per_member
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +220,7 @@ def _halve(arr, op):
 def _extremum_levels(values, op):
     """Per-cube extremum ``op`` (np.minimum or np.maximum) of every cube
     family member, as ``block_reduce(values, level, op.reduce, sh)`` gives
-    it, for ``_sweep``.
+    it, for the per-cube expressions of ``_sweeps``.
 
     The aligned levels form one pyramid, each level halved from the next
     finer one; a half-shifted level-l cube is the union of 2^n aligned
@@ -201,22 +241,21 @@ def _extremum_levels(values, op):
     return per_cube
 
 
-def _ap_cubes(uv, vv, p):
-    """Per-cube two-weight A_p expression for ``_sweep``: (avg u)(avg
-    v^(1-p'))^(p-1) for p > 1, (avg u) * max(1/v) for p = 1.  A p so near
-    1 that v^(1-p') overflows on some cell is refused."""
+def _ap_cubes(vv, p):
+    """Per-cube two-weight A_p expression for ``_on_means`` over u: (avg
+    u)(avg v^(1-p'))^(p-1) for p > 1, (avg u) * max(1/v) for p = 1.  A p
+    so near 1 that v^(1-p') overflows on some cell is refused."""
     if p == 1:
         low = _extremum_levels(vv, np.minimum)
-        return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
-                                  / low(level, sh))
+        return lambda level, sh, mean, out: np.divide(mean, low(level, sh),
+                                                      out=out)
     with np.errstate(over="ignore"):
         dual = vv ** (1.0 - p / (p - 1.0))
     if not np.all(np.isfinite(dual)):
         raise WeightError(f"w^(1-p') is not finite on some cell at p={p}; "
                           "p is too close to 1 for this weight")
-    return lambda level, sh: (block_reduce(uv, level, np.mean, sh)
-                              * block_reduce(dual, level, np.mean, sh)
-                              ** (p - 1.0))
+    return lambda level, sh, mean, out: np.multiply(
+        mean, block_reduce(dual, level, np.mean, sh) ** (p - 1.0), out=out)
 
 
 def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
@@ -228,7 +267,7 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     if p < 1:
         raise WeightError("p must be >= 1")
     wv = resolve(w, root, depth)
-    found = _sweep(depth, shifted, _ap_cubes(wv, wv, p))
+    found = _sweeps(depth, shifted, _on_means(wv, _ap_cubes(wv, p)))[0]
     return found if return_argmax else found[0]
 
 
@@ -238,34 +277,39 @@ def two_weight_ap(u, v, p, root, depth):
     if p < 1:
         raise WeightError("p must be >= 1")
     uv = resolve(u, root, depth)
-    return _sweep(depth, False, _ap_cubes(uv, resolve(v, root, depth), p))[0]
+    return _sweeps(depth, False,
+                   _on_means(uv, _ap_cubes(resolve(v, root, depth), p)))[0][0]
+
+
+def _rhinf_cubes(wv):
+    """Per-cube RH_inf expression for ``_on_means``: (max w)/(avg w)."""
+    high = _extremum_levels(wv, np.maximum)
+    return lambda level, sh, mean, out: np.divide(high(level, sh), mean,
+                                                  out=out)
 
 
 def rhinf_constant(w, root, depth, shifted=False):
     """RH_inf constant: sup over cubes of (max w on Q)/(avg w on Q)."""
     wv = resolve(w, root, depth)
-    high = _extremum_levels(wv, np.maximum)
-    return _sweep(depth, shifted,
-                  lambda level, sh: (high(level, sh)
-                                     / block_reduce(wv, level, np.mean, sh)))[0]
+    return _sweeps(depth, shifted, _on_means(wv, _rhinf_cubes(wv)))[0][0]
+
+
+def _ainf_cubes(blocks, mean):
+    """Per-cube Fujii-Wilson expression for ``_on_blocks``: the mean of the
+    discrete centered maximal of w restricted to Q (windows clipped to Q)
+    over the mean of w.  All cubes of one family member go through the
+    maximal kernel as one batch."""
+    n = mean.ndim
+    return (_centered_maximal(blocks, n).mean(axis=tuple(range(n, 2 * n)))
+            / mean)
 
 
 def ainf_fujii_wilson(w, root, depth, shifted=False):
-    """Fujii-Wilson A_inf constant over the cube family.
-
-    For each cube Q: (1/w(Q)) * integral over Q of the discrete centered
-    maximal of w restricted to Q (windows clipped to Q).  All cubes of one
-    family member go through the maximal kernel as one batch.
-    """
+    """Fujii-Wilson A_inf constant over the cube family: for each cube Q,
+    (1/w(Q)) * integral over Q of M(w 1_Q), M the discrete centered
+    maximal."""
     wv = resolve(w, root, depth)
-    space = tuple(range(wv.ndim, 2 * wv.ndim))
-
-    def per_cube(level, sh):
-        blocks = level_blocks(wv, level, sh)
-        return (_centered_maximal(blocks, wv.ndim).mean(axis=space)
-                / blocks.mean(axis=space))
-
-    return _sweep(depth, shifted, per_cube)[0]
+    return _sweeps(depth, shifted, _on_blocks(wv, _ainf_cubes))[0][0]
 
 
 def rh_exponent(ainf, n):
@@ -273,21 +317,46 @@ def rh_exponent(ainf, n):
     return 1.0 + 1.0 / (2.0 ** (n + 1) * ainf - 1.0)
 
 
-def _rh_check(wv, depth, shifted, ainf):
-    rw = rh_exponent(ainf, wv.ndim)
+def _rh_cubes(wv, rw):
+    """Per-cube reverse-Holder expression for ``_on_means``: avg(w^r_w) /
+    avg(w)^r_w."""
     wr = wv ** rw
-    worst = _sweep(depth, shifted,
-                   lambda level, sh: (block_reduce(wr, level, np.mean, sh)
-                                      / block_reduce(wv, level, np.mean, sh)
-                                      ** rw))[0]
-    return rw, worst, worst <= 2.0
+    return lambda level, sh, mean, out: np.divide(
+        block_reduce(wr, level, np.mean, sh), mean ** rw, out=out)
 
 
 def rh_exponent_and_check(w, root, depth):
     """(r_w, worst ratio of avg(w^r_w) to avg(w)^r_w, pass flag <= 2) over
     the aligned dyadic cubes."""
     wv = resolve(w, root, depth)
-    return _rh_check(wv, depth, False, ainf_fujii_wilson(wv, root, depth))
+    rw = rh_exponent(ainf_fujii_wilson(wv, root, depth), wv.ndim)
+    worst = _sweeps(depth, False, _on_means(wv, _rh_cubes(wv, rw)))[0][0]
+    return rw, worst, worst <= 2.0
+
+
+def _ap1_cubes(p, cellvol):
+    """Per-cube A_{p,1} expression for ``_on_blocks``; see
+    ``ap1_constant``."""
+    pprime = p / (p - 1.0)
+
+    def per_cube(blocks, mean):
+        rows = blocks.reshape(mean.shape + (-1,))
+        vol = rows.shape[-1] * cellvol
+        w_up = np.sort(rows, axis=-1)         # 1/w descending
+        if mean.size > rows.shape[-1]:
+            # more cubes than cells per cube: the k-th cells of all cubes
+            # as one plane, so the running sum and the max run across cubes
+            w_up = np.moveaxis(w_up, -1, 0).copy()
+            cum = w_up * cellvol / vol
+            _cumsum_planes(cum, 0)
+            axis = 0
+        else:
+            cum = np.cumsum(w_up * cellvol / vol, axis=-1)
+            axis = -1
+        wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=axis)
+        return mean * float_pow(wk, p, WeightError)
+
+    return per_cube
 
 
 def ap1_constant(w, p, root, depth, shifted=False):
@@ -302,18 +371,8 @@ def ap1_constant(w, p, root, depth, shifted=False):
         raise WeightError("p must be > 1")
     wv = resolve(w, root, depth)
     cellvol = (root.side / wv.shape[0]) ** wv.ndim
-    pprime = p / (p - 1.0)
-
-    def per_cube(level, sh):
-        blocks = level_blocks(wv, level, sh)
-        rows = blocks.reshape(blocks.shape[:wv.ndim] + (-1,))
-        vol = rows.shape[-1] * cellvol
-        w_up = np.sort(rows, axis=-1)         # 1/w descending
-        cum = np.cumsum(w_up * cellvol / vol, axis=-1)
-        wk = np.max(1.0 / w_up * cum ** (1.0 / pprime), axis=-1)
-        return rows.mean(axis=-1) * float_pow(wk, p, WeightError)
-
-    return _sweep(depth, shifted, per_cube)[0]
+    return _sweeps(depth, shifted,
+                   _on_blocks(wv, _ap1_cubes(p, cellvol)))[0][0]
 
 
 @dataclass
@@ -340,14 +399,35 @@ class WeightConstantsReport:
 
 
 def constants_report(w, p, root, depth, shifted=False):
-    """Compute the full bundle of weight-class constants."""
-    wv = resolve(w, root, depth)
-    ap, arg = ap_constant(wv, p, root, depth, shifted, return_argmax=True)
-    a1 = ap_constant(wv, 1.0, root, depth, shifted)
-    ainf = ainf_fujii_wilson(wv, root, depth, shifted)
-    rw, worst, ok = _rh_check(wv, depth, shifted, ainf)
-    ap1 = ap1_constant(wv, p, root, depth, shifted) if p > 1 else float("nan")
-    rhi = rhinf_constant(wv, root, depth, shifted)
-    return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst, ok, ap1, rhi,
-                                 FamilyDescriptor(depth, shifted))
+    """The full bundle of weight-class constants, from two walks over the
+    cube family.
 
+    The first walk builds each member's cubes once (``level_blocks``) for
+    A_inf and A_{p,1}.  The second reduces each member's mean of w once
+    (``block_reduce``) for A_p, A_1, the reverse-Holder check and RH_inf.
+    The check's exponent r_w comes from A_inf over the whole family, so the
+    means wait for the first walk; keeping every member's means instead
+    would hold the whole pyramid of them.  Every value, and the A_p
+    argmax, equals the separate function's: the first cube in walk order,
+    aligned before half-shifted, attains each supremum.
+    """
+    wv = resolve(w, root, depth)
+    if p < 1:
+        raise WeightError("p must be >= 1")
+    # refuses a p too near 1 before any walk; built again for the second
+    # walk, so that its w^(1-p') is not held through the first
+    _ap_cubes(wv, p)
+    on_blocks = [_ainf_cubes]
+    if p > 1:
+        on_blocks.append(_ap1_cubes(p, (root.side / wv.shape[0]) ** wv.ndim))
+    found = _sweeps(depth, shifted, _on_blocks(wv, *on_blocks))
+    ainf = found[0][0]
+    ap1 = found[1][0] if p > 1 else float("nan")
+    rw = rh_exponent(ainf, wv.ndim)
+    (ap, arg), (a1, _), (worst, _), (rhi, _) = _sweeps(
+        depth, shifted,
+        _on_means(wv, _ap_cubes(wv, p), _ap_cubes(wv, 1.0),
+                  _rh_cubes(wv, rw), _rhinf_cubes(wv)))
+    return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst,
+                                 worst <= 2.0, ap1, rhi,
+                                 FamilyDescriptor(depth, shifted))

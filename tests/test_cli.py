@@ -194,6 +194,25 @@ def test_functional_check_refuses_a_file_with_a_zero_cell(tmp_path, capsys,
     assert err == ["error: weight cell values must be positive"]
 
 
+def test_exhaustive_mode_reads_no_sampler_flag(tmp_path, capsys):
+    # the exhaustive DP draws nothing: its config names no seed or trials,
+    # and an explicit --trials is refused as --seed is
+    rc, err = _functional_check_errors(tmp_path, capsys, {},
+                                       "--mode", "exhaustive")
+    assert rc == 0 and err == []
+    fpath = tmp_path / "a.json"
+    assert main(["functional-check", "--functional", str(fpath), "--depth",
+                 "4", "--Ls", "2,4", "--mode", "exhaustive"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"command": "functional-check", "p": 1.0, "depth": 4,
+                      "Ls": "2,4", "mode": "exhaustive"}
+    rc, err = _functional_check_errors(tmp_path, capsys, {},
+                                       "--mode", "exhaustive", "--trials", "9")
+    assert rc == 1
+    assert err == ["error: --trials applies only to functional-check "
+                   "--mode random: the exhaustive DP draws nothing"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_functional_check_rejects_nonpositive_trials(tmp_path, capsys,
                                                      trials):
@@ -810,11 +829,20 @@ def test_seed_only_for_functional_check(name, flag_first, tmp_path, capsys,
     # rdf's probes come from operators.PROBE_SEED whatever --seed says
     args = _case_args(name, tmp_path, step_weight_file, spike_file)
     flag = ["--seed", "5"]
-    rc = main(flag + args if flag_first else args + flag)
+
+    def argv(flag):
+        return flag + args if flag_first else args + flag
+    rc = main(argv(flag))
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     if name == "functional-check":
-        assert rc == 0 and err == []
+        # the case runs the exhaustive DP, which draws nothing
+        assert rc == 1 and captured.out == ""
+        assert err == ["error: --seed applies only to functional-check "
+                       "--mode random: the exhaustive DP draws nothing"], err
+        rc = main([a.replace("exhaustive", "random") for a in argv(flag)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
         assert json.loads(captured.out)["config"]["seed"] == 5
     else:
         assert rc == 1 and captured.out == ""

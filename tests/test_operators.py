@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarelab import grid
+from poincarelab import grid, operators
 from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
                               _corner_singular_unit_integral)
 from poincarelab.operators import (PROBE_COUNT, PROBE_SEED, OperatorError,
@@ -183,6 +183,91 @@ def test_centered_maximal_peak_memory_is_the_padded_image():
     assert image < peak <= image + 3 * masses.nbytes + 2 ** 18
 
 
+def _assert_kernel_equals_reference(masses, n, cell_volume=1.0):
+    got = _centered_maximal(masses, n, cell_volume)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == \
+        reference_centered_maximal(masses, n, cell_volume).tobytes()
+
+
+# (n, side, blocks per radius pass): h = 8 radii in 2D and 3D, and in 1D
+# the (64-3)//2 = 30 radii of windows clipped at neither end; R = 1 and
+# R = all radii, R dividing them and not
+PASS_SIZES = [(2, 16, 1), (2, 16, 2), (2, 16, 3), (2, 16, 8), (3, 16, 3),
+              (3, 16, 8), (1, 64, 1), (1, 64, 5), (1, 64, 6), (1, 64, 30)]
+
+
+@pytest.mark.parametrize("n,side,R", PASS_SIZES)
+@pytest.mark.parametrize("cell_volume", [1.0, 0.37])
+def test_radius_passes_equal_reference(monkeypatch, n, side, R, cell_volume):
+    # the pass size is SHARED_PASS_CELLS // cells for blocks of at most
+    # SHARED_PASS_MAX cells, so each case sets the budget to R radii
+    rng = np.random.default_rng(100 * n + side + R)
+    masses = rng.exponential(size=(side,) * n)
+    monkeypatch.setattr(operators, "SHARED_PASS_CELLS", R * masses.size)
+    _assert_kernel_equals_reference(masses, n, cell_volume)
+    # zeros of both signs, whole windows of them
+    masses[rng.random(masses.shape) < 0.6] = 0.0
+    masses[rng.random(masses.shape) < 0.2] = -0.0
+    _assert_kernel_equals_reference(masses, n, cell_volume)
+
+
+# batch shapes against the block side: more blocks than the side puts the
+# batch axes innermost, fewer keeps them in front
+LAYOUTS = [(1, 8, (3,)), (1, 8, (9,)), (1, 8, (3, 4)), (1, 4, (2, 3)),
+           (1, 2, (64, 64)), (2, 4, (3,)), (2, 4, (5,)), (2, 4, (2, 2)),
+           (2, 4, (3, 2)), (2, 2, (64, 64)), (2, 8, (16, 16)),
+           (3, 4, (2, 2)), (3, 4, (5,)), (3, 2, (8, 8, 8))]
+
+
+@pytest.mark.parametrize("n,side,lead", LAYOUTS)
+def test_batch_layouts_equal_reference(n, side, lead):
+    rng = np.random.default_rng(7 * n + side + len(lead))
+    masses = rng.lognormal(0.0, 1.5, size=lead + (side,) * n)
+    for cell_volume in (1.0, 2.0 ** -12):
+        _assert_kernel_equals_reference(masses, n, cell_volume)
+    masses[rng.random(masses.shape) < 0.5] = 0.0
+    masses.flat[::7] = -0.0
+    _assert_kernel_equals_reference(masses, n, 0.37)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(((1, 32), (1, 7),
+                                                     (2, 8), (2, 5), (3, 4))),
+       st.sampled_from(((), (2,), (40,), (3, 9))), st.integers(1, 9),
+       st.sampled_from((1.0, 0.37)), st.floats(0.0, 0.8))
+@settings(max_examples=60, deadline=None)
+def test_radius_passes_and_layouts_equal_reference_hypothesis(
+        seed, size, lead, R, cell_volume, zeros):
+    n, side = size
+    rng = np.random.default_rng(seed)
+    masses = rng.lognormal(0.0, 2.0, size=lead + (side,) * n)
+    masses[rng.random(masses.shape) < zeros] = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "SHARED_PASS_CELLS", R * masses.size)
+        _assert_kernel_equals_reference(masses, n, cell_volume)
+
+
+def test_centered_maximal_peak_memory_on_many_small_blocks():
+    # the level-6 stack of 2D depth 7, 4096 blocks of 2x2, laid out with
+    # the blocks innermost: the padded image, the copy in and (after the
+    # image is dropped) the copy out, the output and one pass's window
+    # sums, each one input in size or the pass budget, plus numpy's
+    # fixed-size ufunc iteration buffers (64 kB each)
+    masses = np.random.default_rng(8).lognormal(size=(64, 64, 2, 2))
+    image = 5 * 5 * 4096 * masses.itemsize
+    budget = max(masses.nbytes,
+                 operators.SHARED_PASS_CELLS * masses.itemsize)
+    _centered_maximal(masses, 2)
+    tracemalloc.start()
+    try:
+        _centered_maximal(masses, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image + masses.nbytes < peak \
+        <= image + 2 * masses.nbytes + 2 * budget + 2 ** 17
+
+
 def test_centered_maximal_indicator_decay():
     vals = np.zeros(8)
     vals[0] = 1.0
@@ -291,12 +376,13 @@ def reference_fractional_integral(g, alpha, q=None):
 
 # side 1 has no offset but the centre; alphas of n-2, n-1 and n take
 # numpy's fast scalar powers (reciprocal, sqrt, ones).  The spectral
-# product runs in strips of frequency columns, one wide up to 2D depth 3,
-# 3D depth 4 and in 4D; 2D depths 5, 6 and 7 and 3D depth 5 take strips of
-# 2, 4, 10 and 4 of their 49, 97, 193 and 49 columns, so the last strip is
-# narrower
+# product runs in strips of frequency columns, one wide up to 2D depth 2,
+# 3D depth 3 and in 4D; 2D depths 3, 5, 6 and 7 and 3D depths 4 and 5 take
+# strips of 2, 10, 21, 21, 3 and 4 of their 13, 49, 97, 193, 25 and 49
+# columns, so the last strip is narrower
 FRACTIONAL_SIZES = [(1, d) for d in (0, 1, 3, 6, 9)] + \
-    [(2, d) for d in (0, 1, 3, 5, 6, 7)] + [(3, d) for d in (1, 2, 3, 5)] + \
+    [(2, d) for d in (0, 1, 3, 5, 6, 7)] + \
+    [(3, d) for d in (1, 2, 3, 4, 5)] + \
     [(4, 1), (4, 2)]
 
 

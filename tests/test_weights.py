@@ -1,6 +1,7 @@
 """Weight representations and weight-class constants."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,97 @@ def test_report_rh_exponent_uses_report_ainf():
         rw, worst, ok = rh_exponent_and_check(wv, root, depth)
         assert (rep.rh_exponent, rep.rh_worst_ratio, rep.rh_pass) == \
             (rw, worst, ok)
+
+
+def _separate_constants(wv, p, root, depth, shifted):
+    """The report's fields from the separate public functions."""
+    ap, arg = ap_constant(wv, p, root, depth, shifted, return_argmax=True)
+    ainf = ainf_fujii_wilson(wv, root, depth, shifted)
+    fields = {"p": p, "ap": ap, "ap_argmax": arg,
+              "a1": ap_constant(wv, 1.0, root, depth, shifted),
+              "ainf_fw": ainf,
+              "ap1": (ap1_constant(wv, p, root, depth, shifted) if p > 1
+                      else None),
+              "rhinf": rhinf_constant(wv, root, depth, shifted)}
+    if not shifted:     # the check alone takes the aligned cubes only
+        fields["rh"] = rh_exponent_and_check(wv, root, depth)
+    return fields
+
+
+@pytest.mark.parametrize("n,depth", ((1, 1), (1, 6), (2, 1), (2, 4), (3, 3)))
+@pytest.mark.parametrize("shifted", (False, True))
+def test_report_equals_the_separate_constants(n, depth, shifted):
+    for seed in range(2):
+        for wv, root in _oracle_weights(seed, n, depth):
+            for p in (1.0, 1.5, 2.0, 3.0):
+                rep = constants_report(wv, p, root, depth, shifted)
+                want = _separate_constants(wv, p, root, depth, shifted)
+                got = {"p": rep.p, "ap": rep.ap, "ap_argmax": rep.ap_argmax,
+                       "a1": rep.a1, "ainf_fw": rep.ainf_fw,
+                       "ap1": None if p == 1 else rep.ap1,
+                       "rhinf": rep.rhinf}
+                if not shifted:
+                    got["rh"] = (rep.rh_exponent, rep.rh_worst_ratio,
+                                 rep.rh_pass)
+                assert got == want
+                assert rep.family == weights.FamilyDescriptor(depth, shifted)
+                assert rep.rh_exponent == rh_exponent(rep.ainf_fw, n)
+
+
+def test_report_names_a_shifted_argmax_as_ap_constant_does():
+    wv = np.ones(16)
+    wv[7], wv[8] = 100.0, 0.01
+    rep = constants_report(wv, 2.0, UNIT1, 4, shifted=True)
+    assert rep.ap_argmax == ("shifted", 3, (3,))
+    assert (rep.ap, rep.ap_argmax) == ap_constant(wv, 2.0, UNIT1, 4, True,
+                                                  return_argmax=True)
+
+
+@pytest.mark.parametrize("p", (1.0, 2.0))
+@pytest.mark.parametrize("shifted", (False, True))
+def test_report_reduces_each_member_once(monkeypatch, p, shifted):
+    # each family member's mean of w is reduced once per report, and its
+    # cubes are laid out once, for A_inf and A_{p,1} together
+    n, depth = 2, 4
+    wv = _oracle_weights(5, n, depth)[0][0]
+    means, layouts = [], []
+    block_reduce_, level_blocks_ = weights.block_reduce, weights.level_blocks
+
+    def counted_reduce(values, level, op, sh=False):
+        if values is wv and op is np.mean:
+            means.append((level, sh))
+        return block_reduce_(values, level, op, sh)
+
+    def counted_blocks(values, level, sh=False):
+        assert values is wv
+        layouts.append((level, sh))
+        return level_blocks_(values, level, sh)
+
+    monkeypatch.setattr(weights, "block_reduce", counted_reduce)
+    monkeypatch.setattr(weights, "level_blocks", counted_blocks)
+    constants_report(wv, p, RootBox.unit(n), depth, shifted)
+    members = [(level, sh) for level in range(depth + 1)
+               for sh in ((False, True) if shifted and 0 < level < depth
+                          else (False,))]
+    assert means == members
+    assert layouts == members
+
+
+def test_single_constant_holds_one_member_at_a_time():
+    # A_1 alone on 2D depth 8, as the sharpness sweep takes it: the min
+    # pyramid above the cells (a third of a grid), then per member its
+    # means, divided in place into its values, beside the last member's
+    # values; sharing the means with other constants would add a grid
+    wv = np.random.default_rng(0).lognormal(size=(256, 256))
+    grid = wv.nbytes
+    ap_constant(wv, 1.0, RootBox.unit(2), 8)
+    tracemalloc.start()
+    try:
+        ap_constant(wv, 1.0, RootBox.unit(2), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid < peak <= grid * (1 + 1 / 3 + 1 / 4) + 2 ** 16
 
 
 def test_ap_two_value_oracle():
