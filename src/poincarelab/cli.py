@@ -199,8 +199,8 @@ def _cmd_poincare(args):
     res = check_inequality(args.id, f, u=w, p=args.p, q=args.q, m=args.m,
                            p0=args.p0, mu=w)
     d = res.to_dict()
-    d["config"] = {"command": "poincare", "id": args.id, "p": args.p,
-                   "q": args.q, "m": args.m, "depth": f.depth}
+    d["config"] = {"command": "poincare", "p": args.p, "q": args.q,
+                   "m": args.m, "depth": f.depth}
     _dump(d, args.out, args.format)
     return 0
 

@@ -99,10 +99,8 @@ class PolyBasis:
     """Orthonormal polynomial basis on the root cube of a grid w.r.t.
     <f,g> = avg of f*g."""
 
-    m: int
     root: object
     depth: int
-    exponents: list
     phis: np.ndarray                # (num_basis, *grid shape)
 
 
@@ -137,7 +135,7 @@ def orthonormal_basis(f_template: GridFunction, m: int):
     signs[signs == 0] = 1.0
     Qmat = Qmat * signs
     phis = (Qmat.T * np.sqrt(ncells)).reshape((len(exps),) + scaled[0].shape)
-    return PolyBasis(m, root, f_template.depth, exps, phis)
+    return PolyBasis(root, f_template.depth, phis)
 
 
 def project(f: GridFunction, basis: PolyBasis):

@@ -43,6 +43,15 @@ class FunctionalError(ValueError):
     pass
 
 
+def _check_grid_shape(name, masses, n, depth):
+    """Refuse cell masses not shaped as the depth-``depth`` grid in
+    dimension n, ``(2**depth,) * n``; a nested list of that shape passes."""
+    shape = (1 << depth,) * n
+    if np.shape(masses) != shape:
+        raise FunctionalError(f"{name} masses of shape {np.shape(masses)} on "
+                              f"a grid of shape {shape}")
+
+
 class CubeSums:
     """Per-level block sums of a cell-mass array, each summed on first read."""
 
@@ -64,12 +73,15 @@ class CubeSums:
 # ---------------------------------------------------------------------------
 
 class FractionalFunctional:
-    """a(Q) = l(Q)^alpha * (mu(Q)/w(Q))^(1/p); a mu cell of 0 is allowed, a
-    negative mu mass and a w mass <= 0 are refused."""
+    """a(Q) = l(Q)^alpha * (mu(Q)/w(Q))^(1/p) on the depth-``depth`` grid of
+    ``root``; mu and w masses of another shape than that grid's, a negative
+    mu mass and a w mass <= 0 are refused (a mu cell of 0 is allowed)."""
 
     def __init__(self, alpha, p, mu_masses, w_masses, root, depth):
         if alpha <= 0 or p < 1:
             raise FunctionalError("need alpha > 0 and p >= 1")
+        for name, masses in (("mu", mu_masses), ("w", w_masses)):
+            _check_grid_shape(name, masses, root.n, depth)
         if np.any(np.asarray(mu_masses) < 0):
             raise FunctionalError("degenerate functional: negative mu mass")
         if np.any(np.asarray(w_masses) <= 0):
@@ -180,7 +192,6 @@ class DpReport:
     worst_ratio: float
     witness: list
     trials: int
-    mode: str
     smallness_slope: float = math.nan
     fit_residual: float = math.nan
     per_L: dict = field(default_factory=dict)
@@ -325,8 +336,9 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
               trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L) (NaN, with its
-    residual, for a single L).  Q must be the root cube of the grid: a
-    sub-cube is checked by making it the input grid.
+    residual, for a single L).  Q must be the root cube of the grid, depth
+    the grid's depth and w_masses shaped as that grid: a sub-cube is checked
+    by making it the input grid.
 
     Each L satisfies 1 < L < inf and is given once.  Both modes read
     a(Q)^p w(Q) from per-level arrays (``_scores``).  Random mode draws the
@@ -340,6 +352,10 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
     if Q != CubeIndex.root(n):
         raise FunctionalError(f"sdp_check runs on the root cube of the "
                               f"grid, got {Q}; make a sub-cube the input grid")
+    if depth != a.depth:
+        raise FunctionalError(f"sdp_check at depth {depth} of a functional on "
+                              f"a depth-{a.depth} grid")
+    _check_grid_shape("w", w_masses, n, depth)
     given = ", ".join(map(str, Ls))
     if not all(1 < L < math.inf for L in Ls):
         raise FunctionalError(f"each L must satisfy 1 < L < inf, got {given}")
@@ -371,8 +387,8 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
     slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
                                [max(per_L[L], 1e-300) for L in sorted(per_L)])
     total_trials = trials * len(Ls) if mode == "random" else 0
-    return DpReport(worst, witness, total_trials, mode, slope, resid,
-                    per_L, violations)
+    return DpReport(worst, witness, total_trials, slope, resid, per_L,
+                    violations)
 
 
 def enumerate_antichains(n, depth):

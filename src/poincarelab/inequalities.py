@@ -20,8 +20,7 @@ import numpy as np
 from .grid import (CubeIndex, GridFunction, RootBox, check_cell_cap,
                    discrete_gradient, lebesgue_masses, level_blocks,
                    measure_cell_masses, midpoint_axes)
-from .weights import (PowerWeight, _sweep, ap_constant, ap1_constant,
-                      two_weight_ap)
+from .weights import PowerWeight, ap_constant, ap1_constant, two_weight_ap
 from .decomposition import _deviation_sum, orthonormal_basis, oscillation
 from .functionals import FractionalFunctional, FunctionalError, _loglog_fit
 from .operators import (centered_maximal_values, centered_maximal_measure,
@@ -124,16 +123,15 @@ def _functional_hypothesis_norm(f: GridFunction, a: FractionalFunctional):
     one level of cubes at a time, a(P) read from ``a.level_values``; an
     a(P) of 0 is refused."""
     axes = tuple(range(f.n, 2 * f.n))
-
-    def per_cube(level, sh):
+    best = -math.inf
+    for level in range(f.depth + 1):
         blocks = level_blocks(f.values, level)
         osc = np.abs(blocks - blocks.mean(axis=axes, keepdims=True)).mean(axis=axes)
         values = a.level_values(level)
         if not values.all():
             raise FunctionalError(f"a(P) is 0 on a level-{level} cube P")
-        return osc / values
-
-    return _sweep(f.depth, False, per_cube)[0]
+        best = max(best, float(np.max(osc / values)))
+    return best
 
 
 def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
@@ -145,7 +143,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
     those arrays."""
     n, root, depth = f.n, f.root, f.depth
     Q = CubeIndex.root(n)
-    inputs = {"p": p, "q": q, "m": m}
+    inputs = {}
     um = measure_cell_masses(u, f)
     vm = None if v is None else measure_cell_masses(v, f)
     uv = um / f.cell_volume
@@ -283,9 +281,6 @@ def plateau_function(root: RootBox, depth, eps):
 
 @dataclass
 class SharpnessSweep:
-    p: float
-    n: int
-    epsilon: float
     deltas: list
     lhs: list
     rhs0: list
@@ -356,5 +351,5 @@ def sharpness_sweep(p, n, eps, deltas, depth):
     points = [_sharpness_point(powers, p, root, d, depth) for d in deltas]
     lhs, rhs0, a1 = (list(col) for col in zip(*points))
     beta, resid = _loglog_fit(a1, np.array(lhs) / np.array(rhs0))
-    return SharpnessSweep(p, n, eps, deltas, lhs, rhs0, a1, beta, resid)
+    return SharpnessSweep(deltas, lhs, rhs0, a1, beta, resid)
 

@@ -472,8 +472,7 @@ def rubio_de_francia(h: GridFunction, w, p, terms=20, opnorm=None):
 
     ||M|| is ``opnorm`` when given ("supplied") and the ``maximal_opnorm``
     estimate otherwise ("empirical").  Returns (R, report) where report
-    records the operator-norm value and mode, the number of terms, and the
-    geometric tail bound (1/(2||M||))^(terms+1) / (1 - 1/(2||M||)) ||h||_{L^p(w)}.
+    records the operator-norm value and mode and the geometric tail bound (1/(2||M||))^(terms+1) / (1 - 1/(2||M||)) ||h||_{L^p(w)}.
     """
     if terms < 1:
         raise OperatorError("terms must be >= 1")
@@ -498,7 +497,6 @@ def rubio_de_francia(h: GridFunction, w, p, terms=20, opnorm=None):
     report = {
         "opnorm": opnorm,
         "opnorm_mode": mode,
-        "terms": terms,
         "tail_bound": tail,
         "h_norm": hnorm,
     }

@@ -7,11 +7,12 @@ or cell masses of a grid; every function below takes those arrays, and
 ``grid.resolve`` checks each against its grid once.
 All class constants (A_p, A_1, Fujii-Wilson A_inf, reverse-Holder
 exponent, A_{p,1}, RH_inf) are suprema over the finite dyadic family up
-to the working depth, taken by one sweep over that family; reports
-record the family used.  ``shifted=True`` adds the half-shifted cubes to
-every constant but the two-weight A_p.  They are a grid stand-in for the
-one-third-shifted lattices of Lerner-Nazarov's three-lattice theorem
-("Intuitive dyadic calculus"); the theorem's constants are not claimed.
+to the working depth, taken by one sweep over that family.  Each
+constant alone takes the aligned dyadic cubes; ``constants_report`` with
+``shifted=True`` adds the half-shifted cubes to every constant it reports.
+They are a grid stand-in for the one-third-shifted lattices of
+Lerner-Nazarov's three-lattice theorem ("Intuitive dyadic calculus"); the
+theorem's constants are not claimed.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ class PowerWeight:
 # cube families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    depth: int
-    shifted: bool = False
-
-
 def _sweeps(depth, shifted, per_member):
     """Suprema over the cube family of several per-cube expressions, in one
     walk, each with the first cube attaining it.
@@ -167,12 +162,6 @@ def _sweeps(depth, shifted, per_member):
                                 ("shifted", level, coords) if sh
                                 else CubeIndex(level, coords))
     return found
-
-
-def _sweep(depth, shifted, per_cube):
-    """Supremum of one per-cube expression over the cube family and the
-    first cube attaining it, walked as in ``_sweeps``."""
-    return _sweeps(depth, shifted, lambda level, sh: (per_cube(level, sh),))[0]
 
 
 def _on_means(wv, *exprs):
@@ -258,7 +247,7 @@ def _ap_cubes(vv, p):
         mean, block_reduce(dual, level, np.mean, sh) ** (p - 1.0), out=out)
 
 
-def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
+def ap_constant(w, p, root, depth):
     """Muckenhoupt A_p constant over the dyadic family up to ``depth``.
 
     p > 1: sup of (avg w)(avg w^(1-p'))^(p-1); p = 1: sup of
@@ -267,8 +256,7 @@ def ap_constant(w, p, root, depth, shifted=False, return_argmax=False):
     if p < 1:
         raise WeightError("p must be >= 1")
     wv = resolve(w, root, depth)
-    found = _sweeps(depth, shifted, _on_means(wv, _ap_cubes(wv, p)))[0]
-    return found if return_argmax else found[0]
+    return _sweeps(depth, False, _on_means(wv, _ap_cubes(wv, p)))[0][0]
 
 
 def two_weight_ap(u, v, p, root, depth):
@@ -288,10 +276,10 @@ def _rhinf_cubes(wv):
                                                   out=out)
 
 
-def rhinf_constant(w, root, depth, shifted=False):
+def rhinf_constant(w, root, depth):
     """RH_inf constant: sup over cubes of (max w on Q)/(avg w on Q)."""
     wv = resolve(w, root, depth)
-    return _sweeps(depth, shifted, _on_means(wv, _rhinf_cubes(wv)))[0][0]
+    return _sweeps(depth, False, _on_means(wv, _rhinf_cubes(wv)))[0][0]
 
 
 def _ainf_cubes(blocks, mean):
@@ -304,12 +292,12 @@ def _ainf_cubes(blocks, mean):
             / mean)
 
 
-def ainf_fujii_wilson(w, root, depth, shifted=False):
+def ainf_fujii_wilson(w, root, depth):
     """Fujii-Wilson A_inf constant over the cube family: for each cube Q,
     (1/w(Q)) * integral over Q of M(w 1_Q), M the discrete centered
     maximal."""
     wv = resolve(w, root, depth)
-    return _sweeps(depth, shifted, _on_blocks(wv, _ainf_cubes))[0][0]
+    return _sweeps(depth, False, _on_blocks(wv, _ainf_cubes))[0][0]
 
 
 def rh_exponent(ainf, n):
@@ -359,7 +347,7 @@ def _ap1_cubes(p, cellvol):
     return per_cube
 
 
-def ap1_constant(w, p, root, depth, shifted=False):
+def ap1_constant(w, p, root, depth):
     """A_{p,1} constant: sup of (avg w) * weak-L^{p'} norm of 1/w, p-th power.
 
     The weak norm is taken in L^{p',inf}(Q, w dx/|Q|); exact evaluation via
@@ -371,13 +359,12 @@ def ap1_constant(w, p, root, depth, shifted=False):
         raise WeightError("p must be > 1")
     wv = resolve(w, root, depth)
     cellvol = (root.side / wv.shape[0]) ** wv.ndim
-    return _sweeps(depth, shifted,
+    return _sweeps(depth, False,
                    _on_blocks(wv, _ap1_cubes(p, cellvol)))[0][0]
 
 
 @dataclass
 class WeightConstantsReport:
-    p: float
     ap: float
     ap_argmax: object
     a1: float
@@ -387,7 +374,6 @@ class WeightConstantsReport:
     rh_pass: bool
     ap1: float
     rhinf: float
-    family: FamilyDescriptor
 
     def to_dict(self):
         d = asdict(self)
@@ -407,9 +393,11 @@ def constants_report(w, p, root, depth, shifted=False):
     (``block_reduce``) for A_p, A_1, the reverse-Holder check and RH_inf.
     The check's exponent r_w comes from A_inf over the whole family, so the
     means wait for the first walk; keeping every member's means instead
-    would hold the whole pyramid of them.  Every value, and the A_p
-    argmax, equals the separate function's: the first cube in walk order,
-    aligned before half-shifted, attains each supremum.
+    would hold the whole pyramid of them.  Each walk goes in ``_sweeps``
+    order, aligned before half-shifted, and the A_p argmax is the first
+    cube attaining the supremum.  Without ``shifted``, each value equals
+    the one its own function (``ap_constant``, ``ainf_fujii_wilson``, ...)
+    gives.
     """
     wv = resolve(w, root, depth)
     if p < 1:
@@ -428,6 +416,5 @@ def constants_report(w, p, root, depth, shifted=False):
         depth, shifted,
         _on_means(wv, _ap_cubes(wv, p), _ap_cubes(wv, 1.0),
                   _rh_cubes(wv, rw), _rhinf_cubes(wv)))
-    return WeightConstantsReport(p, ap, arg, a1, ainf, rw, worst,
-                                 worst <= 2.0, ap1, rhi,
-                                 FamilyDescriptor(depth, shifted))
+    return WeightConstantsReport(ap, arg, a1, ainf, rw, worst, worst <= 2.0,
+                                 ap1, rhi)

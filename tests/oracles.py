@@ -148,9 +148,9 @@ def max_dp_ratio(a, w_masses, p, depth, mode="exhaustive", trials=1000,
     scores = _scores(a, w, p, depth)
     if mode == "exhaustive":
         [(ratio, witness)] = _dp_maxima(scores, p, [budget_L])
-        return DpReport(ratio, witness, 0, mode)
+        return DpReport(ratio, witness, 0)
     L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
     _, best, witness = _sampled(scores, p, L, trials, _uniform_draws(seed))
     if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []
-    return DpReport(best, witness, trials, mode)
+    return DpReport(best, witness, trials)

@@ -403,7 +403,7 @@ def test_rdf_command(tmp_path, step_weight_file):
                "--p", "2", "--terms", "5", "--out", str(out)])
     assert rc == 0
     d = json.loads(out.read_text())
-    assert d["terms"] == 5
+    assert d["config"]["terms"] == 5
     assert len(d["majorant"]["values"]) == 2
     assert all(r >= v for r, v in zip(d["majorant"]["values"],
                                       h.values.tolist()))
@@ -456,6 +456,75 @@ def test_report_command(tmp_path):
     assert d["constants"]["a1"] > 1.0
 
 
+# per command: its argv, where {a}, {f}, {h} and {w} name the files the
+# test writes, its sorted top-level keys and its sorted config keys.
+# ``config`` alone echoes the inputs; no other key repeats one of them
+KEYED_COMMANDS = {
+    "constants": (
+        ["constants", "--power-weight", "delta=0.5", "n=1", "--depth", "3"],
+        ["a1", "ainf_fw", "ap", "ap1", "ap_argmax", "config", "rh_exponent",
+         "rh_pass", "rh_worst_ratio", "rhinf"],
+        ["command", "depth", "p", "shifted"]),
+    "report": (
+        ["report", "--power-weight", "delta=0.5", "n=1", "--depth", "3"],
+        ["config", "constants"],
+        ["command", "depth", "p", "shifted"]),
+    "functional-check-random": (
+        ["functional-check", "--functional", "{a}", "--depth", "3",
+         "--mode", "random", "--trials", "3"],
+        ["config", "fit_residual", "per_L", "smallness_slope", "trials",
+         "violations", "witness", "worst_ratio"],
+        ["Ls", "command", "depth", "mode", "p", "seed", "trials"]),
+    "functional-check-exhaustive": (
+        ["functional-check", "--functional", "{a}", "--depth", "3",
+         "--mode", "exhaustive"],
+        ["config", "fit_residual", "per_L", "smallness_slope", "trials",
+         "violations", "witness", "worst_ratio"],
+        ["Ls", "command", "depth", "mode", "p"]),
+    "rdf": (
+        ["rdf", "--input", "{h}", "--weight", "{w}", "--terms", "2"],
+        ["config", "h_norm", "majorant", "opnorm", "opnorm_mode",
+         "tail_bound"],
+        ["command", "p", "terms"]),
+    "sharpness": (
+        ["sharpness", "--depth", "4", "--eps", "0.1"],
+        ["a1", "beta_hat", "config", "deltas", "fit_residual", "lhs", "rhs0"],
+        ["command", "depth", "eps", "n", "p"]),
+    "poincare": (
+        ["poincare", "--id", "sobolev-A", "--input", "{f}", "--p", "1.5",
+         "--q", "1.5"],
+        ["bound", "config", "id", "inputs", "lhs", "measured_constant",
+         "passed", "ratio", "rhs"],
+        ["command", "depth", "m", "p", "q"]),
+    "cz-report": (
+        ["cz", "--input", "{h}", "--emit", "report"],
+        ["config", "good_max", "omega_fraction", "reconstruction_error",
+         "stopping"],
+        ["L", "command", "depth"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_COMMANDS))
+def test_each_command_writes_its_keys(tmp_path, capsys, name):
+    rng = np.random.default_rng(8)
+    paths = {key: str(tmp_path / f"{key}.json") for key in "afhw"}
+    GridFunction(RootBox.unit(2), 3, rng.uniform(0.5, 2.0, (8, 8))).save(
+        paths["h"])
+    GridFunction(RootBox.unit(2), 3, rng.lognormal(0.0, 0.5, (8, 8))).save(
+        paths["w"])
+    GridFunction(RootBox.unit(2), 3, rng.normal(size=(8, 8))).save(paths["f"])
+    Path(paths["a"]).write_text(json.dumps({"n": 1}))
+    argv, top, config = KEYED_COMMANDS[name]
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (sorted(d), sorted(d["config"])) == (top, config)
+    if name == "report":
+        assert sorted(d["constants"]) == \
+            sorted(set(KEYED_COMMANDS["constants"][1]) - {"config"})
+    if name == "poincare":      # only what the check derives from them
+        assert d["inputs"] == {"p_star": pytest.approx(3.0)}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["cz"])  # missing required --input
@@ -494,9 +563,9 @@ def _run_cli(*args):
 DIGESTS_NUMPY = "2.4.6"
 README_DIGESTS = {
     "constants --power-weight delta=0.25 n=1 --depth 8 --p 2":
-        "35c618f63ba09d21a7c14eba2ea5ab8c09705212c593ceb79966a3b64d5a7515",
+        "247b743688c535c4800dffd87ca44a3ad87dcac6ed807f56831f7582ec0db5cc",
     "report --power-weight delta=0.5 n=2 --depth 5":
-        "0190a14e15ebde2638d57c0013a529a2c360a7b96f616589419f269aaf8c3f9a",
+        "1916b3c18c182fae2af25647cbdd4bce7307a1618b70ab46dc017e2e98175843",
 }
 
 
@@ -504,11 +573,11 @@ README_DIGESTS = {
 # with the same numpy build as README_DIGESTS
 RDF_DIGESTS = {
     "empirical":
-        "db770a56bf8f8f5b82de093d087e119c2867fb6fc7d02a3bbfe52143eae99101",
+        "aaa784e9c2159728213daa657fc965751dea2f998ce5916216d933ead8e0472b",
     "ap-bound":
-        "a448e8bdf638db91f2a03bb0e31731d6a74a56a82881c91dc1d6dbfe22e4843a",
+        "85bc64bbf53d23b3853079a257685b23d9b75320a55dc9960932615a517b55cb",
     "supplied --opnorm-value 3":
-        "ae696fb7bb811b1a0039de7441150c245185c5b3bfdd418c2acd5bb81382a57e",
+        "30327c764fe9bde8f925bb1e6c630afadda8dd68f19f9e49429d113fe61467e5",
 }
 
 
@@ -518,9 +587,9 @@ RDF_DIGESTS = {
 # their bits.  Recorded with the same numpy build as README_DIGESTS.
 SAMPLED_DIGESTS = {
     (1, 10):
-        "e9b9432cfcc14ac5a12e922052290748a1eb34c35c4178ebab259a4b3292f569",
+        "15b4b855c014f7d54357a200bc35bc61d23c5ef434f0be01352697877f7208c1",
     (2, 5):
-        "7e97f8b7420b5a3a3e77a0a31a938b20dbeea7c8c996a3e247e134cf462cc980",
+        "96c45733d36c78a95b36c00f295c90a7914e3479a1a2245d0ff739780cc0672b",
 }
 
 
@@ -530,21 +599,21 @@ SAMPLED_DIGESTS = {
 # must leave these bytes alone
 POINCARE_DIGESTS = {
     "pp-two-weight --p 2":
-        "1520526d207cd759d3eb4fbedc62fbca156f4faba27dde31e902c259f597edc9",
+        "8c92e18c9065df7ebc5881f5dbf5f7159da917fd04661b83749969247b775656",
     "higher-order --p 1.5 --m 2":
-        "7159b35d3655e3b6a93641120c8066b1ccea9bf39a81d1f71a6f8a378146e31e",
+        "503b7b8a6fdb63085b6affd2dc6d6f3ebca655d8a3af4e91a0c06dbe755d666a",
     "sobolev-A --p 1.5 --q 1.5":
-        "d6dd1ecd29727757431e0d7ac5d4928945dc0b40917857163928dc1f97274526",
+        "7af5977cf3db512e6ab5db6708551ae0fb18808aa6dbcad8058dcb47b5c1ee99",
     "sobolev-B --p 1.5 --q 1.5":
-        "8481681594814036ced08c78434ea2ae1e4f29f8242a6f417d71ce4863c0b45b",
+        "cf1604146eb80dd946c69e08b695afacbb2ed752937ee9562115beb7041ab2fe",
     "a1-linear --p 1.5":
-        "4e597fd01711154c049147e5926c035f2d2bccc4af2711aeaaf73bad0dbb11eb",
+        "c903bf4376ebc28de0b4516c31a09b8bb190d23292c67617746847d956a4033f",
     "kz-downward --p 1.5 --p0 3":
-        "dcbd609c6b601dcbd67e0adf838c0bc333e50fa8d3ad30f1541d92d514258f37",
+        "63c3c831cab57ea907094b9e4d0c5a9944c3225ec64690f1dbb0a44dff7e9521",
     "lorentz --p 1.5":
-        "a31b5ab62f96165a723770f5234bb1f3466af6ee66e64f7b4f199b443e156a34",
+        "ca7893eda0d8fab2660f0d424efa66a3d9167b15032f3c8a16fc8a50f01ead22",
     "pp-measure --p 1.5":
-        "0b313f3162f2aab9f5bbdadb880d2c75f2afabd336842e5a31419baa3fb42171",
+        "1f53bb3a2356912b57d14eda63e3e9880c75efde8e5b3e5349bb84025edb924b",
 }
 
 

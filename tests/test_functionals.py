@@ -277,6 +277,42 @@ def test_sdp_check_refuses_a_cube_other_than_the_root(mode):
                      mode=mode).worst_ratio > 0.0
 
 
+def test_functional_refuses_masses_off_its_grid():
+    # 64 flat masses on a 2D depth-3 root would run as a 1D functional: a
+    # smaller exhaustive D_p maximum, and an IndexError from eval
+    root = RootBox.unit(2)
+    grid = np.random.default_rng(30).uniform(0.5, 1.5, (8, 8)) / 64
+    flat = grid.ravel()
+    for mu, w, name in ((flat, grid, "mu"), (grid, flat, "w"),
+                        (grid, grid[:4, :4], "w"), (grid[None], grid, "mu")):
+        with pytest.raises(FunctionalError,
+                           match=rf"{name} masses of shape .* on a grid of "
+                                 r"shape \(8, 8\)"):
+            FractionalFunctional(1.0, 1.0, mu, w, root, 3)
+    # nested lists of the grid's shape load, as arrays do
+    a = FractionalFunctional(1.0, 1.0, grid.tolist(), grid.tolist(), root, 3)
+    b = FractionalFunctional(1.0, 1.0, grid, grid, root, 3)
+    assert a.eval(CubeIndex(1, (1, 0))) == b.eval(CubeIndex(1, (1, 0)))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_sdp_check_refuses_w_masses_or_depth_off_the_functional_grid(mode):
+    root = RootBox.unit(2)
+    grid = np.random.default_rng(31).uniform(0.5, 1.5, (8, 8)) / 64
+    a = FractionalFunctional(1.0, 1.0, grid, grid, root, 3)
+    Q = CubeIndex.root(2)
+    for depth in (1, 2, 4):
+        with pytest.raises(FunctionalError,
+                           match=rf"at depth {depth} of a functional on a "
+                                 "depth-3 grid"):
+            sdp_check(a, grid, 1.0, Q, depth, [4.0], mode=mode)
+    for w in (grid.ravel(), grid[:4, :4]):
+        with pytest.raises(FunctionalError, match="w masses of shape"):
+            sdp_check(a, w, 1.0, Q, 3, [4.0], mode=mode)
+    assert sdp_check(a, grid.tolist(), 1.0, Q, 3, [2.0, 4.0], mode=mode) \
+        == sdp_check(a, grid, 1.0, Q, 3, [2.0, 4.0], mode=mode)
+
+
 def test_unknown_mode_is_rejected():
     # a mode other than exhaustive or random must not fall through to the
     # sampler

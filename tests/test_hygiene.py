@@ -266,19 +266,11 @@ def unpassed_defaults(defining, calling):
 
 
 # defaults no reader passes yet: the CLI passes them once its poincare
-# command takes a second weight, an alpha and a functional (ROADMAP item 5).
-# The single weight constants keep their family and argmax options:
-# constants_report takes every constant over either family in its own walks
-# and no longer calls them, and each constant alone stays public
+# command takes a second weight, an alpha and a functional (ROADMAP item 5)
 UNPASSED_DEFAULTS_KEPT = {("inequalities.py", "check_inequality", "v"),
                           ("inequalities.py", "check_inequality", "alpha"),
                           ("inequalities.py", "check_inequality",
-                           "a_functional"),
-                          ("weights.py", "ainf_fujii_wilson", "shifted"),
-                          ("weights.py", "ap1_constant", "shifted"),
-                          ("weights.py", "ap_constant", "return_argmax"),
-                          ("weights.py", "ap_constant", "shifted"),
-                          ("weights.py", "rhinf_constant", "shifted")}
+                           "a_functional")}
 
 
 def test_every_default_is_passed_somewhere():

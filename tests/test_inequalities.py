@@ -696,8 +696,8 @@ def reference_sharpness_sweep(p, n, eps, deltas, depth):
     lhs, rhs0, a1 = ([pt[i] for pt in points] for i in range(3))
     coef, res = np.polyfit(np.log(a1), np.log(np.array(lhs) / np.array(rhs0)),
                            1, full=True)[:2]
-    return {"p": p, "n": n, "epsilon": eps, "deltas": deltas, "lhs": lhs,
-            "rhs0": rhs0, "a1": a1, "beta_hat": float(coef[0]),
+    return {"deltas": deltas, "lhs": lhs, "rhs0": rhs0, "a1": a1,
+            "beta_hat": float(coef[0]),
             "fit_residual": float(res[0]) if len(res) else 0.0}
 
 

@@ -154,13 +154,16 @@ def _oracle_weights(seed, n, depth):
 
 
 def _assert_batched_matches_reference(seed, n, depth):
-    for (wv, root), shifted in itertools.product(
-            _oracle_weights(seed, n, depth), (False, True)):
-        assert ainf_fujii_wilson(wv, root, depth, shifted) == \
-            ainf_reference(wv, depth, shifted)
+    # the half-shifted family only through the report, which alone takes it
+    for wv, root in _oracle_weights(seed, n, depth):
+        assert ainf_fujii_wilson(wv, root, depth) == ainf_reference(wv, depth)
+        ainf_shifted = ainf_reference(wv, depth, True)
         for p in (1.5, 2.0, 3.0):
-            assert ap1_constant(wv, p, root, depth, shifted) == \
-                ap1_reference(wv, p, root, depth, shifted)
+            assert ap1_constant(wv, p, root, depth) == \
+                ap1_reference(wv, p, root, depth)
+            report = constants_report(wv, p, root, depth, shifted=True)
+            assert (report.ainf_fw, report.ap1) == \
+                (ainf_shifted, ap1_reference(wv, p, root, depth, True))
 
 
 @pytest.mark.parametrize("n,depth", SIZES)
@@ -193,18 +196,24 @@ def test_batched_constants_equal_reference_bitwise():
 @pytest.mark.parametrize("n,depth", SIZES)
 @pytest.mark.parametrize("shifted", (False, True))
 def test_family_constants_equal_per_cube_reference(n, depth, shifted):
+    # each constant alone takes the aligned family, the report either one
     for seed in range(2):
         weights = _oracle_weights(seed, n, depth)
         for wv, root in weights:
+            a1 = ap_reference(wv, 1.0, depth, shifted)[0]
             for p in (1.0, 1.5, 2.0, 3.0):
-                assert ap_constant(wv, p, root, depth, shifted,
-                                   return_argmax=True) == \
-                    ap_reference(wv, p, depth, shifted)
-            assert rhinf_constant(wv, root, depth, shifted) == \
-                rhinf_reference(wv, depth, shifted)
-            report = constants_report(wv, 2.0, root, depth, shifted)
+                want = ap_reference(wv, p, depth, shifted)
+                report = constants_report(wv, p, root, depth, shifted)
+                assert (report.ap, report.ap_argmax, report.a1) == (*want, a1)
+                if not shifted:
+                    assert ap_constant(wv, p, root, depth) == want[0]
+            assert report.rhinf == rhinf_reference(wv, depth, shifted)
             assert (report.rh_exponent, report.rh_worst_ratio,
                     report.rh_pass) == rh_check_reference(wv, depth, shifted)
+            if shifted:
+                continue
+            assert rhinf_constant(wv, root, depth) == \
+                rhinf_reference(wv, depth, False)
             assert rh_exponent_and_check(wv, root, depth) == \
                 rh_check_reference(wv, depth)
         if shifted:     # two_weight_ap takes the aligned cubes only
@@ -219,11 +228,11 @@ def test_shifted_argmax_names_a_shifted_cube():
     # a high/low pair straddling the centre is split by every aligned cube
     wv = np.ones(16)
     wv[7], wv[8] = 100.0, 0.01
-    ap, arg = ap_constant(wv, 2.0, UNIT1, 4, shifted=True,
-                          return_argmax=True)
+    rep = constants_report(wv, 2.0, UNIT1, 4, shifted=True)
     # cells [7, 9): the level-3 half-shifted cube with coordinate 3
-    assert arg == ("shifted", 3, (3,))
-    assert ap == pytest.approx(50.005 ** 2, rel=1e-12)
+    assert rep.ap_argmax == ("shifted", 3, (3,))
+    assert (rep.ap, rep.ap_argmax) == ap_reference(wv, 2.0, 4, True)
+    assert rep.ap == pytest.approx(50.005 ** 2, rel=1e-12)
     assert ap_constant(wv, 2.0, UNIT1, 4) < 100.0
 
 
@@ -232,7 +241,8 @@ def test_argmax_tie_goes_to_the_cube_walked_first():
     # the maximum; a level's aligned cubes are walked before its shifted
     wv = np.ones(8)
     wv[6] = 4.0
-    found = ap_constant(wv, 2.0, UNIT1, 3, shifted=True, return_argmax=True)
+    rep = constants_report(wv, 2.0, UNIT1, 3, shifted=True)
+    found = (rep.ap, rep.ap_argmax)
     assert found == (1.5625, CubeIndex(2, (3,)))
     assert found == ap_reference(wv, 2.0, 3, shifted=True)
 
@@ -263,18 +273,25 @@ def test_report_rh_exponent_uses_report_ainf():
 
 
 def _separate_constants(wv, p, root, depth, shifted):
-    """The report's fields from the separate public functions."""
-    ap, arg = ap_constant(wv, p, root, depth, shifted, return_argmax=True)
-    ainf = ainf_fujii_wilson(wv, root, depth, shifted)
-    fields = {"p": p, "ap": ap, "ap_argmax": arg,
-              "a1": ap_constant(wv, 1.0, root, depth, shifted),
-              "ainf_fw": ainf,
-              "ap1": (ap1_constant(wv, p, root, depth, shifted) if p > 1
-                      else None),
-              "rhinf": rhinf_constant(wv, root, depth, shifted)}
-    if not shifted:     # the check alone takes the aligned cubes only
-        fields["rh"] = rh_exponent_and_check(wv, root, depth)
-    return fields
+    """The report's fields from the separate public functions on the
+    aligned family, which is the only one they take, and from the per-cube
+    references on the half-shifted one; the A_p argmax from the
+    reference."""
+    ap, arg = ap_reference(wv, p, depth, shifted)
+    if shifted:
+        return {"ap": ap, "ap_argmax": arg,
+                "a1": ap_reference(wv, 1.0, depth, True)[0],
+                "ainf_fw": ainf_reference(wv, depth, True),
+                "ap1": (ap1_reference(wv, p, root, depth, True) if p > 1
+                        else None),
+                "rhinf": rhinf_reference(wv, depth, True),
+                "rh": rh_check_reference(wv, depth, True)}
+    return {"ap": ap_constant(wv, p, root, depth), "ap_argmax": arg,
+            "a1": ap_constant(wv, 1.0, root, depth),
+            "ainf_fw": ainf_fujii_wilson(wv, root, depth),
+            "ap1": ap1_constant(wv, p, root, depth) if p > 1 else None,
+            "rhinf": rhinf_constant(wv, root, depth),
+            "rh": rh_exponent_and_check(wv, root, depth)}
 
 
 @pytest.mark.parametrize("n,depth", ((1, 1), (1, 6), (2, 1), (2, 4), (3, 3)))
@@ -285,25 +302,23 @@ def test_report_equals_the_separate_constants(n, depth, shifted):
             for p in (1.0, 1.5, 2.0, 3.0):
                 rep = constants_report(wv, p, root, depth, shifted)
                 want = _separate_constants(wv, p, root, depth, shifted)
-                got = {"p": rep.p, "ap": rep.ap, "ap_argmax": rep.ap_argmax,
+                got = {"ap": rep.ap, "ap_argmax": rep.ap_argmax,
                        "a1": rep.a1, "ainf_fw": rep.ainf_fw,
                        "ap1": None if p == 1 else rep.ap1,
-                       "rhinf": rep.rhinf}
-                if not shifted:
-                    got["rh"] = (rep.rh_exponent, rep.rh_worst_ratio,
-                                 rep.rh_pass)
+                       "rhinf": rep.rhinf,
+                       "rh": (rep.rh_exponent, rep.rh_worst_ratio,
+                              rep.rh_pass)}
                 assert got == want
-                assert rep.family == weights.FamilyDescriptor(depth, shifted)
                 assert rep.rh_exponent == rh_exponent(rep.ainf_fw, n)
 
 
-def test_report_names_a_shifted_argmax_as_ap_constant_does():
+def test_report_writes_a_shifted_argmax_by_family_level_and_coords():
     wv = np.ones(16)
     wv[7], wv[8] = 100.0, 0.01
     rep = constants_report(wv, 2.0, UNIT1, 4, shifted=True)
-    assert rep.ap_argmax == ("shifted", 3, (3,))
-    assert (rep.ap, rep.ap_argmax) == ap_constant(wv, 2.0, UNIT1, 4, True,
-                                                  return_argmax=True)
+    assert (rep.ap, rep.ap_argmax) == ap_reference(wv, 2.0, 4, True)
+    assert rep.to_dict()["ap_argmax"] == {"family": "shifted", "level": 3,
+                                          "coords": [3]}
 
 
 @pytest.mark.parametrize("p", (1.0, 2.0))
@@ -378,7 +393,8 @@ def test_ap_decreasing_in_p(small_weight_corpus):
 def test_ap_argmax_reproduces_supremum():
     rng = np.random.default_rng(2)
     wv = np.exp(rng.normal(0, 1, 32))
-    ap, arg = ap_constant(wv, 2.0, UNIT1, 5, return_argmax=True)
+    rep = constants_report(wv, 2.0, UNIT1, 5)
+    ap, arg = rep.ap, rep.ap_argmax
     assert isinstance(arg, CubeIndex)
     f = GridFunction(UNIT1, 5, wv)
     blk = f.values[f.block(arg)]
@@ -405,8 +421,11 @@ def test_ap_refuses_an_overflowing_dual_weight():
 
 def test_ap_near_one_keeps_its_bits_where_finite():
     wv = _near_one_weight()
-    ap, arg = ap_constant(wv, 1.01, UNIT1, 8, return_argmax=True)
-    assert np.isfinite(ap) and (ap, arg) == ap_reference(wv, 1.01, 8, False)
+    ap = ap_constant(wv, 1.01, UNIT1, 8)
+    rep = constants_report(wv, 1.01, UNIT1, 8)
+    assert np.isfinite(ap) and (ap, rep.ap_argmax) == \
+        ap_reference(wv, 1.01, 8, False)
+    assert rep.ap == ap
     assert two_weight_ap(wv, wv, 1.01, UNIT1, 8) == \
         two_weight_reference(wv, wv, 1.01, 8, False)
 
@@ -717,8 +736,8 @@ def test_weight_array_off_its_grid_is_refused(call, root, depth):
 def test_shifted_family_only_increases_sup():
     rng = np.random.default_rng(3)
     wv = np.exp(rng.normal(0, 1, 64))
-    a0 = ap_constant(wv, 2.0, UNIT1, 6, shifted=False)
-    a1 = ap_constant(wv, 2.0, UNIT1, 6, shifted=True)
+    a0 = ap_constant(wv, 2.0, UNIT1, 6)
+    a1 = constants_report(wv, 2.0, UNIT1, 6, shifted=True).ap
     assert a1 >= a0 - 1e-12
 
 
@@ -729,4 +748,6 @@ def test_constants_report_bundle():
     assert d["a1"] == pytest.approx(2.0)
     assert d["rhinf"] == pytest.approx(1.5)
     assert d["rh_pass"] is True
-    assert d["family"] == {"depth": 1, "shifted": False}
+    # the inputs, p and the cube family, are the caller's to record
+    assert sorted(d) == ["a1", "ainf_fw", "ap", "ap1", "ap_argmax",
+                         "rh_exponent", "rh_pass", "rh_worst_ratio", "rhinf"]
