@@ -173,7 +173,11 @@ def _cmd_functional_check(args):
         src = config.get(key, "lebesgue")
         if src == "lebesgue":
             return lebesgue_masses(root, depth)
-        return GridWeight(GridFunction.load(src)).cell_masses(root, depth)
+        g = GridFunction.load(src)  # the functional checks w > 0, mu >= 0
+        if (g.root, g.depth) != (root, depth):
+            raise CliError(f"the {key} file is on the depth-{g.depth} grid "
+                           f"of {g.root}, not on the run's")
+        return g.values * g.cell_volume
 
     mu = load_masses("mu")
     wm = load_masses("w")

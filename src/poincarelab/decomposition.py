@@ -171,6 +171,7 @@ def oscillation(f: GridFunction, basis=None, q_exp=1.0, w=None,
     when None), checked by ``measure_cell_masses``.  The integral is summed
     against those masses and then divided by w(Q); this is the left side of
     every Poincare inequality in the catalog."""
-    dev, tot = _deviation_sum(f, basis, q_exp, measure_cell_masses(w, f),
+    dev, tot = _deviation_sum(f, basis, q_exp,
+                              measure_cell_masses(w, f.root, f.depth),
                               weighted_center)
     return float((dev / tot) ** (1.0 / q_exp))

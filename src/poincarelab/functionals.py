@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import CubeIndex, block_reduce, float_pow, level_blocks
+from .grid import (CubeIndex, block_reduce, float_pow, level_blocks,
+                   measure_cell_masses, resolve)
 
 
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
@@ -41,15 +42,6 @@ _RAW_WORDS = 1024  # 64-bit words per read of the sampler's generator
 
 class FunctionalError(ValueError):
     pass
-
-
-def _check_grid_shape(name, masses, n, depth):
-    """Refuse cell masses not shaped as the depth-``depth`` grid in
-    dimension n, ``(2**depth,) * n``; a nested list of that shape passes."""
-    shape = (1 << depth,) * n
-    if np.shape(masses) != shape:
-        raise FunctionalError(f"{name} masses of shape {np.shape(masses)} on "
-                              f"a grid of shape {shape}")
 
 
 class CubeSums:
@@ -74,22 +66,21 @@ class CubeSums:
 
 class FractionalFunctional:
     """a(Q) = l(Q)^alpha * (mu(Q)/w(Q))^(1/p) on the depth-``depth`` grid of
-    ``root``; mu and w masses of another shape than that grid's, a negative
-    mu mass and a w mass <= 0 are refused (a mu cell of 0 is allowed)."""
+    ``root``.  The grid's checks take the masses: mu by the measure rule
+    (``measure_cell_masses``, so a mu cell of 0 is allowed) and w by the
+    weight rule (``resolve``); each is an array of the grid's shape."""
 
     def __init__(self, alpha, p, mu_masses, w_masses, root, depth):
         if alpha <= 0 or p < 1:
             raise FunctionalError("need alpha > 0 and p >= 1")
-        for name, masses in (("mu", mu_masses), ("w", w_masses)):
-            _check_grid_shape(name, masses, root.n, depth)
-        if np.any(np.asarray(mu_masses) < 0):
-            raise FunctionalError("degenerate functional: negative mu mass")
-        if np.any(np.asarray(w_masses) <= 0):
-            raise FunctionalError("degenerate functional: a w mass <= 0")
+        if mu_masses is None:   # which measure_cell_masses reads as Lebesgue
+            raise FunctionalError("mu masses must be given, got None")
+        mu = measure_cell_masses(mu_masses, root, depth)
+        w = resolve(w_masses, root, depth)
         self.alpha, self.p = float(alpha), float(p)
         self.root, self.depth = root, depth
-        self.mu = CubeSums(np.asarray(mu_masses, dtype=float))
-        self.w = CubeSums(np.asarray(w_masses, dtype=float))
+        self.mu = CubeSums(np.asarray(mu, dtype=float))
+        self.w = CubeSums(np.asarray(w, dtype=float))
 
     def eval(self, q):
         return self.level_values(q.level)[q.coords].item()
@@ -213,12 +204,12 @@ def _maxplus(x, y, width):
     return out
 
 
-def _scores(a, w, p, depth):
-    """a(P)^p w(P) for the cubes P of each level from the root's to
-    ``depth``, one array per level shaped as ``level_values``; the power is
+def _scores(a):
+    """a(P)^p w(P), a's own p and w, for the cubes P of each level of its
+    grid, one array per level shaped as ``level_values``; the power is
     libm pow, which Python's float pow on a scalar a(P) calls too."""
-    return [float_pow(a.level_values(level), p, FunctionalError)
-            * w.level(level) for level in range(depth + 1)]
+    return [float_pow(a.level_values(level), a.p, FunctionalError)
+            * a.w.level(level) for level in range(a.depth + 1)]
 
 
 def _level_dp(scores, top):
@@ -336,17 +327,19 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
               trials=1000, seed=0, mode="random"):
     """Per-L maxima of the D_p ratio over L-small families plus the fitted
     smallness slope of log(max ratio) against log(1/L) (NaN, with its
-    residual, for a single L).  Q must be the root cube of the grid, depth
-    the grid's depth and w_masses shaped as that grid: a sub-cube is checked
-    by making it the input grid.
+    residual, for a single L).  w_masses (as an array), p, Q and depth
+    must be a's own: its w masses and p, its grid's root cube and depth (a
+    sub-cube is checked by making it the input grid).  The exact bound
+    ratio <= (1/L)^(alpha/n), for every mu >= 0 (Franchi-Perez-Wheeden, JFA
+    1998), rests on a(P)^p w(P) = l(P)^(alpha p) mu(P), which holds only
+    for the w and p inside a(P).
 
     Each L satisfies 1 < L < inf and is given once.  Both modes read
     a(Q)^p w(Q) from per-level arrays (``_scores``).  Random mode draws the
     families of every L, in increasing L, from one private stream seeded by
-    ``seed`` (``_uniform_draws``).  The exact bound ratio <= (1/L)^(alpha/n),
-    which holds for every mu >= 0, is checked per family; violations beyond
-    1e-12 are counted in the report.  A zero a(Q)^p w(Q) at the root, the
-    denominator of every ratio, is refused.
+    ``seed`` (``_uniform_draws``).  The bound is checked per family;
+    violations beyond 1e-12 are counted in the report.  A zero a(Q)^p w(Q)
+    at the root, the denominator of every ratio, is refused.
     """
     n = a.root.n
     if Q != CubeIndex.root(n):
@@ -355,7 +348,10 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
     if depth != a.depth:
         raise FunctionalError(f"sdp_check at depth {depth} of a functional on "
                               f"a depth-{a.depth} grid")
-    _check_grid_shape("w", w_masses, n, depth)
+    if p != a.p or not np.array_equal(w_masses, a.w.masses):
+        raise FunctionalError(f"sdp_check takes the functional's own w "
+                              f"masses and p = {a.p}, got others")
+    resolve(w_masses, a.root, depth)    # an array, as the functional's is
     given = ", ".join(map(str, Ls))
     if not all(1 < L < math.inf for L in Ls):
         raise FunctionalError(f"each L must satisfy 1 < L < inf, got {given}")
@@ -365,17 +361,16 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
         raise FunctionalError(f"unknown mode {mode!r}")
     if mode == "random" and trials < 1:
         raise FunctionalError("trials must be >= 1")
-    w = CubeSums(np.asarray(w_masses, dtype=float))
-    scores = _scores(a, w, p, depth)
+    scores = _scores(a)
     if scores[0].item() == 0:
         raise FunctionalError("a(Q)^p w(Q) is 0 at the root cube Q")
     alpha_over_n = a.alpha / n
     Ls = sorted(Ls)
     if mode == "exhaustive":
-        found = [([r], r, wit) for r, wit in _dp_maxima(scores, p, Ls)]
+        found = [([r], r, wit) for r, wit in _dp_maxima(scores, a.p, Ls)]
     else:
         below = _uniform_draws(seed)
-        found = [_sampled(scores, p, L, trials, below) for L in Ls]
+        found = [_sampled(scores, a.p, L, trials, below) for L in Ls]
     per_L, violations = {}, 0
     worst, witness = 0.0, []
     for L, (ratios, best_r, best_w) in zip(Ls, found):

@@ -242,13 +242,13 @@ def lebesgue_masses(root, depth):
     return np.full((N,) * root.n, (root.side / N) ** root.n)
 
 
-def measure_cell_masses(measure, g: GridFunction):
-    """Cell masses of a measure on the grid of ``g``: ``None`` is Lebesgue
-    measure, and an array is taken as the masses, refused unless it has
-    the shape of ``g.values`` and no negative mass."""
+def measure_cell_masses(measure, root, depth):
+    """Cell masses of a measure on the depth-``depth`` grid of ``root``:
+    ``None`` is Lebesgue measure, and an array is taken as the masses,
+    refused unless of shape ``(2**depth,) * n`` and nonnegative."""
     if measure is None:
-        return lebesgue_masses(g.root, g.depth)
-    _check_cells(measure, g.values.shape, "cell masses")
+        return lebesgue_masses(root, depth)
+    _check_cells(measure, (1 << depth,) * root.n, "cell masses")
     if np.any(measure < 0):
         raise GridError("cell masses must be nonnegative")
     return measure

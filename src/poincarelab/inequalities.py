@@ -74,10 +74,11 @@ def poincare_sides(f: GridFunction, u=None, v=None, lhs_exponent=1.0, p=1.0,
     (polynomial projection of order m)}.  rhs is the two-weight gradient
     side l(Q)^m ((1/u(Q)) int_Q |grad^m f|^p v)^(1/p): the fractional a(Q)
     with alpha = m, mu = |grad^m f|^p v dx and w = u.  u and v are cell
-    masses, u Lebesgue and v = u when None, each checked once.
+    masses, u Lebesgue and v = u when None, checked as measures here and by
+    ``oscillation``, and u as a weight (> 0) by the functional.
     """
-    um = measure_cell_masses(u, f)
-    vm = um if v is None else measure_cell_masses(v, f)
+    um = measure_cell_masses(u, f.root, f.depth)
+    vm = um if v is None else measure_cell_masses(v, f.root, f.depth)
     grad = discrete_gradient(f, m).values
     if p < 1:       # refused before a negative power of a zero gradient
         raise FunctionalError("need p >= 1")
@@ -138,14 +139,16 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
                      mu=None, alpha=1.0, a_functional=None):
     """Evaluate one catalog inequality on the root cube Q of f's grid; see
     the module docstring for what is reported.  u, v and mu are cell
-    masses (Lebesgue when None, v = u), each checked once; u's cell values
-    ``uv`` are taken from its masses once, and the sides and bounds read
-    those arrays."""
+    masses (Lebesgue when None, v = u), checked by the grid's rules in each
+    layer that takes them: as measures here, in ``poincare_sides`` and in
+    ``oscillation``, and u and v as weights (> 0) where the functional or
+    an A_p-type bound takes them.  u's cell values ``uv`` are taken from
+    its masses once, and the sides and bounds read those arrays."""
     n, root, depth = f.n, f.root, f.depth
     Q = CubeIndex.root(n)
     inputs = {}
-    um = measure_cell_masses(u, f)
-    vm = None if v is None else measure_cell_masses(v, f)
+    um = measure_cell_masses(u, root, depth)
+    vm = None if v is None else measure_cell_masses(v, root, depth)
     uv = um / f.cell_volume
 
     if iid in ("pp-two-weight", "higher-order"):
@@ -158,8 +161,8 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "pp-measure":
-        a = FractionalFunctional(alpha, p, measure_cell_masses(mu, f), um,
-                                 root, depth)
+        mu_mass = measure_cell_masses(mu, root, depth)
+        a = FractionalFunctional(alpha, p, mu_mass, um, root, depth)
         anorm = _functional_hypothesis_norm(f, a)
         lhs = oscillation(f, q_exp=p, w=um)
         rhs = a.eval(Q)
@@ -199,16 +202,14 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
         return _result(iid, lhs, rhs, math.nan, inputs)
 
     if iid == "lorentz":
-        # l(Q) ||grad f||_{L^{p,1}(Q, u dx / u(Q))}
+        # l(Q) ||grad f||_{L^{p,1}(Q, u dx / u(Q))}, after A_{p,1}: u > 0
         if p < 1:
             raise FunctionalError("need p >= 1")
-        if np.any(um <= 0):
-            raise FunctionalError("degenerate weight")
+        bound = ap1_constant(uv, p, root, depth) ** (1.0 / p)
         masses = um.ravel()
         rhs = root.side * lorentz_p1_norm_values(
             discrete_gradient(f, 1).values.ravel(), masses / masses.sum(), p)
         lhs = oscillation(f, q_exp=p, w=um)
-        bound = ap1_constant(uv, p, root, depth) ** (1.0 / p)
         return _result(iid, lhs, rhs, bound, inputs)
 
     if iid == "exp-JN":
@@ -246,7 +247,7 @@ def check_inequality(iid, f, u=None, v=None, p=1.0, q=1.0, m=1, p0=None,
     if iid == "weak-1n'":
         if n < 2:
             raise InequalityError("weak-1n' needs n >= 2")
-        mu_mass = measure_cell_masses(mu, f)
+        mu_mass = measure_cell_masses(mu, root, depth)
         nprime = n / (n - 1.0)
         dev = np.abs(f.values - f.values.mean())
         lhs = weak_norm_values(dev.ravel(), mu_mass.ravel(), nprime)

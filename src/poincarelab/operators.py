@@ -480,7 +480,7 @@ def rubio_de_francia(h: GridFunction, w, p, terms=20, opnorm=None):
         raise OperatorError("p must be > 1")
     if np.any(h.values < 0) or not np.any(h.values > 0):
         raise OperatorError("h must be nonnegative and not identically zero")
-    w_masses = measure_cell_masses(w, h)
+    w_masses = measure_cell_masses(w, h.root, h.depth)
     mode = "supplied"
     if opnorm is None:
         mode, opnorm = "empirical", maximal_opnorm(w_masses, p, h.values.shape)

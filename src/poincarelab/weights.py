@@ -49,15 +49,13 @@ class GridWeight:
 
     def cell_values(self, root, depth):
         """The values, refused unless (root, depth) is the GridFunction's
-        grid and, as for every weight, each value is positive."""
+        grid and, as for every weight (``resolve``), each value is > 0."""
         g = self.g
         if g.root != root:
             raise GridError(f"density on root box {g.root} resolved on {root}")
         if g.depth != depth:
             raise GridError(f"density on a depth-{g.depth} grid resolved at "
                             f"depth {depth}")
-        if np.any(g.values < 0):
-            raise GridError("density must be nonnegative")
         return resolve(g.values, root, depth)
 
     def cell_masses(self, root, depth):

@@ -9,7 +9,8 @@ from poincarelab.grid import GridFunction, RootBox, sample
 
 
 # GridFunction weights that the depth-4 grid of the unit interval refuses,
-# and the words each refusal names the mismatch with
+# and the words each refusal names the mismatch with: a negative value
+# breaks the weight rule of ``grid.resolve``, values > 0
 OFF_GRID = {
     "other-depth": (lambda: GridFunction(RootBox.unit(1), 3, np.ones(8)),
                     "depth-3"),
@@ -17,7 +18,7 @@ OFF_GRID = {
                                         np.ones(16)), "side=7.0"),
     "negative": (lambda: GridFunction(RootBox.unit(1), 4,
                                       np.linspace(-1.0, 1.0, 16)),
-                 "nonnegative"),
+                 "must be positive"),
 }
 
 

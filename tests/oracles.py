@@ -137,20 +137,19 @@ def dp_ratio(a, w: CubeSums, p, family, Q: CubeIndex):
     return float((num / den) ** (1.0 / p))
 
 
-def max_dp_ratio(a, w_masses, p, depth, mode="exhaustive", trials=1000,
-                 seed=0, budget_L=None):
-    """Best D_p ratio over dyadic antichains below the root cube Q of a's
-    grid (optionally volume limited to |Q|/budget_L).  exhaustive: exact
-    tree maximum; random: sampled lower bound."""
+def max_dp_ratio(a, mode="exhaustive", trials=1000, seed=0, budget_L=None):
+    """Best D_p ratio, with a's own w and p, over dyadic antichains below
+    the root cube Q of a's grid (optionally volume limited to
+    |Q|/budget_L).  exhaustive: exact tree maximum; random: sampled lower
+    bound."""
     if mode not in ("exhaustive", "random"):
         raise FunctionalError(f"unknown mode {mode!r}")
-    w = CubeSums(np.asarray(w_masses, dtype=float))
-    scores = _scores(a, w, p, depth)
+    scores = _scores(a)
     if mode == "exhaustive":
-        [(ratio, witness)] = _dp_maxima(scores, p, [budget_L])
+        [(ratio, witness)] = _dp_maxima(scores, a.p, [budget_L])
         return DpReport(ratio, witness, 0)
     L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
-    _, best, witness = _sampled(scores, p, L, trials, _uniform_draws(seed))
+    _, best, witness = _sampled(scores, a.p, L, trials, _uniform_draws(seed))
     if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []
     return DpReport(best, witness, trials)

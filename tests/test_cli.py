@@ -12,7 +12,8 @@ import pytest
 
 from poincarelab import cli
 from poincarelab.cli import main
-from poincarelab.grid import GridFunction, RootBox
+from poincarelab.functionals import FractionalFunctional, sdp_check
+from poincarelab.grid import CubeIndex, GridFunction, RootBox, lebesgue_masses
 from tests.conftest import OFF_GRID
 
 
@@ -172,6 +173,8 @@ def test_functional_check_mass_file_on_the_run_grid(tmp_path):
 def test_functional_check_names_the_off_grid_mismatch(tmp_path, capsys,
                                                       case, key):
     make, words = OFF_GRID[case]
+    if (case, key) == ("negative", "mu"):
+        words = "cell masses must be nonnegative"   # mu is a measure
     wpath = tmp_path / "w.json"
     make().save(wpath)
     rc, err = _functional_check_errors(tmp_path, capsys, {key: str(wpath)},
@@ -181,17 +184,43 @@ def test_functional_check_names_the_off_grid_mismatch(tmp_path, capsys,
     assert words in err[0]
 
 
-@pytest.mark.parametrize("key", ["mu", "w"])
+# a mu file is a measure's density, whose cells may be 0
+# (test_functional_check_takes_a_mu_file_with_a_zero_cell)
+@pytest.mark.parametrize("key", ["w"])
 def test_functional_check_refuses_a_file_with_a_zero_cell(tmp_path, capsys,
                                                           key):
-    # the weight check refuses it when the file is loaded, before the
-    # functional would find the zero mass
+    # the weight rule refuses a w cell of 0
     wpath = tmp_path / "w.json"
     GridFunction(RootBox.unit(1), 4, np.linspace(0.0, 1.0, 16)).save(wpath)
     rc, err = _functional_check_errors(tmp_path, capsys, {key: str(wpath)},
                                        "--mode", "exhaustive")
     assert rc == 1
     assert err == ["error: weight cell values must be positive"]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_functional_check_takes_a_mu_file_with_a_zero_cell(tmp_path, capsys,
+                                                           mode):
+    # a 2D depth-4 mu density with one zero cell, as a gradient measure has
+    # where f is flat: the run equals sdp_check on the same masses
+    root = RootBox.unit(2)
+    values = np.random.default_rng(8).uniform(0.5, 2.0, (16, 16))
+    values[3, 5] = 0.0
+    mpath, fpath = tmp_path / "mu.json", tmp_path / "a.json"
+    GridFunction(root, 4, values).save(mpath)
+    fpath.write_text(json.dumps({"n": 2, "alpha": 0.5, "mu": str(mpath)}))
+    extra = ["--trials", "20", "--seed", "3"] if mode == "random" else []
+    assert main(["functional-check", "--functional", str(fpath), "--depth",
+                 "4", "--p", "1.5", "--Ls", "2,4", "--mode", mode,
+                 *extra]) == 0
+    d = json.loads(capsys.readouterr().out)
+    d.pop("config")
+    mu = values * (1.0 / 16) ** 2
+    wm = lebesgue_masses(root, 4)
+    a = FractionalFunctional(0.5, 1.5, mu, wm, root, 4)
+    rep = sdp_check(a, wm, 1.5, CubeIndex.root(2), 4, [2.0, 4.0], trials=20,
+                    seed=3, mode=mode)
+    assert d == json.loads(json.dumps(cli._finite(rep.to_dict())))
 
 
 def test_exhaustive_mode_reads_no_sampler_flag(tmp_path, capsys):

@@ -9,8 +9,8 @@ from poincarelab import functionals
 from poincarelab.functionals import (CubeSums, FractionalFunctional,
                                      FunctionalError, enumerate_antichains,
                                      sdp_check)
-from poincarelab.grid import (CubeIndex, GridFunction, RootBox, block_reduce,
-                              discrete_gradient)
+from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
+                              block_reduce, discrete_gradient)
 from tests.conftest import counting
 from tests.oracles import (contains, dp_ratio, full_partition, max_dp_ratio,
                            random_small_family, reference_eval,
@@ -35,14 +35,19 @@ def test_fractional_eval_unweighted_is_sidelength_power():
 
 
 def test_fractional_rejects_degenerate_masses():
-    # a w mass <= 0 and a negative mu mass are refused; a mu cell of 0,
-    # as a gradient measure has where f is flat, is not
+    # the grid's rules: a w mass <= 0 and a negative mu mass are refused; a
+    # mu cell of 0, as a gradient measure has where f is flat, is not
     m = lebesgue_masses(1, 3)
     zero, negative = m.copy(), m.copy()
     zero[0], negative[0] = 0.0, -1e-300
-    for mu, w in ((m, zero), (m, negative), (negative, m)):
-        with pytest.raises(FunctionalError, match="degenerate"):
+    for mu, w, words in ((m, zero, "weight cell values must be positive"),
+                         (m, negative, "weight cell values must be positive"),
+                         (negative, m, "cell masses must be nonnegative")):
+        with pytest.raises(GridError, match=words):
             FractionalFunctional(1.0, 1.0, mu, w, UNIT1, 3)
+    # None is not read as Lebesgue measure here
+    with pytest.raises(FunctionalError, match="got None"):
+        FractionalFunctional(1.0, 1.0, None, m, UNIT1, 3)
     a = FractionalFunctional(1.0, 1.0, zero, m, UNIT1, 3)
     assert a.eval(CubeIndex(3, (0,))) == 0.0
     assert a.eval(CubeIndex.root(1)) == pytest.approx(0.875)
@@ -79,7 +84,7 @@ def test_increasing_functional_dp_below_one():
     for p in (1.0, 2.0):
         a = FractionalFunctional(1.0 / p, p, masses, np.full(8, 1 / 8),
                                  UNIT1, depth)
-        rep = max_dp_ratio(a, np.full(8, 1 / 8), p, depth)
+        rep = max_dp_ratio(a)
         assert rep.worst_ratio <= 1.0 + 1e-9
 
 
@@ -101,6 +106,34 @@ def test_cube_sums_sum_only_the_levels_read(monkeypatch):
     assert np.array_equal(cs.level(2), block_reduce(masses, 2, np.sum))
     assert cs.mass(CubeIndex(2, (3, 1))) == masses[6:8, 2:4].sum()
     assert summed == [0, 2]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("n,depth,Ls", [(2, 5, [4.0, 16.0, 64.0]),
+                                        (1, 10, [2.0, 4.0, 8.0])])
+def test_sdp_check_sums_mu_and_w_once_per_level(monkeypatch, n, depth, Ls,
+                                                mode):
+    # a(P)^p w(P) reads the functional's own w sums: two block sums per
+    # level, mu's and w's, where summing the w_masses argument again made
+    # three
+    rng = np.random.default_rng(60 + n)
+    shape = (1 << depth,) * n
+    mu, wm = rng.uniform(0.1, 1.0, shape), rng.uniform(0.1, 1.0, shape)
+    a = FractionalFunctional(1.0, 1.0, mu, wm, RootBox.unit(n), depth)
+    summed = []
+
+    def counting_block_reduce(values, level, op):
+        summed.append((level, "mu" if values is a.mu.masses else
+                       "w" if values is a.w.masses else "other"))
+        return block_reduce(values, level, op)
+
+    monkeypatch.setattr("poincarelab.functionals.block_reduce",
+                        counting_block_reduce)
+    sdp_check(a, wm, 1.0, CubeIndex.root(n), depth, Ls, trials=20, mode=mode)
+    assert sorted(summed) == sorted((level, which)
+                                    for level in range(depth + 1)
+                                    for which in ("mu", "w"))
+    assert len(summed) == 2 * (depth + 1)     # 12 at 2D d5, 22 at 1D d10
 
 
 def test_enumerate_antichains_refuses_beyond_its_cap(monkeypatch):
@@ -133,7 +166,7 @@ def test_exhaustive_dp_matches_bruteforce_enumeration():
             w = CubeSums(wm)
             best = max(dp_ratio(a, w, p, fam, root)
                        for fam in enumerate_antichains(n, depth))
-            rep = max_dp_ratio(a, wm, p, depth, mode="exhaustive")
+            rep = max_dp_ratio(a, mode="exhaustive")
             assert rep.worst_ratio == pytest.approx(best, rel=1e-9)
             assert dp_ratio(a, w, p, rep.witness, root) == \
                 pytest.approx(best, rel=1e-9)
@@ -153,7 +186,7 @@ def test_budgeted_dp_matches_restricted_enumeration():
         used = sum(2 ** (depth - q.level) for q in fam)
         if used <= 8 / L:
             best = max(best, dp_ratio(a, w, 1.0, fam, root))
-    rep = max_dp_ratio(a, wm, 1.0, depth, mode="exhaustive", budget_L=L)
+    rep = max_dp_ratio(a, mode="exhaustive", budget_L=L)
     assert rep.worst_ratio == pytest.approx(best, rel=1e-9)
 
 
@@ -163,10 +196,8 @@ def test_random_mode_is_lower_bound():
     mu = rng.uniform(0.1, 1.0, 16)
     wm = rng.uniform(0.1, 1.0, 16)
     a = FractionalFunctional(0.5, 2.0, mu, wm, UNIT1, depth)
-    exact = max_dp_ratio(a, wm, 2.0, depth, mode="exhaustive",
-                         budget_L=2.0)
-    rnd = max_dp_ratio(a, wm, 2.0, depth, mode="random", trials=200,
-                       seed=0, budget_L=2.0)
+    exact = max_dp_ratio(a, mode="exhaustive", budget_L=2.0)
+    rnd = max_dp_ratio(a, mode="random", trials=200, seed=0, budget_L=2.0)
     assert rnd.worst_ratio <= exact.worst_ratio + 1e-12
     assert rnd.trials == 200
 
@@ -230,9 +261,9 @@ def test_sdp_check_refuses_a_zero_root_denominator(mode):
     assert a.eval(CubeIndex.root(1)) == 0.0
     with pytest.raises(FunctionalError, match="0 at the root cube"):
         sdp_check(a, m, 2.0, CubeIndex.root(1), 3, [2.0], mode=mode)
-    # so is a w of total mass 0 given to sdp_check
+    # a w of total mass 0 is not the functional's w, which is > 0
     a = FractionalFunctional(1, 2.0, m, m, UNIT1, 3)
-    with pytest.raises(FunctionalError, match="0 at the root cube"):
+    with pytest.raises(FunctionalError, match="functional's own w"):
         sdp_check(a, np.zeros(8), 2.0, CubeIndex.root(1), 3, [2.0],
                   mode=mode)
     # zero mu cells below a positive root are no bar
@@ -283,16 +314,20 @@ def test_functional_refuses_masses_off_its_grid():
     root = RootBox.unit(2)
     grid = np.random.default_rng(30).uniform(0.5, 1.5, (8, 8)) / 64
     flat = grid.ravel()
-    for mu, w, name in ((flat, grid, "mu"), (grid, flat, "w"),
-                        (grid, grid[:4, :4], "w"), (grid[None], grid, "mu")):
-        with pytest.raises(FunctionalError,
-                           match=rf"{name} masses of shape .* on a grid of "
-                                 r"shape \(8, 8\)"):
+    for mu, w, what in ((flat, grid, "cell masses"),
+                        (grid, flat, "weight cell values"),
+                        (grid, grid[:4, :4], "weight cell values"),
+                        (grid[None], grid, "cell masses")):
+        with pytest.raises(GridError,
+                           match=rf"{what} must be an array of shape "
+                                 r"\(8, 8\), got"):
             FractionalFunctional(1.0, 1.0, mu, w, root, 3)
-    # nested lists of the grid's shape load, as arrays do
-    a = FractionalFunctional(1.0, 1.0, grid.tolist(), grid.tolist(), root, 3)
-    b = FractionalFunctional(1.0, 1.0, grid, grid, root, 3)
-    assert a.eval(CubeIndex(1, (1, 0))) == b.eval(CubeIndex(1, (1, 0)))
+    # nested lists of the grid's shape are refused too: the grid's checks
+    # take arrays only
+    for mu, w in ((grid.tolist(), grid), (grid, grid.tolist())):
+        with pytest.raises(GridError, match="must be an array of shape "
+                                            r"\(8, 8\), got list"):
+            FractionalFunctional(1.0, 1.0, mu, w, root, 3)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -306,10 +341,16 @@ def test_sdp_check_refuses_w_masses_or_depth_off_the_functional_grid(mode):
                            match=rf"at depth {depth} of a functional on a "
                                  "depth-3 grid"):
             sdp_check(a, grid, 1.0, Q, depth, [4.0], mode=mode)
-    for w in (grid.ravel(), grid[:4, :4]):
-        with pytest.raises(FunctionalError, match="w masses of shape"):
-            sdp_check(a, w, 1.0, Q, 3, [4.0], mode=mode)
-    assert sdp_check(a, grid.tolist(), 1.0, Q, 3, [2.0, 4.0], mode=mode) \
+    # a w or a p other than the functional's own, on the grid or off it
+    for w, p in ((grid.ravel(), 1.0), (grid[:4, :4], 1.0), (grid * 2, 1.0),
+                 (grid.T, 1.0), (grid, 2.0), (grid, 1.5)):
+        with pytest.raises(FunctionalError, match="functional's own w "
+                                                  r"masses and p = 1\.0"):
+            sdp_check(a, w, p, Q, 3, [4.0], mode=mode)
+    with pytest.raises(GridError, match="got list"):
+        sdp_check(a, grid.tolist(), 1.0, Q, 3, [4.0], mode=mode)
+    # an equal copy of w, or p as an int, is the functional's own
+    assert sdp_check(a, grid.copy(), 1, Q, 3, [2.0, 4.0], mode=mode) \
         == sdp_check(a, grid, 1.0, Q, 3, [2.0, 4.0], mode=mode)
 
 
@@ -356,8 +397,7 @@ def test_dp_ratio_monotone_under_family_growth():
 def test_report_to_dict_roundtrips_witness():
     depth = 3
     a = unweighted_functional(1.0, 1.0, 1, depth)
-    rep = max_dp_ratio(a, lebesgue_masses(1, depth), 1.0, depth,
-                       mode="exhaustive", budget_L=2.0)
+    rep = max_dp_ratio(a, mode="exhaustive", budget_L=2.0)
     d = rep.to_dict()
     assert d["worst_ratio"] == pytest.approx(rep.worst_ratio)
     assert all(isinstance(wit, list) and len(wit) == 2 for wit in d["witness"])
@@ -503,7 +543,7 @@ def test_level_dp_equals_per_node_dp(n, depth, p):
         cells = (1 << D) ** n
         for a, aQ in zip(functionals, subs):
             for L in (None, 1.5, 2.0, 3.0, float(cells), 2.0 * cells):
-                rep = max_dp_ratio(aQ, wQ, p, D, budget_L=L)
+                rep = max_dp_ratio(aQ, budget_L=L)
                 assert (rep.worst_ratio, rep.witness) == \
                     reference_max_dp_ratio(aQ, wQ, p, CubeIndex.root(n), D,
                                            budget_L=L)
@@ -526,7 +566,7 @@ def test_level_dp_equals_per_node_dp_hypothesis(n, seed, p, L):
                              RootBox.unit(n), depth)
     Q = CubeIndex.root(n)
     for budget_L in (None, L):
-        rep = max_dp_ratio(a, wm, p, depth, budget_L=budget_L)
+        rep = max_dp_ratio(a, budget_L=budget_L)
         assert (rep.worst_ratio, rep.witness) == \
             reference_max_dp_ratio(a, wm, p, Q, depth, budget_L=budget_L)
 
@@ -545,7 +585,7 @@ def test_exhaustive_sdp_check_equals_per_L_max_dp_ratio(n, depth, Ls):
         for a, aQ in zip(functionals, subs):
             rep = sdp_check(aQ, wQ, 1.0, CubeIndex.root(n), D, Ls,
                             mode="exhaustive")
-            per_L = {L: max_dp_ratio(aQ, wQ, 1.0, D, budget_L=L) for L in Ls}
+            per_L = {L: max_dp_ratio(aQ, budget_L=L) for L in Ls}
             assert rep.per_L == {L: r.worst_ratio for L, r in per_L.items()}
             worst = max(sorted(Ls), key=lambda L: per_L[L].worst_ratio)
             assert rep.worst_ratio == per_L[worst].worst_ratio
@@ -572,8 +612,7 @@ def test_report_fields_are_python_floats(mode):
     for a in functionals:
         reports = [sdp_check(a, wm, 2, CubeIndex.root(1), depth, [2, 4.0],
                              trials=20, mode=mode),
-                   max_dp_ratio(a, wm, 2, depth,
-                                mode=mode, trials=20, budget_L=2.0)]
+                   max_dp_ratio(a, mode=mode, trials=20, budget_L=2.0)]
         for rep in reports:
             d = rep.to_dict()
             floats = [d["worst_ratio"], *d["per_L"].values(),
@@ -761,7 +800,7 @@ def test_sampled_mode_equals_per_family_reference(n, depth, seed):
             assert (rep.witness, rep.violations, rep.trials) == \
                 ([relative_cube(Q, q) for q in witness], violations, trials)
             for budget_L in (None, 3.0, 5.5):
-                rep = max_dp_ratio(aQ, wQ, p, D, mode="random", trials=12,
+                rep = max_dp_ratio(aQ, mode="random", trials=12,
                                    seed=seed, budget_L=budget_L)
                 assert (rep.worst_ratio, rep.witness, rep.trials) == \
                     reference_max_dp_ratio_random(aQ, wQ, p, root, D, 12,
@@ -849,8 +888,7 @@ def test_sdp_check_reads_level_arrays_not_eval_per_cube(mode):
               counting(FractionalFunctional)(1, 1.5, gmu, wm, UNIT1, depth)):
         sdp_check(a, wm, 1.5, CubeIndex.root(1), depth, [2.0, 3.0, 8.0],
                   trials=50, mode=mode)
-        max_dp_ratio(a, wm, 1.5, depth, mode=mode,
-                     trials=50, budget_L=2.0)
+        max_dp_ratio(a, mode=mode, trials=50, budget_L=2.0)
         # 127 cubes and 100 sampled families per call: none is evaluated
         # one by one
         assert a.calls <= 1

@@ -20,6 +20,8 @@ from poincarelab.grid import (MAX_CELL_EXPONENT, CubeIndex, GridError,
                               measure_cell_masses, midpoint_axes, resolve,
                               sample)
 from poincarelab.decomposition import oscillation
+from poincarelab.functionals import (FractionalFunctional, FunctionalError,
+                                     sdp_check)
 from poincarelab.weights import (GridWeight, PowerWeight, ap_constant,
                                  resolve as weights_resolve)
 from tests.conftest import OFF_GRID, assert_same_bits
@@ -348,22 +350,34 @@ def test_weight_off_the_grid_is_refused_on_every_path(case):
     if case == "other-root":
         return  # bare values carry their shape and sign, not their box
     values = w.values
+    ok = lebesgue_masses(f.root, f.depth)
+    a = FractionalFunctional(1.0, 1.0, ok, ok, f.root, f.depth)
     arrays = {
         "resolve": lambda: resolve(values, f.root, f.depth),
-        "measure_cell_masses": lambda: measure_cell_masses(values, f),
+        "measure_cell_masses":
+            lambda: measure_cell_masses(values, f.root, f.depth),
         "oscillation": lambda: oscillation(f, w=values),
         "ap_constant": lambda: ap_constant(values, 2.0, f.root, f.depth),
+        "FractionalFunctional mu":
+            lambda: FractionalFunctional(1.0, 1.0, values, ok, f.root,
+                                         f.depth),
+        "FractionalFunctional w":
+            lambda: FractionalFunctional(1.0, 1.0, ok, values, f.root,
+                                         f.depth),
     }
     for call in arrays.values():
         with pytest.raises(GridError):
             call()
+    # sdp_check takes only the functional's own w, which the grid checked
+    with pytest.raises(FunctionalError, match="functional's own w"):
+        sdp_check(a, values, 1.0, CubeIndex.root(1), f.depth, [2.0])
 
 
 def test_weight_on_the_grid_passes_every_path():
     f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
     w = f.copy_with(np.linspace(0.0, 1.0, 16))
     masses = w.values / 16          # a zero mass is a valid measure
-    assert measure_cell_masses(masses, f) is masses
+    assert measure_cell_masses(masses, f.root, f.depth) is masses
     c = f.values.mean()
     assert oscillation(f, w=masses) == pytest.approx(
         (np.abs(f.values - c) * masses).sum() / masses.sum(), rel=1e-14)
@@ -378,14 +392,32 @@ def test_weight_on_the_grid_passes_every_path():
     assert_same_bits(gw.cell_masses(f.root, f.depth), pos.values / 16)
     assert ap_constant(gw.cell_values(f.root, f.depth), 2.0, f.root,
                        f.depth) >= 1.0
+    # the functional takes the zero mass as mu, not as w
+    with pytest.raises(GridError, match="positive"):
+        FractionalFunctional(1.0, 1.0, masses, masses, f.root, f.depth)
+    wm = gw.cell_masses(f.root, f.depth)
+    a = FractionalFunctional(1.0, 1.0, masses, wm, f.root, f.depth)
+    assert a.mu.masses is masses and a.w.masses is wm
+    rep = sdp_check(a, wm, 1.0, CubeIndex.root(1), f.depth, [2.0])
+    assert 0.0 < rep.worst_ratio <= 0.5 and rep.violations == 0
+    # each path takes arrays only, not nested lists of the grid's shape
+    for call in (lambda: FractionalFunctional(1.0, 1.0, masses.tolist(), wm,
+                                              f.root, f.depth),
+                 lambda: FractionalFunctional(1.0, 1.0, masses, wm.tolist(),
+                                              f.root, f.depth),
+                 lambda: sdp_check(a, wm.tolist(), 1.0, CubeIndex.root(1),
+                                   f.depth, [2.0])):
+        with pytest.raises(GridError, match="must be an array"):
+            call()
 
 
 def test_measure_cell_masses_contract():
     root = RootBox.unit(1)
     g = GridFunction(root, 2, np.array([1.0, 2.0, 3.0, 4.0]))
     masses = np.array([0.5, 0.25, 0.125, 0.0])
-    assert_same_bits(measure_cell_masses(None, g), np.full(4, g.cell_volume))
-    assert measure_cell_masses(masses, g) is masses
+    assert_same_bits(measure_cell_masses(None, g.root, g.depth),
+                     np.full(4, g.cell_volume))
+    assert measure_cell_masses(masses, g.root, g.depth) is masses
     sym = RootBox.symmetric(2)
     for depth in (0, 3):
         h = GridFunction(sym, depth, np.ones(4 ** depth))
@@ -398,7 +430,7 @@ def test_measure_cell_masses_contract():
                (PowerWeight(0.5, 1), "got PowerWeight")]
     for measure, words in refused:
         with pytest.raises(GridError, match=words):
-            measure_cell_masses(measure, g)
+            measure_cell_masses(measure, g.root, g.depth)
 
 
 def test_grid_function_shape_validation():

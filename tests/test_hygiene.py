@@ -6,7 +6,8 @@ one is passed by a call there, every method the benchmark traces is
 defined in its class's own body, no function imports a package module
 locally, no function takes the cube it runs on or a random generator or
 is only ``raise NotImplementedError``, every dataclass ``to_dict`` is
-built from ``asdict(self)``, and no module builds full-grid coordinate
+built from ``asdict(self)``, no module but ``grid`` checks an array's
+shape against its grid, and no module builds full-grid coordinate
 temporaries, whole multi-axis spectra or per-element Python calls."""
 
 import ast
@@ -351,8 +352,9 @@ def cube_argument_report(sources, kept):
 
 
 # sdp_check keeps its cube argument, and refuses any cube but the root,
-# because the benchmark passes it by position and binds it by name
-# (ROADMAP item 1)
+# only for the benchmark's call, which passes it by position and binds it
+# by name; it keeps its w_masses and p for that call too, and refuses any
+# but the functional's own (ROADMAP items 1 and 20)
 CUBE_ARGUMENT_KEPT = {"sdp_check"}
 
 
@@ -519,6 +521,47 @@ def test_detector_flags_to_dicts_listing_fields_by_hand():
     # no fields of its own
     assert to_dicts_not_from_fields(sources) == [("a.py", "Hand"),
                                                  ("a.py", "Other")]
+
+
+def shape_checks(source):
+    """(line, what) of each ``np.shape`` call in ``source`` (any call of a
+    name or attribute ``shape``) and of each ``==`` or ``!=`` comparison
+    with a ``.shape`` operand: the check of a cell array against its grid's
+    shape, which ``grid`` alone makes.  An axis length such as
+    ``x.shape[0]`` is not a shape."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called_name(node) == "shape":
+            found.append((node.lineno, "shape call"))
+        elif isinstance(node, ast.Compare) \
+                and any(isinstance(op, (ast.Eq, ast.NotEq))
+                        for op in node.ops) \
+                and any(isinstance(x, ast.Attribute) and x.attr == "shape"
+                        for x in [node.left, *node.comparators]):
+            found.append((node.lineno, "shape compared"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_checks_an_array_against_its_grid(path):
+    assert shape_checks(path.read_text()) == []
+
+
+def test_detector_flags_shape_checks():
+    src = ("import numpy as np\nfrom numpy import shape\n\n\n"
+           "def f(m, w, n):\n    if np.shape(m) != (4,) * n:\n"
+           "        pass\n    if w.shape == m.shape:\n        pass\n"
+           "    if (4, 4) != w.shape:\n        pass\n"
+           "    return shape(w)\n\n\n"
+           "def g(m, w):\n    space = m.shape[1:]\n"
+           "    if space != space[:1] * 2 or m.shape[0] == 4:\n"
+           "        pass\n    if m.size > w.shape[-1]:\n        pass\n"
+           "    return m.reshape(w.shape), m.shape is w.shape\n")
+    # an axis length, a slice of a shape held in a name, a reshape and an
+    # identity test are not flagged
+    assert shape_checks(src) == [(6, "shape call"), (8, "shape compared"),
+                                 (10, "shape compared"), (12, "shape call")]
 
 
 def dense_temporaries(source):
