@@ -13,9 +13,12 @@ volume budget for L-small families) by one max-plus dynamic program, run
 level by level up the cube tree and read for every L; it agrees with
 brute-force enumeration, and its root step costs O(top^2) in the finest
 cells of the largest budget.  Random mode gives a sampled lower bound; its
-draws come from a private stream of raw generator words seeded by ``seed``
-and equal scalar ``Generator.integers`` draws on ``default_rng(seed)`` bit
-for bit.  Both modes read a(Q)^p w(Q) from one array per cube level,
+draws come from a private word stream seeded by ``seed`` and equal scalar
+``Generator.integers`` draws on ``default_rng(seed)`` bit for bit.  The
+stream decodes a block of generator words at a time in numpy, each word
+with the cube level it draws, and the sampler walks the decoded words in
+plain Python lists, reading a try's position words only when its level
+fits.  Both modes read a(Q)^p w(Q) from one array per cube level,
 ``FractionalFunctional.level_values``, whose entries ``eval`` reads too.
 
 Everything runs on the root cube of the grid: the families are those below
@@ -37,7 +40,7 @@ from .grid import (CubeIndex, block_reduce, float_pow, level_blocks,
 FAMILY_MAX_TRIES = 400  # tries per sampled L-small family
 ANTICHAIN_CAP = 10 ** 6  # partial families enumerate_antichains builds
 WITNESS_TOL = 1e-9  # relative slack of a DP value a witness must attain
-_RAW_WORDS = 1024  # 64-bit words per read of the sampler's generator
+STREAM_BLOCK = 1024  # 64-bit words per read of the sampler's generator
 
 
 class FunctionalError(ValueError):
@@ -109,68 +112,138 @@ def _z_spread(n, bits):
                  for r in range(1 << bits))
 
 
-def _uniform_draws(seed):
-    """``below(R)``: a uniform integer in [0, R) for R <= 2^32, so that a
-    sequence of ``below`` calls equals ``int(rng.integers(0, R))`` calls on
-    ``rng = np.random.default_rng(seed)`` bit for bit.  It is numpy's
-    bounded draw (Lemire, ACM TOMACS 2019) on the 32-bit words of a private
-    PCG64, read from ``bit_generator.random_raw`` _RAW_WORDS at a time,
-    each 64-bit raw word low half first."""
-    bitgen = np.random.default_rng(seed).bit_generator
+class _WordStream:
+    """The 32-bit words of a private PCG64 seeded by ``seed``, each 64-bit
+    raw word low half first, as ``Generator.integers`` reads them: calling
+    the stream with R <= 2^32 draws a uniform integer in [0, R), so that a
+    sequence of calls equals ``int(rng.integers(0, R))`` calls on
+    ``rng = np.random.default_rng(seed)`` bit for bit.  The draw is numpy's
+    bounded one (Lemire, ACM TOMACS 2019): R = 1 reads no word, and a word
+    x is rejected, and the next one read, while (x * R) mod 2^32 is below
+    both R and (2^32 - R) mod R.
 
-    def halves():
-        while True:
-            raw = bitgen.random_raw(_RAW_WORDS)
-            yield from np.stack((raw & 0xFFFFFFFF, raw >> 32),
-                                axis=1).ravel().tolist()
+    The words are decoded STREAM_BLOCK raw words at a time into ``words``,
+    read from ``pos`` on, and ``levels``: per word, its draw in [0,
+    ``span``) or -1 where the bounded draw rejects it (``span`` is 2 until
+    ``decode_for`` sets it).  ``_draw_family`` walks these lists itself
+    and stores back the position it reached."""
 
-    words = halves()
+    def __init__(self, seed):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self.words, self.levels, self.pos, self.span = [], [], 0, 2
 
-    def below(R):
+    def _raw(self):
+        """The next STREAM_BLOCK 64-bit words of the generator."""
+        return self._bitgen.random_raw(STREAM_BLOCK)
+
+    def _decode(self, words):
+        """The draw in [0, ``span``) of each 32-bit word, -1 if rejected."""
+        R = self.span
+        m = words * np.uint64(R)
+        low = m & np.uint64(0xFFFFFFFF)
+        fine = (low >= R) | (low >= ((1 << 32) - R) % R)
+        return np.where(fine, (m >> np.uint64(32)).astype(np.int64), -1)
+
+    def refill(self):
+        """Drop the words read and append the next block, decoded."""
+        raw = self._raw()
+        block = np.stack((raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)),
+                         axis=1).ravel()
+        self.words = self.words[self.pos:] + block.tolist()
+        self.levels = self.levels[self.pos:] + self._decode(block).tolist()
+        self.pos = 0
+
+    def decode_for(self, span):
+        """Make ``levels`` the draws in [0, ``span``), 2 <= span <= 2^32."""
+        if span != self.span:
+            self.span = span
+            self.levels = self._decode(
+                np.array(self.words, dtype=np.uint64)).tolist()
+
+    def __call__(self, R):
         if R == 1:
             return 0
         if R > 1 << 32:
             raise FunctionalError("ranges above 2^32 are not drawn here")
         while True:
-            m = next(words) * R
+            if self.pos == len(self.words):
+                self.refill()
+            m = self.words[self.pos] * R
+            self.pos += 1
             low = m & 0xFFFFFFFF
             if low >= R or low >= ((1 << 32) - R) % R:
                 return m >> 32
 
-    return below
+
+def _uniform_draws(seed):
+    """The private word stream of ``sdp_check``'s random mode."""
+    return _WordStream(seed)
 
 
-def _draw_family(n, L, below, depth):
-    """Greedy rejection sampler for L-small families of dyadic cubes of the
-    depth-``depth`` grid in dimension n: uniformly random cubes, overlaps
-    rejected, until the remaining volume budget is below one finest cell
-    (or FAMILY_MAX_TRIES tries run out).  Members are ``(level, coords)``
-    pairs; each try draws its level with ``below``, and n more draws its
-    position when the level fits the budget left.  In ``sdp_check``,
-    ``below`` reads the private stream that ``_uniform_draws`` seeds with
-    its ``seed``.  The finest cells are marked in Z order, where each
+def _draw_family(n, L, stream, depth):
+    """Greedy rejection sampler for L-small families, L > 1, of dyadic
+    cubes of the depth-``depth`` grid in dimension n: uniformly random
+    cubes, overlaps rejected, until the remaining volume budget is below
+    one finest cell (or FAMILY_MAX_TRIES tries run out).  Members are
+    ``(level, coords)`` pairs.  Each try draws its level with
+    ``stream(depth + 1)`` and, when the level fits the budget left, its
+    position with n draws ``stream(2**level)``; the draws are those of
+    the scalar sampler, word for word.
+
+    The walk reads ``stream.levels`` decoded for ``depth + 1``, where a
+    rejected word (-1) is no try, and keeps ``fit``, the coarsest level
+    that fits, as a running bound: a try below it reads no more words.  A
+    position draw ``stream(2**level)`` never rejects and is its word's top
+    ``level`` bits.  The finest cells are marked in Z order, where each
     dyadic cube is one run: the cells of the level-k cube with Z index z
     are [z * c, (z + 1) * c) for c cells per cube."""
     budget = (1 << depth) ** n / L
+    if budget < 1.0:
+        return []
     spread = _z_spread(n, depth)
-    taken = bytearray((1 << depth) ** n)
-    members, used, tries = [], 0, 0
-    while budget - used >= 1.0 and tries < FAMILY_MAX_TRIES:
-        tries += 1
-        level = below(depth + 1)
-        cells = 1 << (n * (depth - level))
-        if cells > budget - used:
+    sizes = [1 << (n * (depth - k)) for k in range(depth + 1)]
+    taken = bytearray(sizes[0])
+    members, used, tries, fit = [], 0, 0, 0
+    while sizes[fit] > budget:
+        fit += 1
+    stream.decode_for(depth + 1)
+    words, levels, i = stream.words, stream.levels, stream.pos
+    end = len(words) - n        # a try's level word and n position words
+    while tries < FAMILY_MAX_TRIES:
+        if i >= end:
+            stream.pos = i
+            stream.refill()
+            words, levels, i = stream.words, stream.levels, 0
+            end = len(words) - n
+        level = levels[i]
+        i += 1
+        if level < fit:
+            if level >= 0:
+                tries += 1
             continue
-        coords = tuple(below(1 << level) for _ in range(n))
-        z = 0
-        for c in coords:
-            z = (z << 1) | spread[c]
+        tries += 1
+        shift = 32 - level
+        if n == 1:                  # the coordinate is the Z index
+            z = words[i] >> shift
+            coords = (z,)
+        else:
+            coords = tuple([x >> shift for x in words[i:i + n]])
+            z = 0
+            for c in coords:
+                z = (z << 1) | spread[c]
+        i += n
+        cells = sizes[level]
         start = z * cells
         if taken.find(1, start, start + cells) >= 0:
             continue
         taken[start:start + cells] = b"\x01" * cells
         members.append((level, coords))
         used += cells
+        if budget - used < 1.0:
+            break
+        while sizes[fit] > budget - used:
+            fit += 1
+    stream.pos = i
     return members
 
 
@@ -293,24 +366,25 @@ def _dp_maxima(scores, p, Ls):
     return out
 
 
-def _sampled(scores, p, L, trials, below):
-    """D_p ratios of ``trials`` sampled L-small families below the root,
-    their maximum and the first family attaining it.  Each ratio is
-    (sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p w(Q))^(1/p): the members'
-    ``_scores`` entries added in member order, then the 1/p power, on
-    Python floats.  The families are drawn in turn with ``below``."""
+def _sampled(scores, p, L, trials, stream, bound):
+    """The largest D_p ratio of ``trials`` sampled L-small families below
+    the root, the first family attaining it, and how many ratios exceed
+    ``bound``.  Each ratio is (sum_i a(Q_i)^p w(Q_i))^(1/p) / (a(Q)^p
+    w(Q))^(1/p): the members' ``_scores`` entries added in member order,
+    then the 1/p power, on Python floats.  The families are drawn in turn
+    from ``stream``; only the best is kept."""
     n, depth = scores[0].ndim, len(scores) - 1
     den = scores[0].item()
-    ratios, best, best_fam = [], -math.inf, []
+    best, best_fam, over = -math.inf, [], 0
     for _ in range(trials):
-        fam = _draw_family(n, L, below, depth)
+        fam = _draw_family(n, L, stream, depth)
         num = sum(scores[level].item(coords) for level, coords in fam)
         r = float((num / den) ** (1.0 / p))
-        ratios.append(r)
+        over += r > bound
         if r > best:
             best, best_fam = r, fam
-    return ratios, best, [CubeIndex(level, coords)
-                          for level, coords in best_fam]
+    return best, [CubeIndex(level, coords) for level, coords in best_fam], \
+        over
 
 
 def _loglog_fit(xs, ys):
@@ -364,21 +438,22 @@ def sdp_check(a: FractionalFunctional, w_masses, p, Q: CubeIndex, depth, Ls,
     scores = _scores(a)
     if scores[0].item() == 0:
         raise FunctionalError("a(Q)^p w(Q) is 0 at the root cube Q")
-    alpha_over_n = a.alpha / n
     Ls = sorted(Ls)
+    bounds = [(1.0 / L) ** (a.alpha / n) + 1e-12 for L in Ls]
     if mode == "exhaustive":
-        found = [([r], r, wit) for r, wit in _dp_maxima(scores, a.p, Ls)]
+        found = [(r, wit, int(r > bound)) for (r, wit), bound
+                 in zip(_dp_maxima(scores, a.p, Ls), bounds)]
     else:
-        below = _uniform_draws(seed)
-        found = [_sampled(scores, a.p, L, trials, below) for L in Ls]
+        stream = _uniform_draws(seed)
+        found = [_sampled(scores, a.p, L, trials, stream, bound)
+                 for L, bound in zip(Ls, bounds)]
     per_L, violations = {}, 0
     worst, witness = 0.0, []
-    for L, (ratios, best_r, best_w) in zip(Ls, found):
+    for L, (best_r, best_w, over) in zip(Ls, found):
         per_L[L] = best_r
         if best_r > worst:
             worst, witness = best_r, best_w
-        bound = (1.0 / L) ** alpha_over_n
-        violations += sum(1 for r in ratios if r > bound + 1e-12)
+        violations += over
     slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
                                [max(per_L[L], 1e-300) for L in sorted(per_L)])
     total_trials = trials * len(Ls) if mode == "random" else 0

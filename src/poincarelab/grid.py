@@ -221,17 +221,25 @@ class GridFunction:
 
 
 def _check_cells(arr, shape, what):
-    """Refuse ``arr`` unless it is an array of the grid's ``shape``."""
+    """The least cell of ``arr``, refused unless ``arr`` is an array of the
+    grid's ``shape`` with finite cells.  The cells are read by two
+    reductions, which make no array: a NaN cell makes the least cell NaN,
+    and an infinite one makes the least or the greatest infinite."""
     if not isinstance(arr, np.ndarray) or arr.shape != shape:
         raise GridError(f"{what} must be an array of shape {shape}, got "
                         f"{getattr(arr, 'shape', type(arr).__name__)}")
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise GridError(f"{what} must be finite, got a cell of "
+                        f"{lo if not np.isfinite(lo) else hi}")
+    return lo
 
 
 def resolve(w, root, depth):
     """The cell values ``w`` of a weight on the depth-``depth`` grid of
-    ``root``, refused unless of shape ``(2**depth,) * n`` and positive."""
-    _check_cells(w, (1 << depth,) * root.n, "weight cell values")
-    if np.any(w <= 0):
+    ``root``, refused unless of shape ``(2**depth,) * n``, finite and
+    positive."""
+    if _check_cells(w, (1 << depth,) * root.n, "weight cell values") <= 0:
         raise GridError("weight cell values must be positive")
     return w
 
@@ -245,11 +253,10 @@ def lebesgue_masses(root, depth):
 def measure_cell_masses(measure, root, depth):
     """Cell masses of a measure on the depth-``depth`` grid of ``root``:
     ``None`` is Lebesgue measure, and an array is taken as the masses,
-    refused unless of shape ``(2**depth,) * n`` and nonnegative."""
+    refused unless of shape ``(2**depth,) * n``, finite and nonnegative."""
     if measure is None:
         return lebesgue_masses(root, depth)
-    _check_cells(measure, (1 << depth,) * root.n, "cell masses")
-    if np.any(measure < 0):
+    if _check_cells(measure, (1 << depth,) * root.n, "cell masses") < 0:
         raise GridError("cell masses must be nonnegative")
     return measure
 

@@ -3,17 +3,21 @@ that reach its private D_p kernels directly: a walk over every dyadic cube,
 cube inclusion, the subcubes of a cube, a sub-cube made its own grid, the
 scalar formula of the fractional functional, the catalog's gradient and
 Lorentz right sides by their plain formulas, the per-family D_p ratio, the
-overlap and budget check of an L-small family, one sampled family, and the
-D_p maximum of a single exhaustive or sampled run."""
+overlap and budget check of an L-small family, one sampled family, the
+D_p maximum of a single exhaustive or sampled run, and the scalar sampler
+the block-decoded one replaced: one bounded draw per call on a generator
+of raw words, its families and its full random ``sdp_check`` report."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from poincarelab.functionals import (CubeSums, DpReport, FunctionalError,
-                                     _dp_maxima, _draw_family, _sampled,
-                                     _scores, _uniform_draws)
+from poincarelab.functionals import (FAMILY_MAX_TRIES, CubeSums, DpReport,
+                                     FunctionalError, _dp_maxima,
+                                     _draw_family, _loglog_fit, _sampled,
+                                     _scores, _uniform_draws, _z_spread)
 from poincarelab.grid import CubeIndex, GridFunction, RootBox, discrete_gradient
 from poincarelab.operators import lorentz_p1_norm_values
 
@@ -119,12 +123,12 @@ class SmallFamily:
         return used
 
 
-def random_small_family(n, L, below, depth):
+def random_small_family(n, L, stream, depth):
     """One sampled L-small family of dyadic cubes of the depth-``depth``
-    grid in dimension n, drawn by ``_draw_family`` with ``below`` (one
+    grid in dimension n, drawn by ``_draw_family`` from ``stream`` (one
     ``_uniform_draws`` stream), as ``sdp_check``'s random mode draws each
     of its families."""
-    members = _draw_family(n, L, below, depth)
+    members = _draw_family(n, L, stream, depth)
     return SmallFamily(CubeIndex.root(n), [CubeIndex(level, coords)
                                            for level, coords in members],
                        float(L))
@@ -149,7 +153,104 @@ def max_dp_ratio(a, mode="exhaustive", trials=1000, seed=0, budget_L=None):
         [(ratio, witness)] = _dp_maxima(scores, a.p, [budget_L])
         return DpReport(ratio, witness, 0)
     L = max(1.0 + 1e-9 if budget_L is None else budget_L, 1.0 + 1e-9)
-    _, best, witness = _sampled(scores, a.p, L, trials, _uniform_draws(seed))
+    best, witness, _ = _sampled(scores, a.p, L, trials, _uniform_draws(seed),
+                                math.inf)
     if not best > 0.0:      # no trial, or no family with a positive ratio
         best, witness = 0.0, []
     return DpReport(best, witness, trials)
+
+
+REFERENCE_RAW_WORDS = 1024  # 64-bit words per read of the reference stream
+
+
+def reference_uniform_draws(seed):
+    """``below(R)``: a uniform integer in [0, R) for R <= 2^32, so that a
+    sequence of ``below`` calls equals ``int(rng.integers(0, R))`` calls on
+    ``rng = np.random.default_rng(seed)`` bit for bit.  It is numpy's
+    bounded draw (Lemire, ACM TOMACS 2019) on the 32-bit words of a private
+    PCG64, read from ``bit_generator.random_raw`` REFERENCE_RAW_WORDS at a
+    time, each 64-bit raw word low half first."""
+    bitgen = np.random.default_rng(seed).bit_generator
+
+    def halves():
+        while True:
+            raw = bitgen.random_raw(REFERENCE_RAW_WORDS)
+            yield from np.stack((raw & 0xFFFFFFFF, raw >> 32),
+                                axis=1).ravel().tolist()
+
+    words = halves()
+
+    def below(R):
+        if R == 1:
+            return 0
+        if R > 1 << 32:
+            raise FunctionalError("ranges above 2^32 are not drawn here")
+        while True:
+            m = next(words) * R
+            low = m & 0xFFFFFFFF
+            if low >= R or low >= ((1 << 32) - R) % R:
+                return m >> 32
+
+    return below
+
+
+def reference_draw_family(n, L, below, depth):
+    """Greedy rejection sampler for L-small families of dyadic cubes of the
+    depth-``depth`` grid in dimension n, one scalar draw ``below`` at a
+    time: uniformly random cubes, overlaps rejected, until the remaining
+    volume budget is below one finest cell (or FAMILY_MAX_TRIES tries run
+    out).  Members are ``(level, coords)`` pairs; each try draws its level
+    with ``below``, and n more draws its position when the level fits the
+    budget left.  The finest cells are marked in Z order, where each dyadic
+    cube is one run: the cells of the level-k cube with Z index z are
+    [z * c, (z + 1) * c) for c cells per cube."""
+    budget = (1 << depth) ** n / L
+    spread = _z_spread(n, depth)
+    taken = bytearray((1 << depth) ** n)
+    members, used, tries = [], 0, 0
+    while budget - used >= 1.0 and tries < FAMILY_MAX_TRIES:
+        tries += 1
+        level = below(depth + 1)
+        cells = 1 << (n * (depth - level))
+        if cells > budget - used:
+            continue
+        coords = tuple(below(1 << level) for _ in range(n))
+        z = 0
+        for c in coords:
+            z = (z << 1) | spread[c]
+        start = z * cells
+        if taken.find(1, start, start + cells) >= 0:
+            continue
+        taken[start:start + cells] = b"\x01" * cells
+        members.append((level, coords))
+        used += cells
+    return members
+
+
+def reference_sdp_report(a, Ls, trials, seed):
+    """``sdp_check``'s random report on the root cube of a's grid, its
+    families drawn by ``reference_draw_family`` from one
+    ``reference_uniform_draws`` stream, every L in increasing order."""
+    n, depth = a.root.n, a.depth
+    scores = _scores(a)
+    den = scores[0].item()
+    below = reference_uniform_draws(seed)
+    per_L, violations, worst, witness = {}, 0, 0.0, []
+    for L in sorted(Ls):
+        bound = (1.0 / L) ** (a.alpha / n)
+        best, best_fam = -math.inf, []
+        for _ in range(trials):
+            fam = reference_draw_family(n, L, below, depth)
+            num = sum(scores[level].item(coords) for level, coords in fam)
+            r = float((num / den) ** (1.0 / a.p))
+            violations += r > bound + 1e-12
+            if r > best:
+                best, best_fam = r, fam
+        per_L[L] = best
+        if best > worst:
+            worst = best
+            witness = [CubeIndex(level, coords) for level, coords in best_fam]
+    slope, resid = _loglog_fit([1.0 / L for L in sorted(per_L)],
+                               [max(per_L[L], 1e-300) for L in sorted(per_L)])
+    return DpReport(worst, witness, trials * len(Ls), slope, resid, per_L,
+                    violations)

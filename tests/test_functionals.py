@@ -1,5 +1,7 @@
 """Cube functionals and disjoint-family ratio conditions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from poincarelab.grid import (CubeIndex, GridError, GridFunction, RootBox,
                               block_reduce, discrete_gradient)
 from tests.conftest import counting
 from tests.oracles import (contains, dp_ratio, full_partition, max_dp_ratio,
-                           random_small_family, reference_eval,
-                           relative_cube, restrict, subcube_at)
+                           random_small_family, reference_draw_family,
+                           reference_eval, reference_sdp_report,
+                           reference_uniform_draws, relative_cube, restrict,
+                           subcube_at)
 
 UNIT1 = RootBox.unit(1)
 
@@ -892,3 +896,161 @@ def test_sdp_check_reads_level_arrays_not_eval_per_cube(mode):
         # 127 cubes and 100 sampled families per call: none is evaluated
         # one by one
         assert a.calls <= 1
+
+
+# the block-decoded sampler against the scalar one it replaced
+# (``reference_draw_family`` on ``reference_uniform_draws``): the same
+# families, reports and stream positions, bit for bit
+
+def lognormal_functional(rng, n, depth):
+    shape = (1 << depth,) * n
+    return FractionalFunctional(0.8, 1.5, rng.lognormal(0.0, 0.5, shape),
+                                rng.lognormal(0.0, 0.5, shape),
+                                RootBox.unit(n), depth)
+
+
+@pytest.mark.parametrize("n,depth", [(1, 7), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_report_equals_reference_sampler(n, depth, seed):
+    # several non-integer Ls, one near 1, read on from one stream
+    a = lognormal_functional(np.random.default_rng(70 + seed), n, depth)
+    Ls = [1.01, 2.5, 7.3]
+    rep = sdp_check(a, a.w.masses, a.p, CubeIndex.root(n), depth, Ls,
+                    trials=15, seed=seed)
+    assert repr(rep) == repr(reference_sdp_report(a, Ls, 15, seed))
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.floats(1.01, 16.0),
+       st.floats(1.01, 16.0), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_sampled_families_equal_reference_sampler(seed, L1, L2, n):
+    depth = {1: 8, 2: 4, 3: 3, 4: 2}[n]
+    stream, below = functionals._uniform_draws(seed), \
+        reference_uniform_draws(seed)
+    for L in (L1, L2, L1):
+        for _ in range(3):
+            assert functionals._draw_family(n, L, stream, depth) == \
+                reference_draw_family(n, L, below, depth)
+    # the stream reads on from where the walk stopped
+    assert [stream(R) for R in STREAM_RANGES] == \
+        [below(R) for R in STREAM_RANGES]
+
+
+def test_sampled_families_span_block_refills_and_the_try_cap(monkeypatch):
+    # 1D depth 14 at L = 1.01: each family reads about 800 words, so blocks
+    # of 2 * STREAM_BLOCK words run out within families, and the budget of
+    # 16222 cells is not filled in FAMILY_MAX_TRIES tries
+    refills = []
+    refill = functionals._WordStream.refill
+    monkeypatch.setattr(functionals._WordStream, "refill",
+                        lambda self: refills.append(self.pos) or refill(self))
+    depth, L = 14, 1.01
+    stream, below = functionals._uniform_draws(8), reference_uniform_draws(8)
+    capped = 0
+    for _ in range(8):
+        fam = functionals._draw_family(1, L, stream, depth)
+        assert fam == reference_draw_family(1, L, below, depth)
+        capped += (1 << depth) / L - sum(1 << (depth - k) for k, _ in fam) >= 1
+    assert capped == 8 and len(refills) >= 3
+    a = lognormal_functional(np.random.default_rng(9), 1, depth)
+    rep = sdp_check(a, a.w.masses, a.p, CubeIndex.root(1), depth,
+                    [L, 3.7], trials=6, seed=8)
+    assert repr(rep) == repr(reference_sdp_report(a, [L, 3.7], 6, 8))
+
+
+def level_word(k, R):
+    """A 32-bit word that the bounded draw in [0, R) accepts as k."""
+    return -(-(k << 32) // R) + 16
+
+
+def scalar_below(words):
+    """``below(R)``, numpy's bounded draw, on the 32-bit ``words`` in
+    turn: the reference stream on injected words."""
+    words = iter(words)
+
+    def below(R):
+        if R == 1:
+            return 0
+        while True:
+            m = next(words) * R
+            if m & 0xFFFFFFFF >= R or m & 0xFFFFFFFF >= ((1 << 32) - R) % R:
+                return m >> 32
+
+    return below
+
+
+def inject_words(monkeypatch, words, block):
+    """Make every word stream read ``words`` (32-bit, low half first),
+    ``block`` 64-bit raw words at a time, then seeded words."""
+    words = list(words) + np.random.default_rng(1).integers(
+        0, 1 << 32, 400 + len(words) % 2).tolist()
+    raw = np.array(words[0::2], dtype=np.uint64) \
+        | np.array(words[1::2], dtype=np.uint64) << np.uint64(32)
+    blocks = iter([raw[k:k + block] for k in range(0, len(raw), block)])
+    monkeypatch.setattr(functionals._WordStream, "_raw",
+                        lambda self: next(blocks))
+    return words
+
+
+def assert_family_on_words(monkeypatch, words, block, L, depth, expected):
+    words = inject_words(monkeypatch, words, block)
+    stream, below = functionals._uniform_draws(0), scalar_below(words)
+    fam = functionals._draw_family(1, L, stream, depth)
+    assert fam == reference_draw_family(1, L, below, depth) == expected
+    assert [stream(R) for R in STREAM_RANGES] == \
+        [below(R) for R in STREAM_RANGES]
+
+
+# 1D depth 10 at L = 100 fits levels 7 to 10 (budget 10.24 cells), depth
+# 7 at L = 100 level 7 alone; the filler draws level 5, 4 at depth 7,
+# which never fits, so each filler is one try of one word
+@pytest.mark.parametrize("depth,first,expected", [
+    (10, 0, [(10, (5,))]),  # 2^32 mod 11 = 4: word 0 is rejected, no try
+    (7, 0, []),             # R = 8 rejects nothing: word 0 is a try
+    (10, level_word(0, 11), [])],   # level 0: a try, no position word
+    ids=["rejected-word", "nothing-rejected", "level-0"])
+def test_first_word_counts_as_a_try_unless_rejected(monkeypatch, depth,
+                                                    first, expected):
+    R = depth + 1
+    words = [first] + [level_word(R // 2, R)] * (functionals.FAMILY_MAX_TRIES
+                                                  - 1)
+    # a fitting level word and its position: the 400th try, or the 401st
+    words += [level_word(depth, R), 5 << (32 - depth)]
+    assert_family_on_words(monkeypatch, words, 64, 100.0, depth, expected)
+
+
+def test_rejected_word_at_a_block_end_refills_within_a_try(monkeypatch):
+    # blocks of 3 raw words (6 32-bit words): the first block ends on a
+    # rejected level word, the second on a fitting level word whose
+    # position word opens the third
+    filler = level_word(5, 11)
+    words = [filler] * 5 + [0] + [filler] * 5 + [level_word(10, 11)] \
+        + [3 << 22] + [filler] * 4 + [0] + [level_word(7, 11), 1 << 25] \
+        + [filler] * 400
+    assert_family_on_words(monkeypatch, words, 3, 100.0, 10,
+                           [(10, (3,)), (7, (1,))])
+
+
+def test_a_range_of_one_reads_no_word(monkeypatch):
+    words = inject_words(monkeypatch, [level_word(3, 11)], 4)
+    stream, below = functionals._uniform_draws(0), scalar_below(words)
+    assert stream(1) == below(1) == 0
+    assert stream(11) == below(11) == 3
+
+
+def test_sampled_sdp_check_peak_does_not_grow_with_trials():
+    # the stream holds a block of words at a time and the sampler the best
+    # family, not every word or ratio of the run: 1D depth 12 at L = 4
+    # reads about 100 words per family, 8 MB of list entries over 2000
+    # trials
+    a = lognormal_functional(np.random.default_rng(3), 1, 12)
+    peaks = []
+    for trials in (1, 200, 2000):   # the first sums a's levels, once
+        tracemalloc.start()
+        try:
+            sdp_check(a, a.w.masses, a.p, CubeIndex.root(1), 12, [4.0],
+                      trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < peaks[1] + 2 ** 14

@@ -433,6 +433,30 @@ def test_measure_cell_masses_contract():
             measure_cell_masses(measure, g.root, g.depth)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_non_finite_cell_is_refused_on_every_path(bad):
+    # a GridFunction refuses such values itself, a bare array reaches the
+    # grid's checks only: unchecked, a NaN w cell made a(Q) NaN and A_p
+    # "p is too close to 1", an infinite one made A_p infinite
+    f = GridFunction(RootBox.unit(1), 4, np.arange(16.0) % 3)
+    ok = lebesgue_masses(f.root, f.depth)
+    cells = np.ones(16)
+    cells[5] = bad
+    calls = [lambda: resolve(cells, f.root, f.depth),
+             lambda: measure_cell_masses(cells, f.root, f.depth),
+             lambda: oscillation(f, w=cells),
+             lambda: ap_constant(cells, 2.0, f.root, f.depth),
+             lambda: FractionalFunctional(1.0, 1.0, cells, ok, f.root,
+                                          f.depth),
+             lambda: FractionalFunctional(1.0, 1.0, ok, cells, f.root,
+                                          f.depth)]
+    for call in calls:
+        with pytest.raises(GridError, match=f"must be finite, got a cell "
+                                            f"of {bad}$"):
+            call()
+
+
 def test_grid_function_shape_validation():
     with pytest.raises(GridError):
         GridFunction(RootBox.unit(2), 2, np.zeros((4, 8)))

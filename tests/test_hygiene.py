@@ -7,7 +7,8 @@ defined in its class's own body, no function imports a package module
 locally, no function takes the cube it runs on or a random generator or
 is only ``raise NotImplementedError``, every dataclass ``to_dict`` is
 built from ``asdict(self)``, no module but ``grid`` checks an array's
-shape against its grid, and no module builds full-grid coordinate
+shape against its grid, ``functionals`` reads its random generator only
+in its word stream, and no module builds full-grid coordinate
 temporaries, whole multi-axis spectra or per-element Python calls."""
 
 import ast
@@ -401,6 +402,54 @@ def test_detector_flags_generator_parameters():
     assert functions_taking(sources, "rng") == [
         ("a.py", "_Stream.__init__"), ("a.py", "_sampled"),
         ("a.py", "draws.below"), ("b.py", "probe")]
+
+
+GENERATOR_NAMES = ("default_rng", "random_raw", "bit_generator")
+
+
+def generator_reads(source, owner):
+    """(line, name) of each ``default_rng``, ``random_raw`` or
+    ``bit_generator`` named in ``source``, as a name, an attribute or an
+    import, outside the body of the class ``owner``: the one place that
+    keeps the draws equal to scalar ``Generator.integers`` draws bit for
+    bit."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            within = inside or (isinstance(child, ast.ClassDef)
+                                and child.name == owner)
+            name = child.attr if isinstance(child, ast.Attribute) else \
+                child.id if isinstance(child, ast.Name) else \
+                child.name if isinstance(child, ast.alias) else None
+            if name in GENERATOR_NAMES and not within:
+                found.append((child.lineno, name))
+            visit(child, within)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_only_the_word_stream_reads_the_generator():
+    source = (SRC / "functionals.py").read_text()
+    assert "class _WordStream" in source
+    assert generator_reads(source, "_WordStream") == []
+
+
+def test_detector_flags_generator_reads_outside_the_stream():
+    src = ("import numpy as np\nfrom numpy.random import default_rng\n\n\n"
+           "class _WordStream:\n    def __init__(self, seed):\n"
+           "        self._bitgen = np.random.default_rng(seed).bit_generator\n"
+           "\n    def _raw(self):\n"
+           "        return self._bitgen.random_raw(8)\n\n\n"
+           "def draws(seed):\n    \"\"\"Reads default_rng words.\"\"\"\n"
+           "    bitgen = default_rng(seed).bit_generator\n"
+           "    return bitgen.random_raw\n\n\n"
+           "class Other:\n    random_raw = None\n")
+    # a docstring naming it is no read; the stream class's own reads pass
+    assert generator_reads(src, "_WordStream") == [
+        (2, "default_rng"), (15, "bit_generator"), (15, "default_rng"),
+        (16, "random_raw"), (20, "random_raw")]
 
 
 def stub_functions(sources):
